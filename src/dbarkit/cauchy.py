@@ -43,8 +43,12 @@ from .expr import ComplexExpr, as_callable
 __all__ = [
     "QuadratureConfig", "SampledField", "sample_field", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
-    "dbar_convergence",
+    "EXACT_FLOOR", "refinement_ladder", "dbar_convergence",
 ]
+
+# metrics at or below this sup are floating-point roundoff of an identity
+# that holds exactly; a log-log fit through them is meaningless
+EXACT_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -248,37 +252,33 @@ def _pompeiu_direct(fv: np.ndarray, src_mask: np.ndarray, grid,
     return (-1.0 / math.pi) * out
 
 
+def _central_wirtinger(f: SampledField, dbar: bool) -> SampledField:
+    # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d, on the
+    # Interior nodes
+    m = f.mask
+    h = m.grid.h
+    v = f.values
+    fx = np.zeros_like(v)
+    fy = np.zeros_like(v)
+    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
+    out = 0.5 * (fx + 1j * fy if dbar else fx - 1j * fy)
+    out[~m.interior] = 0.0
+    return SampledField(m, out, support=m.interior.copy())
+
+
 def dbar_fd(f: SampledField) -> SampledField:
     """Central-difference dbar on the Interior nodes.
 
     Exact for fields sampled from polynomials of degree <= 2 in (x, y);
     in particular conj(z) maps to the constant 1 and z*conj(z) to z.
     """
-    m = f.mask
-    h = m.grid.h
-    v = f.values
-    out = np.zeros_like(v)
-    fx = np.zeros_like(v)
-    fy = np.zeros_like(v)
-    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    out = 0.5 * (fx + 1j * fy)
-    out[~m.interior] = 0.0
-    return SampledField(m, out, support=m.interior.copy())
+    return _central_wirtinger(f, dbar=True)
 
 
 def d_fd(f: SampledField) -> SampledField:
     """Central-difference holomorphic derivative on Interior nodes."""
-    m = f.mask
-    h = m.grid.h
-    v = f.values
-    fx = np.zeros_like(v)
-    fy = np.zeros_like(v)
-    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    out = 0.5 * (fx - 1j * fy)
-    out[~m.interior] = 0.0
-    return SampledField(m, out, support=m.interior.copy())
+    return _central_wirtinger(f, dbar=False)
 
 
 def dbar_fd_onesided(f: SampledField) -> SampledField:
@@ -342,28 +342,54 @@ def verify_dbar_solution(f: SampledField, cfg: QuadratureConfig = QuadratureConf
             "max_dev": max_dev, "h": f.mask.grid.h, "margin": margin}
 
 
+def _log_slope(hs, values) -> dict:
+    vals = [float(v) for v in values]
+    if max(vals) <= EXACT_FLOOR:
+        return {"slope": None, "exact": True, "values": vals}
+    fit = np.polyfit(np.log(hs), np.log(np.maximum(vals, 1e-300)), 1)
+    return {"slope": float(fit[0]), "exact": False, "values": vals}
+
+
+def refinement_ladder(solve, hs, physical_margin: float = 0.15) -> dict:
+    """Run solve(h, margin) at each spacing, coarsest first, and fit slopes.
+
+    Round-trip and correction deviations concentrate in a layer of width
+    O(h) along the jagged node-set boundary, so a shrink margin counted
+    in cells chases that layer inward and never converges.  Every ladder
+    therefore measures a fixed physical distance in: at spacing h the
+    margin is max(3, round(physical_margin / h)) cells.
+
+    solve returns a dict of scalar metrics for its level.  The result
+    holds 'h' (coarsest first), 'margins', one list per metric, and
+    'slopes': per metric {'slope', 'exact', 'values'}, where slope is the
+    log-log fit exponent p in metric ~ C * h**p, or None with exact set
+    when the metric stays at or below EXACT_FLOOR on every level.
+    'slope' repeats the exponent of the first metric.  A one-level
+    ladder fits nothing: slopes is empty and slope is None.
+    """
+    hs = sorted(hs, reverse=True)
+    margins = [max(3, int(round(physical_margin / h))) for h in hs]
+    levels = [solve(h, margin) for h, margin in zip(hs, margins)]
+    series = {name: [level[name] for level in levels] for name in levels[0]}
+    slopes = ({name: _log_slope(hs, vals) for name, vals in series.items()}
+              if len(hs) >= 2 else {})
+    first = next(iter(slopes.values()), {})
+    return {"h": hs, "margins": margins, **series, "slopes": slopes,
+            "slope": first.get("slope")}
+
+
 def dbar_convergence(f, domain, hs=(1 / 64, 1 / 128, 1 / 256),
                      cfg: QuadratureConfig = QuadratureConfig(),
                      physical_margin: float = 0.15) -> dict:
     """Refinement ladder for the round-trip deviation |dbar_fd(u) - f|.
 
-    The deviation concentrates in a layer of width O(h) along the jagged
-    node-set boundary, so a shrink margin counted in cells chases that
-    layer inward and never converges.  The ladder therefore shrinks by a
-    fixed physical distance: at each h the max is taken over nodes at
-    least `physical_margin` (but never fewer than 3 cells) from the
-    complement.  Returns {'h', 'max_dev', 'margins', 'slope'} where slope
-    is the log-log fit exponent p in max_dev ~ C * h**p.
+    Returns the refinement_ladder result for the metric 'max_dev'; its
+    'slope' is the max_dev exponent.
     """
     from .domains import build_mask
 
-    hs = sorted(hs, reverse=True)
-    devs, margins = [], []
-    for h in hs:
-        mask = build_mask(domain, h=h)
-        margin = max(3, int(round(physical_margin / h)))
-        rep = verify_dbar_solution(sample_field(f, mask), cfg, margin)
-        devs.append(rep["max_dev"])
-        margins.append(margin)
-    slope = float(np.polyfit(np.log(hs), np.log(devs), 1)[0])
-    return {"h": list(hs), "max_dev": devs, "margins": margins, "slope": slope}
+    def solve(h, margin):
+        field = sample_field(f, build_mask(domain, h=h))
+        return {"max_dev": verify_dbar_solution(field, cfg, margin)["max_dev"]}
+
+    return refinement_ladder(solve, hs, physical_margin)

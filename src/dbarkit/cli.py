@@ -22,7 +22,7 @@ violated at run time (common zeros, domination, disconnection, poles,
 fit failures); 3 declared acceptance checks failed.
 
 Configs are INI files.  ``[run]`` holds command, out, levels (grid
-spacings, e.g. ``1/64 1/128 1/256``), seed, threads.  ``[domain]``
+spacings, e.g. ``1/64 1/128 1/256``), seed.  ``[domain]``
 selects the region: ``kind`` is one of disk, annulus_sector,
 sector_chain, disk_chain, comb, inner_spiral, half_ring_spiral, polygon,
 with the constructor's keyword arguments as further keys (complex values
@@ -66,8 +66,8 @@ import numpy as np
 from .bezout import (BezoutProblem, CommonZeroError, CoveringError,
                      FitRankError, FitToleranceError, VanishingError,
                      bezout_poly, bezout_pou)
-from .cauchy import dbar_convergence, sample_field, verify_dbar_solution
-from .corona import corona_convergence, corona_solve
+from .cauchy import dbar_convergence
+from .corona import corona_convergence
 from .division import FAIL, PASS, DominationError, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       HalfRingSpiral, InnerSpiral, MaskResolutionError,
@@ -102,11 +102,6 @@ PRECONDITION_ERRORS = (CommonZeroError, CoveringError, FitRankError,
                        FitToleranceError, VanishingError, DominationError,
                        DisconnectedError, PoleError, MaskResolutionError)
 
-# metrics at or below this sup are floating-point roundoff of an identity
-# that holds exactly; a log-log fit through them is meaningless
-EXACT_FLOOR = 1e-13
-
-
 class ConfigError(ValueError):
     """Bad config file, bad flag value, or malformed expression."""
 
@@ -119,7 +114,6 @@ class ExperimentConfig:
     h_list: tuple
     out: Optional[Path]
     seed: int = 20260817
-    threads: int = 1
 
 
 @dataclass
@@ -426,7 +420,7 @@ _PARAM_LOADERS = {
 
 
 def load_config(command: str, config_path=None, overrides=None,
-                out=None, levels=None, threads=None) -> ExperimentConfig:
+                out=None, levels=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an INI file plus flag overrides."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -446,9 +440,6 @@ def load_config(command: str, config_path=None, overrides=None,
                           f"but {command!r} was requested")
     h_list = _h_ladder(run_sec, levels)
     seed = _int(run_sec.get("seed", "20260817"), "seed")
-    threads = _int(run_sec.get("threads", "1"), "threads") if threads is None else threads
-    if threads < 1:
-        raise ConfigError("threads must be at least 1")
     out_val = out if out is not None else run_sec.get("out")
     section = dict(cp[command]) if cp.has_section(command) else {}
     if overrides:
@@ -458,23 +449,10 @@ def load_config(command: str, config_path=None, overrides=None,
     return ExperimentConfig(command=command, domain=domain, params=params,
                             h_list=h_list,
                             out=None if out_val is None else Path(out_val),
-                            seed=seed, threads=threads)
+                            seed=seed)
 
 
 # -------------------------------------------------------------- metrics
-
-
-def _slopes(h_list, series: dict) -> dict:
-    out = {}
-    logs_h = np.log(h_list)
-    for name, values in series.items():
-        vals = [float(v) for v in values]
-        if max(vals) <= EXACT_FLOOR:
-            out[name] = {"slope": None, "exact": True, "values": vals}
-        else:
-            fit = np.polyfit(logs_h, np.log(np.maximum(vals, 1e-300)), 1)
-            out[name] = {"slope": float(fit[0]), "exact": False, "values": vals}
-    return out
 
 
 def _slope_check(checks, slopes, name, minimum):
@@ -519,19 +497,11 @@ def _run_domains(cfg: ExperimentConfig) -> RunReport:
 
 def _run_cauchy(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    if len(cfg.h_list) >= 2:
-        ladder = dbar_convergence(p["f"], cfg.domain, hs=cfg.h_list,
-                                  physical_margin=p["physical_margin"])
-        rows = [(i, h, m, d) for i, (h, m, d) in
-                enumerate(zip(ladder["h"], ladder["margins"], ladder["max_dev"]))]
-        slopes = _slopes(ladder["h"], {"max_dev": ladder["max_dev"]})
-    else:
-        h = cfg.h_list[0]
-        mask = build_mask(cfg.domain, h=h)
-        margin = max(3, int(round(p["physical_margin"] / h)))
-        rep = verify_dbar_solution(sample_field(p["f"], mask), margin=margin)
-        rows = [(0, h, margin, rep["max_dev"])]
-        slopes = {}
+    ladder = dbar_convergence(p["f"], cfg.domain, hs=cfg.h_list,
+                              physical_margin=p["physical_margin"])
+    rows = [(i, h, m, d) for i, (h, m, d) in
+            enumerate(zip(ladder["h"], ladder["margins"], ladder["max_dev"]))]
+    slopes = ladder["slopes"]
     checks = []
     if slopes:
         _slope_check(checks, slopes, "max_dev", p["slope_min"])
@@ -575,22 +545,13 @@ def _run_bezout(cfg: ExperimentConfig) -> RunReport:
 
 def _run_corona(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    if len(cfg.h_list) >= 2:
-        ladder = corona_convergence(p["f"], cfg.domain, hs=cfg.h_list,
-                                    physical_margin=p["physical_margin"],
-                                    route=p["route"], max_degree=p["max_degree"])
-        rows = [(i, h, r, d, m) for i, (h, r, d, m) in
-                enumerate(zip(ladder["h"], ladder["residual_sup"],
-                              ladder["dbar_sup"], ladder["margins"]))]
-        slopes = _slopes(ladder["h"], {"dbar_sup": ladder["dbar_sup"],
-                                       "residual_sup": ladder["residual_sup"]})
-    else:
-        h = cfg.h_list[0]
-        sol = corona_solve(p["f"], cfg.domain, h=h, route=p["route"],
-                           max_degree=p["max_degree"],
-                           margin=max(3, int(round(p["physical_margin"] / h))))
-        rows = [(0, h, sol.residual_sup, sol.dbar_sup, sol.margin)]
-        slopes = {}
+    ladder = corona_convergence(p["f"], cfg.domain, hs=cfg.h_list,
+                                physical_margin=p["physical_margin"],
+                                route=p["route"], max_degree=p["max_degree"])
+    rows = [(i, h, r, d, m) for i, (h, r, d, m) in
+            enumerate(zip(ladder["h"], ladder["residual_sup"],
+                          ladder["dbar_sup"], ladder["margins"]))]
+    slopes = ladder["slopes"]
     checks = []
     res, dbar = rows[-1][2], rows[-1][3]
     checks.append((f"residual_sup <= {p['residual_tol']:g}",
@@ -939,8 +900,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory for CSVs and summary")
         p.add_argument("--levels", type=int,
                        help="number of ladder levels (truncates or extends)")
-        p.add_argument("--threads", type=int,
-                       help="worker cap; orchestration itself is serial")
         if name == "divide":
             p.add_argument("--f")
             p.add_argument("--g")
@@ -967,7 +926,7 @@ def main(argv=None) -> int:
                          "verify": "true" if args.verify else None}
         config = load_config(args.command, config_path=args.config,
                              overrides=overrides, out=args.out,
-                             levels=args.levels, threads=args.threads)
+                             levels=args.levels)
         if getattr(args, "domain_kind", None):
             config.domain = _parse_domain({"kind": args.domain_kind})
     except ConfigError as err:

@@ -6,8 +6,15 @@ entrywise for the antisymmetric obstruction matrix F built from dbar x;
 antisymmetry makes f H f^t vanish identically, so the corrected
 u = x - f H still hits the target while dbar u collapses to the
 discretization floor.  Power targets (g^5, g^6, g^12) run the same
-pipeline on g^4-weighted data so the obstruction stays bounded across
-common zeros of the generators.
+construction on g^4-weighted data so the obstruction stays bounded
+across common zeros of the generators.
+
+corona_solve, g_power_solve and g12_solve differ only in their set-up
+(the Bezout route, the domination and hypothesis checks, how x is
+built); each hands its sampled values to one correction core, which
+builds F, solves for H, assembles u and measures the residual, dbar u,
+dbar x and the contraction f H f^t.  corona_convergence runs
+corona_solve down the shared refinement ladder of the cauchy module.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from scipy import ndimage
 
 from .bezout import BezoutProblem, CommonZeroError, bezout_poly, bezout_pou
 from .cauchy import (QuadratureConfig, SampledField, dbar_fd,
-                     dbar_fd_onesided, pompeiu, sample_field)
+                     dbar_fd_onesided, pompeiu, refinement_ladder,
+                     sample_field)
 from .division import DominationError, divide
 from .domains import CompactDomain, RegionMask, build_mask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
@@ -34,6 +42,11 @@ __all__ = [
 # sum|f_j| <= SMALL_REL * max marks the collar around common zeros where
 # weighted fields are zero-extended instead of divided
 SMALL_REL = 1e-8
+
+
+def _collar(s1: np.ndarray, inside: np.ndarray,
+            small_rel: float = SMALL_REL) -> np.ndarray:
+    return inside & (s1 <= small_rel * float(s1[inside].max()))
 
 
 def _same_grid(a: RegionMask, b: RegionMask) -> bool:
@@ -136,8 +149,7 @@ def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
         wv = None
     else:
         wv = _as_values(weight, mask)
-        small = inside & (s1 <= small_rel * float(s1[inside].max()))
-        live = inside & ~small
+        live = inside & ~_collar(s1, inside, small_rel)
 
     dbx = [_dbar_values(x, mask) for x in x_list]
     upper = {}
@@ -171,26 +183,24 @@ def solve_dbar_matrix(F: AntisymMatrixField,
     return AntisymMatrixField(F.n, F.mask, upper), reports
 
 
-def _assemble(x_vals, f_vals, H: AntisymMatrixField, weight=None):
+def _assemble(x_vals, f_vals, H: AntisymMatrixField):
     n = len(x_vals)
     out = []
     for j in range(n):
-        u = x_vals[j] if weight is None else weight * x_vals[j]
         corr = 0.0
         for k in range(n):
             if k != j:
                 corr = corr + f_vals[k] * H.entry(k, j)
-        out.append(u - corr)
+        out.append(x_vals[j] - corr)
     return out
 
 
 def _skew_residual(f_vals, H: AntisymMatrixField, inside) -> float:
-    # f H f^t computed pairwise so the antisymmetric halves share every
-    # product and the cancellation is exact in floating point
-    acc = np.zeros(inside.shape, dtype=complex)
-    for (j, k), fld in H.upper.items():
-        term = f_vals[j] * f_vals[k] * fld.values
-        acc += term - term
+    # the contraction sum_j f_j sum_k H_jk f_k over the full matrix;
+    # antisymmetry of H makes it vanish up to roundoff
+    n = len(f_vals)
+    acc = sum(f_vals[j] * sum(H.entry(j, k) * f_vals[k] for k in range(n))
+              for j in range(n))
     return float(np.abs(acc[inside]).max()) if inside.any() else 0.0
 
 
@@ -204,6 +214,50 @@ def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
         if sel.any():
             worst = max(worst, float(np.abs(d[sel]).max()))
     return worst
+
+
+def _correct(x_list, x_fields, f_vals, target, desc: str,
+             cfg: QuadratureConfig, margin: int, weight=None, lift=None,
+             collar=None, extras=None) -> CoronaSolution:
+    """The correction core: F from dbar x, H = pompeiu(F) entrywise,
+    u = x - f H, then the measurements.
+
+    Everything arrives sampled on the mask of x_fields: f_vals, target
+    (what sum u_j f_j should equal), and the optional weight (the g^4
+    route: x and F are multiplied by it), lift (multiplies u, which is
+    then zero-extended on the collar) and collar (nodes around common
+    zeros; the dbar sups skip it dilated by two cells).  x_list is what
+    koszul_F differentiates: expressions symbolically, fields by
+    one-sided differences.
+    """
+    mask = x_fields[0].mask
+    F = koszul_F(x_list, [SampledField(mask, v) for v in f_vals], mask=mask,
+                 weight=None if weight is None else SampledField(mask, weight))
+    H, reports = solve_dbar_matrix(F, cfg, margin)
+    xv = [x.values if weight is None else weight * x.values for x in x_fields]
+    uv = _assemble(xv, f_vals, H)
+    if lift is not None:
+        uv = [np.where(collar, 0.0, lift * v) for v in uv]
+    total = sum(u * f for u, f in zip(uv, f_vals))
+    extras = dict(extras or {})
+    exclude = None
+    if collar is not None:
+        extras["collar_nodes"] = int(collar.sum())
+        if collar.any():
+            exclude = ndimage.binary_dilation(collar, iterations=2)
+    return CoronaSolution(
+        u=[SampledField(mask, v) for v in uv],
+        residual_sup=float(np.abs(total - target)[mask.inside].max()),
+        dbar_sup=_dbar_sup(uv, mask, margin, exclude),
+        target_desc=desc,
+        mask=mask,
+        margin=margin,
+        dbar_sup_x=_dbar_sup(xv, mask, margin, exclude),
+        skew_residual=_skew_residual(f_vals, H, mask.inside),
+        entry_reports=reports,
+        x_fields=x_fields,
+        extras=extras,
+    )
 
 
 def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
@@ -228,27 +282,9 @@ def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
     else:
         x_fields = bezout_pou(problem)
         xs = x_fields
-    m = problem.mask
-    F = koszul_F(xs, f_list, mask=m)
-    H, reports = solve_dbar_matrix(F, cfg, margin)
-    fv = [g.values for g in problem.f_fields]
-    xv = [g.values for g in x_fields]
-    uv = _assemble(xv, fv, H)
-    total = sum(u * f for u, f in zip(uv, fv))
-    residual = float(np.abs(total[m.inside] - 1.0).max())
-    return CoronaSolution(
-        u=[SampledField(m, v) for v in uv],
-        residual_sup=residual,
-        dbar_sup=_dbar_sup(uv, m, margin),
-        target_desc="1",
-        mask=m,
-        margin=margin,
-        dbar_sup_x=_dbar_sup(xv, m, margin),
-        skew_residual=_skew_residual(fv, H, m.inside),
-        entry_reports=reports,
-        x_fields=x_fields,
-        extras={"route": route, "delta": problem.delta},
-    )
+    return _correct(xs, x_fields, [g.values for g in problem.f_fields], 1.0,
+                    "1", cfg, margin,
+                    extras={"route": route, "delta": problem.delta})
 
 
 def corona_convergence(f_list, domain: CompactDomain,
@@ -258,22 +294,15 @@ def corona_convergence(f_list, domain: CompactDomain,
                        max_degree: int = 16) -> dict:
     """Refinement ladder for corona_solve.
 
-    dbar_sup concentrates in an O(h) layer along the jagged node-set
-    boundary, so the ladder measures it a fixed physical distance in
-    (at least 3 cells) and fits the log-log slope.
+    Returns the refinement_ladder result for the metrics 'dbar_sup' and
+    'residual_sup'; its 'slope' is the dbar_sup exponent.
     """
-    hs = sorted(hs, reverse=True)
-    dbar, res, margins = [], [], []
-    for h in hs:
-        margin = max(3, int(round(physical_margin / h)))
+    def solve(h, margin):
         sol = corona_solve(f_list, domain, h=h, cfg=cfg, route=route,
                            max_degree=max_degree, margin=margin)
-        dbar.append(sol.dbar_sup)
-        res.append(sol.residual_sup)
-        margins.append(margin)
-    slope = float(np.polyfit(np.log(hs), np.log(dbar), 1)[0])
-    return {"h": list(hs), "dbar_sup": dbar, "residual_sup": res,
-            "margins": margins, "slope": slope}
+        return {"dbar_sup": sol.dbar_sup, "residual_sup": sol.residual_sup}
+
+    return refinement_ladder(solve, hs, physical_margin)
 
 
 def _check_g_dominated(gv, s1, mask):
@@ -315,35 +344,12 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
         raise ValueError(
             f"x_list does not solve sum x_j f_j = g: residual {xres:.3g}")
 
-    w4 = gv ** 4
-    F = koszul_F(x_list, f_list, mask=mask, weight=SampledField(mask, w4))
-    H, reports = solve_dbar_matrix(F, cfg, margin)
-    uv = _assemble(xv, fv, H, weight=w4)
-    small = mask.inside & (s1 <= SMALL_REL * float(s1[mask.inside].max()))
-
-    if isolated_zeros:
-        target = gv ** 5
-        desc = "g^5"
-    else:
-        uv = [np.where(small, 0.0, gv * v) for v in uv]
-        target = gv ** 6
-        desc = "g^6"
-    total = sum(u * f for u, f in zip(uv, fv))
-    residual = float(np.abs(total - target)[mask.inside].max())
-    exclude = ndimage.binary_dilation(small, iterations=2) if small.any() else None
-    return CoronaSolution(
-        u=[SampledField(mask, v) for v in uv],
-        residual_sup=residual,
-        dbar_sup=_dbar_sup(uv, mask, margin, exclude),
-        target_desc=desc,
-        mask=mask,
-        margin=margin,
-        dbar_sup_x=_dbar_sup([w4 * v for v in xv], mask, margin, exclude),
-        skew_residual=_skew_residual(fv, H, mask.inside),
-        entry_reports=reports,
-        x_fields=[SampledField(mask, v) for v in xv],
-        extras={"x_residual": xres, "collar_nodes": int(small.sum())},
-    )
+    target, desc, lift = ((gv ** 5, "g^5", None) if isolated_zeros
+                          else (gv ** 6, "g^6", gv))
+    return _correct(x_list, [SampledField(mask, v) for v in xv], fv, target,
+                    desc, cfg, margin, weight=gv ** 4, lift=lift,
+                    collar=_collar(s1, mask.inside),
+                    extras={"x_residual": xres})
 
 
 def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
@@ -393,31 +399,9 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
 
     k_field = divide(scaled_g2, hsum_fn, 4, mask=mask)
     kv = (n ** 4) * k_field.values
-    xv = [kv * v for v in hv]
-
-    w4 = gv ** 4
-    x_fields = [SampledField(mask, v) for v in xv]
-    F = koszul_F(x_fields, f_list, mask=mask, weight=SampledField(mask, w4))
-    H, reports = solve_dbar_matrix(F, cfg, margin)
-    uv = _assemble(xv, fv, H, weight=w4)
-    target = gv ** 12
-    total = sum(u * f for u, f in zip(uv, fv))
-    residual = float(np.abs(total - target)[inside].max())
-    small = inside & (s1 <= SMALL_REL * float(s1[inside].max()))
-    exclude = ndimage.binary_dilation(small, iterations=2) if small.any() else None
-    return CoronaSolution(
-        u=[SampledField(mask, v) for v in uv],
-        residual_sup=residual,
-        dbar_sup=_dbar_sup(uv, mask, margin, exclude),
-        target_desc="g^12",
-        mask=mask,
-        margin=margin,
-        dbar_sup_x=_dbar_sup([w4 * v for v in xv], mask, margin, exclude),
-        skew_residual=_skew_residual(fv, H, inside),
-        entry_reports=reports,
-        x_fields=x_fields,
-        extras={"collar_nodes": int(small.sum())},
-    )
+    x_fields = [SampledField(mask, kv * v) for v in hv]
+    return _correct(x_fields, x_fields, fv, gv ** 12, "g^12", cfg, margin,
+                    weight=gv ** 4, collar=_collar(s1, inside))
 
 
 def koszul_cancellation(x_list, f_list, points) -> dict:

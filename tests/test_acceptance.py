@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from dbarkit.bezout import BezoutProblem, bezout_poly, bezout_pou
-from dbarkit.cauchy import dbar_convergence, pompeiu, sample_field
+from dbarkit.cauchy import (dbar_convergence, pompeiu, refinement_ladder,
+                            sample_field)
 from dbarkit.cli import sharpness_battery
 from dbarkit.corona import corona_solve, g12_solve, g_power_solve
 from dbarkit.division import (FAIL, PASS, derivative_bound_scan,
@@ -31,18 +32,14 @@ DISK = Disk(0j, 1.0)
 LADDER = (1 / 64, 1 / 128, 1 / 256)
 
 
-def ladder_slope(hs, vals):
-    return float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
-
-
 def corona_ladder(solver):
-    dbar, res, skew = [], [], []
-    for h in LADDER:
-        sol = solver(h, max(3, int(round(0.15 / h))))
-        dbar.append(sol.dbar_sup)
-        res.append(sol.residual_sup)
-        skew.append(sol.skew_residual)
-    return dbar, res, skew, ladder_slope(LADDER, dbar)
+    def solve(h, margin):
+        sol = solver(h, margin)
+        return {"dbar_sup": sol.dbar_sup, "residual_sup": sol.residual_sup,
+                "skew": sol.skew_residual}
+
+    lad = refinement_ladder(solve, LADDER)
+    return lad["dbar_sup"], lad["residual_sup"], lad["skew"], lad["slope"]
 
 
 def test_criterion_1_dbar_solver(acceptance_log):

@@ -20,6 +20,7 @@ from dbarkit.cauchy import (
     dbar_fd_onesided,
     exact_cell_integral,
     pompeiu,
+    refinement_ladder,
     sample_field,
     verify_dbar_solution,
 )
@@ -191,6 +192,26 @@ def test_dbar_convergence_ladder():
     assert rep["max_dev"][0] > rep["max_dev"][1] > rep["max_dev"][2]
     assert rep["slope"] >= 0.9
     assert rep["margins"] == [5, 10, 19]
+
+
+def test_refinement_ladder_margins_slopes_and_exact_flag():
+    calls = []
+
+    def solve(h, margin):
+        calls.append((h, margin))
+        return {"dev": 7.0 * h ** 2, "roundoff": 1e-16}
+
+    lad = refinement_ladder(solve, (1 / 128, 1 / 32, 1 / 64), physical_margin=0.2)
+    assert lad["h"] == [1 / 32, 1 / 64, 1 / 128]
+    assert lad["margins"] == [6, 13, 26] == [m for _, m in calls]
+    assert lad["slope"] == pytest.approx(2.0, abs=1e-12)
+    assert not lad["slopes"]["dev"]["exact"]
+    assert lad["slopes"]["roundoff"] == {"slope": None, "exact": True,
+                                         "values": [1e-16] * 3}
+    # the margin never drops below 3 cells, and one level fits nothing
+    single = refinement_ladder(solve, (1 / 8,))
+    assert single["margins"] == [3]
+    assert single["slopes"] == {} and single["slope"] is None
 
 
 def test_midpoint_rule_still_converges(disk_mask_64):

@@ -108,8 +108,10 @@ def test_tolerances_must_be_positive(tmp_path):
     assert main(["corona", "--config", cfg]) == EXIT_CONFIG
 
 
-def test_threads_validated(tmp_path):
-    assert main(["faa", "--n", "4", "--threads", "0"]) == EXIT_CONFIG
+def test_threads_validated(capsys):
+    # no worker option exists: orchestration is serial
+    assert main(["faa", "--n", "4", "--threads", "2"]) == EXIT_CONFIG
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body_text", [
@@ -332,5 +334,13 @@ def test_shipped_configs_exit_clean(cfg_path, tmp_path):
         if line.strip().startswith("command"):
             command = line.split("=")[1].strip()
     assert command is not None
-    assert main([command, "--config", str(cfg_path),
-                 "--out", str(tmp_path)]) == EXIT_OK
+    bodies = []
+    for rerun in ("a", "b"):
+        out = tmp_path / rerun
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == EXIT_OK
+        # everything below the generation stamp is byte-identical
+        stamp, rest = (out / f"{command}.csv").read_bytes().split(b"\n", 1)
+        assert stamp.startswith(b"# ")
+        bodies.append(rest)
+    assert bodies[0] == bodies[1]

@@ -13,9 +13,9 @@ import pytest
 
 from dbarkit.bezout import BezoutProblem, CommonZeroError, bezout_poly
 from dbarkit.cauchy import SampledField, sample_field
-from dbarkit.corona import (AntisymMatrixField, corona_convergence,
-                            corona_solve, g12_solve, g_power_solve,
-                            koszul_F, koszul_cancellation,
+from dbarkit.corona import (AntisymMatrixField, _skew_residual,
+                            corona_convergence, corona_solve, g12_solve,
+                            g_power_solve, koszul_F, koszul_cancellation,
                             solve_dbar_matrix)
 from dbarkit.division import DominationError
 from dbarkit.domains import Disk, build_mask
@@ -121,6 +121,22 @@ def test_corona_linear_pair():
     assert sol.dbar_sup <= sol.dbar_sup_x
     assert sol.skew_residual <= 1e-12
     assert sol.target_desc == "1"
+
+
+class _NoSignFlip(AntisymMatrixField):
+    # reads the lower triangle without its sign flip: H is symmetric
+    def entry(self, j, k):
+        return super().entry(min(j, k), max(j, k))
+
+
+def test_skew_check_catches_symmetric_matrix(disk_mask_64):
+    m = disk_mask_64
+    problem = BezoutProblem.build(DISK, LINEAR, mask=m)
+    H, _ = solve_dbar_matrix(koszul_F(bezout_poly(problem), LINEAR, mask=m))
+    fv = [g.values for g in problem.f_fields]
+    assert _skew_residual(fv, H, m.inside) <= 1e-12
+    broken = _NoSignFlip(H.n, H.mask, H.upper)
+    assert _skew_residual(fv, broken, m.inside) > 1e-12
 
 
 def test_corona_quartic_pair():
