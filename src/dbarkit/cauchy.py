@@ -5,10 +5,10 @@ For f supported on the Inside cells of a mask, the transform
     u(z) = -(1/pi) * sum_cells  f(w_c) * I_cell(z)
 
 approximates the area integral of f(w)/(w - z).  Far cells use the
-midpoint value h^2/(w_c - z); cells within `near_radius_cells * h` of
-the target use the exact integral of the kernel over the square cell,
-which stays finite even when the target sits inside the cell, so nodes
-of the grid itself are legitimate targets.
+midpoint value h^2/(w_c - z); cells within NEAR_RADIUS_CELLS * h of the
+target use the exact integral of the kernel over the square cell, which
+stays finite even when the target sits inside the cell, so nodes of the
+grid itself are legitimate targets.
 
 The exact cell integral comes from Stokes' theorem: with v = w - z,
 
@@ -18,30 +18,31 @@ and each edge of an axis-aligned square integrates in closed form with
 one complex log per endpoint.  No branch is ever crossed because each
 edge keeps a constant real or imaginary part.
 
-Evaluation engines.  The sum is a plain O(targets * cells) loop for
-arbitrary target points.  When the targets are exactly the grid nodes,
-the weights depend only on the source-target offset, and the identical
-sum is assembled by FFT convolution over the offset lattice; this is a
-reorganization of the same discrete quadrature (verified against the
-direct loop to roundoff in the tests), not a different approximation.
-On one core it is the difference between seconds and hours at
-h = 1/256.
+Evaluation engines.  The engine follows the targets argument of
+pompeiu.  An array of target points runs a plain O(targets * cells)
+loop.  targets=None evaluates at every grid node; there the weights
+depend only on the source-target offset, and the identical sum is
+assembled by FFT convolution over the offset lattice.  Both engines take
+their weights from one near/far rule, so this is a reorganization of
+the same discrete quadrature (the direct loop is the reference it is
+tested against, to roundoff), not a different approximation.  On one
+core it is the difference between seconds and hours at h = 1/256.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .domains import RegionMask, interior_shrunk
-from .expr import ComplexExpr, as_callable
+from .expr import as_callable
 
 __all__ = [
-    "QuadratureConfig", "SampledField", "sample_field", "exact_cell_integral",
+    "NEAR_RADIUS_CELLS", "SampledField", "sample_field", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
     "EXACT_FLOOR", "refinement_ladder", "dbar_convergence",
 ]
@@ -50,28 +51,9 @@ __all__ = [
 # that holds exactly; a log-log fit through them is meaningless
 EXACT_FLOOR = 1e-13
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """near_radius_cells: cells closer than this many spacings to the
-    target use `cell_rule`; the rest use midpoint.  cell_rule is either
-    "exact_kernel_cell" (closed-form kernel integral) or "midpoint"
-    (midpoint everywhere; the self-cell keeps its exact value 0, which
-    symmetry forces, since the midpoint value would be infinite).
-    engine: "auto" picks the lattice path for whole-grid targets and the
-    direct loop otherwise; "direct" and "lattice" force one."""
-
-    near_radius_cells: int = 3
-    cell_rule: str = "exact_kernel_cell"
-    engine: str = "auto"
-
-    def __post_init__(self):
-        if self.near_radius_cells < 1:
-            raise ValueError("near_radius_cells must be >= 1")
-        if self.cell_rule not in ("exact_kernel_cell", "midpoint"):
-            raise ValueError(f"unknown cell rule {self.cell_rule!r}")
-        if self.engine not in ("auto", "direct", "lattice"):
-            raise ValueError(f"unknown engine {self.engine!r}")
+# source cells within this many spacings of the target use the exact
+# cell integral; the rest use the midpoint value
+NEAR_RADIUS_CELLS = 3
 
 
 @dataclass
@@ -167,53 +149,36 @@ def exact_cell_integral(v0: np.ndarray, h: float) -> np.ndarray:
     return total / 2j
 
 
-def _offset_weights(dz: np.ndarray, h: float, cfg: QuadratureConfig) -> np.ndarray:
+def _offset_weights(dz: np.ndarray, h: float) -> np.ndarray:
     """Quadrature weight for int_cell dA/(w - z) at offsets dz = c - z."""
-    r2 = (cfg.near_radius_cells * h) ** 2
-    near = (dz.real ** 2 + dz.imag ** 2) <= r2
+    near = (dz.real ** 2 + dz.imag ** 2) <= (NEAR_RADIUS_CELLS * h) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(near, 1.0, h * h / np.where(near, 1.0, dz))
-    if cfg.cell_rule == "exact_kernel_cell":
-        w = np.where(near, exact_cell_integral(np.where(near, dz, 1.0), h), w)
-    else:
-        selfcell = near & (dz == 0)
-        othernear = near & (dz != 0)
-        w = np.where(othernear, h * h / np.where(othernear, dz, 1.0), w)
-        w = np.where(selfcell, 0.0, w)  # exact by symmetry of the cell
+        w = h * h / dz
+    w[near] = exact_cell_integral(dz[near], h)
     return w
 
 
-def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None,
-            cfg: QuadratureConfig = QuadratureConfig()):
+def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
     """Discrete Cauchy transform of a sampled field.
 
-    targets = None evaluates at every grid node and returns a
-    SampledField on the full grid (support: all nodes); otherwise
-    targets is an array of complex points and a matching complex array
-    is returned.  Cost is O(targets * cells) on the direct engine.
+    The engine follows targets.  targets = None evaluates at every grid
+    node by FFT convolution over the offset lattice and returns a
+    SampledField on the full grid (support: all nodes).  An array of
+    complex points runs the direct O(targets * cells) loop and returns a
+    matching complex array.  Both use the same weights: the exact cell
+    integral within NEAR_RADIUS_CELLS spacings, the midpoint value beyond.
     """
     grid = f.mask.grid
-    h = grid.h
     src_mask = f.mask.inside & f.support
     fv = np.where(src_mask, f.values, 0.0)
-
     if targets is None:
-        engine = "lattice" if cfg.engine == "auto" else cfg.engine
-        if engine == "lattice":
-            u = _pompeiu_lattice(fv, grid, cfg)
-        else:
-            zt = grid.zgrid().ravel()
-            u = _pompeiu_direct(fv, src_mask, grid, zt, cfg).reshape(fv.shape)
+        u = _pompeiu_lattice(fv, grid)
         return SampledField(f.mask, u, support=np.ones_like(src_mask))
-
     zt = np.asarray(targets, dtype=complex)
-    engine = "direct" if cfg.engine == "auto" else cfg.engine
-    if engine == "lattice":
-        raise ValueError("lattice engine needs whole-grid targets (targets=None)")
-    return _pompeiu_direct(fv, src_mask, grid, zt.ravel(), cfg).reshape(zt.shape)
+    return _pompeiu_direct(fv, src_mask, grid, zt.ravel()).reshape(zt.shape)
 
 
-def _pompeiu_lattice(fv: np.ndarray, grid, cfg: QuadratureConfig) -> np.ndarray:
+def _pompeiu_lattice(fv: np.ndarray, grid) -> np.ndarray:
     ny, nx = fv.shape
     h = grid.h
     # K[dy + ny - 1, dx + nx - 1] = weight at source-minus-target offset
@@ -222,33 +187,21 @@ def _pompeiu_lattice(fv: np.ndarray, grid, cfg: QuadratureConfig) -> np.ndarray:
     dx = np.arange(-(nx - 1), nx)
     dy = np.arange(-(ny - 1), ny)
     dz = h * (dx[None, :] + 1j * dy[:, None])
-    K = _offset_weights(dz, h, cfg)
-    Krev = K[::-1, ::-1]
+    Krev = _offset_weights(dz, h)[::-1, ::-1]
     full = fftconvolve(fv, Krev, mode="full")
     u = full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
     return (-1.0 / math.pi) * u
 
 
 def _pompeiu_direct(fv: np.ndarray, src_mask: np.ndarray, grid,
-                    zt: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+                    zt: np.ndarray) -> np.ndarray:
     h = grid.h
     sy, sx = np.nonzero(src_mask)
     w = grid.origin + h * (sx + 1j * sy)
     fs = fv[sy, sx]
-    rad = cfg.near_radius_cells * h
     out = np.empty(zt.shape, dtype=complex)
     for k, z in enumerate(zt):
-        dz = w - z
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = h * h / dz
-        near = np.abs(dz) <= rad
-        if near.any():
-            if cfg.cell_rule == "exact_kernel_cell":
-                contrib[near] = exact_cell_integral(dz[near], h)
-            else:
-                nz = near & (dz == 0)
-                contrib[nz] = 0.0
-        out[k] = fs @ contrib
+        out[k] = fs @ _offset_weights(w - z, h)
     return (-1.0 / math.pi) * out
 
 
@@ -325,15 +278,14 @@ def dbar_fd_onesided(f: SampledField) -> SampledField:
     return SampledField(m, out, support=ins.copy())
 
 
-def verify_dbar_solution(f: SampledField, cfg: QuadratureConfig = QuadratureConfig(),
-                         margin: int = 3) -> dict:
+def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
     """Solve dbar u = f by the transform, differentiate back, report.
 
     Returns {'u', 'dev_field', 'max_dev', 'h', 'margin'}: max_dev is the
     maximum of |dbar_fd(u) - f| over nodes at Chebyshev distance at
     least `margin` cells from the complement of Inside.
     """
-    u = pompeiu(f, None, cfg)
+    u = pompeiu(f)
     du = dbar_fd(u)
     shrunk = interior_shrunk(f.mask, margin)
     dev = np.where(shrunk, du.values - f.values, 0.0)
@@ -379,7 +331,6 @@ def refinement_ladder(solve, hs, physical_margin: float = 0.15) -> dict:
 
 
 def dbar_convergence(f, domain, hs=(1 / 64, 1 / 128, 1 / 256),
-                     cfg: QuadratureConfig = QuadratureConfig(),
                      physical_margin: float = 0.15) -> dict:
     """Refinement ladder for the round-trip deviation |dbar_fd(u) - f|.
 
@@ -390,6 +341,6 @@ def dbar_convergence(f, domain, hs=(1 / 64, 1 / 128, 1 / 256),
 
     def solve(h, margin):
         field = sample_field(f, build_mask(domain, h=h))
-        return {"max_dev": verify_dbar_solution(field, cfg, margin)["max_dev"]}
+        return {"max_dev": verify_dbar_solution(field, margin)["max_dev"]}
 
     return refinement_ladder(solve, hs, physical_margin)

@@ -586,19 +586,9 @@ def _run_divide(cfg: ExperimentConfig) -> RunReport:
 # ------------------------------------------------- sharpness battery
 
 
-def _inner_factor(z):
-    z = np.asarray(z, dtype=complex)
-    den = 1 - z
-    safe = den != 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.exp(-(1 + z) / np.where(safe, den, 1.0))
-    return np.where(safe, w, 0.0)
-
-
 def _vanishing_inner_pair():
-    f = lambda z: (1 - np.asarray(z, dtype=complex)) * _inner_factor(z)
-    g = lambda z: 1 - np.asarray(z, dtype=complex)
-    return f, g
+    one_minus = sub(Const(1.0), Z)
+    return mul(one_minus, S), one_minus
 
 
 def _radial_circle_families(count=8):

@@ -26,9 +26,8 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import BezoutProblem, CommonZeroError, bezout_poly, bezout_pou
-from .cauchy import (QuadratureConfig, SampledField, dbar_fd,
-                     dbar_fd_onesided, pompeiu, refinement_ladder,
-                     sample_field)
+from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, pompeiu,
+                     refinement_ladder, sample_field)
 from .division import DominationError, divide
 from .domains import CompactDomain, RegionMask, build_mask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
@@ -47,6 +46,11 @@ SMALL_REL = 1e-8
 def _collar(s1: np.ndarray, inside: np.ndarray,
             small_rel: float = SMALL_REL) -> np.ndarray:
     return inside & (s1 <= small_rel * float(s1[inside].max()))
+
+
+def _sup(values: np.ndarray, sel: np.ndarray) -> float:
+    # NaN on an empty selection: a check must not pass on nothing measured
+    return float(np.abs(values[sel]).max()) if sel.any() else float("nan")
 
 
 def _same_grid(a: RegionMask, b: RegionMask) -> bool:
@@ -164,21 +168,20 @@ def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
     return AntisymMatrixField(n, mask, upper)
 
 
-def solve_dbar_matrix(F: AntisymMatrixField,
-                      cfg: QuadratureConfig = QuadratureConfig(),
-                      margin: int = 3):
+def solve_dbar_matrix(F: AntisymMatrixField, margin: int = 3):
     """Entrywise dbar solve H_jk = pompeiu(F_jk).
 
     Returns (H, reports); reports[(j, k)] carries the round-trip
-    deviation max |dbar_fd(H_jk) - F_jk| over the margin-shrunk nodes.
+    deviation max |dbar_fd(H_jk) - F_jk| over the margin-shrunk nodes,
+    NaN when the margin leaves no node to measure.
     """
     sel = interior_shrunk(F.mask, margin)
     upper, reports = {}, {}
     for key, fld in F.upper.items():
-        u = pompeiu(fld, None, cfg)
+        u = pompeiu(fld)
         dev = dbar_fd(u).values - fld.values
         upper[key] = u
-        reports[key] = {"max_dev": float(np.abs(dev[sel]).max()) if sel.any() else 0.0,
+        reports[key] = {"max_dev": _sup(dev, sel),
                         "h": F.mask.grid.h, "margin": margin}
     return AntisymMatrixField(F.n, F.mask, upper), reports
 
@@ -208,17 +211,13 @@ def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
     sel = interior_shrunk(mask, margin)
     if exclude is not None:
         sel = sel & ~exclude
-    worst = 0.0
-    for v in value_arrays:
-        d = dbar_fd(SampledField(mask, v)).values
-        if sel.any():
-            worst = max(worst, float(np.abs(d[sel]).max()))
-    return worst
+    return max((_sup(dbar_fd(SampledField(mask, v)).values, sel)
+                for v in value_arrays), default=float("nan"))
 
 
-def _correct(x_list, x_fields, f_vals, target, desc: str,
-             cfg: QuadratureConfig, margin: int, weight=None, lift=None,
-             collar=None, extras=None) -> CoronaSolution:
+def _correct(x_list, x_fields, f_vals, target, desc: str, margin: int,
+             weight=None, lift=None, collar=None,
+             extras=None) -> CoronaSolution:
     """The correction core: F from dbar x, H = pompeiu(F) entrywise,
     u = x - f H, then the measurements.
 
@@ -233,7 +232,7 @@ def _correct(x_list, x_fields, f_vals, target, desc: str,
     mask = x_fields[0].mask
     F = koszul_F(x_list, [SampledField(mask, v) for v in f_vals], mask=mask,
                  weight=None if weight is None else SampledField(mask, weight))
-    H, reports = solve_dbar_matrix(F, cfg, margin)
+    H, reports = solve_dbar_matrix(F, margin)
     xv = [x.values if weight is None else weight * x.values for x in x_fields]
     uv = _assemble(xv, f_vals, H)
     if lift is not None:
@@ -261,7 +260,6 @@ def _correct(x_list, x_fields, f_vals, target, desc: str,
 
 
 def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
-                 cfg: QuadratureConfig = QuadratureConfig(),
                  route: str = "poly", max_degree: int = 16, margin: int = 3,
                  mask: Optional[RegionMask] = None) -> CoronaSolution:
     """Holomorphic-looking u with sum u_j f_j = 1 on the nodes.
@@ -269,7 +267,8 @@ def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
     route 'poly' corrects the polynomial-quotient unit solution
     (symbolic dbar); 'pou' corrects the covering solution (discrete
     dbar).  The returned dbar_sup is measured margin cells in from the
-    node-set boundary; pair with corona_convergence for the rate.
+    node-set boundary (NaN when that leaves no node); pair with
+    corona_convergence for the rate.
     """
     if route not in ("poly", "pou"):
         raise ValueError(f"unknown route {route!r}")
@@ -283,13 +282,12 @@ def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
         x_fields = bezout_pou(problem)
         xs = x_fields
     return _correct(xs, x_fields, [g.values for g in problem.f_fields], 1.0,
-                    "1", cfg, margin,
+                    "1", margin,
                     extras={"route": route, "delta": problem.delta})
 
 
 def corona_convergence(f_list, domain: CompactDomain,
                        hs: Sequence[float] = (1 / 64, 1 / 128, 1 / 256),
-                       cfg: QuadratureConfig = QuadratureConfig(),
                        physical_margin: float = 0.15, route: str = "poly",
                        max_degree: int = 16) -> dict:
     """Refinement ladder for corona_solve.
@@ -298,7 +296,7 @@ def corona_convergence(f_list, domain: CompactDomain,
     'residual_sup'; its 'slope' is the dbar_sup exponent.
     """
     def solve(h, margin):
-        sol = corona_solve(f_list, domain, h=h, cfg=cfg, route=route,
+        sol = corona_solve(f_list, domain, h=h, route=route,
                            max_degree=max_degree, margin=margin)
         return {"dbar_sup": sol.dbar_sup, "residual_sup": sol.residual_sup}
 
@@ -318,7 +316,7 @@ def _check_g_dominated(gv, s1, mask):
 
 def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                   isolated_zeros: bool = True, h: float = 1 / 64,
-                  cfg: QuadratureConfig = QuadratureConfig(), margin: int = 3,
+                  margin: int = 3,
                   mask: Optional[RegionMask] = None) -> CoronaSolution:
     """Correction pipeline on g^4-weighted data, target g^5 or g^6.
 
@@ -347,14 +345,13 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     target, desc, lift = ((gv ** 5, "g^5", None) if isolated_zeros
                           else (gv ** 6, "g^6", gv))
     return _correct(x_list, [SampledField(mask, v) for v in xv], fv, target,
-                    desc, cfg, margin, weight=gv ** 4, lift=lift,
+                    desc, margin, weight=gv ** 4, lift=lift,
                     collar=_collar(s1, mask.inside),
                     extras={"x_residual": xres})
 
 
 def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
-              h: float = 1 / 64, cfg: QuadratureConfig = QuadratureConfig(),
-              margin: int = 3,
+              h: float = 1 / 64, margin: int = 3,
               mask: Optional[RegionMask] = None) -> CoronaSolution:
     """Target g^12 from multiplier data h_list.
 
@@ -400,7 +397,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     k_field = divide(scaled_g2, hsum_fn, 4, mask=mask)
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
-    return _correct(x_fields, x_fields, fv, gv ** 12, "g^12", cfg, margin,
+    return _correct(x_fields, x_fields, fv, gv ** 12, "g^12", margin,
                     weight=gv ** 4, collar=_collar(s1, inside))
 
 

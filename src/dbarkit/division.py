@@ -149,6 +149,19 @@ def zero_centers(mask: RegionMask, magnitude: np.ndarray,
     return out
 
 
+def _grade(measured: float, scale: float) -> str:
+    """The one verdict ladder: PASS at or below 0.05 * scale, FAIL at or
+    above 0.5 * scale, INCONCLUSIVE between; a zero scale admits only an
+    exact zero."""
+    if scale == 0:
+        return PASS if measured == 0 else FAIL
+    if measured <= 0.05 * scale:
+        return PASS
+    if measured >= 0.5 * scale:
+        return FAIL
+    return INCONCLUSIVE
+
+
 def _ring_probe(name, value_fn, mask, centers, radii, scale, details=None):
     # spread of the probed quantity on rings closing in on each center;
     # continuity shows up as the smallest ring's spread collapsing
@@ -166,18 +179,10 @@ def _ring_probe(name, value_fn, mask, centers, radii, scale, details=None):
         seen = [s for s in spreads if s is not None]
         if seen:
             worst = max(worst, seen[0])
-    if scale == 0:
-        verdict = PASS if worst == 0 else FAIL
-    elif worst <= 0.05 * scale:
-        verdict = PASS
-    elif worst >= 0.5 * scale:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
     det = {"radii": list(radii), "per_center": per_center}
     if details:
         det.update(details)
-    return ProbeResult(name, verdict, worst, scale, det)
+    return ProbeResult(name, _grade(worst, scale), worst, scale, det)
 
 
 def _family_probe(name, value_fn, families, scale, tail=3):
@@ -192,15 +197,7 @@ def _family_probe(name, value_fn, families, scale, tail=3):
     measured = max(abs(a - b) for a in vals for b in vals)
     if scale is None:
         scale = max(abs(v) for v in allvals) if allvals else 0.0
-    if scale == 0:
-        verdict = PASS if measured == 0 else FAIL
-    elif measured <= 0.05 * scale:
-        verdict = PASS
-    elif measured >= 0.5 * scale:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
-    return ProbeResult(name, verdict, measured, scale,
+    return ProbeResult(name, _grade(measured, scale), measured, scale,
                        {"tails": tails, "tail": tail})
 
 
@@ -310,13 +307,7 @@ def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
     sel = interior_shrunk(mask, 8) & ~_near_centers(mask, centers, 0.25)
     scale = hfield.max_abs()
     measured = float(np.abs(dv.values[sel]).max()) if sel.any() else 0.0
-    if measured <= 0.05 * scale:
-        verdict = PASS
-    elif measured >= 0.5 * scale:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
-    return ProbeResult("holomorphy", verdict, measured, scale,
+    return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,
                        {"margin_cells": 8, "center_exclusion": 0.25})
 
 

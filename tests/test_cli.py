@@ -82,6 +82,17 @@ def test_failed_acceptance_exits_3(tmp_path, capsys):
         == EXIT_ACCEPTANCE
 
 
+def test_corona_empty_margin_exits_3(tmp_path, capsys):
+    # radius 0.1 leaves no node 0.15 in from the boundary: nothing is
+    # measured, so the dbar checks must fail rather than pass on 0
+    cfg = write(tmp_path, "[run]\nlevels = 1/64 1/128\n\n"
+                          "[domain]\nkind = disk\nradius = 0.1\n\n"
+                          "[corona]\nf = sub(1, z), z\n")
+    assert main(["corona", "--config", cfg]) == EXIT_ACCEPTANCE
+    assert "[FAIL] dbar_sup <= 0.001: finest deviation = nan" \
+        in capsys.readouterr().out
+
+
 # -------------------------------------------------------- config loading
 
 

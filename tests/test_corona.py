@@ -111,6 +111,15 @@ def test_zero_matrix_solves_to_zero(disk_mask_64):
     assert reports[(0, 1)]["max_dev"] == 0.0
 
 
+def test_empty_margin_measures_nan():
+    # a margin wider than the domain leaves no node to measure; the
+    # dbar sups must read NaN, not a vacuous 0 that every check passes
+    sol = corona_solve(LINEAR, Disk(0j, 0.1), h=1 / 64, margin=10)
+    assert np.isnan(sol.dbar_sup) and np.isnan(sol.dbar_sup_x)
+    assert all(np.isnan(r["max_dev"]) for r in sol.entry_reports.values())
+    assert sol.residual_sup < 1e-12
+
+
 # --- unit-target pipeline -------------------------------------------------------
 
 
