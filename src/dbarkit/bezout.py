@@ -15,16 +15,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cauchy import SampledField, sample_field
-from .domains import CompactDomain, RegionMask, build_mask
-from .expr import ComplexExpr, Const, Z, add, as_callable, conj, div, intpow, mul
+from .cauchy import SampledField, sample_field, sup_abs
+from .domains import CompactDomain, RegionMask, resolve_mask
+from .expr import ComplexExpr, Const, Z, add, conj, div, intpow, mul
 
 __all__ = [
-    "BezoutProblem", "PolyZZbar", "CommonZeroError", "FitRankError",
-    "FitToleranceError", "CoveringError", "VanishingError",
+    "COLLAR_REL", "BezoutProblem", "PolyZZbar", "CommonZeroError",
+    "FitRankError", "FitToleranceError", "CoveringError", "VanishingError",
+    "require_no_common_zero", "zero_collar",
     "q_fields", "weierstrass_fit", "bezout_poly", "smoothstep",
     "partition_of_unity", "bezout_pou", "generalized_division",
 ]
+
+# sum|f_j| <= COLLAR_REL * max marks the collar around common zeros
+COLLAR_REL = 1e-8
+MAX_FIT_NODES = 20000
 
 
 class CommonZeroError(ValueError):
@@ -75,8 +80,7 @@ class BezoutProblem:
               mask: Optional[RegionMask] = None) -> "BezoutProblem":
         if len(f_list) < 1:
             raise ValueError("need at least one generator")
-        if mask is None:
-            mask = build_mask(domain, h=h)
+        mask = resolve_mask(domain, h, mask)
         fields = [sample_field(f, mask) for f in f_list]
         s1 = sum(np.abs(g.values) for g in fields)
         delta = float(s1[mask.inside].min())
@@ -90,17 +94,28 @@ class BezoutProblem:
         return [g.max_abs() for g in self.f_fields]
 
 
+def require_no_common_zero(mask: RegionMask, s2: np.ndarray,
+                           hint: str = "") -> None:
+    """Raise CommonZeroError where sum|f_j|^2 (s2) falls to roundoff of
+    its Inside maximum; hint is appended to the message."""
+    dead = mask.inside & (s2 <= 1e-28 * sup_abs(s2, mask.inside))
+    if dead.any():
+        where = mask.coords(dead)[:5]
+        raise CommonZeroError(
+            f"common zero at {int(dead.sum())} node(s), first at "
+            f"{list(where)}{hint}", nodes=where)
+
+
+def zero_collar(inside: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Inside nodes where sum|f_j| (s1) is at most COLLAR_REL of its max."""
+    return inside & (s1 <= COLLAR_REL * sup_abs(s1, inside))
+
+
 def q_fields(problem: BezoutProblem) -> list:
     """Pointwise smooth solution q_j = conj(f_j) / sum_k |f_k|^2."""
     mask = problem.mask
     s2 = sum(np.abs(g.values) ** 2 for g in problem.f_fields)
-    scale = float(s2[mask.inside].max())
-    dead = mask.inside & (s2 <= 1e-28 * scale)
-    if dead.any():
-        where = mask.coords(dead)[:5]
-        raise CommonZeroError(
-            f"common zero at {int(dead.sum())} node(s), first at {where}",
-            nodes=where)
+    require_no_common_zero(mask, s2)
     out = []
     for g in problem.f_fields:
         vals = np.where(mask.inside, np.conj(g.values) / np.where(mask.inside, s2, 1.0), 0.0)
@@ -136,15 +151,14 @@ class PolyZZbar:
         return out
 
 
-def weierstrass_fit(q: SampledField, d: int, target_sup: float,
-                    max_fit_nodes: int = 20000) -> PolyZZbar:
+def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
     """Least-squares polynomial approximation of a sampled field.
 
     Minimizes the l2 node error over monomials z^a conj(z)^b, then
     measures the sup error a posteriori; succeeds only if it is at most
     target_sup.  Least squares instead of a true sup-norm fit is a
     deliberate simplification: the downstream construction only needs
-    the tolerance met, not optimality.  On grids beyond max_fit_nodes
+    the tolerance met, not optimality.  On grids beyond MAX_FIT_NODES
     the normal equations use a stride subsample; the sup error is still
     measured over every support node, so the guarantee is unchanged.
     """
@@ -156,7 +170,7 @@ def weierstrass_fit(q: SampledField, d: int, target_sup: float,
             f"{m} sample node(s) cannot determine {len(cols)} coefficients")
     z = q.mask.coords(sel)
     vals = q.values[sel]
-    stride = max(1, -(-m // max_fit_nodes))
+    stride = max(1, -(-m // MAX_FIT_NODES))
     zf, vf = z[::stride], vals[::stride]
     if len(zf) < len(cols):
         zf, vf = z, vals
@@ -235,6 +249,15 @@ def smoothstep(t):
     return u ** 3 * (u * (6.0 * u - 15.0) + 10.0)
 
 
+def _bumps(problem: BezoutProblem, epsilon: float, sel: np.ndarray):
+    # bumps smoothstep(|f_j| / epsilon) on sel, zero elsewhere; their
+    # total; the sel nodes no bump covers
+    betas = [np.where(sel, smoothstep(np.abs(g.values) / epsilon), 0.0)
+             for g in problem.f_fields]
+    total = sum(betas)
+    return betas, total, sel & (total == 0)
+
+
 def partition_of_unity(problem: BezoutProblem,
                        epsilon: Optional[float] = None) -> list:
     """Bump fields alpha_j with sum alpha_j = 1 on Inside nodes.
@@ -249,9 +272,7 @@ def partition_of_unity(problem: BezoutProblem,
     if epsilon is None:
         epsilon = problem.delta / (2 * n)
     mask = problem.mask
-    betas = [smoothstep(np.abs(g.values) / epsilon) for g in problem.f_fields]
-    total = sum(betas)
-    uncovered = mask.inside & (total == 0)
+    betas, total, uncovered = _bumps(problem, epsilon, mask.inside)
     if uncovered.any():
         where = mask.coords(uncovered)[:5]
         raise CoveringError(
@@ -277,26 +298,25 @@ def bezout_pou(problem: BezoutProblem,
     return out
 
 
-def generalized_division(f, problem: BezoutProblem, vanish_radius: float,
-                         zero_threshold: float = 1e-8) -> list:
+def generalized_division(f, problem: BezoutProblem,
+                         vanish_radius: float) -> list:
     """Write f = sum g_j f_j when f dies near the common zero set.
 
-    The common small-set is {sum|f_j| <= zero_threshold * scale}; f must
-    measure zero (1e-12 relative) on every node within vanish_radius of
-    it.  Off that neighborhood the covering construction applies, and
-    g_j = f * alpha_j / f_j, extended by zero, satisfies the identity
-    node-for-node.
+    The common small-set is the collar {sum|f_j| <= COLLAR_REL * max};
+    f must measure zero (1e-12 relative) on every node within
+    vanish_radius of it.  Off that neighborhood the covering
+    construction applies, and g_j = f * alpha_j / f_j, extended by
+    zero, satisfies the identity node-for-node.
     """
     mask = problem.mask
     fvals = sample_field(f, mask).values
-    scale_f = float(np.abs(fvals[mask.inside]).max()) if mask.inside.any() else 0.0
+    scale_f = sup_abs(fvals, mask.inside)
     if scale_f == 0.0:
         zero = np.zeros_like(fvals)
         return [SampledField(mask, zero.copy()) for _ in problem.f_list]
 
     s1 = sum(np.abs(g.values) for g in problem.f_fields)
-    scale1 = float(s1[mask.inside].max())
-    small = mask.inside & (s1 <= zero_threshold * scale1)
+    small = zero_collar(mask.inside, s1)
 
     near = np.zeros_like(mask.inside)
     if small.any():
@@ -323,17 +343,10 @@ def generalized_division(f, problem: BezoutProblem, vanish_radius: float,
             "generators share a zero outside the vanishing neighborhood",
             nodes=mask.coords(bad)[:5])
     epsilon = delta_live / (2 * problem.n)
-
-    out = []
-    total = None
-    betas = []
-    for g in problem.f_fields:
-        b = np.where(live, smoothstep(np.abs(g.values) / epsilon), 0.0)
-        betas.append(b)
-        total = b if total is None else total + b
-    uncovered = live & (total == 0)
+    betas, total, uncovered = _bumps(problem, epsilon, live)
     if uncovered.any():
         raise CoveringError("covering failed off the vanishing neighborhood")
+    out = []
     for b, g in zip(betas, problem.f_fields):
         hot = live & (b > 0)
         vals = np.where(hot, fvals * b / np.where(hot, total * g.values, 1.0), 0.0)

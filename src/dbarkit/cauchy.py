@@ -42,7 +42,8 @@ from .domains import RegionMask, interior_shrunk
 from .expr import as_callable
 
 __all__ = [
-    "NEAR_RADIUS_CELLS", "SampledField", "sample_field", "exact_cell_integral",
+    "NEAR_RADIUS_CELLS", "sup_abs", "SampledField", "sample_field",
+    "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
     "EXACT_FLOOR", "refinement_ladder", "dbar_convergence",
 ]
@@ -54,6 +55,16 @@ EXACT_FLOOR = 1e-13
 # source cells within this many spacings of the target use the exact
 # cell integral; the rest use the midpoint value
 NEAR_RADIUS_CELLS = 3
+
+
+def sup_abs(values: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
+    """max |values| over the selected entries (all of them when sel is None).
+
+    NaN on an empty selection: a check must not pass on nothing
+    measured, and NaN fails every tolerance comparison.
+    """
+    v = np.asarray(values) if sel is None else values[sel]
+    return float(np.abs(v).max()) if v.size else float("nan")
 
 
 @dataclass
@@ -82,10 +93,7 @@ class SampledField:
                 f"first at {where}")
 
     def max_abs(self, on: np.ndarray = None) -> float:
-        sel = self.support if on is None else on
-        if not sel.any():
-            return 0.0
-        return float(np.abs(self.values[sel]).max())
+        return sup_abs(self.values, self.support if on is None else on)
 
 
 def sample_field(f, mask: RegionMask, support: np.ndarray = None,
@@ -283,15 +291,16 @@ def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
 
     Returns {'u', 'dev_field', 'max_dev', 'h', 'margin'}: max_dev is the
     maximum of |dbar_fd(u) - f| over nodes at Chebyshev distance at
-    least `margin` cells from the complement of Inside.
+    least `margin` cells from the complement of Inside, NaN when the
+    margin leaves no node.
     """
     u = pompeiu(f)
     du = dbar_fd(u)
     shrunk = interior_shrunk(f.mask, margin)
     dev = np.where(shrunk, du.values - f.values, 0.0)
-    max_dev = float(np.abs(dev[shrunk]).max()) if shrunk.any() else float("nan")
     return {"u": u, "dev_field": SampledField(f.mask, dev, support=shrunk),
-            "max_dev": max_dev, "h": f.mask.grid.h, "margin": margin}
+            "max_dev": sup_abs(dev, shrunk), "h": f.mask.grid.h,
+            "margin": margin}
 
 
 def _log_slope(hs, values) -> dict:

@@ -25,33 +25,19 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .bezout import BezoutProblem, CommonZeroError, bezout_poly, bezout_pou
+from .bezout import (BezoutProblem, CommonZeroError, bezout_poly, bezout_pou,
+                     require_no_common_zero, zero_collar)
 from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, pompeiu,
-                     refinement_ladder, sample_field)
-from .division import DominationError, divide
-from .domains import CompactDomain, RegionMask, build_mask, interior_shrunk
+                     refinement_ladder, sample_field, sup_abs)
+from .division import check_domination, divide
+from .domains import CompactDomain, RegionMask, interior_shrunk, resolve_mask
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
 
 __all__ = [
-    "SMALL_REL", "AntisymMatrixField", "CoronaSolution",
+    "AntisymMatrixField", "CoronaSolution",
     "koszul_F", "solve_dbar_matrix", "corona_solve", "corona_convergence",
     "g_power_solve", "g12_solve", "koszul_cancellation",
 ]
-
-# sum|f_j| <= SMALL_REL * max marks the collar around common zeros where
-# weighted fields are zero-extended instead of divided
-SMALL_REL = 1e-8
-
-
-def _collar(s1: np.ndarray, inside: np.ndarray,
-            small_rel: float = SMALL_REL) -> np.ndarray:
-    return inside & (s1 <= small_rel * float(s1[inside].max()))
-
-
-def _sup(values: np.ndarray, sel: np.ndarray) -> float:
-    # NaN on an empty selection: a check must not pass on nothing measured
-    return float(np.abs(values[sel]).max()) if sel.any() else float("nan")
-
 
 def _same_grid(a: RegionMask, b: RegionMask) -> bool:
     return (a.grid.origin == b.grid.origin and a.grid.h == b.grid.h
@@ -117,43 +103,29 @@ class CoronaSolution:
 
 def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
              domain: Optional[CompactDomain] = None, h: float = 1 / 64,
-             weight=None, small_rel: float = SMALL_REL) -> AntisymMatrixField:
+             weight=None) -> AntisymMatrixField:
     """Obstruction matrix F_jk = (dbar x_k conj f_j - dbar x_j conj f_k)/|f|^2.
 
     Generators with a common zero on the grid are an error unless a
     weight is supplied (the g^4 route): weighted entries are multiplied
-    by it and zero-extended on the collar sum|f_j| <= small_rel * max.
+    by it and zero-extended on bezout.zero_collar.
     """
     n = len(x_list)
     if len(f_list) != n:
         raise ValueError("x_list and f_list lengths differ")
-    if mask is None:
-        for x in x_list:
-            if isinstance(x, SampledField):
-                mask = x.mask
-                break
-    if mask is None:
-        if domain is None:
-            raise ValueError("need a mask, a field argument, or a domain")
-        mask = build_mask(domain, h=h)
+    mask = resolve_mask(domain, h, mask)
 
     fv = [_as_values(f, mask) for f in f_list]
     s2 = sum(np.abs(v) ** 2 for v in fv)
-    s1 = sum(np.abs(v) for v in fv)
     inside = mask.inside
 
     if weight is None:
-        dead = inside & (s2 <= 1e-28 * max(float(s2[inside].max()), 1e-300))
-        if dead.any():
-            where = mask.coords(dead)[:5]
-            raise CommonZeroError(
-                f"generators share zeros at {list(where)}; use the "
-                f"weighted (g-power) route", nodes=tuple(where))
+        require_no_common_zero(mask, s2, "; use the weighted (g-power) route")
         live = inside
         wv = None
     else:
         wv = _as_values(weight, mask)
-        live = inside & ~_collar(s1, inside, small_rel)
+        live = inside & ~zero_collar(inside, sum(np.abs(v) for v in fv))
 
     dbx = [_dbar_values(x, mask) for x in x_list]
     upper = {}
@@ -181,7 +153,7 @@ def solve_dbar_matrix(F: AntisymMatrixField, margin: int = 3):
         u = pompeiu(fld)
         dev = dbar_fd(u).values - fld.values
         upper[key] = u
-        reports[key] = {"max_dev": _sup(dev, sel),
+        reports[key] = {"max_dev": sup_abs(dev, sel),
                         "h": F.mask.grid.h, "margin": margin}
     return AntisymMatrixField(F.n, F.mask, upper), reports
 
@@ -204,14 +176,14 @@ def _skew_residual(f_vals, H: AntisymMatrixField, inside) -> float:
     n = len(f_vals)
     acc = sum(f_vals[j] * sum(H.entry(j, k) * f_vals[k] for k in range(n))
               for j in range(n))
-    return float(np.abs(acc[inside]).max()) if inside.any() else 0.0
+    return sup_abs(acc, inside)
 
 
 def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
     sel = interior_shrunk(mask, margin)
     if exclude is not None:
         sel = sel & ~exclude
-    return max((_sup(dbar_fd(SampledField(mask, v)).values, sel)
+    return max((sup_abs(dbar_fd(SampledField(mask, v)).values, sel)
                 for v in value_arrays), default=float("nan"))
 
 
@@ -246,7 +218,7 @@ def _correct(x_list, x_fields, f_vals, target, desc: str, margin: int,
             exclude = ndimage.binary_dilation(collar, iterations=2)
     return CoronaSolution(
         u=[SampledField(mask, v) for v in uv],
-        residual_sup=float(np.abs(total - target)[mask.inside].max()),
+        residual_sup=sup_abs(total - target, mask.inside),
         dbar_sup=_dbar_sup(uv, mask, margin, exclude),
         target_desc=desc,
         mask=mask,
@@ -303,17 +275,6 @@ def corona_convergence(f_list, domain: CompactDomain,
     return refinement_ladder(solve, hs, physical_margin)
 
 
-def _check_g_dominated(gv, s1, mask):
-    ga = np.abs(gv[mask.inside])
-    sa = s1[mask.inside]
-    slack = 1e-9 * max(float(sa.max()), 1.0)
-    bad = ga > sa + slack
-    if bad.any():
-        where = mask.coords(mask.inside)[bad][:5]
-        raise DominationError(
-            f"|g| <= sum|f_j| fails at {list(where)}", worst=where[0])
-
-
 def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                   isolated_zeros: bool = True, h: float = 1 / 64,
                   margin: int = 3,
@@ -326,18 +287,15 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     one more g and zero-extended across the common-zero collar
     (target g^6).
     """
-    if mask is None:
-        if domain is None:
-            raise ValueError("need a domain or a prebuilt mask")
-        mask = build_mask(domain, h=h)
+    mask = resolve_mask(domain, h, mask)
     gv = _as_values(g, mask)
     fv = [_as_values(f, mask) for f in f_list]
     s1 = sum(np.abs(v) for v in fv)
-    _check_g_dominated(gv, s1, mask)
+    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
     xv = [_as_values(x, mask) for x in x_list]
     total_x = sum(x * f for x, f in zip(xv, fv))
-    gscale = max(float(np.abs(gv[mask.inside]).max()), 1e-300)
-    xres = float(np.abs(total_x - gv)[mask.inside].max())
+    gscale = max(sup_abs(gv, mask.inside), 1e-300)
+    xres = sup_abs(total_x - gv, mask.inside)
     if xres > 1e-10 * gscale:
         raise ValueError(
             f"x_list does not solve sum x_j f_j = g: residual {xres:.3g}")
@@ -346,7 +304,7 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                           else (gv ** 6, "g^6", gv))
     return _correct(x_list, [SampledField(mask, v) for v in xv], fv, target,
                     desc, margin, weight=gv ** 4, lift=lift,
-                    collar=_collar(s1, mask.inside),
+                    collar=zero_collar(mask.inside, s1),
                     extras={"x_residual": xres})
 
 
@@ -364,25 +322,18 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     n = len(f_list)
     if len(h_list) != n:
         raise ValueError("h_list and f_list lengths differ")
-    if mask is None:
-        if domain is None:
-            raise ValueError("need a domain or a prebuilt mask")
-        mask = build_mask(domain, h=h)
+    mask = resolve_mask(domain, h, mask)
     gv = _as_values(g, mask)
     fv = [_as_values(f, mask) for f in f_list]
     hv = [_as_values(hj, mask) for hj in h_list]
     s1 = sum(np.abs(v) for v in fv)
     s2 = sum(np.abs(v) ** 2 for v in fv)
     hsum = sum(a * b for a, b in zip(hv, fv))
-
-    inside = mask.inside
-    slack = 1e-9 * max(float(s2[inside].max()), 1.0)
-    bad = inside & (np.abs(hsum) < s2 - slack)
-    if bad.any():
-        where = mask.coords(bad)[:5]
-        raise ValueError(
-            f"hypothesis |sum h_j f_j| >= sum|f_j|^2 fails at {list(where)}")
-    _check_g_dominated(gv, s1, mask)
+    # the slack scales with sum|f_j|^2, the side the hypothesis bounds
+    check_domination(s2, np.abs(hsum), mask,
+                     "hypothesis sum|f_j|^2 <= |sum h_j f_j|",
+                     slack_ref=sup_abs(s2, mask.inside))
+    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
 
     gc = as_callable(g)
     hparts = [(as_callable(hj), as_callable(fj))
@@ -398,7 +349,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
     return _correct(x_fields, x_fields, fv, gv ** 12, "g^12", margin,
-                    weight=gv ** 4, collar=_collar(s1, inside))
+                    weight=gv ** 4, collar=zero_collar(mask.inside, s1))
 
 
 def koszul_cancellation(x_list, f_list, points) -> dict:

@@ -6,25 +6,34 @@ on shrinking rings, discrete-gradient growth, directional tails) and
 reports PASS when the quantity is small against the field's own scale,
 FAIL when it is large, and INCONCLUSIVE between.  The thresholds are
 fixed once: spread <= 0.05 * scale passes, spread >= 0.5 * scale fails.
+
+A probe or report whose node selection is empty reads NaN (sups go
+through cauchy.sup_abs), and a NaN measurement or scale grades
+INCONCLUSIVE: nothing measured is never a pass.  The zero floor
+ZERO_REL is applied in _zeros, the domination slack in
+check_domination, and the ring radii are PROBE_RADII_CELLS; the
+common-zero guard and the collar floor live in the bezout module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from .cauchy import SampledField, d_fd, dbar_fd, sample_field
-from .domains import CompactDomain, RegionMask, build_mask, interior_shrunk
+from .cauchy import SampledField, d_fd, dbar_fd, sample_field, sup_abs
+from .domains import (CompactDomain, RegionMask, build_mask, interior_shrunk,
+                      resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
                    is_conj_free, mul, wirtinger_d, wirtinger_dbar)
 
 __all__ = [
-    "ZERO_REL", "PASS", "FAIL", "INCONCLUSIVE",
+    "ZERO_REL", "PROBE_RADII_CELLS", "PASS", "FAIL", "INCONCLUSIVE",
     "DominationError", "ProbeResult", "DivisionCertificate",
-    "divide", "ring_selection", "zero_centers", "spread",
+    "check_domination", "divide", "ring_selection", "zero_centers", "spread",
     "certify_class", "derivative_bound_scan",
     "multi_division_continuous", "multi_division_c1",
     "quotient_extension_lemma",
@@ -32,6 +41,14 @@ __all__ = [
 
 # nodes where |g| falls below this relative floor count as zeros of g
 ZERO_REL = 1e-12
+# probe rings around each center sit at these multiples of the spacing
+PROBE_RADII_CELLS = (8, 16, 32)
+# spread measures at most this many values (stride subsample)
+SPREAD_CAP = 512
+# approach families are compared on the mean of their last values
+FAMILY_TAIL = 3
+# multi_division_c1 rejects common-zero clusters larger than this
+CLUSTER_CELLS = 9
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -77,6 +94,34 @@ class DivisionCertificate:
         raise KeyError(name)
 
 
+def check_domination(lhs: np.ndarray, rhs: np.ndarray, mask: RegionMask,
+                     condition: str, sel: Optional[np.ndarray] = None,
+                     slack_ref: Optional[float] = None) -> None:
+    """Demand lhs <= rhs node-wise on sel (default: the Inside nodes).
+
+    The slack is a billionth of max(slack_ref, 1); slack_ref defaults
+    to the sup of rhs on sel.  A failure raises DominationError naming
+    condition and the node where lhs - rhs is largest.
+    """
+    if sel is None:
+        sel = mask.inside
+    if slack_ref is None:
+        slack_ref = sup_abs(rhs, sel)
+    a, b = lhs[sel], rhs[sel]
+    if (a > b + 1e-9 * max(slack_ref, 1.0)).any():
+        k = int(np.argmax(a - b))
+        worst = mask.coords(sel)[k]
+        raise DominationError(
+            f"{condition} fails: worst node {worst} has {a[k]:.6g} > "
+            f"{b[k]:.6g}", worst=worst)
+
+
+def _zeros(mask: RegionMask, magnitude: np.ndarray) -> np.ndarray:
+    """Inside nodes where magnitude is at most ZERO_REL of its Inside max."""
+    floor = ZERO_REL * sup_abs(magnitude, mask.inside)
+    return mask.inside & (magnitude <= floor)
+
+
 def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
            h: float = 1 / 128, mask: Optional[RegionMask] = None) -> SampledField:
     """Quotient field f^N/g, set to 0 on the grid zeros of g.
@@ -89,70 +134,81 @@ def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
     """
     if N < 1:
         raise ValueError("power must be a positive integer")
-    if mask is None:
-        if domain is None:
-            raise ValueError("need a domain or a prebuilt mask")
-        mask = build_mask(domain, h=h)
+    mask = resolve_mask(domain, h, mask)
     gv = sample_field(g, mask).values
-    gmax = float(np.abs(gv[mask.inside]).max())
-    zero = mask.inside & (np.abs(gv) <= ZERO_REL * gmax)
+    zero = _zeros(mask, np.abs(gv))
     live = mask.inside & ~zero
     fv = sample_field(f, mask, zero_on=zero).values
-    fa, ga = np.abs(fv[live]), np.abs(gv[live])
-    slack = 1e-9 * max(gmax, 1.0)
-    if (fa > ga + slack).any():
-        k = int(np.argmax(fa - ga))
-        worst = mask.coords(live)[k]
-        raise DominationError(
-            f"|f| <= |g| fails off Z(g): worst node {worst} has "
-            f"|f| = {fa[k]:.6g} > |g| = {ga[k]:.6g}", worst=worst)
+    check_domination(np.abs(fv), np.abs(gv), mask, "|f| <= |g| off Z(g)",
+                     sel=live)
     vals = np.zeros_like(fv)
     vals[live] = fv[live] ** N / gv[live]
     return SampledField(mask, vals)
 
 
-def spread(values: np.ndarray, cap: int = 512) -> float:
+def spread(values: np.ndarray) -> float:
     """Diameter of a finite value set (max pairwise distance)."""
     v = np.asarray(values).ravel()
     if v.size == 0:
         return 0.0
-    if v.size > cap:
-        step = v.size // cap + 1
+    if v.size > SPREAD_CAP:
+        step = v.size // SPREAD_CAP + 1
         v = v[::step]
     return float(np.abs(v[:, None] - v[None, :]).max())
 
 
-def ring_selection(mask: RegionMask, center: complex, radius: float,
-                   width: Optional[float] = None,
-                   within: Optional[np.ndarray] = None) -> np.ndarray:
-    """Node set at distance radius (+- width) from a center point."""
-    if width is None:
-        width = mask.grid.h
-    zg = mask.grid.zgrid()
-    sel = mask.inside if within is None else within
-    d = np.abs(zg - center)
-    return sel & (np.abs(d - radius) <= width)
+def ring_selection(mask: RegionMask, center: complex,
+                   radius: float) -> np.ndarray:
+    """Inside nodes within one spacing of the circle |z - center| = radius."""
+    d = np.abs(mask.grid.zgrid() - center)
+    return mask.inside & (np.abs(d - radius) <= mask.grid.h)
 
 
 def zero_centers(mask: RegionMask, magnitude: np.ndarray,
                  threshold: float) -> list:
     """Centroids of the connected small-magnitude node clusters."""
-    small = mask.inside & (magnitude <= threshold)
-    if not small.any():
+    return _centroids(mask, mask.inside & (magnitude <= threshold))
+
+
+def _centroids(mask: RegionMask, sel: np.ndarray) -> list:
+    if not sel.any():
         return []
-    labels, count = ndimage.label(small)
+    labels, count = ndimage.label(sel)
     zg = mask.grid.zgrid()
-    out = []
-    for lab in range(1, count + 1):
-        sel = labels == lab
-        out.append(complex(zg[sel].mean()))
-    return out
+    return [complex(zg[labels == lab].mean()) for lab in range(1, count + 1)]
+
+
+def _probe_radii(mask: RegionMask) -> list:
+    return [k * mask.grid.h for k in PROBE_RADII_CELLS]
+
+
+def _probe_rings(mask: RegionMask, centers, within: np.ndarray) -> list:
+    """Per probe radius, the union of the rings around all centers, cut
+    to the within set."""
+    rings = []
+    for r in _probe_radii(mask):
+        sel = np.zeros(mask.inside.shape, bool)
+        for c in centers:
+            sel |= ring_selection(mask, c, r)
+        rings.append(sel & within)
+    return rings
+
+
+def _ring_grad_max(fld: SampledField, rings, weight=1.0) -> list:
+    """Per ring, the max of max(|d_fd|, |dbar_fd|) / weight over the
+    field's nodes; None for an empty ring."""
+    grad = np.maximum(np.abs(d_fd(fld).values),
+                      np.abs(dbar_fd(fld).values)) / weight
+    return [float(grad[sel].max()) if sel.any() else None for sel in rings]
 
 
 def _grade(measured: float, scale: float) -> str:
     """The one verdict ladder: PASS at or below 0.05 * scale, FAIL at or
-    above 0.5 * scale, INCONCLUSIVE between; a zero scale admits only an
-    exact zero."""
+    above 0.5 * scale, INCONCLUSIVE between; NaN on either side (nothing
+    measured) is INCONCLUSIVE, and a zero scale admits only an exact
+    zero."""
+    if math.isnan(measured) or math.isnan(scale):
+        return INCONCLUSIVE
     if scale == 0:
         return PASS if measured == 0 else FAIL
     if measured <= 0.05 * scale:
@@ -162,48 +218,46 @@ def _grade(measured: float, scale: float) -> str:
     return INCONCLUSIVE
 
 
-def _ring_probe(name, value_fn, mask, centers, radii, scale, details=None):
+def _ring_probe(name, value_fn, mask, centers, scale):
     # spread of the probed quantity on rings closing in on each center;
-    # continuity shows up as the smallest ring's spread collapsing
-    worst = 0.0
-    per_center = {}
+    # continuity shows up as the smallest ring's spread collapsing.  The
+    # measurement is the worst innermost spread, NaN when no center has
+    # a ring node
+    radii = _probe_radii(mask)
+    per_center, innermost = {}, []
     for c in centers:
         spreads = []
         for r in radii:
             sel = ring_selection(mask, c, r)
-            if not sel.any():
-                spreads.append(None)
-                continue
-            spreads.append(spread(value_fn(mask.coords(sel))))
+            spreads.append(spread(value_fn(mask.coords(sel)))
+                           if sel.any() else None)
         per_center[c] = spreads
         seen = [s for s in spreads if s is not None]
         if seen:
-            worst = max(worst, seen[0])
-    det = {"radii": list(radii), "per_center": per_center}
-    if details:
-        det.update(details)
-    return ProbeResult(name, _grade(worst, scale), worst, scale, det)
+            innermost.append(seen[0])
+    worst = max(innermost, default=float("nan"))
+    return ProbeResult(name, _grade(worst, scale), worst, scale,
+                       {"radii": radii, "per_center": per_center})
 
 
-def _family_probe(name, value_fn, families, scale, tail=3):
+def _family_probe(name, value_fn, families, scale):
     # family = sequence of points marching toward the limit; families
     # must agree in their tails for the limit to exist
     tails, allvals = {}, []
     for fam_name, pts in families.items():
         v = value_fn(np.asarray(pts, dtype=complex))
         allvals.extend(v.tolist())
-        tails[fam_name] = complex(np.mean(v[-tail:]))
+        tails[fam_name] = complex(np.mean(v[-FAMILY_TAIL:]))
     vals = list(tails.values())
     measured = max(abs(a - b) for a in vals for b in vals)
     if scale is None:
-        scale = max(abs(v) for v in allvals) if allvals else 0.0
+        scale = sup_abs(np.asarray(allvals))
     return ProbeResult(name, _grade(measured, scale), measured, scale,
-                       {"tails": tails, "tail": tail})
+                       {"tails": tails, "tail": FAMILY_TAIL})
 
 
 def _probe_centers(mask, gv, domain):
-    gmax = float(np.abs(gv[mask.inside]).max())
-    centers = zero_centers(mask, np.abs(gv), ZERO_REL * gmax)
+    centers = _centroids(mask, _zeros(mask, np.abs(gv)))
     for p in getattr(domain, "tagged_points", ()) or ():
         if all(abs(p - c) > 4 * mask.grid.h for c in centers):
             centers.append(p)
@@ -232,7 +286,6 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
     hfield = divide(f, g, N, mask=mask)
     gv = sample_field(g, mask).values
     centers = _probe_centers(mask, gv, domain)
-    radii = [8 * mask.grid.h, 16 * mask.grid.h, 32 * mask.grid.h]
     gcall = as_callable(g)
 
     def quotient_values(pts):
@@ -282,8 +335,8 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
                 scale = hfield.max_abs()
             else:
                 sel = interior_shrunk(mask, 3) & ~_near_centers(mask, centers, 4 * mask.grid.h)
-                scale = float(np.abs(fn(mask.coords(sel))).max()) if sel.any() else 0.0
-            probes.append(_ring_probe(name, fn, mask, centers, radii, scale))
+                scale = sup_abs(fn(mask.coords(sel)))
+            probes.append(_ring_probe(name, fn, mask, centers, scale))
 
     if claimed in ("A0", "A1") and not families:
         probes.append(_holomorphy_probe(hfield, centers))
@@ -306,7 +359,7 @@ def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
     dv = dbar_fd(hfield)
     sel = interior_shrunk(mask, 8) & ~_near_centers(mask, centers, 0.25)
     scale = hfield.max_abs()
-    measured = float(np.abs(dv.values[sel]).max()) if sel.any() else 0.0
+    measured = sup_abs(dv.values, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,
                        {"margin_cells": 8, "center_exclusion": 0.25})
 
@@ -337,7 +390,7 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
                          "(conjugation-free) expressions")
 
     mask0 = build_mask(domain, h=max(levels))
-    gmax = float(np.abs(sample_field(g, mask0).values[mask0.inside]).max())
+    gmax = sample_field(g, mask0).max_abs()
     scale = Const(1.0 / gmax)
     fs, gs = mul(scale, f), mul(scale, g)
 
@@ -355,7 +408,7 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
         gvals = np.abs(g_fn(z))
         live = gvals > ZERO_REL
         ratio = np.abs(dq_fn(z[live])) / gvals[live] ** (m + 1 - n)
-        consts.append(float(ratio.max()))
+        consts.append(sup_abs(ratio))
     ratio = consts[-1] / consts[0] if consts[0] != 0 else float("inf")
     return {"m": m, "n": n, "mixed": mixed, "h": hs, "C": consts,
             "ratio": ratio, "stable": bool(0.5 <= ratio <= 2.0),
@@ -363,22 +416,13 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
 
 
 def _multi_problem(h_expr, f_list, domain, grid_h, mask):
-    if mask is None:
-        mask = build_mask(domain, h=grid_h)
+    mask = resolve_mask(domain, grid_h, mask)
     hv = sample_field(h_expr, mask).values
     fv = [sample_field(f, mask).values for f in f_list]
     s1 = sum(np.abs(v) for v in fv)
     s2 = sum(np.abs(v) ** 2 for v in fv)
-    ha = np.abs(hv[mask.inside])
-    fa = s1[mask.inside]
-    slack = 1e-9 * max(float(fa.max()), 1.0)
-    if (ha > fa + slack).any():
-        k = int(np.argmax(ha - fa))
-        worst = mask.coords(mask.inside)[k]
-        raise DominationError(
-            f"|h| <= sum|f_j| fails: worst node {worst} has |h| = "
-            f"{ha[k]:.6g} > {fa[k]:.6g}", worst=worst)
-    return mask, hv, fv, s1, s2
+    check_domination(np.abs(hv), s1, mask, "|h| <= sum|f_j|")
+    return mask, hv, fv, s2, _zeros(mask, s2)
 
 
 def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
@@ -387,11 +431,10 @@ def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
     """Solve sum g_j f_j = h^2 with g_j = h^2 conj(f_j)/sum|f_k|^2.
 
     Returns (fields, report).  The report carries the Cauchy-Schwarz
-    witness max|q_j| (at most n) and the residual off the zero set.
+    witness max|q_j| (at most n) and the residual off the zero set,
+    both NaN when no node lies off the zero set.
     """
-    mask, hv, fv, s1, s2 = _multi_problem(h, f_list, domain, grid_h, mask)
-    smax = float(s2[mask.inside].max())
-    zero = mask.inside & (s2 <= ZERO_REL * smax)
+    mask, hv, fv, s2, zero = _multi_problem(h, f_list, domain, grid_h, mask)
     live = mask.inside & ~zero
     qs, gs = [], []
     for v in fv:
@@ -399,37 +442,32 @@ def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
         q[live] = hv[live] * np.conj(v[live]) / s2[live]
         qs.append(q)
         gs.append(SampledField(mask, hv * q))
-    q_sup = max(float(np.abs(q[live]).max()) if live.any() else 0.0 for q in qs)
     total = sum(g.values * v for g, v in zip(gs, fv))
-    residual = float(np.abs(total - hv ** 2)[live].max()) if live.any() else 0.0
-    report = {"q_sup": q_sup, "n": len(f_list), "residual_off_zero": residual,
+    report = {"q_sup": max(sup_abs(q, live) for q in qs), "n": len(f_list),
+              "residual_off_zero": sup_abs(total - hv ** 2, live),
               "zero_nodes": int(zero.sum())}
     return gs, report
 
 
 def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
                       power: int = 3, grid_h: float = 1 / 128,
-                      mask: Optional[RegionMask] = None,
-                      cluster_cells: int = 9):
+                      mask: Optional[RegionMask] = None):
     """Solve sum g_j f_j = h^power with g_j = conj(f_j) h^power / sum|f_k|^2.
 
     power 3 is the contract; power 2 exists so the sharpness case can
     demonstrate the gradient probe failing.  The common zero set must be
-    isolated: small-|f| node clusters larger than cluster_cells raise.
+    isolated: small-|f| node clusters larger than CLUSTER_CELLS raise.
     Returns (fields, report); the report's gradient evidence is the
     ring-wise max of |discrete D g_j| / |f|, which stays bounded toward
-    the zero set exactly when the construction is C1 there.
+    the zero set exactly when the construction is C1 there.  The
+    residual off the zero set is NaN when no node lies off it, and the
+    growth is NaN (not bounded) when no two rings measured a gradient.
     """
-    mask, hv, fv, s1, s2 = _multi_problem(h, f_list, domain, grid_h, mask)
-    smax = float(s2[mask.inside].max())
-    zero = mask.inside & (s2 <= ZERO_REL * smax)
-    if zero.any():
-        labels, count = ndimage.label(zero)
-        sizes = np.bincount(labels.ravel())[1:]
-        if sizes.max() > cluster_cells:
-            raise ValueError(
-                f"common zero cluster of {int(sizes.max())} nodes; the "
-                f"construction needs isolated zeros")
+    mask, hv, fv, s2, zero = _multi_problem(h, f_list, domain, grid_h, mask)
+    biggest = np.bincount(ndimage.label(zero)[0].ravel())[1:].max(initial=0)
+    if biggest > CLUSTER_CELLS:
+        raise ValueError(f"common zero cluster of {int(biggest)} nodes; the "
+                         f"construction needs isolated zeros")
     live = mask.inside & ~zero
     gs = []
     for v in fv:
@@ -437,32 +475,18 @@ def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
         q[live] = np.conj(v[live]) * hv[live] ** power / s2[live]
         gs.append(SampledField(mask, q))
     total = sum(g.values * v for g, v in zip(gs, fv))
-    residual = float(np.abs(total - hv ** power)[live].max()) if live.any() else 0.0
+    residual = sup_abs(total - hv ** power, live)
 
-    centers = zero_centers(mask, s2, ZERO_REL * smax)
-    radii = [8 * mask.grid.h, 16 * mask.grid.h, 32 * mask.grid.h]
-    rootf = np.sqrt(s2)
-    rings = []
-    for r in radii:
-        sel = np.zeros(mask.inside.shape, bool)
-        for c in centers:
-            sel |= ring_selection(mask, c, r)
-        rings.append(sel & live)
-    evidence = []
-    for g in gs:
-        dx = d_fd(g).values
-        dbx = dbar_fd(g).values
-        grad = np.maximum(np.abs(dx), np.abs(dbx))
-        per_ring = []
-        for sel in rings:
-            ok = sel & mask.interior & (rootf > 0)
-            per_ring.append(float((grad[ok] / rootf[ok]).max()) if ok.any() else None)
-        evidence.append(per_ring)
+    centers = _centroids(mask, zero)
+    rings = _probe_rings(mask, centers, live & mask.interior)
+    # the rings lie off the zero set; the 1 elsewhere only avoids 0/0
+    rootf = np.where(live, np.sqrt(s2), 1.0)
+    evidence = [_ring_grad_max(g, rings, rootf) for g in gs]
     seen = [[v for v in row if v is not None] for row in evidence]
     growth = max((row[0] / row[-1] for row in seen if len(row) >= 2 and row[-1] > 0),
-                 default=1.0)
+                 default=float("nan"))
     report = {"residual_off_zero": residual, "power": power,
-              "radii": radii, "grad_over_f": evidence,
+              "radii": _probe_radii(mask), "grad_over_f": evidence,
               "growth_toward_zero": growth,
               "gradient_bounded": bool(growth <= 1.5),
               "centers": centers}
@@ -481,49 +505,29 @@ def quotient_extension_lemma(g, f_list, power: int,
     first derivative decays on rings approaching the zero set, and the
     lemma's conclusion corresponds to slope > 0 (derivative -> 0).
     """
-    if mask is None:
-        if domain is None:
-            raise ValueError("need a domain or a prebuilt mask")
-        mask = build_mask(domain, h=grid_h)
+    mask = resolve_mask(domain, grid_h, mask)
     gv = sample_field(g, mask).values
     fv = [sample_field(f, mask).values for f in f_list]
     s2 = sum(np.abs(v) ** 2 for v in fv)
-    norm = np.sqrt(s2)
-    ga = np.abs(gv[mask.inside])
-    na = norm[mask.inside]
-    slack = 1e-9 * max(float(na.max()), 1.0)
-    lhs = ga ** 2 if power == 7 else ga
-    if (lhs > na + slack).any():
-        k = int(np.argmax(lhs - na))
-        worst = mask.coords(mask.inside)[k]
-        cond = "|g|^2 <= |f|" if power == 7 else "|g| <= |f|"
-        raise DominationError(f"{cond} fails at node {worst}", worst=worst)
+    ga = np.abs(gv)
+    lhs, cond = (ga ** 2, "|g|^2 <= |f|") if power == 7 else (ga, "|g| <= |f|")
+    check_domination(lhs, np.sqrt(s2), mask, cond)
 
-    gmax = float(ga.max())
-    if gmax == 0.0:
+    if sup_abs(ga, mask.inside) == 0.0:
         field = SampledField(mask, np.zeros_like(gv))
         return field, {"power": power, "slope": None, "ring_max": [],
                        "trivial": True}
 
-    smax = float(s2[mask.inside].max())
-    zero = mask.inside & (s2 <= ZERO_REL * smax)
+    zero = _zeros(mask, s2)
     live = mask.inside & ~zero
     vals = np.zeros_like(gv)
     vals[live] = gv[live] ** power / s2[live]
     field = SampledField(mask, vals)
 
-    centers = zero_centers(mask, s2, ZERO_REL * smax)
-    radii = [8 * mask.grid.h, 16 * mask.grid.h, 32 * mask.grid.h]
-    dx = d_fd(field).values
-    dbx = dbar_fd(field).values
-    grad = np.maximum(np.abs(dx), np.abs(dbx))
-    ring_max = []
-    for r in radii:
-        sel = np.zeros(mask.inside.shape, bool)
-        for c in centers:
-            sel |= ring_selection(mask, c, r)
-        sel &= mask.interior & live
-        ring_max.append(float(grad[sel].max()) if sel.any() else None)
+    centers = _centroids(mask, zero)
+    radii = _probe_radii(mask)
+    ring_max = _ring_grad_max(
+        field, _probe_rings(mask, centers, mask.interior & live))
     seen = [(r, v) for r, v in zip(radii, ring_max) if v is not None and v > 0]
     slope = None
     if len(seen) >= 2:

@@ -24,12 +24,13 @@ __all__ = [
     "CompactDomain", "Disk", "Union", "AnnulusSector", "SectorChain",
     "DiskChain", "Comb", "InnerSpiral", "HalfRingSpiral", "Polygon",
     "GridSpec", "RegionMask", "MaskResolutionError",
-    "build_mask", "connected_components", "interior_shrunk",
+    "build_mask", "resolve_mask", "connected_components", "interior_shrunk",
     "dump_mask", "load_mask",
 ]
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONN = np.ones((3, 3), dtype=bool)
+ROW_BLOCK = 512
 
 
 class MaskResolutionError(ValueError):
@@ -441,13 +442,13 @@ class RegionMask:
         return best
 
 
-def build_mask(domain: CompactDomain, h: float = None, grid: GridSpec = None,
-               margin: int = 2, row_block: int = 512) -> RegionMask:
+def build_mask(domain: CompactDomain, h: float = None,
+               grid: GridSpec = None) -> RegionMask:
     """Rasterize a domain.
 
-    Either a grid spacing h (grid derived from the bounding box with a
-    margin) or an explicit GridSpec must be given.  Membership is
-    evaluated in row blocks to bound memory on large grids.
+    Either a grid spacing h (grid covering the bounding box) or an
+    explicit GridSpec must be given.  Membership is evaluated ROW_BLOCK
+    rows at a time to bound memory on large grids.
 
     Raises MaskResolutionError when no node lands Inside, or when the
     domain has Inside nodes but no Interior ones (grid too coarse).
@@ -455,10 +456,10 @@ def build_mask(domain: CompactDomain, h: float = None, grid: GridSpec = None,
     if grid is None:
         if h is None:
             raise ValueError("pass h or grid")
-        grid = GridSpec.cover(domain.bbox(), h, margin)
+        grid = GridSpec.cover(domain.bbox(), h)
     inside = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for y0 in range(0, grid.ny, row_block):
-        y1 = min(y0 + row_block, grid.ny)
+    for y0 in range(0, grid.ny, ROW_BLOCK):
+        y1 = min(y0 + ROW_BLOCK, grid.ny)
         ix = np.arange(grid.nx)
         iy = np.arange(y0, y1)
         zz = grid.origin + grid.h * ix[None, :] + 1j * grid.h * iy[:, None]
@@ -475,6 +476,16 @@ def build_mask(domain: CompactDomain, h: float = None, grid: GridSpec = None,
             "refine the grid until the domain is at least 3 cells thick")
     return RegionMask(grid, inside, interior,
                       tagged_points=tuple(domain.tagged_points))
+
+
+def resolve_mask(domain: CompactDomain, h: float,
+                 mask: RegionMask = None) -> RegionMask:
+    """The given mask, else one built from domain at spacing h."""
+    if mask is not None:
+        return mask
+    if domain is None:
+        raise ValueError("need a domain or a prebuilt mask")
+    return build_mask(domain, h=h)
 
 
 def connected_components(mask: RegionMask) -> tuple:

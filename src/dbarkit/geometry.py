@@ -25,7 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .domains import (CompactDomain, GridSpec, InnerSpiral, RegionMask,
-                      build_mask)
+                      build_mask, resolve_mask)
 from .expr import ComplexExpr, Const, evaluate, is_conj_free, wirtinger_d
 
 __all__ = [
@@ -41,6 +41,7 @@ INCONCLUSIVE = "inconclusive"
 
 _SQRT2 = math.sqrt(2.0)
 _DISCONNECTED = "disconnected at this resolution"
+HOP_CELLS = 3
 
 
 class DisconnectedError(RuntimeError):
@@ -112,12 +113,12 @@ def _nearest_inside(mask: RegionMask, z: complex):
     return int(iy[k]), int(ix[k])
 
 
-def _target_graph(mask: RegionMask, z0: complex, hop_cells: int = 3):
+def _target_graph(mask: RegionMask, z0: complex):
     """Interior graph augmented with a virtual node standing in for z0.
 
     z0 is realized near its closest Inside node; the virtual node sits
     at the exact z0 coordinate and connects by straight segments to
-    every Interior node within hop_cells (Chebyshev) of the
+    every Interior node within HOP_CELLS (Chebyshev) of the
     realization.  This is the single permitted step off the interior:
     it spans the one-to-two-cell boundary layer that 8-neighbor moves
     cannot cross.
@@ -133,12 +134,12 @@ def _target_graph(mask: RegionMask, z0: complex, hop_cells: int = 3):
 
     b = _nearest_inside(mask, z0)
     zb = mask.grid.node(b[1], b[0])
-    ys = slice(max(b[0] - hop_cells, 0), min(b[0] + hop_cells + 1, ny))
-    xs = slice(max(b[1] - hop_cells, 0), min(b[1] + hop_cells + 1, nx))
+    ys = slice(max(b[0] - HOP_CELLS, 0), min(b[0] + HOP_CELLS + 1, ny))
+    xs = slice(max(b[1] - HOP_CELLS, 0), min(b[1] + HOP_CELLS + 1, nx))
     sub = sel[ys, xs]
     if not sub.any():
         raise DisconnectedError(
-            f"no Interior node within {hop_cells} cells of the z0 "
+            f"no Interior node within {HOP_CELLS} cells of the z0 "
             f"realization {zb:.6g}; " + _DISCONNECTED)
     jy, jx = np.nonzero(sub)
     yy = jy + ys.start
@@ -271,8 +272,7 @@ def l_probe(domain: CompactDomain, z0: complex,
     agree within 20 percent; anything else is inconclusive.
     """
     scales = _check_scales(scales)
-    if mask is None:
-        mask = build_mask(domain, h=h)
+    mask = resolve_mask(domain, h, mask)
     ratios, counts, notes, zb = _scale_ratios(mask, complex(z0), scales,
                                               samples_per_scale)
     return LProbeReport(z0=complex(z0), scales=scales,

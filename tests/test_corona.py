@@ -138,14 +138,33 @@ class _NoSignFlip(AntisymMatrixField):
         return super().entry(min(j, k), max(j, k))
 
 
+def _poly_route_H(f_list, m):
+    # the correction matrix H of the poly route and the sampled f_j
+    problem = BezoutProblem.build(DISK, f_list, mask=m)
+    H, _ = solve_dbar_matrix(koszul_F(bezout_poly(problem), f_list, mask=m))
+    return H, [g.values for g in problem.f_fields]
+
+
 def test_skew_check_catches_symmetric_matrix(disk_mask_64):
     m = disk_mask_64
-    problem = BezoutProblem.build(DISK, LINEAR, mask=m)
-    H, _ = solve_dbar_matrix(koszul_F(bezout_poly(problem), LINEAR, mask=m))
-    fv = [g.values for g in problem.f_fields]
+    H, fv = _poly_route_H(LINEAR, m)
     assert _skew_residual(fv, H, m.inside) <= 1e-12
     broken = _NoSignFlip(H.n, H.mask, H.upper)
     assert _skew_residual(fv, broken, m.inside) > 1e-12
+
+
+def test_corona_three_generators(disk_mask_64):
+    # n = 3 is the first case with more than one obstruction entry, so
+    # the antisymmetric assembly and the skew contraction mix entries
+    triple = [Z, sub(Const(1.0), Z), intpow(add(Z, Const(0.5)), 2)]
+    sol = corona_solve(triple, DISK, h=1 / 64, margin=10)
+    assert sol.residual_sup <= 1e-12
+    assert sol.skew_residual <= 1e-12
+    assert sol.dbar_sup <= 1e-2 * sol.dbar_sup_x
+    assert len(sol.entry_reports) == 3
+    H, fv = _poly_route_H(triple, disk_mask_64)
+    broken = _NoSignFlip(H.n, H.mask, H.upper)
+    assert _skew_residual(fv, broken, disk_mask_64.inside) > 1e-12
 
 
 def test_corona_quartic_pair():

@@ -23,7 +23,7 @@ from dbarkit.division import (FAIL, INCONCLUSIVE, PASS, DominationError,
                               multi_division_c1, multi_division_continuous,
                               quotient_extension_lemma, ring_selection,
                               spread, zero_centers)
-from dbarkit.domains import Disk, SectorChain, build_mask
+from dbarkit.domains import Disk, GridSpec, RegionMask, SectorChain
 from dbarkit.expr import Z, S, Const, conj, intpow, mul, sub
 
 DISK = Disk(0j, 1.0)
@@ -197,6 +197,23 @@ def test_smooth_algebra_passes_at_power_two():
     assert cert.verdict == PASS
 
 
+def test_probes_on_nothing_measured_are_inconclusive():
+    # the 8-cell margin and the 8h..32h rings leave no node on a disk of
+    # radius 0.05 at h = 1/128; z conj(z) is not holomorphic, so nothing
+    # measured must not read as a pass
+    cert = certify_class(mul(Z, Z, conj(Z)), Z, 1, Disk(0j, 0.05), "A0",
+                         h=1 / 128)
+    assert cert.verdict == INCONCLUSIVE
+    for name in ("value", "holomorphy"):
+        assert np.isnan(cert.probe(name).measured)
+        assert cert.probe(name).verdict == INCONCLUSIVE
+    # likewise the gradient evidence: z^2/conj(z) is not C1, and no ring
+    # holds a node to show it
+    _, rep = multi_division_c1(Z, [conj(Z)], Disk(0j, 0.05), power=2)
+    assert np.isnan(rep["growth_toward_zero"])
+    assert not rep["gradient_bounded"]
+
+
 class TestSectorChain:
     chain = SectorChain(8)
 
@@ -300,6 +317,21 @@ def test_multi_continuous_cauchy_schwarz_witness():
 def test_multi_continuous_needs_domination():
     with pytest.raises(DominationError, match=r"sum\|f_j\|"):
         multi_division_continuous(Const(3.0), [Z, sub(Const(1.0), Z)], DISK)
+
+
+def test_multi_division_off_zero_reports_nan_when_all_is_zero():
+    # a 3x3 block where h and f vanish: no node lies off the zero set,
+    # so the reports must read NaN rather than a vacuous 0
+    inside = np.zeros((5, 5), bool)
+    inside[1:4, 1:4] = True
+    interior = np.zeros((5, 5), bool)
+    interior[2, 2] = True
+    m = RegionMask(GridSpec(0j, 1 / 64, 5, 5), inside, interior)
+    _, rep = multi_division_continuous(Const(0.0), [Const(0.0)], mask=m)
+    assert np.isnan(rep["q_sup"]) and np.isnan(rep["residual_off_zero"])
+    assert rep["zero_nodes"] == 9
+    _, rep = multi_division_c1(Const(0.0), [Const(0.0)], mask=m)
+    assert np.isnan(rep["residual_off_zero"])
 
 
 def test_multi_c1_gradient_bounded_at_power_three():

@@ -5,11 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from dbarkit.corona import g12_solve, g_power_solve, koszul_F
+from dbarkit.division import (divide, multi_division_c1,
+                              multi_division_continuous,
+                              quotient_extension_lemma)
+
 from dbarkit.domains import (AnnulusSector, Comb, Disk, DiskChain, GridSpec,
                              HalfRingSpiral, InnerSpiral, MaskResolutionError,
                              Polygon, SectorChain, Union, build_mask,
                              connected_components, dump_mask, interior_shrunk,
                              load_mask)
+from dbarkit.expr import Z, Const, conj
 
 
 # ---------------------------------------------------------------- shapes
@@ -206,6 +212,22 @@ def test_nearest_node_rejects_far_points(disk_mask_64):
 def test_build_mask_requires_h_or_grid():
     with pytest.raises(ValueError, match="pass h or grid"):
         build_mask(Disk(0j, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: koszul_F([Z], [Z], domain=None, mask=None),
+    lambda: g_power_solve(Z, [Z], [Const(1.0)], domain=None, mask=None),
+    lambda: g12_solve(Z, [Z], [conj(Z)], domain=None, mask=None),
+    lambda: divide(Z, Z, 1, domain=None, mask=None),
+    lambda: multi_division_continuous(Z, [Z], domain=None, mask=None),
+    lambda: multi_division_c1(Z, [Z], domain=None, mask=None),
+    lambda: quotient_extension_lemma(Z, [Z], 4, domain=None, mask=None),
+], ids=["koszul_F", "g_power_solve", "g12_solve", "divide",
+        "multi_division_continuous", "multi_division_c1",
+        "quotient_extension_lemma"])
+def test_entry_points_need_a_domain_or_a_mask(call):
+    with pytest.raises(ValueError, match="need a domain or a prebuilt mask"):
+        call()
 
 
 def test_mask_resolution_errors():

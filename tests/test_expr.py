@@ -151,6 +151,31 @@ def test_derivatives_match_finite_differences(e):
         assert dbe.eval(z) == pytest.approx(fd_db, rel=1e-5, abs=1e-7)
 
 
+# pole-free trees: polynomials in z and conj(z) built from the
+# constructors, small enough that central differences stay accurate
+_LEAVES = st.one_of(
+    st.just(Z), st.just(conj(Z)),
+    st.complex_numbers(max_magnitude=2, allow_nan=False,
+                       allow_infinity=False).map(const))
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, min_size=2, max_size=3).map(lambda ts: add(*ts)),
+    st.lists(kids, min_size=2, max_size=3).map(lambda ts: mul(*ts)),
+    st.tuples(kids, st.integers(0, 3)).map(lambda t: intpow(*t))),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TREES, st.complex_numbers(max_magnitude=1, allow_nan=False,
+                                  allow_infinity=False))
+def test_wirtinger_pair_matches_central_differences(e, z):
+    fd_d, fd_db = wirtinger_fd(e, z)
+    # central differences lose about 1e-10 of the value scale to
+    # roundoff and h^2 times the third derivative to truncation
+    scale = 1 + max(abs(e.eval(z + s)) for s in (1e-6, -1e-6, 1e-6j, -1e-6j))
+    assert abs(wirtinger_d(e).eval(z) - fd_d) <= 1e-6 * scale
+    assert abs(wirtinger_dbar(e).eval(z) - fd_db) <= 1e-6 * scale
+
+
 def test_dbar_annihilates_conj_free_trees():
     for e in (intpow(Z, 5), exp(Z), div(const(1), sub(const(1), Z)), S,
               mobius(2, 1, 1, 3, Z)):
