@@ -2,10 +2,15 @@
 
 The quotient route approximates q_j = conj(f_j)/sum|f_k|^2 by bivariate
 polynomials in z and conj(z) and divides by the (certified nonvanishing)
-combination sum p_k f_k.  The covering route builds a smoothstep
-partition of unity subordinate to {|f_j| > eps/3} and divides each bump
-by its own generator.  Both keep the residual identity exact up to
-rounding; the interesting measured quantity is how smooth the output is.
+combination sum p_k f_k.  quotient_fits fits every q_j at every degree
+on one growing QR factorization; corona_solve evaluates the quotient
+and its dbar numerically from those fits (PolyZZbar carries an
+analytic dbar), while bezout_poly returns the same quotient as
+expressions, which remain the symbolic test oracle.  The covering
+route builds a smoothstep partition of unity subordinate to
+{|f_j| > eps/3} and divides each bump by its own generator.  Both
+keep the residual identity exact up to rounding; the interesting
+measured quantity is how smooth the output is.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .cauchy import SampledField, sample_field, sup_abs
 from .domains import CompactDomain, RegionMask, resolve_mask
@@ -23,8 +29,8 @@ __all__ = [
     "COLLAR_REL", "BezoutProblem", "PolyZZbar", "CommonZeroError",
     "FitRankError", "FitToleranceError", "CoveringError", "VanishingError",
     "require_no_common_zero", "zero_collar",
-    "q_fields", "weierstrass_fit", "bezout_poly", "smoothstep",
-    "partition_of_unity", "bezout_pou", "generalized_division",
+    "q_fields", "weierstrass_fit", "quotient_fits", "bezout_poly",
+    "smoothstep", "partition_of_unity", "bezout_pou", "generalized_division",
 ]
 
 # sum|f_j| <= COLLAR_REL * max marks the collar around common zeros
@@ -128,27 +134,142 @@ def _monomials(d: int) -> list:
     return [(a, s - a) for s in range(d + 1) for a in range(s + 1)]
 
 
+def _powers(z: np.ndarray, d: int) -> np.ndarray:
+    # rows z^0 .. z^d of the flat points z; their conjugates are the
+    # conj(z)^b rows, so one table serves every monomial
+    out = np.empty((d + 1, z.size), dtype=complex)
+    out[0] = 1.0
+    for a in range(1, d + 1):
+        out[a] = out[a - 1] * z
+    return out
+
+
+def _count(d: int) -> int:
+    # monomials z^a conj(z)^b with a + b <= d
+    return (d + 1) * (d + 2) // 2
+
+
 @dataclass
 class PolyZZbar:
-    """Bivariate polynomial sum c_ab z^a conj(z)^b, a + b <= degree."""
+    """Bivariate polynomial sum c_ab z^a conj(z)^b, a + b <= degree.
+
+    cond is the 2-norm condition number of the fit's monomial matrix
+    (NaN for a polynomial that did not come from a fit).
+    """
 
     degree: int
     terms: list  # [(a, b, coefficient)]
     sup_error: float = float("nan")
+    cond: float = float("nan")
+
+    def _on_table(self, zp: np.ndarray, zcp: np.ndarray,
+                  dbar: bool = False) -> np.ndarray:
+        # sum_a z^a (sum_b C_ab conj(z)^b) as one matrix product over a
+        # _powers table zp and its conjugate zcp; the Wirtinger dbar of
+        # c z^a conj(z)^b is b c z^a conj(z)^(b-1), so dbar shifts the b
+        # index down by one
+        d = self.degree
+        coef = np.zeros((d + 1, d + 1), dtype=complex)
+        for a, b, c in self.terms:
+            coef[a, b] = c
+        if dbar:
+            coef = coef[:, 1:] * np.arange(1, d + 1)
+        inner = coef @ zcp[:coef.shape[1]]
+        return np.einsum("an,an->n", zp[:d + 1], inner)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        zc = np.conj(z)
-        out = np.zeros_like(z)
-        for a, b, c in self.terms:
-            out += c * z ** a * zc ** b
-        return out
+        zp = _powers(z.ravel(), self.degree)
+        return self._on_table(zp, zp.conj()).reshape(z.shape)
+
+    def value_and_dbar(self, z):
+        """Values and analytic Wirtinger dbar at the points z, from one
+        table of powers."""
+        z = np.asarray(z, dtype=complex)
+        zp = _powers(z.ravel(), self.degree)
+        zcp = zp.conj()
+        return (self._on_table(zp, zcp).reshape(z.shape),
+                self._on_table(zp, zcp, dbar=True).reshape(z.shape))
 
     def as_expr(self) -> ComplexExpr:
         out = Const(0.0)
         for a, b, c in self.terms:
             out = add(out, mul(Const(c), mul(intpow(Z, a), intpow(conj(Z), b))))
         return out
+
+
+def _fit_ladder(qs: list, degrees: range, target_sup: float) -> list:
+    # Least-squares fits of the fields qs, which share the support of
+    # qs[0], at each degree of `degrees` in turn.  Returns, per field,
+    # its first fit with sup error within target_sup, or else the last
+    # degree's FitToleranceError.  Graded monomial order nests: the
+    # columns of degree d are those of degree d - 1 plus the d + 1
+    # monomials z^a conj(z)^(d-a).  So one QR factorization V = Q R of
+    # the monomial matrix, grown by one block of columns per degree
+    # (block Gram-Schmidt, projected twice, Householder within the
+    # block), serves every degree and every field: a degree-d solution
+    # is a triangular solve on the leading p x p block of R, whose
+    # singular values are those of the first p columns of V.
+    if not degrees or degrees[0] < 0:
+        raise ValueError(f"fit degrees {degrees} must be nonnegative")
+    sel = qs[0].support
+    m = int(sel.sum())
+    first, top = degrees[0], degrees[-1]
+    if m < _count(first):
+        raise ValueError(
+            f"{m} sample node(s) cannot determine {_count(first)} coefficients")
+    zp = _powers(qs[0].mask.coords(sel), top)
+    zcp = zp.conj()
+    vals = [q.values[sel] for q in qs]
+    stride = max(1, -(-m // MAX_FIT_NODES))
+    if -(-m // stride) < _count(top):
+        stride = 1
+    zf, zcf = zp[:, ::stride], zcp[:, ::stride]
+    vf = np.stack([v[::stride] for v in vals])
+    rows, cols = vf.shape[1], _count(top)
+    Q = np.empty((rows, cols), dtype=complex, order="F")
+    R = np.zeros((cols, cols), dtype=complex)
+    qv = np.empty((cols, len(qs)), dtype=complex)  # Q^H vf^T
+    out = [None] * len(qs)
+    for d in range(top + 1):
+        pending = [j for j, fit in enumerate(out)
+                   if not isinstance(fit, PolyZZbar)]
+        if not pending:
+            break
+        p0, p = _count(d - 1), _count(d)
+        if m < p:
+            raise ValueError(
+                f"{m} sample node(s) cannot determine {p} coefficients")
+        W = (zf[:d + 1] * zcf[d::-1]).T
+        Qp = Q[:, :p0]
+        for _ in range(2):
+            proj = (W.T.conj() @ Qp).T.conj()
+            W = W - Qp @ proj
+            R[:p0, p0:p] += proj
+        Q[:, p0:p], R[p0:p, p0:p] = np.linalg.qr(W)
+        qv[p0:p] = (vf.conj() @ Q[:, p0:p]).T.conj()
+        if d < first:
+            continue
+        sing = np.linalg.svd(R[:p, :p], compute_uv=False)
+        # numpy lstsq's rank rule, applied to the singular values of V
+        rank = int((sing > np.finfo(float).eps * max(rows, p) * sing[0]).sum())
+        if rank < p:
+            raise FitRankError(
+                f"normal equations rank {rank} < {p} unknowns; "
+                f"lower the degree or supply more nodes")
+        coefs = solve_triangular(R[:p, :p], qv[:p, pending])
+        for j, c in zip(pending, coefs.T):
+            terms = [(a, b, ck) for (a, b), ck in zip(_monomials(d), c)]
+            poly = PolyZZbar(d, terms, cond=float(sing[0] / sing[-1]))
+            sup = float(np.abs(poly._on_table(zp, zcp) - vals[j]).max())
+            if sup <= target_sup:
+                poly.sup_error = sup
+                out[j] = poly
+            else:
+                out[j] = FitToleranceError(
+                    f"degree-{d} fit sup error {sup:.3e} exceeds "
+                    f"{target_sup:.3e}; increase degree", sup_error=sup)
+    return out
 
 
 def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
@@ -159,67 +280,36 @@ def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
     target_sup.  Least squares instead of a true sup-norm fit is a
     deliberate simplification: the downstream construction only needs
     the tolerance met, not optimality.  On grids beyond MAX_FIT_NODES
-    the normal equations use a stride subsample; the sup error is still
-    measured over every support node, so the guarantee is unchanged.
+    the least-squares problem uses a stride subsample; the sup error is
+    still measured over every support node, so the guarantee is
+    unchanged.  The fit reports the condition number of its monomial
+    matrix as cond.
     """
-    cols = _monomials(d)
-    sel = q.support
-    m = int(sel.sum())
-    if m < len(cols):
-        raise ValueError(
-            f"{m} sample node(s) cannot determine {len(cols)} coefficients")
-    z = q.mask.coords(sel)
-    vals = q.values[sel]
-    stride = max(1, -(-m // MAX_FIT_NODES))
-    zf, vf = z[::stride], vals[::stride]
-    if len(zf) < len(cols):
-        zf, vf = z, vals
-    V = np.stack([zf ** a * np.conj(zf) ** b for a, b in cols], axis=1)
-    c, _, rank, _ = np.linalg.lstsq(V, vf, rcond=None)
-    if rank < len(cols):
-        raise FitRankError(
-            f"normal equations rank {rank} < {len(cols)} unknowns; "
-            f"lower the degree or supply more nodes")
-    poly = PolyZZbar(d, [(a, b, ck) for (a, b), ck in zip(cols, c)],
-                     float("nan"))
-    sup = float(np.abs(poly(z) - vals).max())
-    if sup > target_sup:
-        raise FitToleranceError(
-            f"degree-{d} fit sup error {sup:.3e} exceeds {target_sup:.3e}; "
-            f"increase degree", sup_error=sup)
-    poly.sup_error = sup
-    return poly
+    fit = _fit_ladder([q], range(d, d + 1), target_sup)[0]
+    if isinstance(fit, FitToleranceError):
+        raise fit
+    return fit
 
 
-def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
-    """Quotient-route solution as expressions x_j = p_j / sum p_k f_k.
+def quotient_fits(problem: BezoutProblem, max_degree: int = 16) -> list:
+    """Fit step of the quotient route: polynomials p_j close to q_j.
 
-    Fits each q_j at increasing degree until the sup error is within
+    Fits every q_j at increasing degree, all degrees and all j on one
+    growing factorization, until the sup error is within
     1/(2 sum_k ||f_k||_inf), which forces |sum p_k f_k| >= 1/2 on the
-    nodes, then certifies that lower bound before dividing.
+    nodes, then certifies that lower bound.  Returns the PolyZZbar fits.
     """
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
             raise TypeError("quotient route returns expressions, so the "
                             "generators must be expressions")
-    qs = q_fields(problem)
     target = 1.0 / (2.0 * sum(problem.sup_norms()))
-    fits = []
-    for j, q in enumerate(qs):
-        last = None
-        for d in range(0, max_degree + 1):
-            # refit from scratch per degree: the matrices are small and
-            # the graded column order is not hierarchical under lstsq
-            try:
-                fits.append(weierstrass_fit(q, d, target))
-                break
-            except FitToleranceError as err:
-                last = err
-        else:
+    fits = _fit_ladder(q_fields(problem), range(max_degree + 1), target)
+    for j, fit in enumerate(fits):
+        if isinstance(fit, FitToleranceError):
             raise FitToleranceError(
                 f"q_{j + 1} not approximable to {target:.3e} by degree "
-                f"{max_degree}; increase max_degree",
-                sup_error=last.sup_error if last else float("nan"))
+                f"{max_degree}; increase max_degree", sup_error=fit.sup_error)
 
     mask = problem.mask
     zin = mask.coords(mask.inside)
@@ -230,7 +320,17 @@ def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
         raise ValueError(
             f"min |sum p_k f_k| = {dmin:.6f} < 1/2 although every fit met "
             f"its tolerance; the sampled sup norms are inconsistent")
+    return fits
 
+
+def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
+    """Quotient-route solution as expressions x_j = p_j / sum p_k f_k.
+
+    The p_j are the certified fits of quotient_fits.  corona_solve
+    evaluates the same quotient and its dbar numerically from the fits;
+    these expressions are the symbolic test oracle for that.
+    """
+    fits = quotient_fits(problem, max_degree)
     denom = Const(0.0)
     for p, f in zip(fits, problem.f_list):
         denom = add(denom, mul(p.as_expr(), f))

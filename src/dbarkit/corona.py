@@ -10,10 +10,15 @@ construction on g^4-weighted data so the obstruction stays bounded
 across common zeros of the generators.
 
 corona_solve, g_power_solve and g12_solve differ only in their set-up
-(the Bezout route, the domination and hypothesis checks, how x is
-built); each hands its sampled values to one correction core, which
-builds F, solves for H, assembles u and measures the residual, dbar u,
-dbar x and the contraction f H f^t.  corona_convergence runs
+(the Bezout route, the domination and hypothesis checks, how x and
+dbar x are obtained); each hands its sampled x and dbar x to one
+correction core, which builds F, solves for H, assembles u and
+measures the residual, dbar u, dbar x and the contraction f H f^t.
+On the poly route x_j = p_j / sum p_k f_k and dbar x_j come
+numerically from the polynomial fits by the quotient rule, so no
+symbolic tree is built or sampled beyond the generators' own dbar;
+koszul_F on the expressions of bezout.bezout_poly remains the
+symbolic test oracle.  corona_convergence runs
 corona_solve down the shared refinement ladder of the cauchy module.
 """
 
@@ -25,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .bezout import (BezoutProblem, CommonZeroError, bezout_poly, bezout_pou,
-                     require_no_common_zero, zero_collar)
+from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
+                     quotient_fits, require_no_common_zero, zero_collar)
 from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, pompeiu,
                      refinement_ladder, sample_field, sup_abs)
 from .division import check_domination, divide
@@ -106,28 +111,34 @@ def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
              weight=None) -> AntisymMatrixField:
     """Obstruction matrix F_jk = (dbar x_k conj f_j - dbar x_j conj f_k)/|f|^2.
 
-    Generators with a common zero on the grid are an error unless a
-    weight is supplied (the g^4 route): weighted entries are multiplied
-    by it and zero-extended on bezout.zero_collar.
+    dbar x_j is symbolic for expressions and one-sided differences for
+    callables and fields.  Generators with a common zero on the grid
+    are an error unless a weight is supplied (the g^4 route): weighted
+    entries are multiplied by it and zero-extended on
+    bezout.zero_collar.
     """
-    n = len(x_list)
-    if len(f_list) != n:
+    if len(f_list) != len(x_list):
         raise ValueError("x_list and f_list lengths differ")
     mask = resolve_mask(domain, h, mask)
+    return _obstruction((_dbar_values(x, mask) for x in x_list),
+                        [_as_values(f, mask) for f in f_list], mask,
+                        None if weight is None else _as_values(weight, mask))
 
-    fv = [_as_values(f, mask) for f in f_list]
+
+def _obstruction(dbx, fv, mask: RegionMask, wv=None) -> AntisymMatrixField:
+    # F from the sampled dbar x_j (dbx), f_j (fv) and weight (wv); dbx
+    # is drawn once, after the common-zero check, and dropped with the
+    # frame, so callers pass generators and no dbar x array outlives F
+    n = len(fv)
     s2 = sum(np.abs(v) ** 2 for v in fv)
     inside = mask.inside
-
-    if weight is None:
+    if wv is None:
         require_no_common_zero(mask, s2, "; use the weighted (g-power) route")
         live = inside
-        wv = None
     else:
-        wv = _as_values(weight, mask)
         live = inside & ~zero_collar(inside, sum(np.abs(v) for v in fv))
 
-    dbx = [_dbar_values(x, mask) for x in x_list]
+    dbx = list(dbx)
     upper = {}
     for j in range(n):
         for k in range(j + 1, n):
@@ -187,23 +198,21 @@ def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
                 for v in value_arrays), default=float("nan"))
 
 
-def _correct(x_list, x_fields, f_vals, target, desc: str, margin: int,
+def _correct(x_fields, dbx, f_vals, target, desc: str, margin: int,
              weight=None, lift=None, collar=None,
              extras=None) -> CoronaSolution:
     """The correction core: F from dbar x, H = pompeiu(F) entrywise,
     u = x - f H, then the measurements.
 
-    Everything arrives sampled on the mask of x_fields: f_vals, target
-    (what sum u_j f_j should equal), and the optional weight (the g^4
-    route: x and F are multiplied by it), lift (multiplies u, which is
-    then zero-extended on the collar) and collar (nodes around common
-    zeros; the dbar sups skip it dilated by two cells).  x_list is what
-    koszul_F differentiates: expressions symbolically, fields by
-    one-sided differences.
+    Everything arrives sampled on the mask of x_fields: dbx (the arrays
+    dbar x_j, drawn once by _obstruction), f_vals, target (what
+    sum u_j f_j should equal), and the optional weight (the g^4 route:
+    x and F are multiplied by it), lift (multiplies u, which is then
+    zero-extended on the collar) and collar (nodes around common zeros;
+    the dbar sups skip it dilated by two cells).
     """
     mask = x_fields[0].mask
-    F = koszul_F(x_list, [SampledField(mask, v) for v in f_vals], mask=mask,
-                 weight=None if weight is None else SampledField(mask, weight))
+    F = _obstruction(dbx, f_vals, mask, weight)
     H, reports = solve_dbar_matrix(F, margin)
     xv = [x.values if weight is None else weight * x.values for x in x_fields]
     uv = _assemble(xv, f_vals, H)
@@ -231,31 +240,58 @@ def _correct(x_list, x_fields, f_vals, target, desc: str, margin: int,
     )
 
 
+def _poly_unit_solution(problem: BezoutProblem, max_degree: int):
+    # x_j = p_j / D and dbar x_j = (dbar p_j D - p_j dbar D) / D^2 on
+    # the Inside nodes, D = sum p_k f_k and dbar D = sum (dbar p_k f_k +
+    # p_k dbar f_k), from the certified fits p_j; only the generators'
+    # own dbar trees are sampled
+    fits = quotient_fits(problem, max_degree=max_degree)
+    mask = problem.mask
+    inside = mask.inside
+    zin = mask.coords(inside)
+    pv, dpv = zip(*(p.value_and_dbar(zin) for p in fits))
+    fv = [g.values[inside] for g in problem.f_fields]
+    dfv = [_dbar_values(f, mask)[inside] for f in problem.f_list]
+    D = sum(p * f for p, f in zip(pv, fv))
+    dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
+
+    def on_nodes(v):
+        out = np.zeros(inside.shape, dtype=complex)
+        out[inside] = v
+        return out
+
+    x_fields = [SampledField(mask, on_nodes(p / D)) for p in pv]
+    dbx = (on_nodes((dp * D - p * dD) / D ** 2) for p, dp in zip(pv, dpv))
+    report = [{"degree": p.degree, "sup_error": p.sup_error, "cond": p.cond}
+              for p in fits]
+    return x_fields, dbx, report
+
+
 def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
                  route: str = "poly", max_degree: int = 16, margin: int = 3,
                  mask: Optional[RegionMask] = None) -> CoronaSolution:
     """Holomorphic-looking u with sum u_j f_j = 1 on the nodes.
 
-    route 'poly' corrects the polynomial-quotient unit solution
-    (symbolic dbar); 'pou' corrects the covering solution (discrete
-    dbar).  The returned dbar_sup is measured margin cells in from the
-    node-set boundary (NaN when that leaves no node); pair with
-    corona_convergence for the rate.
+    route 'poly' corrects the polynomial-quotient unit solution, with
+    x and dbar x evaluated numerically from the fits (extras['fits']
+    holds each fit's degree, sup_error and cond); 'pou' corrects the
+    covering solution (discrete dbar).  The returned dbar_sup is
+    measured margin cells in from the node-set boundary (NaN when that
+    leaves no node); pair with corona_convergence for the rate.
     """
     if route not in ("poly", "pou"):
         raise ValueError(f"unknown route {route!r}")
     problem = BezoutProblem.build(domain, f_list, h=h, mask=mask)
     if problem.delta <= 0:
         raise CommonZeroError("generators vanish together on the grid")
+    extras = {"route": route, "delta": problem.delta}
     if route == "poly":
-        xs = bezout_poly(problem, max_degree=max_degree)
-        x_fields = [sample_field(x, problem.mask) for x in xs]
+        x_fields, dbx, extras["fits"] = _poly_unit_solution(problem, max_degree)
     else:
         x_fields = bezout_pou(problem)
-        xs = x_fields
-    return _correct(xs, x_fields, [g.values for g in problem.f_fields], 1.0,
-                    "1", margin,
-                    extras={"route": route, "delta": problem.delta})
+        dbx = (_dbar_values(x, problem.mask) for x in x_fields)
+    return _correct(x_fields, dbx, [g.values for g in problem.f_fields], 1.0,
+                    "1", margin, extras=extras)
 
 
 def corona_convergence(f_list, domain: CompactDomain,
@@ -302,7 +338,8 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
 
     target, desc, lift = ((gv ** 5, "g^5", None) if isolated_zeros
                           else (gv ** 6, "g^6", gv))
-    return _correct(x_list, [SampledField(mask, v) for v in xv], fv, target,
+    return _correct([SampledField(mask, v) for v in xv],
+                    (_dbar_values(x, mask) for x in x_list), fv, target,
                     desc, margin, weight=gv ** 4, lift=lift,
                     collar=zero_collar(mask.inside, s1),
                     extras={"x_residual": xres})
@@ -348,7 +385,8 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     k_field = divide(scaled_g2, hsum_fn, 4, mask=mask)
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
-    return _correct(x_fields, x_fields, fv, gv ** 12, "g^12", margin,
+    return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), fv,
+                    gv ** 12, "g^12", margin,
                     weight=gv ** 4, collar=zero_collar(mask.inside, s1))
 
 

@@ -242,14 +242,16 @@ def _ring_probe(name, value_fn, mask, centers, scale):
 
 def _family_probe(name, value_fn, families, scale):
     # family = sequence of points marching toward the limit; families
-    # must agree in their tails for the limit to exist
+    # must agree in their tails for the limit to exist, and fewer than
+    # two families compare nothing (NaN)
     tails, allvals = {}, []
     for fam_name, pts in families.items():
         v = value_fn(np.asarray(pts, dtype=complex))
         allvals.extend(v.tolist())
         tails[fam_name] = complex(np.mean(v[-FAMILY_TAIL:]))
     vals = list(tails.values())
-    measured = max(abs(a - b) for a in vals for b in vals)
+    measured = (max(abs(a - b) for a in vals for b in vals)
+                if len(vals) >= 2 else float("nan"))
     if scale is None:
         scale = sup_abs(np.asarray(allvals))
     return ProbeResult(name, _grade(measured, scale), measured, scale,

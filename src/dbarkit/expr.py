@@ -25,10 +25,9 @@ constants for readability but perform no other rewriting.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 

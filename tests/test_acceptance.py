@@ -10,7 +10,6 @@ along in the printed detail.
 import math
 
 import numpy as np
-import pytest
 
 from dbarkit.bezout import BezoutProblem, bezout_poly, bezout_pou
 from dbarkit.cauchy import (dbar_convergence, pompeiu, refinement_ladder,

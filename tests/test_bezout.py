@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import dbarkit.expr as ex
 from dbarkit.bezout import (
     BezoutProblem,
     CommonZeroError,
     CoveringError,
     FitRankError,
     FitToleranceError,
+    PolyZZbar,
     VanishingError,
     bezout_poly,
     bezout_pou,
@@ -19,7 +21,8 @@ from dbarkit.bezout import (
 )
 from dbarkit.cauchy import SampledField, dbar_fd, sample_field
 from dbarkit.domains import Disk, build_mask
-from dbarkit.expr import Const, Quotient, Z, as_callable, intpow, sub
+from dbarkit.expr import (Const, Quotient, Z, as_callable, intpow, sub,
+                          wirtinger_dbar)
 
 ONE_MINUS_Z = sub(Const(1.0), Z)
 
@@ -96,6 +99,14 @@ def test_weierstrass_too_few_nodes(disk_mask_64):
         weierstrass_fit(empty, 2, 1.0)
 
 
+def test_fit_degree_must_be_nonnegative(linear_pair):
+    q = q_fields(linear_pair)[0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        weierstrass_fit(q, -1, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bezout_poly(linear_pair, max_degree=-1)
+
+
 def test_weierstrass_rank_deficiency(disk_mask_64):
     # three nodes on the real axis: there z = conj(z), so the d=1
     # columns 1, z, conj(z) are dependent
@@ -113,6 +124,48 @@ def test_weierstrass_tolerance_failure(disk_mask_64):
     with pytest.raises(FitToleranceError, match="increase degree") as err:
         weierstrass_fit(q, 2, 1e-12)
     assert err.value.sup_error > 1e-12
+
+
+def test_weierstrass_matches_lstsq_on_the_subsample():
+    # just over MAX_FIT_NODES Inside nodes, so the fit runs on a stride
+    # subsample; every degree's node values must agree with numpy's
+    # lstsq on that same subsample
+    m = build_mask(Disk(0j, 0.63), h=1 / 128)
+    q = sample_field(lambda z: 1 / (1.5 - z) + np.abs(z) ** 3, m)
+    z, v = m.coords(m.inside), q.values[m.inside]
+    stride = -(-len(z) // 20000)
+    assert stride == 2
+    cols = [(a, s - a) for s in range(17) for a in range(s + 1)]
+    V = np.stack([z ** a * np.conj(z) ** b for a, b in cols], axis=1)
+    for d in range(17):
+        p = (d + 1) * (d + 2) // 2
+        c = np.linalg.lstsq(V[::stride, :p], v[::stride], rcond=None)[0]
+        want = V[:, :p] @ c
+        fit = weierstrass_fit(q, d, 10.0)
+        assert np.abs(fit(z) - want).max() <= 1e-9 * np.abs(want).max()
+        assert fit.cond >= 1 and np.isfinite(fit.cond)
+
+
+_COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                           allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 8), data=st.data())
+def test_poly_dbar_matches_symbolic_dbar(degree, data):
+    # dbar of c z^a conj(z)^b is b c z^a conj(z)^(b-1); the table-based
+    # values and dbar must agree with the expression tree's
+    terms = [(a, s - a, data.draw(_COEF))
+             for s in range(degree + 1) for a in range(s + 1)]
+    z = np.array(data.draw(st.lists(
+        st.complex_numbers(max_magnitude=1, allow_nan=False,
+                           allow_infinity=False), min_size=1, max_size=8)))
+    p = PolyZZbar(degree, terms)
+    value, dbar = p.value_and_dbar(z)
+    scale = 1 + sum((1 + b) * abs(c) for _, b, c in terms)
+    assert np.abs(dbar - wirtinger_dbar(p.as_expr()).eval(z)).max() <= 1e-12 * scale
+    assert np.abs(value - p.as_expr().eval(z)).max() <= 1e-12 * scale
+    assert np.abs(p(z) - value).max() == 0
 
 
 def test_bezout_poly_linear(linear_pair):

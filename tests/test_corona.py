@@ -10,19 +10,23 @@ powers of z, so residuals are compared against exact node values.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dbarkit.bezout import BezoutProblem, CommonZeroError, bezout_poly
 from dbarkit.cauchy import SampledField, sample_field
-from dbarkit.corona import (AntisymMatrixField, _skew_residual,
-                            corona_convergence, corona_solve, g12_solve,
-                            g_power_solve, koszul_F, koszul_cancellation,
-                            solve_dbar_matrix)
+from dbarkit.corona import (AntisymMatrixField, _assemble, _dbar_sup,
+                            _skew_residual, corona_convergence, corona_solve,
+                            g12_solve, g_power_solve, koszul_F,
+                            koszul_cancellation, solve_dbar_matrix)
 from dbarkit.division import DominationError
 from dbarkit.domains import Disk, build_mask
 from dbarkit.expr import Z, Const, add, conj, div, intpow, mul, sub
+from strategies import POLY_TREES
 
 DISK = Disk(0j, 1.0)
 LINEAR = [sub(Const(1.0), Z), Z]
+QUARTIC = [intpow(Z, 2), intpow(sub(Const(1.0), Z), 2)]
 CUBIC_PAIR = [intpow(Z, 2), intpow(Z, 3)]
 
 
@@ -138,16 +142,42 @@ class _NoSignFlip(AntisymMatrixField):
         return super().entry(min(j, k), max(j, k))
 
 
-def _poly_route_H(f_list, m):
-    # the correction matrix H of the poly route and the sampled f_j
+def _symbolic_oracle(f_list, m, margin=3):
+    # the poly route through the expression trees: koszul_F on
+    # bezout_poly's quotients (symbolic dbar), the entrywise solve and
+    # the assembly; returns H, the sampled f_j, u and the entry reports
     problem = BezoutProblem.build(DISK, f_list, mask=m)
-    H, _ = solve_dbar_matrix(koszul_F(bezout_poly(problem), f_list, mask=m))
-    return H, [g.values for g in problem.f_fields]
+    xs = bezout_poly(problem)
+    H, reports = solve_dbar_matrix(koszul_F(xs, f_list, mask=m), margin)
+    fv = [g.values for g in problem.f_fields]
+    u = _assemble([sample_field(x, m).values for x in xs], fv, H)
+    return H, fv, u, reports
+
+
+@pytest.mark.parametrize("f_list", [LINEAR, QUARTIC], ids=["linear", "quartic"])
+def test_poly_route_matches_symbolic_oracle(f_list, disk_mask_64):
+    # corona_solve takes x and dbar x from the fits numerically; the
+    # expression trees of bezout_poly must tell the same story.  The
+    # margin is criterion 2's at h = 1/64 (0.15 / h cells): the two
+    # evaluation orders of the degree-15 quartic fits differ by 1e-12
+    # in u, and next to the boundary (3 cells) dbar_fd's 1/h turns that
+    # into 2e-10 of dbar_sup
+    m = disk_mask_64
+    sol = corona_solve(f_list, DISK, mask=m, margin=10)
+    _, _, u, reports = _symbolic_oracle(f_list, m, sol.margin)
+    for got, want in zip(sol.u, u):
+        assert np.abs(got.values - want).max() <= 1e-10 * np.abs(want).max()
+    want_sup = _dbar_sup(u, m, sol.margin)
+    assert abs(sol.dbar_sup - want_sup) <= 1e-10 * want_sup
+    assert reports.keys() == sol.entry_reports.keys()
+    for key, rep in reports.items():
+        got = sol.entry_reports[key]["max_dev"]
+        assert abs(got - rep["max_dev"]) <= 1e-10 * rep["max_dev"]
 
 
 def test_skew_check_catches_symmetric_matrix(disk_mask_64):
     m = disk_mask_64
-    H, fv = _poly_route_H(LINEAR, m)
+    H, fv = _symbolic_oracle(LINEAR, m)[:2]
     assert _skew_residual(fv, H, m.inside) <= 1e-12
     broken = _NoSignFlip(H.n, H.mask, H.upper)
     assert _skew_residual(fv, broken, m.inside) > 1e-12
@@ -162,17 +192,22 @@ def test_corona_three_generators(disk_mask_64):
     assert sol.skew_residual <= 1e-12
     assert sol.dbar_sup <= 1e-2 * sol.dbar_sup_x
     assert len(sol.entry_reports) == 3
-    H, fv = _poly_route_H(triple, disk_mask_64)
+    H, fv = _symbolic_oracle(triple, disk_mask_64)[:2]
     broken = _NoSignFlip(H.n, H.mask, H.upper)
     assert _skew_residual(fv, broken, disk_mask_64.inside) > 1e-12
 
 
 def test_corona_quartic_pair():
-    sol = corona_solve([intpow(Z, 2), intpow(sub(Const(1.0), Z), 2)],
-                       DISK, h=1 / 64)
+    sol = corona_solve(QUARTIC, DISK, h=1 / 64)
     assert sol.residual_sup < 1e-12
     assert sol.dbar_sup < 5e-2
     assert sol.dbar_sup <= sol.dbar_sup_x
+    # each fit reports its degree, sup error and conditioning
+    assert len(sol.extras["fits"]) == 2
+    for fit in sol.extras["fits"]:
+        assert isinstance(fit["degree"], int) and 1 <= fit["degree"] <= 16
+        assert np.isfinite(fit["cond"]) and fit["cond"] >= 1
+        assert 0 <= fit["sup_error"] <= 1 / (2 * (1 + 4))
 
 
 def test_corona_covering_route():
@@ -289,6 +324,22 @@ def test_cancellation_identity_nonholomorphic_target(rng):
     rep = koszul_cancellation([conj(Z)], [Z], pts)
     assert rep["max_diff"] < 1e-14
     assert rep["rhs_sup"] == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_koszul_row_identity_property(n, data):
+    # dbar x_j - (f F)_j = conj(f_j) (f . dbar x)/|f|^2 is pure algebra
+    # for any x and any generators without a common zero at the points
+    xs = [data.draw(POLY_TREES) for _ in range(n)]
+    fs = [data.draw(POLY_TREES) for _ in range(n)]
+    pts = np.array(data.draw(st.lists(
+        st.complex_numbers(max_magnitude=1, allow_nan=False,
+                           allow_infinity=False), min_size=1, max_size=6)))
+    s2 = sum(np.abs(f.eval(pts) * np.ones_like(pts)) ** 2 for f in fs)
+    assume(s2.min() >= 1e-6)
+    rep = koszul_cancellation(xs, fs, pts)
+    assert rep["max_diff"] <= 1e-10 * max(1.0, rep["rhs_sup"])
 
 
 def test_cancellation_requires_expressions():

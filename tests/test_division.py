@@ -214,6 +214,18 @@ def test_probes_on_nothing_measured_are_inconclusive():
     assert not rep["gradient_bounded"]
 
 
+def test_single_family_is_inconclusive():
+    # z/conj(z) is discontinuous at 0, but one approach family has no
+    # second tail to disagree with; the probe must not read as a pass
+    radial = {"radial": [0.5, 0.25, 0.125, 0.0625]}
+    cert = certify_class(Z, conj(Z), 1, DISK, "C0", families=radial)
+    assert np.isnan(cert.probe("value").measured)
+    assert cert.verdict == INCONCLUSIVE
+    both = dict(radial, imaginary=[0.5j, 0.25j, 0.125j, 0.0625j])
+    cert = certify_class(Z, conj(Z), 1, DISK, "C0", families=both)
+    assert cert.verdict == FAIL
+
+
 class TestSectorChain:
     chain = SectorChain(8)
 

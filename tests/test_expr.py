@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbarkit.expr import (S, Z, Conj, Const, ExprParseError, IntPow, PoleError,
-                          Product, Sum, add, as_callable, conj, const, div,
-                          directional_limit_probe, evaluate, exp, intpow,
-                          is_conj_free, log, mobius, mul, neg, parse_expr, sub,
-                          wirtinger_d, wirtinger_dbar)
+                          Sum, add, as_callable, conj, const, div,
+                          directional_limit_probe, exp, intpow, is_conj_free,
+                          log, mobius, mul, parse_expr, sub, wirtinger_d,
+                          wirtinger_dbar)
+from strategies import POLY_TREES
 
 POINTS = [0.3 + 0.4j, -0.5 + 0.1j, 0.2 - 0.7j, 0.9j]
 
@@ -151,21 +152,8 @@ def test_derivatives_match_finite_differences(e):
         assert dbe.eval(z) == pytest.approx(fd_db, rel=1e-5, abs=1e-7)
 
 
-# pole-free trees: polynomials in z and conj(z) built from the
-# constructors, small enough that central differences stay accurate
-_LEAVES = st.one_of(
-    st.just(Z), st.just(conj(Z)),
-    st.complex_numbers(max_magnitude=2, allow_nan=False,
-                       allow_infinity=False).map(const))
-_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
-    st.lists(kids, min_size=2, max_size=3).map(lambda ts: add(*ts)),
-    st.lists(kids, min_size=2, max_size=3).map(lambda ts: mul(*ts)),
-    st.tuples(kids, st.integers(0, 3)).map(lambda t: intpow(*t))),
-    max_leaves=6)
-
-
 @settings(max_examples=60, deadline=None)
-@given(_TREES, st.complex_numbers(max_magnitude=1, allow_nan=False,
+@given(POLY_TREES, st.complex_numbers(max_magnitude=1, allow_nan=False,
                                   allow_infinity=False))
 def test_wirtinger_pair_matches_central_differences(e, z):
     fd_d, fd_db = wirtinger_fd(e, z)
