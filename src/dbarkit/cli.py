@@ -27,11 +27,14 @@ selects the region: ``kind`` is one of disk, annulus_sector,
 sector_chain, disk_chain, comb, inner_spiral, half_ring_spiral, polygon,
 with the constructor's keyword arguments as further keys (complex values
 like ``0.5+0.25j``; ``vertices`` space-separated).  A section named
-after the subcommand holds its parameters.  Expressions use the prefix
-grammar of the expression module, e.g. ``sub(1, z)``, ``pow(z, 3)``,
-``mul(conj(z), S)``.  Command-line flags override file values; without
---config every parameter falls back to its default (unit disk, default
-ladder).
+after the subcommand holds its parameters.  Every section is read
+against one schema of keys: an unknown key is rejected, counts are at
+least 1, booleans take configparser's words (true/false, yes/no, on/off,
+1/0), and every malformed, missing or unknown key exits 1.  Expressions
+use the prefix grammar of the expression module, e.g. ``sub(1, z)``,
+``pow(z, 3)``, ``mul(conj(z), S)``.  Command-line flags override file
+values; without --config every parameter falls back to its default
+(unit disk, default ladder).
 
 CSV schemas (one file per run; the first line is a generation-stamp
 comment, and bodies below it are byte-identical across reruns of the
@@ -59,13 +62,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from .bezout import (BezoutProblem, CommonZeroError, CoveringError,
                      FitRankError, FitToleranceError, VanishingError,
-                     bezout_poly, bezout_pou)
+                     bezout_pou, quotient_fits)
 from .cauchy import dbar_convergence
 from .corona import corona_convergence
 from .division import FAIL, PASS, DominationError, certify_class
@@ -73,8 +76,8 @@ from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       HalfRingSpiral, InnerSpiral, MaskResolutionError,
                       Polygon, SectorChain, build_mask, connected_components,
                       dump_mask)
-from .expr import (Const, ExprParseError, PoleError, S, Z, add, as_callable,
-                   conj, intpow, mul, parse_expr, sub)
+from .expr import (Const, ExprParseError, PoleError, S, Z, add, conj, intpow,
+                   mul, parse_expr, sub)
 from .faa import (MAX_ORDER, coefficient, compose_derivative,
                   enumerate_multi_indices, taylor_oracle)
 from .geometry import (DisconnectedError, l_probe, spiral_growth_probe,
@@ -90,11 +93,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PRECONDITION = 2
 EXIT_ACCEPTANCE = 3
-
-DEFAULT_LADDER = (1 / 64, 1 / 128, 1 / 256)
-
-COMMANDS = ("domains", "cauchy", "bezout", "corona", "divide",
-            "sharpness", "faa", "lconn", "taylor")
 
 # errors that mean "the requested computation is not admissible on this
 # input", as opposed to config mistakes (exit 1) or failed checks (exit 3)
@@ -146,31 +144,102 @@ class RunReport:
 
 
 # --------------------------------------------------------------- parsing
+#
+# Every section is read by _read against a schema {key: (cast, default)}.
+# A cast (raw, key) -> value raises ConfigError; the default is raw text,
+# cast like a file value, None (the key reads None when absent) or
+# REQUIRED.
+
+REQUIRED = object()
 
 
-def _number(text: str) -> float:
-    text = text.strip()
+def _read(section, schema, where) -> dict:
+    unknown = sorted(set(section) - set(schema))
+    if unknown:
+        raise ConfigError(f"{where} has unknown key(s) {', '.join(unknown)} "
+                          f"(known: {', '.join(schema)})")
+    values = {}
+    for key, (cast, default) in schema.items():
+        raw = section.get(key, default)
+        if raw is REQUIRED:
+            raise ConfigError(f"{where} needs key {key!r}")
+        try:
+            values[key] = None if raw is None else cast(raw, key)
+        except ConfigError as err:
+            raise ConfigError(f"{where} {err}") from None
+    return values
+
+
+def _text(raw, key) -> str:
+    return raw.strip()
+
+
+def _number(raw, key) -> float:
+    text = raw.strip()
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+        return float(num) / (float(den) if slash else 1.0)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"cannot parse number {text!r}") from None
+        raise ConfigError(f"{key}: cannot parse number {text!r}") from None
+
+
+def _positive(raw, key) -> float:
+    value = _number(raw, key)
+    if not value > 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
 
 
 def _int(raw, key) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
 
 
-def _complex(text: str) -> complex:
+def _at_least(lo, hi=None):
+    rule = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+
+    def cast(raw, key):
+        value = _int(raw, key)
+        if value < lo or (hi is not None and value > hi):
+            raise ConfigError(f"{key} must be {rule}, got {value}")
+        return value
+    return cast
+
+
+def _one_of(*choices):
+    def cast(raw, key):
+        word = raw.strip()
+        if word not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, "
+                              f"got {word!r}")
+        return word
+    return cast
+
+
+def _flag(raw, key) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    return states[_one_of(*states)(raw.lower(), key)]
+
+
+def _ladder(shortest):
+    # strictly decreasing positive numbers, e.g. grid spacings or radii
+    def cast(raw, key):
+        values = tuple(_number(tok, key) for tok in raw.split())
+        if len(values) < shortest or not all(
+                a > b for a, b in zip(values, values[1:] + (0.0,))):
+            raise ConfigError(f"{key} must list at least {shortest} positive, "
+                              f"strictly decreasing number(s), got {raw!r}")
+        return values
+    return cast
+
+
+def _complex(raw, key) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        return complex(raw.replace(" ", ""))
     except ValueError:
-        raise ConfigError(f"cannot parse complex value {text!r}") from None
+        raise ConfigError(f"{key}: cannot parse complex value {raw!r}") from None
 
 
 def _split_top(text: str) -> list:
@@ -188,241 +257,112 @@ def _split_top(text: str) -> list:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _expr(text: str):
+def _expr(raw, key):
     try:
-        return parse_expr(text)
+        return parse_expr(raw)
     except ExprParseError as err:
-        raise ConfigError(f"in expression {text!r}: {err}") from None
+        raise ConfigError(f"{key}: in expression {raw!r}: {err}") from None
 
 
-def _expr_list(text: str) -> list:
-    exprs = [_expr(p) for p in _split_top(text)]
+def _expr_list(raw, key) -> list:
+    exprs = [_expr(p, key) for p in _split_top(raw)]
     if not exprs:
-        raise ConfigError("expression list is empty")
+        raise ConfigError(f"{key}: expression list is empty")
     return exprs
 
 
-def _positive(section, key, default) -> float:
-    raw = section.get(key)
-    value = default if raw is None else _number(raw)
-    if not value > 0:
-        raise ConfigError(f"{key} must be positive, got {value}")
-    return float(value)
+_RUN = {"command": (_text, None), "out": (_text, None),
+        "levels": (_ladder(1), "1/64 1/128 1/256"), "seed": (_int, "20260817")}
 
-
-def _h_ladder(section, levels_flag) -> tuple:
-    raw = section.get("levels")
-    if raw is None:
-        hs = list(DEFAULT_LADDER)
-    else:
-        hs = [_number(tok) for tok in raw.split()]
-    if levels_flag is not None:
-        if levels_flag < 1:
-            raise ConfigError("--levels must be at least 1")
-        while len(hs) < levels_flag:
-            hs.append(hs[-1] / 2)
-        hs = hs[:levels_flag]
-    if any(h <= 0 for h in hs):
-        raise ConfigError("grid spacings must be positive")
-    if any(a <= b for a, b in zip(hs, hs[1:])):
-        raise ConfigError("grid spacings must be strictly decreasing")
-    return tuple(hs)
-
-
+# kind: (constructor, schema); a key that reads None is left to the
+# constructor's default
 _DOMAIN_KINDS = {
-    "disk": (Disk, {"center": ("center", _complex, 0j),
-                    "radius": ("radius", _number, 1.0)}),
-    "annulus_sector": (AnnulusSector, {"r_in": ("r_in", _number, None),
-                                       "r_out": ("r_out", _number, None),
-                                       "half_angle": ("half_angle", _number, None),
-                                       "center": ("center", _complex, 0j)}),
-    "sector_chain": (SectorChain, {"count": ("count", int, 8)}),
-    "disk_chain": (DiskChain, {"count": ("count", int, 8)}),
-    "comb": (Comb, {"teeth": ("teeth", int, 8),
-                    "base_height": ("base_height", _number, 0.25),
-                    "tooth_height": ("tooth_height", _number, 1.0)}),
-    "inner_spiral": (InnerSpiral, {"theta_max": ("theta_max", _number,
-                                                 16 * math.pi)}),
-    "half_ring_spiral": (HalfRingSpiral, {"rings": ("rings", int, 6),
-                                          "thickness": ("thickness", _number, 0.6)}),
+    "disk": (Disk, {"center": (_complex, "0j"), "radius": (_number, "1")}),
+    "annulus_sector": (AnnulusSector, {"r_in": (_number, REQUIRED),
+                                       "r_out": (_number, REQUIRED),
+                                       "half_angle": (_number, REQUIRED),
+                                       "center": (_complex, None)}),
+    "sector_chain": (SectorChain, {"count": (_int, "8")}),
+    "disk_chain": (DiskChain, {"count": (_int, "8")}),
+    "comb": (Comb, {"teeth": (_int, None), "base_height": (_number, None),
+                    "tooth_height": (_number, None)}),
+    "inner_spiral": (InnerSpiral, {"theta_max": (_number, None)}),
+    "half_ring_spiral": (HalfRingSpiral, {"rings": (_int, None),
+                                          "thickness": (_number, None)}),
+    "polygon": (Polygon, {"vertices": (
+        lambda raw, key: tuple(_complex(tok, key) for tok in raw.split()),
+        REQUIRED)}),
 }
+_KIND = {"kind": (_one_of(*_DOMAIN_KINDS), "disk")}
 
 
-def _parse_domain(section) -> CompactDomain:
-    kind = section.get("kind", "disk").strip()
-    if kind == "polygon":
-        raw = section.get("vertices")
-        if raw is None:
-            raise ConfigError("polygon needs a vertices key")
-        return Polygon(tuple(_complex(tok) for tok in raw.split()))
-    if kind not in _DOMAIN_KINDS:
-        known = ", ".join(sorted(_DOMAIN_KINDS) + ["polygon"])
-        raise ConfigError(f"unknown domain kind {kind!r} (known: {known})")
-    cls, spec = _DOMAIN_KINDS[kind]
-    kwargs = {}
-    for arg, (key, cast, default) in spec.items():
-        raw = section.get(key)
-        if raw is None:
-            if default is None:
-                raise ConfigError(f"domain kind {kind!r} needs key {key!r}")
-            kwargs[arg] = default
-        else:
-            try:
-                kwargs[arg] = cast(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"bad value for domain key {key!r}: "
-                                  f"{raw!r}") from None
+def _read_domain(section) -> CompactDomain:
+    kind = _read({"kind": section.get("kind", "disk")}, _KIND,
+                 "[domain]")["kind"]
+    cls, schema = _DOMAIN_KINDS[kind]
+    kwargs = _read(section, {**_KIND, **schema}, "[domain]")
+    del kwargs["kind"]
     try:
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in kwargs.items() if v is not None})
     except ValueError as err:
-        raise ConfigError(f"domain: {err}") from None
+        raise ConfigError(f"[domain] {err}") from None
 
 
 # ------------------------------------------------ per-command parameters
 
-
-def _load_domains(section):
-    comp = section.get("components")
-    return {"components": None if comp is None else _int(comp, "components"),
-            "dump": section.get("dump")}
-
-
-def _load_cauchy(section):
-    return {"f": _expr(section.get("f", "1")),
-            "tol": None if "tol" not in section else _positive(section, "tol", None),
-            "slope_min": _number(section.get("slope_min", "0.9")),
-            "physical_margin": _positive(section, "physical_margin", 0.15)}
-
-
-def _load_bezout(section):
-    if "f" not in section:
-        raise ConfigError("bezout needs f = <expressions>")
-    route = section.get("route", "both").strip()
-    if route not in ("poly", "pou", "both"):
-        raise ConfigError(f"bezout route must be poly, pou, or both, got {route!r}")
-    return {"f": _expr_list(section["f"]),
-            "route": route,
-            "residual_tol": _positive(section, "residual_tol", 1e-10),
-            "max_degree": _int(section.get("max_degree", "16"), "max_degree")}
-
-
-def _load_corona(section):
-    if "f" not in section:
-        raise ConfigError("corona needs f = <expressions>")
-    route = section.get("route", "poly").strip()
-    if route not in ("poly", "pou"):
-        raise ConfigError(f"corona route must be poly or pou, got {route!r}")
-    return {"f": _expr_list(section["f"]),
-            "route": route,
-            "residual_tol": _positive(section, "residual_tol", 1e-6),
-            "dbar_tol": _positive(section, "dbar_tol", 1e-3),
-            "slope_min": _number(section.get("slope_min", "0.9")),
-            "max_degree": _int(section.get("max_degree", "16"), "max_degree"),
-            "physical_margin": _positive(section, "physical_margin", 0.15)}
-
-
+_DOMAINS = {"components": (_int, None), "dump": (_text, None)}
+_CAUCHY = {"f": (_expr, "1"), "tol": (_positive, None),
+           "slope_min": (_number, "0.9"), "physical_margin": (_positive, "0.15")}
+_BEZOUT = {"f": (_expr_list, REQUIRED),
+           "route": (_one_of("poly", "pou", "both"), "both"),
+           "residual_tol": (_positive, "1e-10"), "max_degree": (_at_least(0), "16")}
+_CORONA = {"f": (_expr_list, REQUIRED), "route": (_one_of("poly", "pou"), "poly"),
+           "residual_tol": (_positive, "1e-6"), "dbar_tol": (_positive, "1e-3"),
+           "slope_min": (_number, "0.9"), "max_degree": (_at_least(0), "16"),
+           "physical_margin": (_positive, "0.15")}
 _CLASSES = ("C0", "C1", "A0", "A1", "Dbar1")
-
-
-def _load_divide(section):
-    for key in ("f", "g", "power", "class"):
-        if key not in section:
-            raise ConfigError(f"divide needs key {key!r}")
-    claimed = section["class"].strip()
-    if claimed not in _CLASSES:
-        raise ConfigError(f"unknown class {claimed!r} (known: {', '.join(_CLASSES)})")
-    power = _int(section["power"], "power")
-    if power < 1:
-        raise ConfigError("power must be at least 1")
-    expect = section.get("expect", "pass").strip()
-    if expect not in ("pass", "fail"):
-        raise ConfigError(f"expect must be pass or fail, got {expect!r}")
-    # derivative-layer probes need ring room around the divisor zeros;
-    # 1/512 keeps every shipped class decidable out of the box
-    return {"f": _expr(section["f"]), "g": _expr(section["g"]),
-            "power": power, "claimed": claimed,
-            "h": _positive(section, "h", 1 / 512),
-            "expect": PASS if expect == "pass" else FAIL}
-
-
-def _load_sharpness(section):
-    return {"h_fine": _positive(section, "h_fine", 1 / 512),
-            "h_chain": _positive(section, "h_chain", 1 / 256)}
-
-
-def _load_faa(section):
-    n = section.get("n")
-    verify = section.get("verify", "").strip().lower() in ("1", "true", "yes", "on")
-    if n is None and not verify:
-        verify = True
-    n = None if n is None else _int(n, "n")
-    if n is not None and not 1 <= n <= MAX_ORDER:
-        raise ConfigError(f"n must lie in 1..{MAX_ORDER}")
-    return {"n": n, "verify": verify,
-            "trials": _int(section.get("trials", "200"), "trials"),
-            "max_n": _int(section.get("max_n", "12"), "max_n"),
-            "tol": _positive(section, "tol", 1e-10)}
-
-
+# derivative-layer probes need ring room around the divisor zeros;
+# h = 1/512 keeps every shipped class decidable out of the box
+_DIVIDE = {"f": (_expr, REQUIRED), "g": (_expr, REQUIRED),
+           "power": (_at_least(1), REQUIRED), "class": (_one_of(*_CLASSES), REQUIRED),
+           "h": (_positive, "1/512"), "expect": (_one_of("pass", "fail"), "pass")}
+_DIVIDE_FLAGS = {"f": {}, "g": {}, "power": {}, "class": {},
+                 "domain": {"choices": list(_DOMAIN_KINDS)}}
+_SHARPNESS = {"h_fine": (_positive, "1/512"), "h_chain": (_positive, "1/256")}
+_FAA = {"n": (_at_least(1, MAX_ORDER), None), "verify": (_flag, "false"),
+        "trials": (_at_least(1), "200"), "max_n": (_at_least(1, MAX_ORDER), "12"),
+        "tol": (_positive, "1e-10")}
+_FAA_FLAGS = {"n": {}, "verify": {"action": "store_const", "const": "true"}}
 _VERDICTS = ("bounded", "growing", "inconclusive")
+_LCONN = {"preset": (_one_of("spiral"), None), "expect": (_one_of(*_VERDICTS), None)}
+_LCONN_DISK = {**_LCONN, "z0": (_complex, "0+0j"),
+               "scales": (_ladder(2), "0.2 0.1 0.05"),
+               "samples": (_at_least(1), "64"), "h": (_positive, "1/128")}
+_LCONN_SPIRAL = {**_LCONN, "scales": (_ladder(2), "0.3 0.15 0.075"),
+                 "samples": (_at_least(1), "256"), "nodes": (_at_least(1), "256"),
+                 "depth": (_positive, "1.45")}
+_TAYLOR = {"f": (_expr, REQUIRED), "z0": (_complex, REQUIRED),
+           "m": (_at_least(0), REQUIRED),
+           "radii": (_ladder(2), "0.2 0.1 0.05 0.025 0.0125"),
+           "samples": (_at_least(1), "48"),
+           "coeffs": (lambda raw, key: [_complex(t, key) for t in _split_top(raw)],
+                      None),
+           "expect": (_one_of("pass", "fail", "none"), "pass")}
 
 
-def _load_lconn(section):
-    preset = section.get("preset", "").strip()
-    if preset not in ("", "spiral"):
-        raise ConfigError(f"unknown lconn preset {preset!r}")
-    expect = section.get("expect", "").strip()
-    if expect and expect not in _VERDICTS:
-        raise ConfigError(f"expect must be one of {', '.join(_VERDICTS)}")
-    default_samples = "256" if preset == "spiral" else "64"
-    params = {"preset": preset, "expect": expect or None,
-              "samples": _int(section.get("samples", default_samples), "samples")}
-    if preset == "spiral":
-        params["nodes"] = _int(section.get("nodes", "256"), "nodes")
-        params["depth"] = _positive(section, "depth", 1.45)
-        params["scales"] = tuple(_number(t) for t in
-                                 section.get("scales", "0.3 0.15 0.075").split())
-    else:
-        params["z0"] = _complex(section.get("z0", "0+0j"))
-        params["scales"] = tuple(_number(t) for t in
-                                 section.get("scales", "0.2 0.1 0.05").split())
-        params["h"] = _positive(section, "h", 1 / 128)
-    return params
+def _lconn_schema(section) -> dict:
+    # the preset picks the schema; an unknown preset fails its own cast
+    return _LCONN_SPIRAL if section.get("preset") == "spiral" else _LCONN_DISK
 
 
-def _load_taylor(section):
-    for key in ("f", "z0", "m"):
-        if key not in section:
-            raise ConfigError(f"taylor needs key {key!r}")
-    m = _int(section["m"], "m")
-    if m < 0:
-        raise ConfigError("m must be at least 0")
-    coeffs = section.get("coeffs")
-    expect = section.get("expect", "pass").strip()
-    if expect not in ("pass", "fail", "none"):
-        raise ConfigError(f"expect must be pass, fail, or none, got {expect!r}")
-    return {"f": _expr(section["f"]), "z0": _complex(section["z0"]), "m": m,
-            "radii": tuple(_number(t) for t in
-                           section.get("radii", "0.2 0.1 0.05 0.025 0.0125").split()),
-            "samples": _int(section.get("samples", "48"), "samples"),
-            "coeffs": None if coeffs is None else
-                      [_complex(t) for t in _split_top(coeffs)],
-            "expect": expect}
-
-
-_PARAM_LOADERS = {
-    "domains": _load_domains, "cauchy": _load_cauchy, "bezout": _load_bezout,
-    "corona": _load_corona, "divide": _load_divide, "sharpness": _load_sharpness,
-    "faa": _load_faa, "lconn": _load_lconn, "taylor": _load_taylor,
-}
+def _section(cp, name) -> dict:
+    return dict(cp[name]) if cp.has_section(name) else {}
 
 
 def load_config(command: str, config_path=None, overrides=None,
                 out=None, levels=None) -> ExperimentConfig:
     """Assemble an ExperimentConfig from an INI file plus flag overrides."""
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if config_path is not None:
@@ -433,23 +373,31 @@ def load_config(command: str, config_path=None, overrides=None,
             cp.read(path)
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {path}: {err}") from None
-    run_sec = cp["run"] if cp.has_section("run") else {}
-    declared = run_sec.get("command")
-    if declared is not None and declared.strip() != command:
-        raise ConfigError(f"config declares command {declared.strip()!r}, "
+    run_sec = _read(_section(cp, "run"), _RUN, "[run]")
+    declared = run_sec["command"]
+    if declared is not None and declared != command:
+        raise ConfigError(f"config declares command {declared!r}, "
                           f"but {command!r} was requested")
-    h_list = _h_ladder(run_sec, levels)
-    seed = _int(run_sec.get("seed", "20260817"), "seed")
-    out_val = out if out is not None else run_sec.get("out")
-    section = dict(cp[command]) if cp.has_section(command) else {}
+    h_list = run_sec["levels"]
+    if levels is not None:
+        if levels < 1:
+            raise ConfigError("--levels must be at least 1")
+        while len(h_list) < levels:
+            h_list += (h_list[-1] / 2,)
+        h_list = h_list[:levels]
+    out_val = out if out is not None else run_sec["out"]
+    section = _section(cp, command)
     if overrides:
         section.update({k: v for k, v in overrides.items() if v is not None})
-    domain = _parse_domain(dict(cp["domain"]) if cp.has_section("domain") else {})
-    params = _PARAM_LOADERS[command](section)
-    return ExperimentConfig(command=command, domain=domain, params=params,
+    domain = _read_domain(_section(cp, "domain"))
+    schema = _COMMANDS[command].schema
+    if callable(schema):
+        schema = schema(section)
+    return ExperimentConfig(command=command, domain=domain,
+                            params=_read(section, schema, f"[{command}]"),
                             h_list=h_list,
                             out=None if out_val is None else Path(out_val),
-                            seed=seed)
+                            seed=run_sec["seed"])
 
 
 # -------------------------------------------------------------- metrics
@@ -513,29 +461,23 @@ def _run_cauchy(cfg: ExperimentConfig) -> RunReport:
                      rows, slopes=slopes, checks=checks)
 
 
-def _route_residual(xs, problem) -> float:
-    mask = problem.mask
-    zin = mask.coords(mask.inside)
-    total = np.zeros(zin.shape, dtype=complex)
-    for x, g in zip(xs, problem.f_fields):
-        if hasattr(x, "values"):
-            total += x.values[mask.inside] * g.values[mask.inside]
-        else:
-            total += as_callable(x)(zin) * g.values[mask.inside]
-    return float(np.abs(total - 1.0).max())
-
-
 def _run_bezout(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     problem = BezoutProblem.build(cfg.domain, p["f"], h=cfg.h_list[-1])
+    inside = problem.mask.inside
+    fv = [g.values[inside] for g in problem.f_fields]
     routes = ("poly", "pou") if p["route"] == "both" else (p["route"],)
     rows, checks = [], []
     for route in routes:
         if route == "poly":
-            xs = bezout_poly(problem, max_degree=p["max_degree"])
+            # x_j = p_j / sum p_k f_k on the Inside nodes, from the fits
+            zin = problem.mask.coords(inside)
+            pv = [fit(zin) for fit in quotient_fits(problem, p["max_degree"])]
+            denom = sum(v * f for v, f in zip(pv, fv))
+            xv = [v / denom for v in pv]
         else:
-            xs = bezout_pou(problem)
-        res = _route_residual(xs, problem)
+            xv = [x.values[inside] for x in bezout_pou(problem)]
+        res = float(np.abs(sum(x * f for x, f in zip(xv, fv)) - 1.0).max())
         rows.append((route, res, problem.delta))
         checks.append((f"{route} residual <= {p['residual_tol']:g}",
                        res <= p["residual_tol"], f"residual = {res:.3e}"))
@@ -567,12 +509,13 @@ def _run_corona(cfg: ExperimentConfig) -> RunReport:
 
 def _run_divide(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    cert = certify_class(p["f"], p["g"], p["power"], cfg.domain, p["claimed"],
+    expect = PASS if p["expect"] == "pass" else FAIL
+    cert = certify_class(p["f"], p["g"], p["power"], cfg.domain, p["class"],
                          h=p["h"])
     rows = [(pr.name, pr.verdict, pr.measured, pr.scale)
             for pr in cert.probes]
-    checks = [(f"class {p['claimed']} at power {p['power']}: "
-               f"expected {p['expect']}", cert.verdict == p["expect"],
+    checks = [(f"class {p['class']} at power {p['power']}: "
+               f"expected {expect}", cert.verdict == expect,
                f"verdict = {cert.verdict}")]
     notes = [f"certificate: claimed={cert.claimed} power={cert.power} "
              f"h={cert.grid_h:g} verdict={cert.verdict}"]
@@ -721,6 +664,7 @@ def _poly_expr(coeffs):
 
 
 def _run_faa(cfg: ExperimentConfig) -> RunReport:
+    # a table when n is given, else the verify battery
     p = cfg.params
     if p["n"] is not None:
         n = p["n"]
@@ -812,16 +756,28 @@ def _run_taylor(cfg: ExperimentConfig) -> RunReport:
                      notes=notes)
 
 
-_RUNNERS = {
-    "domains": _run_domains, "cauchy": _run_cauchy, "bezout": _run_bezout,
-    "corona": _run_corona, "divide": _run_divide, "sharpness": _run_sharpness,
-    "faa": _run_faa, "lconn": _run_lconn, "taylor": _run_taylor,
+class _Command(NamedTuple):
+    schema: Union[dict, Callable]  # a schema, or section -> schema (lconn)
+    run: Callable
+    flags: dict = {}  # --key flags that override section keys: argparse kwargs
+
+
+_COMMANDS = {
+    "domains": _Command(_DOMAINS, _run_domains),
+    "cauchy": _Command(_CAUCHY, _run_cauchy),
+    "bezout": _Command(_BEZOUT, _run_bezout),
+    "corona": _Command(_CORONA, _run_corona),
+    "divide": _Command(_DIVIDE, _run_divide, _DIVIDE_FLAGS),
+    "sharpness": _Command(_SHARPNESS, _run_sharpness),
+    "faa": _Command(_FAA, _run_faa, _FAA_FLAGS),
+    "lconn": _Command(_lconn_schema, _run_lconn),
+    "taylor": _Command(_TAYLOR, _run_taylor),
 }
 
 
 def run(config: ExperimentConfig) -> RunReport:
     """Dispatch to the configured command's pipeline."""
-    return _RUNNERS[config.command](config)
+    return _COMMANDS[config.command].run(config)
 
 
 def refinement_study(config: ExperimentConfig) -> dict:
@@ -884,22 +840,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="dbarkit",
                              description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, command in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory for CSVs and summary")
         p.add_argument("--levels", type=int,
                        help="number of ladder levels (truncates or extends)")
-        if name == "divide":
-            p.add_argument("--f")
-            p.add_argument("--g")
-            p.add_argument("--power")
-            p.add_argument("--class", dest="claimed")
-            p.add_argument("--domain", dest="domain_kind",
-                           choices=sorted(_DOMAIN_KINDS) + ["polygon"])
-        if name == "faa":
-            p.add_argument("--n")
-            p.add_argument("--verify", action="store_true")
+        for key, kwargs in command.flags.items():
+            p.add_argument(f"--{key}", **kwargs)
     return parser
 
 
@@ -907,18 +855,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        overrides = {}
-        if args.command == "divide":
-            overrides = {"f": args.f, "g": args.g, "power": args.power,
-                         "class": args.claimed}
-        elif args.command == "faa":
-            overrides = {"n": args.n,
-                         "verify": "true" if args.verify else None}
+        overrides = {key: vars(args)[key] for key in _COMMANDS[args.command].flags}
+        # --domain names a kind with its default keys, replacing [domain]
+        kind = overrides.pop("domain", None)
         config = load_config(args.command, config_path=args.config,
                              overrides=overrides, out=args.out,
                              levels=args.levels)
-        if getattr(args, "domain_kind", None):
-            config.domain = _parse_domain({"kind": args.domain_kind})
+        if kind is not None:
+            config.domain = _read_domain({"kind": kind})
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

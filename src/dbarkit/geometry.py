@@ -341,8 +341,8 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
 
     Subtracting the degree-m polynomial with coefficients f^(j)(z0)/j!
     leaves R_m; on shrinking circles around z0 intersected with the
-    interior, the sup of |R_m^(j)| is fitted log-log against the
-    radius.  PASS per j means slope >= (m - j) - 0.2.  Remainders that
+    interior (radii: at least two, strictly decreasing, positive), the
+    sup of |R_m^(j)| is fitted log-log against the radius.  PASS per j means slope >= (m - j) - 0.2.  Remainders that
     are zero to rounding (f itself polynomial of degree <= m) get
     slope inf and the exact_zero flag.
 
@@ -364,7 +364,7 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
         if len(coeffs) != m + 1:
             raise ValueError("need exactly m + 1 coefficient overrides")
 
-    radii = tuple(float(r) for r in radii)
+    radii = _check_scales(radii)
     theta = 2 * np.pi * np.arange(samples_per_radius) / samples_per_radius
     sup = np.zeros((m + 1, len(radii)))
     used = []

@@ -6,11 +6,13 @@ preconditions, 3 failed acceptance checks.  Everything runs in-process
 through main() so stderr and exit codes stay observable.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dbarkit import cli
 from dbarkit.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
                          EXIT_PRECONDITION, ConfigError, load_config, main,
                          refinement_study, run, sharpness_battery)
@@ -140,6 +142,94 @@ def test_non_numeric_number_rejected(tmp_path, capsys):
     cfg = write(tmp_path, "[corona]\nf = z\nslope_min = steep\n")
     assert main(["corona", "--config", cfg]) == EXIT_CONFIG
     assert "cannot parse number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, key, known", [
+    # a misspelt dbar_tol used to be ignored: PASS against the default
+    ("corona", "[run]\nlevels = 1/32 1/64\n\n"
+               "[corona]\nf = sub(1, z), z\ndbar_tl = 1e-12\n",
+     "dbar_tl", "dbar_tol"),
+    ("domains", "[run]\nlevels = 1/32\n\n[domain]\nkind = disk\nradus = 0.1\n",
+     "radus", "radius"),
+], ids=["corona-dbar_tl", "domain-radus"])
+def test_unknown_key_exits_1(tmp_path, capsys, command, text, key, known):
+    assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"unknown key(s) {key} " in err
+    assert re.search(rf"known: .*\b{known}\b", err)
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("cauchy", "[run]\nlevels =\n", "levels"),
+    ("faa", "[faa]\ntrials = 0\n", "trials"),
+    ("faa", "[faa]\nmax_n = 0\n", "max_n"),
+    ("faa", "[faa]\nmax_n = 30\n", "max_n"),
+    ("faa", "[faa]\nverify = ture\n", "verify"),
+    ("lconn", "[lconn]\nz0 = 1+0j\nh = 1/64\nsamples = 0\n", "samples"),
+    ("lconn", "[lconn]\npreset = spiral\nsamples = 0\n", "samples"),
+    ("lconn", "[lconn]\npreset = spiral\nnodes = 0\n", "nodes"),
+    ("taylor", "[taylor]\nf = exp(z)\nz0 = 1+0j\nm = 2\nsamples = 0\n",
+     "samples"),
+], ids=["empty-levels", "trials-0", "max_n-0", "max_n-30", "verify-ture",
+        "lconn-samples-0", "spiral-samples-0", "spiral-nodes-0",
+        "taylor-samples-0"])
+def test_counts_and_booleans_checked_at_load(tmp_path, capsys, command,
+                                             text, key):
+    assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG
+    assert re.search(rf"\] {key}\b", capsys.readouterr().err)
+
+
+# one valid section per command schema; the guard below breaks one key
+# at a time, so every other key of the section stays well formed
+VALID_SECTIONS = [
+    ("domains", {}), ("cauchy", {}), ("bezout", {"f": "z"}),
+    ("corona", {"f": "z"}),
+    ("divide", {"f": "z", "g": "conj(z)", "power": "3", "class": "C1"}),
+    ("sharpness", {}), ("faa", {}), ("lconn", {}),
+    ("lconn", {"preset": "spiral"}),
+    ("taylor", {"f": "exp(z)", "z0": "1+0j", "m": "2"}),
+]
+VALID_DOMAINS = {"annulus_sector": {"r_in": "0.5", "r_out": "1",
+                                    "half_angle": "1"},
+                 "polygon": {"vertices": "0 1 1j"}}
+
+
+def _malformed_cases():
+    # every key except free text (out, dump) has a form that "@" breaks
+    cases = []
+
+    def add(command, section, where, schema, label):
+        for key, (cast, _) in schema.items():
+            if cast is not cli._text:
+                text = f"[{where}]\n" + "".join(
+                    f"{k} = {v}\n" for k, v in {**section, key: "@"}.items())
+                cases.append(pytest.param(command, text, where, key,
+                                          id=f"{label}-{key}"))
+
+    for command, section in VALID_SECTIONS:
+        schema = cli._COMMANDS[command].schema
+        if callable(schema):
+            schema = schema(section)
+        preset = section.get("preset")
+        add(command, section, command, schema,
+            command if preset is None else f"{command}-{preset}")
+    add("faa", {}, "run", cli._RUN, "run")
+    add("domains", {}, "domain", cli._KIND, "domain")
+    for kind, (_, schema) in cli._DOMAIN_KINDS.items():
+        add("domains", {"kind": kind, **VALID_DOMAINS.get(kind, {})},
+            "domain", schema, f"domain-{kind}")
+    return cases
+
+
+def test_valid_sections_cover_every_command():
+    assert {c for c, _ in VALID_SECTIONS} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command, text, where, key", _malformed_cases())
+def test_malformed_value_exits_1_naming_key(tmp_path, capsys, command, text,
+                                            where, key):
+    assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG
+    assert re.search(rf"\[{where}\] {key}\b", capsys.readouterr().err)
 
 
 # ----------------------------------------------------------- subcommands

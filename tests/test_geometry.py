@@ -253,6 +253,17 @@ def test_fit_rejects_bad_arguments():
         taylor_remainder_fit(Z, 0j, 1, DISK, coeffs=[0.0])
 
 
+@pytest.mark.parametrize("radii, message", [
+    ((0.1,), "at least two"),  # one point fits no slope
+    ((), "at least two"),
+    ((0.05, 0.1), "strictly decreasing"),
+    ((0.1, 0.0), "positive"),
+])
+def test_fit_checks_radii(radii, message):
+    with pytest.raises(ValueError, match=message):
+        taylor_remainder_fit(exp(Z), 1.0 + 0j, 2, Disk(0j, 1.5), radii=radii)
+
+
 def test_difference_quotient_converges_to_derivative():
     # where f is holomorphic the centered quotient and the derivative
     # field approach each other at first order in the radius
