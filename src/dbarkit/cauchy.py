@@ -21,22 +21,28 @@ edge keeps a constant real or imaginary part.
 Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
 loop.  targets=None evaluates at every grid node; there the weights
-depend only on the source-target offset, and the identical sum is
-assembled by FFT convolution over the offset lattice.  Both engines take
-their weights from one near/far rule, so this is a reorganization of
-the same discrete quadrature (the direct loop is the reference it is
-tested against, to roundoff), not a different approximation.  On one
-core it is the difference between seconds and hours at h = 1/256.
+depend only on the source-target offset, and the identical sum is a
+circular FFT convolution over a period of next_fast_len(2n - 1) nodes
+per axis.  A period of at least 2n - 1 holds every offset in
+-(n - 1)..(n - 1) once, so no source-target pair wraps onto another.
+The kernel enters as the spectrum of its reflection Kc[m] = K[-m],
+built once per grid shape and spacing (ny, nx, h) and cached for the
+4 most recently used grids.  Both engines take their weights from one
+near/far rule, so this is a reorganization of the same discrete
+quadrature (the direct loop is the reference it is tested against, to
+roundoff), not a different approximation.  On one core it is the
+difference between seconds and hours at h = 1/256.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .domains import RegionMask, interior_shrunk
 from .expr import as_callable
@@ -186,19 +192,37 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
     return _pompeiu_direct(fv, src_mask, grid, zt.ravel()).reshape(zt.shape)
 
 
+def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """Circular convolution of fv, zero-padded to spectrum.shape, with
+    the kernel whose 2-D spectrum is given; returns the leading
+    fv.shape block."""
+    x = fft.fft2(fv, s=spectrum.shape)
+    x *= spectrum
+    return fft.ifft2(x, overwrite_x=True)[:fv.shape[0], :fv.shape[1]]
+
+
+@lru_cache(maxsize=4)
+def _kernel_spectrum(ny: int, nx: int, h: float) -> np.ndarray:
+    # u[t] = sum_s f[s] K[s - t] is a correlation: a convolution with
+    # Kc[m] = K[-m], the weight at source-minus-target offset -m.  On a
+    # period P >= 2n - 1 per axis, indices 0..n-1 hold offsets 0..n-1
+    # and P-n+1..P-1 hold -(n-1)..-1, all distinct; the indices between
+    # feed only outputs past the grid, which fftconvolve crops.
+    py, px = fft.next_fast_len(2 * ny - 1), fft.next_fast_len(2 * nx - 1)
+    my = np.arange(py)
+    my[ny:] -= py
+    mx = np.arange(px)
+    mx[nx:] -= px
+    dz = -h * (mx[None, :] + 1j * my[:, None])
+    spectrum = fft.fft2(_offset_weights(dz, h), overwrite_x=True)
+    # one array serves every solve on this grid
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def _pompeiu_lattice(fv: np.ndarray, grid) -> np.ndarray:
-    ny, nx = fv.shape
-    h = grid.h
-    # K[dy + ny - 1, dx + nx - 1] = weight at source-minus-target offset
-    # (dx, dy); u = sum_s f[s] K[s - t] is a correlation, realized as a
-    # convolution with the reversed kernel.
-    dx = np.arange(-(nx - 1), nx)
-    dy = np.arange(-(ny - 1), ny)
-    dz = h * (dx[None, :] + 1j * dy[:, None])
-    Krev = _offset_weights(dz, h)[::-1, ::-1]
-    full = fftconvolve(fv, Krev, mode="full")
-    u = full[ny - 1:2 * ny - 1, nx - 1:2 * nx - 1]
-    return (-1.0 / math.pi) * u
+    spectrum = _kernel_spectrum(*fv.shape, grid.h)
+    return (-1.0 / math.pi) * fftconvolve(fv, spectrum)
 
 
 def _pompeiu_direct(fv: np.ndarray, src_mask: np.ndarray, grid,

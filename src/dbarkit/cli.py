@@ -12,7 +12,8 @@ corona     holomorphic-correction pipeline with residual and deviation
 divide     smoothness-class certificate for a quotient f^N / g
 sharpness  counterexample battery: every item must FAIL one power below
            its certified class and PASS at the power
-faa        composite-derivative coefficient tables and the oracle battery
+faa        composite-derivative coefficient table (n = order) or the
+           oracle battery (verify = true); exactly one of the two
 lconn      interior path-length probe (bounded / growing / inconclusive)
 taylor     remainder-order fits for holomorphic expressions
 
@@ -386,10 +387,14 @@ def load_config(command: str, config_path=None, overrides=None,
             h_list += (h_list[-1] / 2,)
         h_list = h_list[:levels]
     out_val = out if out is not None else run_sec["out"]
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    # --domain overrides the [domain] kind; every other flag a command key
+    domain_sec = _section(cp, "domain")
+    if "domain" in overrides:
+        domain_sec["kind"] = overrides.pop("domain")
     section = _section(cp, command)
-    if overrides:
-        section.update({k: v for k, v in overrides.items() if v is not None})
-    domain = _read_domain(_section(cp, "domain"))
+    section.update(overrides)
+    domain = _read_domain(domain_sec)
     schema = _COMMANDS[command].schema
     if callable(schema):
         schema = schema(section)
@@ -664,8 +669,10 @@ def _poly_expr(coeffs):
 
 
 def _run_faa(cfg: ExperimentConfig) -> RunReport:
-    # a table when n is given, else the verify battery
     p = cfg.params
+    if (p["n"] is not None) == p["verify"]:
+        raise ConfigError("[faa] set exactly one of n (coefficient table) "
+                          "and verify = true (oracle battery)")
     if p["n"] is not None:
         n = p["n"]
         rows = [(n, "+".join(str(part) for part in k), coefficient(n, k))
@@ -852,22 +859,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         overrides = {key: vars(args)[key] for key in _COMMANDS[args.command].flags}
-        # --domain names a kind with its default keys, replacing [domain]
-        kind = overrides.pop("domain", None)
         config = load_config(args.command, config_path=args.config,
                              overrides=overrides, out=args.out,
                              levels=args.levels)
-        if kind is not None:
-            config.domain = _read_domain({"kind": kind})
+        # a runner's cross-key rule (faa's n or verify) raises ConfigError too
+        report = run(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        report = run(config)
     except PRECONDITION_ERRORS as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from dbarkit.cauchy import (
     SampledField,
+    _kernel_spectrum,
     d_fd,
     dbar_convergence,
     dbar_fd,
@@ -187,6 +188,43 @@ def test_lattice_and_direct_engines_agree_on_random_masks(nx, ny, h, corner,
     lattice = pompeiu(f).values[inside]
     direct = pompeiu(f, m.coords(inside))
     assert np.abs(lattice - direct).max() < 1e-12
+
+
+def _engines(grid):
+    # lattice and direct transforms of random data on every node
+    inside = np.ones((grid.ny, grid.nx), dtype=bool)
+    m = RegionMask(grid, inside, np.zeros_like(inside))
+    vals = np.random.default_rng(0).standard_normal(
+        (grid.ny, grid.nx, 2)) @ [1, 1j]
+    f = SampledField(m, vals)
+    return pompeiu(f).values, pompeiu(f, m.grid.zgrid())
+
+
+def test_lattice_period_without_slack_does_not_wrap():
+    # 2n - 1 = 25 and 27 are fast lengths already, so the period is
+    # exactly 2n - 1 and the corner-to-corner offsets sit on its edge
+    grid = GridSpec(-0.75 - 1j, 1 / 8, 13, 14)
+    assert _kernel_spectrum(14, 13, grid.h).shape == (27, 25)
+    lattice, direct = _engines(grid)
+    assert np.abs(lattice - direct).max() < 1e-12
+
+
+def test_kernel_spectrum_is_keyed_by_shape_and_spacing():
+    # the spectrum depends on (ny, nx, h) only: two origins share one,
+    # two spacings of the same shape do not
+    _kernel_spectrum.cache_clear()
+    for origin, h in [(-1 - 1j, 1 / 8), (0.5 + 0.25j, 1 / 8), (-1 - 1j, 1 / 16)]:
+        lattice, direct = _engines(GridSpec(origin, h, 9, 7))
+        assert np.abs(lattice - direct).max() < 1e-12
+    info = _kernel_spectrum.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_cached_kernel_spectrum_is_read_only():
+    spectrum = _kernel_spectrum(7, 9, 1 / 8)
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0, 0] = 0
 
 
 def test_dbar_fd_exact_on_quadratics(disk_mask_64):

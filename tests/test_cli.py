@@ -116,6 +116,23 @@ def test_default_domain_is_unit_disk():
     assert not cfg.domain.contains(1.5 + 0j)
 
 
+DIVIDE = "[divide]\nf = z\ng = conj(z)\npower = 3\nclass = C1\n"
+
+
+def test_domain_flag_keeps_section_keys(tmp_path):
+    # main hands --domain to load_config as an override like any flag
+    cfg = write(tmp_path, "[domain]\nkind = disk\nradius = 0.5\n\n" + DIVIDE)
+    config = load_config("divide", config_path=cfg,
+                         overrides={"domain": "disk"})
+    assert config.domain.radius == 0.5
+
+
+def test_domain_flag_checks_section_keys_against_kind(tmp_path, capsys):
+    cfg = write(tmp_path, "[domain]\nkind = disk\nradius = 0.5\n\n" + DIVIDE)
+    assert main(["divide", "--config", cfg, "--domain", "comb"]) == EXIT_CONFIG
+    assert "[domain] has unknown key(s) radius" in capsys.readouterr().err
+
+
 def test_tolerances_must_be_positive(tmp_path):
     cfg = write(tmp_path, "[corona]\nf = z\nresidual_tol = -1\n")
     assert main(["corona", "--config", cfg]) == EXIT_CONFIG
@@ -185,7 +202,7 @@ VALID_SECTIONS = [
     ("domains", {}), ("cauchy", {}), ("bezout", {"f": "z"}),
     ("corona", {"f": "z"}),
     ("divide", {"f": "z", "g": "conj(z)", "power": "3", "class": "C1"}),
-    ("sharpness", {}), ("faa", {}), ("lconn", {}),
+    ("sharpness", {}), ("faa", {"verify": "true"}), ("lconn", {}),
     ("lconn", {"preset": "spiral"}),
     ("taylor", {"f": "exp(z)", "z0": "1+0j", "m": "2"}),
 ]
@@ -244,8 +261,31 @@ def test_faa_table_matches_hand_values(tmp_path):
     assert sum(table.values()) == 15
 
 
+@pytest.mark.parametrize("flags, text", [
+    (["--n", "4", "--verify"], ""),
+    ([], "[faa]\nverify = false\n"),
+    ([], ""),
+    (["--verify"], "[faa]\nn = 4\n"),
+], ids=["both-flags", "verify-false", "neither", "n-key-verify-flag"])
+def test_faa_needs_exactly_one_of_n_and_verify(tmp_path, capsys, flags, text):
+    cfg = write(tmp_path, text)
+    assert main(["faa", "--config", cfg, *flags]) == EXIT_CONFIG
+    assert re.search(r"\[faa\] .*\bn\b.*\bverify\b", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags, text, rows", [
+    (["--n", "3"], "[faa]\nverify = false\n", 3),  # p(3) partitions
+    (["--verify"], "[faa]\ntrials = 5\n", 5),
+], ids=["table", "battery"])
+def test_faa_mode_follows_n_or_verify(tmp_path, flags, text, rows):
+    out = tmp_path / "out"
+    assert main(["faa", "--config", write(tmp_path, text), *flags,
+                 "--out", str(out)]) == EXIT_OK
+    assert len(body(out / "faa.csv")[1:]) == rows
+
+
 def test_faa_verify_report(tmp_path):
-    cfg = write(tmp_path, "[faa]\ntrials = 25\n")
+    cfg = write(tmp_path, "[faa]\nverify = true\ntrials = 25\n")
     out = tmp_path / "out"
     assert main(["faa", "--config", cfg, "--out", str(out)]) == EXIT_OK
     rows = body(out / "faa.csv")[1:]
@@ -254,7 +294,7 @@ def test_faa_verify_report(tmp_path):
 
 
 def test_csv_bodies_are_deterministic(tmp_path):
-    cfg = write(tmp_path, "[faa]\ntrials = 15\n")
+    cfg = write(tmp_path, "[faa]\nverify = true\ntrials = 15\n")
     bodies = []
     for tag in ("a", "b"):
         out = tmp_path / tag
