@@ -2,13 +2,15 @@
 
 The quotient route approximates q_j = conj(f_j)/sum|f_k|^2 by bivariate
 polynomials in z and conj(z) and divides by the (certified nonvanishing)
-combination sum p_k f_k.  quotient_fits fits every q_j at every degree
-on one growing QR factorization; corona_solve evaluates the quotient
-and its dbar numerically from those fits (PolyZZbar carries an
-analytic dbar), while bezout_poly returns the same quotient as
-expressions, which remain the symbolic test oracle.  The covering
-route builds a smoothstep partition of unity subordinate to
-{|f_j| > eps/3} and divides each bump by its own generator.  Both
+combination D = sum p_k f_k.  quotient_fits owns that quotient: it
+fits every q_j at every degree on one growing QR factorization and
+returns the fits, their values on the Inside nodes as the fit ladder
+measured them, and the certified D there, so x_j = p_j / D needs no
+second evaluation (PolyZZbar carries an analytic dbar for dbar x_j).
+bezout_poly returns the same quotient as expressions, which remain the
+symbolic test oracle.  The covering route builds a smoothstep
+partition of unity subordinate to {|f_j| > eps/3} and divides each
+bump by its own generator.  Both
 keep the residual identity exact up to rounding; the interesting
 measured quantity is how smooth the output is.
 """
@@ -96,9 +98,6 @@ class BezoutProblem:
     def n(self) -> int:
         return len(self.f_list)
 
-    def sup_norms(self) -> list:
-        return [g.max_abs() for g in self.f_fields]
-
 
 def require_no_common_zero(mask: RegionMask, s2: np.ndarray,
                            hint: str = "") -> None:
@@ -182,14 +181,11 @@ class PolyZZbar:
         zp = _powers(z.ravel(), self.degree)
         return self._on_table(zp, zp.conj()).reshape(z.shape)
 
-    def value_and_dbar(self, z):
-        """Values and analytic Wirtinger dbar at the points z, from one
-        table of powers."""
+    def dbar(self, z):
+        """Analytic Wirtinger dbar at the points z."""
         z = np.asarray(z, dtype=complex)
         zp = _powers(z.ravel(), self.degree)
-        zcp = zp.conj()
-        return (self._on_table(zp, zcp).reshape(z.shape),
-                self._on_table(zp, zcp, dbar=True).reshape(z.shape))
+        return self._on_table(zp, zp.conj(), dbar=True).reshape(z.shape)
 
     def as_expr(self) -> ComplexExpr:
         out = Const(0.0)
@@ -198,11 +194,13 @@ class PolyZZbar:
         return out
 
 
-def _fit_ladder(qs: list, degrees: range, target_sup: float) -> list:
+def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
-    # qs[0], at each degree of `degrees` in turn.  Returns, per field,
-    # its first fit with sup error within target_sup, or else the last
-    # degree's FitToleranceError.  Graded monomial order nests: the
+    # qs[0], at each degree of `degrees` in turn.  Returns two lists:
+    # per field, its first fit with sup error within target_sup, or else
+    # the last degree's FitToleranceError; and that fit's values on the
+    # support nodes (mask.coords order), as measured for the sup, or
+    # None where the fit failed.  Graded monomial order nests: the
     # columns of degree d are those of degree d - 1 plus the d + 1
     # monomials z^a conj(z)^(d-a).  So one QR factorization V = Q R of
     # the monomial matrix, grown by one block of columns per degree
@@ -231,6 +229,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float) -> list:
     R = np.zeros((cols, cols), dtype=complex)
     qv = np.empty((cols, len(qs)), dtype=complex)  # Q^H vf^T
     out = [None] * len(qs)
+    on_nodes = [None] * len(qs)
     for d in range(top + 1):
         pending = [j for j, fit in enumerate(out)
                    if not isinstance(fit, PolyZZbar)]
@@ -255,21 +254,22 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float) -> list:
         rank = int((sing > np.finfo(float).eps * max(rows, p) * sing[0]).sum())
         if rank < p:
             raise FitRankError(
-                f"normal equations rank {rank} < {p} unknowns; "
+                f"monomial matrix rank {rank} < {p} unknowns; "
                 f"lower the degree or supply more nodes")
         coefs = solve_triangular(R[:p, :p], qv[:p, pending])
         for j, c in zip(pending, coefs.T):
             terms = [(a, b, ck) for (a, b), ck in zip(_monomials(d), c)]
             poly = PolyZZbar(d, terms, cond=float(sing[0] / sing[-1]))
-            sup = float(np.abs(poly._on_table(zp, zcp) - vals[j]).max())
+            pv = poly._on_table(zp, zcp)
+            sup = float(np.abs(pv - vals[j]).max())
             if sup <= target_sup:
                 poly.sup_error = sup
-                out[j] = poly
+                out[j], on_nodes[j] = poly, pv
             else:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
                     f"{target_sup:.3e}; increase degree", sup_error=sup)
-    return out
+    return out, on_nodes
 
 
 def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
@@ -285,42 +285,44 @@ def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
     unchanged.  The fit reports the condition number of its monomial
     matrix as cond.
     """
-    fit = _fit_ladder([q], range(d, d + 1), target_sup)[0]
+    fit = _fit_ladder([q], range(d, d + 1), target_sup)[0][0]
     if isinstance(fit, FitToleranceError):
         raise fit
     return fit
 
 
-def quotient_fits(problem: BezoutProblem, max_degree: int = 16) -> list:
-    """Fit step of the quotient route: polynomials p_j close to q_j.
+def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
+    """The quotient route x_j = p_j / D, D = sum p_k f_k, on the nodes.
 
     Fits every q_j at increasing degree, all degrees and all j on one
     growing factorization, until the sup error is within
-    1/(2 sum_k ||f_k||_inf), which forces |sum p_k f_k| >= 1/2 on the
-    nodes, then certifies that lower bound.  Returns the PolyZZbar fits.
+    1/(2 sum_k ||f_k||_inf), which forces |D| >= 1/2 on the nodes, then
+    certifies that lower bound.  Returns (fits, pv, D): the PolyZZbar
+    fits p_j, their values pv[j] on the Inside nodes in
+    mask.coords(mask.inside) order (the fit ladder's own evaluation),
+    and D on those nodes.
     """
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
-            raise TypeError("quotient route returns expressions, so the "
-                            "generators must be expressions")
-    target = 1.0 / (2.0 * sum(problem.sup_norms()))
-    fits = _fit_ladder(q_fields(problem), range(max_degree + 1), target)
+            raise TypeError("the poly route needs expression generators")
+    target = 1.0 / (2.0 * sum(g.max_abs() for g in problem.f_fields))
+    fits, pv = _fit_ladder(q_fields(problem), range(max_degree + 1), target)
     for j, fit in enumerate(fits):
         if isinstance(fit, FitToleranceError):
             raise FitToleranceError(
                 f"q_{j + 1} not approximable to {target:.3e} by degree "
                 f"{max_degree}; increase max_degree", sup_error=fit.sup_error)
 
-    mask = problem.mask
-    zin = mask.coords(mask.inside)
-    denom_nodes = sum(p(zin) * g.values[mask.inside]
-                      for p, g in zip(fits, problem.f_fields))
-    dmin = float(np.abs(denom_nodes).min())
+    # f_j bound to names: numpy computes p * (temporary) in place as
+    # temporary * p, and its complex product is not bitwise commutative
+    fv = [g.values[problem.mask.inside] for g in problem.f_fields]
+    D = sum(p * f for p, f in zip(pv, fv))
+    dmin = float(np.abs(D).min())
     if dmin < 0.5:
         raise ValueError(
             f"min |sum p_k f_k| = {dmin:.6f} < 1/2 although every fit met "
             f"its tolerance; the sampled sup norms are inconsistent")
-    return fits
+    return fits, pv, D
 
 
 def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
@@ -330,7 +332,7 @@ def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
     evaluates the same quotient and its dbar numerically from the fits;
     these expressions are the symbolic test oracle for that.
     """
-    fits = quotient_fits(problem, max_degree)
+    fits = quotient_fits(problem, max_degree)[0]
     denom = Const(0.0)
     for p, f in zip(fits, problem.f_list):
         denom = add(denom, mul(p.as_expr(), f))

@@ -476,9 +476,7 @@ def _run_bezout(cfg: ExperimentConfig) -> RunReport:
     for route in routes:
         if route == "poly":
             # x_j = p_j / sum p_k f_k on the Inside nodes, from the fits
-            zin = problem.mask.coords(inside)
-            pv = [fit(zin) for fit in quotient_fits(problem, p["max_degree"])]
-            denom = sum(v * f for v, f in zip(pv, fv))
+            _, pv, denom = quotient_fits(problem, p["max_degree"])
             xv = [v / denom for v in pv]
         else:
             xv = [x.values[inside] for x in bezout_pou(problem)]
@@ -873,7 +871,7 @@ def main(argv=None) -> int:
     except PRECONDITION_ERRORS as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, TypeError) as err:
+    except ValueError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     _emit(report, config)

@@ -10,16 +10,18 @@ construction on g^4-weighted data so the obstruction stays bounded
 across common zeros of the generators.
 
 corona_solve, g_power_solve and g12_solve differ only in their set-up
-(the Bezout route, the domination and hypothesis checks, how x and
-dbar x are obtained); each hands its sampled x and dbar x to one
+(the Bezout route, the hypothesis check, how x and dbar x are
+obtained; the two power targets share the sampling, the domination
+check and the collar); each hands its sampled x and dbar x to one
 correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
-On the poly route x_j = p_j / sum p_k f_k and dbar x_j come
-numerically from the polynomial fits by the quotient rule, so no
-symbolic tree is built or sampled beyond the generators' own dbar;
-koszul_F on the expressions of bezout.bezout_poly remains the
-symbolic test oracle.  corona_convergence runs
-corona_solve down the shared refinement ladder of the cauchy module.
+On the poly route x_j = p_j / D comes from the node values and the
+certified D = sum p_k f_k of bezout.quotient_fits, and dbar x_j by the
+quotient rule from the fits' analytic dbar, so no fit is evaluated
+again and no symbolic tree is built or sampled beyond the generators'
+own dbar; koszul_F on the expressions of bezout.bezout_poly remains
+the symbolic test oracle.  corona_convergence runs corona_solve down
+the shared refinement ladder of the cauchy module.
 """
 
 from __future__ import annotations
@@ -242,17 +244,16 @@ def _correct(x_fields, dbx, f_vals, target, desc: str, margin: int,
 
 def _poly_unit_solution(problem: BezoutProblem, max_degree: int):
     # x_j = p_j / D and dbar x_j = (dbar p_j D - p_j dbar D) / D^2 on
-    # the Inside nodes, D = sum p_k f_k and dbar D = sum (dbar p_k f_k +
-    # p_k dbar f_k), from the certified fits p_j; only the generators'
-    # own dbar trees are sampled
-    fits = quotient_fits(problem, max_degree=max_degree)
+    # the Inside nodes, with p_j and D = sum p_k f_k from quotient_fits
+    # and dbar D = sum (dbar p_k f_k + p_k dbar f_k); only the
+    # generators' own dbar trees are sampled
+    fits, pv, D = quotient_fits(problem, max_degree=max_degree)
     mask = problem.mask
     inside = mask.inside
     zin = mask.coords(inside)
-    pv, dpv = zip(*(p.value_and_dbar(zin) for p in fits))
+    dpv = [p.dbar(zin) for p in fits]
     fv = [g.values[inside] for g in problem.f_fields]
     dfv = [_dbar_values(f, mask)[inside] for f in problem.f_list]
-    D = sum(p * f for p, f in zip(pv, fv))
     dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
 
     def on_nodes(v):
@@ -311,6 +312,17 @@ def corona_convergence(f_list, domain: CompactDomain,
     return refinement_ladder(solve, hs, physical_margin)
 
 
+def _power_setup(g, f_list, domain, h, mask):
+    # the power targets' common opening: the mask, g and f_j sampled on
+    # it, the corona domination |g| <= sum|f_j| and the common-zero collar
+    mask = resolve_mask(domain, h, mask)
+    gv = _as_values(g, mask)
+    fv = [_as_values(f, mask) for f in f_list]
+    s1 = sum(np.abs(v) for v in fv)
+    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
+    return mask, gv, fv, zero_collar(mask.inside, s1)
+
+
 def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                   isolated_zeros: bool = True, h: float = 1 / 64,
                   margin: int = 3,
@@ -323,11 +335,7 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     one more g and zero-extended across the common-zero collar
     (target g^6).
     """
-    mask = resolve_mask(domain, h, mask)
-    gv = _as_values(g, mask)
-    fv = [_as_values(f, mask) for f in f_list]
-    s1 = sum(np.abs(v) for v in fv)
-    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
+    mask, gv, fv, collar = _power_setup(g, f_list, domain, h, mask)
     xv = [_as_values(x, mask) for x in x_list]
     total_x = sum(x * f for x, f in zip(xv, fv))
     gscale = max(sup_abs(gv, mask.inside), 1e-300)
@@ -340,8 +348,7 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                           else (gv ** 6, "g^6", gv))
     return _correct([SampledField(mask, v) for v in xv],
                     (_dbar_values(x, mask) for x in x_list), fv, target,
-                    desc, margin, weight=gv ** 4, lift=lift,
-                    collar=zero_collar(mask.inside, s1),
+                    desc, margin, weight=gv ** 4, lift=lift, collar=collar,
                     extras={"x_residual": xres})
 
 
@@ -350,27 +357,24 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
               mask: Optional[RegionMask] = None) -> CoronaSolution:
     """Target g^12 from multiplier data h_list.
 
-    Requires |sum h_j f_j| >= sum|f_j|^2 on the nodes (and the corona
-    domination |g| <= sum|f_j|).  The smooth solution x_j = k h_j comes
-    from the power-4 division of g^2 by sum h_j f_j, Cauchy-Schwarz
-    rescaled so its domination precondition holds; the weighted
-    correction then lifts x f^t = g^8 to a holomorphic-looking g^12.
+    Requires the corona domination |g| <= sum|f_j|, checked first, and
+    |sum h_j f_j| >= sum|f_j|^2 on the nodes.  The smooth solution
+    x_j = k h_j comes from the power-4 division of g^2 by sum h_j f_j,
+    Cauchy-Schwarz rescaled so its domination precondition holds; the
+    weighted correction then lifts x f^t = g^8 to a holomorphic-looking
+    g^12.
     """
     n = len(f_list)
     if len(h_list) != n:
         raise ValueError("h_list and f_list lengths differ")
-    mask = resolve_mask(domain, h, mask)
-    gv = _as_values(g, mask)
-    fv = [_as_values(f, mask) for f in f_list]
+    mask, gv, fv, collar = _power_setup(g, f_list, domain, h, mask)
     hv = [_as_values(hj, mask) for hj in h_list]
-    s1 = sum(np.abs(v) for v in fv)
     s2 = sum(np.abs(v) ** 2 for v in fv)
     hsum = sum(a * b for a, b in zip(hv, fv))
     # the slack scales with sum|f_j|^2, the side the hypothesis bounds
     check_domination(s2, np.abs(hsum), mask,
                      "hypothesis sum|f_j|^2 <= |sum h_j f_j|",
                      slack_ref=sup_abs(s2, mask.inside))
-    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
 
     gc = as_callable(g)
     hparts = [(as_callable(hj), as_callable(fj))
@@ -386,8 +390,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
     return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), fv,
-                    gv ** 12, "g^12", margin,
-                    weight=gv ** 4, collar=zero_collar(mask.inside, s1))
+                    gv ** 12, "g^12", margin, weight=gv ** 4, collar=collar)
 
 
 def koszul_cancellation(x_list, f_list, points) -> dict:

@@ -420,69 +420,50 @@ def is_conj_free(expr: ComplexExpr) -> bool:
     return True
 
 
-_D_INNER = None  # filled lazily: the multiplier S'(z)/S(z) = -2/(1-z)^2
-
-
 def wirtinger_d(expr: ComplexExpr) -> ComplexExpr:
     """Holomorphic Wirtinger derivative as a new tree."""
-    if isinstance(expr, Const):
-        return Const(0j)
-    if isinstance(expr, Var):
-        return Const(1.0 + 0j)
-    if isinstance(expr, Conj):
-        return conj(wirtinger_dbar(expr.arg))
-    if isinstance(expr, Sum):
-        return add(*[wirtinger_d(t) for t in expr.terms])
-    if isinstance(expr, Product):
-        return _product_rule(expr.factors, wirtinger_d)
-    if isinstance(expr, Quotient):
-        return _quotient_rule(expr, wirtinger_d)
-    if isinstance(expr, IntPow):
-        return mul(Const(complex(expr.exponent)),
-                   intpow(expr.base, expr.exponent - 1),
-                   wirtinger_d(expr.base))
-    if isinstance(expr, Exp):
-        return mul(expr, wirtinger_d(expr.arg))
-    if isinstance(expr, Log):
-        return div(wirtinger_d(expr.arg), expr.arg)
-    if isinstance(expr, Mobius):
-        det = expr.a * expr.d - expr.b * expr.c
-        den = add(mul(Const(expr.c), expr.arg), Const(expr.d))
-        return mul(div(Const(det), intpow(den, 2)), wirtinger_d(expr.arg))
-    if isinstance(expr, AtomicInner):
-        # S'(z) = S(z) * (-2/(1-z)^2)
-        return mul(expr, div(Const(-2.0 + 0j), intpow(sub(Const(1.0 + 0j), Var()), 2)))
-    raise TypeError(f"unknown node {type(expr).__name__}")
+    return _wirtinger(expr, bar=False)
 
 
 def wirtinger_dbar(expr: ComplexExpr) -> ComplexExpr:
     """Anti-holomorphic Wirtinger derivative as a new tree."""
+    return _wirtinger(expr, bar=True)
+
+
+def _wirtinger(expr: ComplexExpr, bar: bool) -> ComplexExpr:
+    # d (bar False) or dbar (bar True); the two rules differ only at z
+    # (d z = 1, dbar z = 0), at conj, which swaps them, and at S, which
+    # is holomorphic.  Subtrees recurse through the public names.
+    deriv = wirtinger_dbar if bar else wirtinger_d
     if isinstance(expr, Const):
         return Const(0j)
     if isinstance(expr, Var):
-        return Const(0j)
+        return Const(0j if bar else 1.0 + 0j)
     if isinstance(expr, Conj):
-        return conj(wirtinger_d(expr.arg))
+        return conj((wirtinger_d if bar else wirtinger_dbar)(expr.arg))
     if isinstance(expr, Sum):
-        return add(*[wirtinger_dbar(t) for t in expr.terms])
+        return add(*[deriv(t) for t in expr.terms])
     if isinstance(expr, Product):
-        return _product_rule(expr.factors, wirtinger_dbar)
+        return _product_rule(expr.factors, deriv)
     if isinstance(expr, Quotient):
-        return _quotient_rule(expr, wirtinger_dbar)
+        return _quotient_rule(expr, deriv)
     if isinstance(expr, IntPow):
         return mul(Const(complex(expr.exponent)),
                    intpow(expr.base, expr.exponent - 1),
-                   wirtinger_dbar(expr.base))
+                   deriv(expr.base))
     if isinstance(expr, Exp):
-        return mul(expr, wirtinger_dbar(expr.arg))
+        return mul(expr, deriv(expr.arg))
     if isinstance(expr, Log):
-        return div(wirtinger_dbar(expr.arg), expr.arg)
+        return div(deriv(expr.arg), expr.arg)
     if isinstance(expr, Mobius):
         det = expr.a * expr.d - expr.b * expr.c
         den = add(mul(Const(expr.c), expr.arg), Const(expr.d))
-        return mul(div(Const(det), intpow(den, 2)), wirtinger_dbar(expr.arg))
+        return mul(div(Const(det), intpow(den, 2)), deriv(expr.arg))
     if isinstance(expr, AtomicInner):
-        return Const(0j)
+        if bar:
+            return Const(0j)
+        # S'(z) = S(z) * (-2/(1-z)^2)
+        return mul(expr, div(Const(-2.0 + 0j), intpow(sub(Const(1.0 + 0j), Var()), 2)))
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 

@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
+from dbarkit.bezout import PolyZZbar
 from dbarkit.domains import Disk, build_mask
 
 
 @pytest.fixture(scope="session")
 def disk_mask_64():
     return build_mask(Disk(0j, 1.0), h=1 / 64)
+
+
+@pytest.fixture
+def poly_calls(monkeypatch):
+    """One entry per PolyZZbar.__call__ made while the test runs."""
+    calls = []
+    call = PolyZZbar.__call__
+    monkeypatch.setattr(PolyZZbar, "__call__",
+                        lambda self, z: calls.append(1) or call(self, z))
+    return calls
 
 
 @pytest.fixture(scope="session")

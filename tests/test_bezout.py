@@ -16,6 +16,7 @@ from dbarkit.bezout import (
     generalized_division,
     partition_of_unity,
     q_fields,
+    quotient_fits,
     smoothstep,
     weierstrass_fit,
 )
@@ -49,7 +50,8 @@ def test_problem_measures_delta(linear_pair):
     # |z| + |1-z| attains its minimum 1 on the segment [0, 1], and the
     # grid has nodes there
     assert linear_pair.delta == pytest.approx(1.0, abs=1e-12)
-    assert linear_pair.sup_norms() == pytest.approx([1.0, 2.0], abs=0.05)
+    sups = [g.max_abs() for g in linear_pair.f_fields]
+    assert sups == pytest.approx([1.0, 2.0], abs=0.05)
 
 
 def test_q_fields_constant_singleton(disk_mask_64):
@@ -115,7 +117,8 @@ def test_weierstrass_rank_deficiency(disk_mask_64):
     iy, ix = np.nonzero(m.inside & (np.abs(m.grid.zgrid().imag) < 1e-12))
     sel[iy[:3], ix[:3]] = True
     q = SampledField(m, np.where(sel, 1.0 + 0j, 0), support=sel)
-    with pytest.raises(FitRankError, match="lower the degree"):
+    with pytest.raises(FitRankError,
+                       match="monomial matrix rank 2 < 3.*lower the degree"):
         weierstrass_fit(q, 1, 1.0)
 
 
@@ -161,11 +164,26 @@ def test_poly_dbar_matches_symbolic_dbar(degree, data):
         st.complex_numbers(max_magnitude=1, allow_nan=False,
                            allow_infinity=False), min_size=1, max_size=8)))
     p = PolyZZbar(degree, terms)
-    value, dbar = p.value_and_dbar(z)
     scale = 1 + sum((1 + b) * abs(c) for _, b, c in terms)
-    assert np.abs(dbar - wirtinger_dbar(p.as_expr()).eval(z)).max() <= 1e-12 * scale
-    assert np.abs(value - p.as_expr().eval(z)).max() <= 1e-12 * scale
-    assert np.abs(p(z) - value).max() == 0
+    want_dbar = wirtinger_dbar(p.as_expr()).eval(z)
+    assert np.abs(p.dbar(z) - want_dbar).max() <= 1e-12 * scale
+    assert np.abs(p(z) - p.as_expr().eval(z)).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("pair", ["linear_pair", "quartic_pair"])
+def test_quotient_fits_returns_the_ladder_node_values(pair, request):
+    # pv and D come from the fit ladder's own evaluation; they must be
+    # the fits evaluated afresh on the Inside nodes, in coords order
+    problem = request.getfixturevalue(pair)
+    fits, pv, D = quotient_fits(problem)
+    inside = problem.mask.inside
+    zin = problem.mask.coords(inside)
+    want = [p(zin) for p in fits]
+    for got, ref in zip(pv, want):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    want_D = sum(v * g.values[inside] for v, g in zip(want, problem.f_fields))
+    assert np.abs(D - want_D).max() <= 1e-14 * np.abs(want_D).max()
+    assert np.abs(D).min() >= 0.5
 
 
 def test_bezout_poly_linear(linear_pair):
@@ -205,7 +223,7 @@ def test_bezout_poly_rejects_common_zero(disk_mask_64):
 
 def test_bezout_poly_rejects_callables(disk_mask_64):
     p = BezoutProblem.build(Disk(0j, 1.0), [lambda z: z + 2], mask=disk_mask_64)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="expression generators"):
         bezout_poly(p)
 
 

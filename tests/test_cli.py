@@ -95,6 +95,18 @@ def test_corona_empty_margin_exits_3(tmp_path, capsys):
         in capsys.readouterr().out
 
 
+def test_programming_errors_surface(monkeypatch):
+    # no CLI input reaches a TypeError precondition, so a TypeError is a
+    # bug and main lets it through instead of reporting exit 2
+    def broken(cfg):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(cli._COMMANDS, "cauchy",
+                        cli._COMMANDS["cauchy"]._replace(run=broken))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        main(["cauchy", "--levels", "1"])
+
+
 # -------------------------------------------------------- config loading
 
 
@@ -331,6 +343,15 @@ def test_cauchy_single_level_has_no_slopes():
     cfg = load_config("cauchy", levels=1)
     rep = run(cfg)
     assert rep.slopes == {} and len(rep.rows) == 1
+
+
+def test_bezout_poly_route_evaluates_no_fit_again(tmp_path, poly_calls):
+    # the poly residual comes from quotient_fits' node values and D; no
+    # fit is called on the nodes after the ladder
+    cfg = write(tmp_path, "[run]\nlevels = 1/64\n\n"
+                          "[bezout]\nf = z, sub(1, z)\nroute = poly\n")
+    assert main(["bezout", "--config", cfg]) == EXIT_OK
+    assert poly_calls == []
 
 
 def test_bezout_both_routes():

@@ -210,6 +210,14 @@ def test_corona_quartic_pair():
         assert 0 <= fit["sup_error"] <= 1 / (2 * (1 + 4))
 
 
+def test_poly_route_evaluates_no_fit_again(poly_calls):
+    # x = p / D comes from the fit ladder's own node values; no fit is
+    # called on the nodes after the ladder
+    sol = corona_solve(QUARTIC, DISK, h=1 / 64)
+    assert sol.residual_sup < 1e-12
+    assert poly_calls == []
+
+
 def test_corona_covering_route():
     sol = corona_solve(LINEAR, DISK, h=1 / 64, route="pou")
     assert sol.residual_sup < 1e-12
@@ -296,6 +304,14 @@ def test_g12_singleton_is_principal_division():
     # n = 1: no obstruction, no correction
     assert sol.entry_reports == {}
     assert sol.dbar_sup == sol.dbar_sup_x
+
+
+def test_g12_checks_domination_before_hypothesis():
+    # |g| = 4 > sum|f_j| and h = 0 breaks the hypothesis too; the shared
+    # power set-up checks the corona domination first
+    with pytest.raises(DominationError, match=r"\|g\| <= sum\|f_j\|"):
+        g12_solve(Const(4.0), CUBIC_PAIR, [Const(0.0), Const(0.0)],
+                  DISK, h=1 / 64)
 
 
 def test_g12_hypothesis_violation():

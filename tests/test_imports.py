@@ -1,10 +1,13 @@
-"""Every imported name is used.
+"""Every imported name is used, and every module-level name of dbarkit.
 
 A stdlib-only AST scan: a module's imports are the names its import
 statements bind; a name counts as used when it appears as an
 identifier anywhere in the module or in its `__all__`.  Package
 `__init__.py` files (re-exports) and `from __future__` imports are
-skipped.
+skipped.  Likewise each top-level def, class or assignment in
+src/dbarkit must be referenced (as an identifier, an attribute or an
+imported name) somewhere in src/, tests/ or perfbench/, or be listed
+in its module's `__all__`.
 """
 
 import ast
@@ -13,8 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in [*(ROOT / "src" / "dbarkit").glob("*.py"),
-                           *(ROOT / "tests").glob("*.py")]
+PACKAGE = sorted((ROOT / "src" / "dbarkit").glob("*.py"))
+FILES = sorted(p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
                if p.name != "__init__.py")
 
 
@@ -29,13 +32,55 @@ def unused_imports(source: str) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exported(tree))
     return sorted((line, name) for name, line in bound.items()
                   if name not in used)
+
+
+def _exported(tree) -> set:
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def _top_level_names(tree) -> dict:
+    # name -> line of each top-level def, class or assignment target
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((n.id, node.lineno) for t in targets
+                       for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _references(tree) -> set:
+    # identifiers read, attribute names and imported names
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def dead_names(modules: dict, others=()) -> list:
+    """(module, line, name) of each top-level name of the modules
+    ({name: source}) that no module and no other source references."""
+    trees = {name: ast.parse(src) for name, src in modules.items()}
+    used = set().union(*(_references(t) for t in trees.values()),
+                       *(_references(ast.parse(src)) for src in others))
+    return sorted((mod, line, name) for mod, tree in trees.items()
+                  for name, line in _top_level_names(tree).items()
+                  if name not in used and name not in _exported(tree)
+                  and not (name.startswith("__") and name.endswith("__")))
 
 
 def test_scan_flags_an_unused_import():
@@ -48,3 +93,17 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_flags_a_dead_name():
+    mod = ("__all__ = ['pub']\n_dead = 1\n_read = 2\n__version__ = '1'\n"
+           "def pub(): return _read\ndef _helper(): pass\nclass _Cls: pass\n")
+    assert dead_names({"m": mod}) == [("m", 2, "_dead"), ("m", 6, "_helper"),
+                                      ("m", 7, "_Cls")]
+    assert dead_names({"m": mod}, ["from m import _dead\nm._helper\n_Cls()\n"]) == []
+
+
+def test_no_dead_module_names():
+    others = [p.read_text() for p in [*(ROOT / "tests").glob("*.py"),
+                                      *(ROOT / "perfbench").glob("*.py")]]
+    assert dead_names({p.stem: p.read_text() for p in PACKAGE}, others) == []
