@@ -32,6 +32,13 @@ near/far rule, so this is a reorganization of the same discrete
 quadrature (the direct loop is the reference it is tested against, to
 roundoff), not a different approximation.  On one core it is the
 difference between seconds and hours at h = 1/256.
+
+Difference stencils.  dbar_fd and d_fd take the Wirtinger derivatives
+0.5 * (f_x +- i f_y) by central differences on the Interior nodes and
+report 0 elsewhere.  dbar_fd_onesided also covers the Boundary ring:
+per axis it takes the central difference when both neighbors are
+Inside, the one-sided difference toward the neighbor when only one is,
+and 0 when neither is (a 1-node sliver, flagged nowhere).
 """
 
 from __future__ import annotations
@@ -102,24 +109,16 @@ class SampledField:
         return sup_abs(self.values, self.support if on is None else on)
 
 
-def sample_field(f, mask: RegionMask, support: np.ndarray = None,
+def sample_field(f, mask: RegionMask,
                  zero_on: np.ndarray = None) -> SampledField:
-    """Sample an expression or callable on the support nodes.
+    """Sample an expression or callable on the Inside nodes.
 
     zero_on: optional node set forced to 0 without evaluation (zero
     extensions across singular sets)."""
-    if support is None:
-        support = mask.inside
-    if zero_on is not None:
-        support_eval = support & ~zero_on
-    else:
-        support_eval = support
-    fn = as_callable(f)
+    sel = mask.inside if zero_on is None else mask.inside & ~zero_on
     vals = np.zeros(mask.inside.shape, dtype=complex)
-    iy, ix = np.nonzero(support_eval)
-    z = mask.grid.origin + mask.grid.h * (ix + 1j * iy)
-    vals[iy, ix] = fn(z)
-    return SampledField(mask, vals, support)
+    vals[sel] = as_callable(f)(mask.coords(sel))
+    return SampledField(mask, vals)
 
 
 def exact_cell_integral(v0: np.ndarray, h: float) -> np.ndarray:
@@ -182,14 +181,13 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
     matching complex array.  Both use the same weights: the exact cell
     integral within NEAR_RADIUS_CELLS spacings, the midpoint value beyond.
     """
-    grid = f.mask.grid
     src_mask = f.mask.inside & f.support
-    fv = np.where(src_mask, f.values, 0.0)
     if targets is None:
-        u = _pompeiu_lattice(fv, grid)
+        u = _pompeiu_lattice(np.where(src_mask, f.values, 0.0), f.mask.grid)
         return SampledField(f.mask, u, support=np.ones_like(src_mask))
     zt = np.asarray(targets, dtype=complex)
-    return _pompeiu_direct(fv, src_mask, grid, zt.ravel()).reshape(zt.shape)
+    return _pompeiu_direct(f.values[src_mask], f.mask.coords(src_mask),
+                           f.mask.grid.h, zt.ravel()).reshape(zt.shape)
 
 
 def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -225,21 +223,20 @@ def _pompeiu_lattice(fv: np.ndarray, grid) -> np.ndarray:
     return (-1.0 / math.pi) * fftconvolve(fv, spectrum)
 
 
-def _pompeiu_direct(fv: np.ndarray, src_mask: np.ndarray, grid,
+def _pompeiu_direct(fs: np.ndarray, w: np.ndarray, h: float,
                     zt: np.ndarray) -> np.ndarray:
-    h = grid.h
-    sy, sx = np.nonzero(src_mask)
-    w = grid.origin + h * (sx + 1j * sy)
-    fs = fv[sy, sx]
+    # fs: the source values at the source nodes w
     out = np.empty(zt.shape, dtype=complex)
     for k, z in enumerate(zt):
         out[k] = fs @ _offset_weights(w - z, h)
     return (-1.0 / math.pi) * out
 
 
-def _central_wirtinger(f: SampledField, dbar: bool) -> SampledField:
-    # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d, on the
-    # Interior nodes
+def _wirtinger_fd(f: SampledField, bar: bool,
+                  one_sided: bool) -> SampledField:
+    # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d: central
+    # differences on the Interior nodes, and with one_sided also on the
+    # Boundary ring (see the module docstring)
     m = f.mask
     h = m.grid.h
     v = f.values
@@ -247,9 +244,22 @@ def _central_wirtinger(f: SampledField, dbar: bool) -> SampledField:
     fy = np.zeros_like(v)
     fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
     fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-    out = 0.5 * (fx + 1j * fy if dbar else fx - 1j * fy)
-    out[~m.interior] = 0.0
-    return SampledField(m, out, support=m.interior.copy())
+    keep = m.inside if one_sided else m.interior
+    if one_sided:
+        # past the grid's edge counts as not Inside
+        ins, vp = np.pad(keep, 1), np.pad(v, 1)
+        iy, ix = np.nonzero(m.boundary)
+        c = v[iy, ix]
+        for d, sy, sx in ((fx, 0, 1), (fy, 1, 0)):
+            plus = (iy + 1 + sy, ix + 1 + sx)
+            minus = (iy + 1 - sy, ix + 1 - sx)
+            hp, hm = ins[plus], ins[minus]
+            d[iy, ix] = np.where(hp & hm, d[iy, ix], np.where(
+                hp, (vp[plus] - c) / h,
+                np.where(hm, (c - vp[minus]) / h, 0.0)))
+    out = 0.5 * (fx + 1j * fy if bar else fx - 1j * fy)
+    out[~keep] = 0.0
+    return SampledField(m, out, support=keep.copy())
 
 
 def dbar_fd(f: SampledField) -> SampledField:
@@ -258,56 +268,18 @@ def dbar_fd(f: SampledField) -> SampledField:
     Exact for fields sampled from polynomials of degree <= 2 in (x, y);
     in particular conj(z) maps to the constant 1 and z*conj(z) to z.
     """
-    return _central_wirtinger(f, dbar=True)
+    return _wirtinger_fd(f, bar=True, one_sided=False)
 
 
 def d_fd(f: SampledField) -> SampledField:
     """Central-difference holomorphic derivative on Interior nodes."""
-    return _central_wirtinger(f, dbar=False)
+    return _wirtinger_fd(f, bar=False, one_sided=False)
 
 
 def dbar_fd_onesided(f: SampledField) -> SampledField:
-    """dbar on all Inside nodes: central stencils where both neighbors
-    are Inside, one-sided at the Boundary ring.  A direction with no
-    Inside neighbor at all contributes zero (degenerate 1-node slivers;
-    flagged nowhere, documented here)."""
-    m = f.mask
-    h = m.grid.h
-    v = f.values
-    ins = m.inside
-
-    def axis_diff(shift_plus, shift_minus, has_plus, has_minus):
-        central = has_plus & has_minus
-        plus_only = has_plus & ~has_minus
-        minus_only = ~has_plus & has_minus
-        d = np.zeros_like(v)
-        d[central] = (shift_plus[central] - shift_minus[central]) / (2 * h)
-        d[plus_only] = (shift_plus[plus_only] - v[plus_only]) / h
-        d[minus_only] = (v[minus_only] - shift_minus[minus_only]) / h
-        return d
-
-    vxp = np.zeros_like(v)
-    vxm = np.zeros_like(v)
-    vyp = np.zeros_like(v)
-    vym = np.zeros_like(v)
-    hxp = np.zeros_like(ins)
-    hxm = np.zeros_like(ins)
-    hyp = np.zeros_like(ins)
-    hym = np.zeros_like(ins)
-    vxp[:, :-1] = v[:, 1:]
-    hxp[:, :-1] = ins[:, 1:]
-    vxm[:, 1:] = v[:, :-1]
-    hxm[:, 1:] = ins[:, :-1]
-    vyp[:-1, :] = v[1:, :]
-    hyp[:-1, :] = ins[1:, :]
-    vym[1:, :] = v[:-1, :]
-    hym[1:, :] = ins[:-1, :]
-
-    fx = axis_diff(vxp, vxm, hxp, hxm)
-    fy = axis_diff(vyp, vym, hyp, hym)
-    out = 0.5 * (fx + 1j * fy)
-    out[~ins] = 0.0
-    return SampledField(m, out, support=ins.copy())
+    """dbar on all Inside nodes: central on the Interior, one-sided at
+    the Boundary ring where an axis has a single Inside neighbor."""
+    return _wirtinger_fd(f, bar=True, one_sided=True)
 
 
 def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:

@@ -522,8 +522,7 @@ def _run_divide(cfg: ExperimentConfig) -> RunReport:
                f"verdict = {cert.verdict}")]
     notes = [f"certificate: claimed={cert.claimed} power={cert.power} "
              f"h={cert.grid_h:g} verdict={cert.verdict}"]
-    notes.extend(f"probe {pr.name}: {pr.verdict}" +
-                 ("" if pr.measured is None else f" (measured {pr.measured:.6g})")
+    notes.extend(f"probe {pr.name}: {pr.verdict} (measured {pr.measured:.6g})"
                  for pr in cert.probes)
     return RunReport("divide", ("probe", "verdict", "measured", "scale"),
                      rows, checks=checks, notes=notes)
@@ -563,8 +562,7 @@ def _chain_families(chain):
 
 
 def _worst_measure(cert) -> float:
-    vals = [pr.measured for pr in cert.probes
-            if pr.measured is not None and math.isfinite(pr.measured)]
+    vals = [pr.measured for pr in cert.probes if math.isfinite(pr.measured)]
     return max(vals) if vals else float("nan")
 
 

@@ -46,14 +46,10 @@ __all__ = [
     "g_power_solve", "g12_solve", "koszul_cancellation",
 ]
 
-def _same_grid(a: RegionMask, b: RegionMask) -> bool:
-    return (a.grid.origin == b.grid.origin and a.grid.h == b.grid.h
-            and a.grid.nx == b.grid.nx and a.grid.ny == b.grid.ny)
-
 
 def _as_values(obj, mask: RegionMask) -> np.ndarray:
     if isinstance(obj, SampledField):
-        if not _same_grid(obj.mask, mask):
+        if obj.mask.grid != mask.grid:
             raise ValueError("field sampled on a different grid")
         return obj.values
     return sample_field(obj, mask).values
@@ -65,7 +61,7 @@ def _dbar_values(x, mask: RegionMask) -> np.ndarray:
     if isinstance(x, ComplexExpr):
         return sample_field(wirtinger_dbar(x), mask).values
     if isinstance(x, SampledField):
-        if not _same_grid(x.mask, mask):
+        if x.mask.grid != mask.grid:
             raise ValueError("field sampled on a different grid")
         return dbar_fd_onesided(x).values
     return dbar_fd_onesided(sample_field(x, mask)).values

@@ -322,6 +322,9 @@ class Polygon(CompactDomain):
         n = len(v)
         for k in range(n):
             a, b = v[k], v[(k + 1) % n]
+            if a == b:
+                # a repeated vertex: the edge is a point, crossing nothing
+                continue
             ax, ay, bx, by = a.real, a.imag, b.real, b.imag
             crosses = ((ay > y) != (by > y))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -376,10 +379,6 @@ class GridSpec:
         return GridSpec(self.origin, self.h / factor,
                         (self.nx - 1) * factor + 1, (self.ny - 1) * factor + 1)
 
-    def row_coords(self, iy: int) -> np.ndarray:
-        return (self.origin + self.h * np.arange(self.nx)
-                + 1j * self.h * iy)
-
     def zgrid(self) -> np.ndarray:
         ix = np.arange(self.nx)
         iy = np.arange(self.ny)
@@ -432,7 +431,7 @@ class RegionMask:
             jy, jx = np.nonzero(sub)
             yy = jy + ys.start
             xx = jx + xs.start
-            d = np.abs(self.grid.origin + self.grid.h * (xx + 1j * yy) - z)
+            d = np.abs(self.grid.node(xx, yy) - z)
             k = int(np.argmin(d))
             best, best_d = (int(yy[k]), int(xx[k])), float(d[k])
         # nearest_index clamps z to the grid, so the window can land far
@@ -468,8 +467,7 @@ def build_mask(domain: CompactDomain, h: float = None,
         raise MaskResolutionError(
             f"no Inside nodes at h = {grid.h}; the domain slips between "
             "nodes, refine the grid")
-    interior = ndimage.binary_erosion(inside, structure=_EIGHT_CONN,
-                                      border_value=0)
+    interior = _eroded(inside)
     if not interior.any():
         raise MaskResolutionError(
             f"Inside nodes but no Interior nodes at h = {grid.h}; "
@@ -501,7 +499,13 @@ def connected_components(mask: RegionMask) -> tuple:
 def interior_shrunk(mask: RegionMask, margin: int = 3) -> np.ndarray:
     """Nodes whose Chebyshev `margin`-neighborhood is entirely Inside;
     margin = 1 reproduces the Interior set."""
-    return ndimage.binary_erosion(mask.inside, structure=_EIGHT_CONN,
+    return _eroded(mask.inside, margin)
+
+
+def _eroded(inside: np.ndarray, margin: int = 1) -> np.ndarray:
+    # the Interior rule: margin = 1 keeps the nodes whose eight
+    # neighbors are all Inside; the grid's edge counts as not Inside
+    return ndimage.binary_erosion(inside, structure=_EIGHT_CONN,
                                   iterations=margin, border_value=0)
 
 
@@ -539,6 +543,4 @@ def load_mask(path) -> RegionMask:
             if bad:
                 raise ValueError(f"mask row {iy} has invalid characters {bad}")
             inside[iy] = np.frombuffer(row.encode(), dtype="S1") != b"E"
-    interior = ndimage.binary_erosion(inside, structure=_EIGHT_CONN,
-                                      border_value=0)
-    return RegionMask(grid, inside, interior)
+    return RegionMask(grid, inside, _eroded(inside))

@@ -580,6 +580,8 @@ _TOKEN = _re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
 _ARITY = {"add": (2, None), "sub": (2, 2), "mul": (2, None), "div": (2, 2),
           "neg": (1, 1), "pow": (2, 2), "exp": (1, 1), "log": (1, 1),
           "conj": (1, 1), "cplx": (2, 2), "mobius": (5, 5)}
+_BUILDERS = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
+             "exp": exp, "log": log, "conj": conj}
 
 
 class _Parser:
@@ -653,22 +655,8 @@ class _Parser:
         if len(args) < lo or (hi is not None and len(args) > hi):
             want = str(lo) if hi == lo else (f">= {lo}" if hi is None else f"{lo}..{hi}")
             raise ExprParseError(f"{name} takes {want} arguments, got {len(args)}", name_pos)
-        if name == "add":
-            return add(*args)
-        if name == "sub":
-            return sub(*args)
-        if name == "mul":
-            return mul(*args)
-        if name == "div":
-            return div(*args)
-        if name == "neg":
-            return neg(args[0])
-        if name == "exp":
-            return exp(args[0])
-        if name == "log":
-            return log(args[0])
-        if name == "conj":
-            return conj(args[0])
+        if name in _BUILDERS:
+            return _BUILDERS[name](*args)
         if name == "pow":
             k = args[1]
             if not isinstance(k, Const) or k.value.imag != 0 or k.value.real != int(k.value.real):

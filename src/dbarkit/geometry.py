@@ -108,8 +108,7 @@ def _interior_edges(mask: RegionMask, sel: np.ndarray, ids: np.ndarray):
 def _nearest_inside(mask: RegionMask, z: complex):
     """(iy, ix) of the Inside node nearest to z, whole-grid search."""
     iy, ix = np.nonzero(mask.inside)
-    d = np.abs(mask.grid.origin + mask.grid.h * (ix + 1j * iy) - z)
-    k = int(np.argmin(d))
+    k = int(np.argmin(np.abs(mask.coords(mask.inside) - z)))
     return int(iy[k]), int(ix[k])
 
 
@@ -144,7 +143,7 @@ def _target_graph(mask: RegionMask, z0: complex):
     jy, jx = np.nonzero(sub)
     yy = jy + ys.start
     xx = jx + xs.start
-    coords = mask.grid.origin + mask.grid.h * (xx + 1j * yy)
+    coords = mask.grid.node(xx, yy)
     rows.append(np.full(coords.size, n, dtype=np.int64))
     cols.append(ids[yy, xx])
     wts.append(np.abs(coords - z0))
@@ -178,8 +177,7 @@ def interior_shortest_path(mask: RegionMask, z: complex,
     while chain[-1] != src:
         chain.append(int(pred[chain[-1]]))
     chain.reverse()
-    iy, ix = np.nonzero(mask.interior)
-    coords = mask.grid.origin + mask.grid.h * (ix + 1j * iy)
+    coords = mask.coords(mask.interior)
     nodes = np.array([coords[i] if i < dst else z0 for i in chain])
     z_node = complex(nodes[0])
     length = float(dist[dst])

@@ -26,7 +26,7 @@ from dbarkit.cauchy import (
     sample_field,
     verify_dbar_solution,
 )
-from dbarkit.domains import Disk, GridSpec, RegionMask
+from dbarkit.domains import Disk, GridSpec, RegionMask, interior_shrunk
 
 CELL_H = 0.02
 
@@ -256,8 +256,40 @@ def test_dbar_fd_onesided_extends_to_boundary(disk_mask_64):
     central = dbar_fd(f)
     assert one_sided.support is not None
     assert (one_sided.support == m.inside).all()
-    diff = np.abs(one_sided.values - central.values)[m.interior].max()
-    assert diff < 1e-10
+    assert (one_sided.values[m.interior] == central.values[m.interior]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(2, 14), ny=st.integers(2, 14),
+       h=st.sampled_from([1 / 4, 1 / 8, 1 / 32]),
+       corner=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       coeffs=st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                          allow_infinity=False),
+                       min_size=3, max_size=3),
+       data=st.data())
+def test_dbar_fd_onesided_exact_on_linear_fields(nx, ny, h, corner, coeffs,
+                                                 data):
+    # every difference of a + b x + c y is exact up to roundoff, so each
+    # Inside node reads 0.5 (b + i c) with an axis dropped exactly when
+    # the node has no Inside neighbour along it; random masks put Inside
+    # nodes on the grid's edge, where the missing side is off the grid
+    cells = nx * ny
+    bits = data.draw(st.lists(st.booleans(), min_size=cells, max_size=cells)
+                     .filter(any))
+    inside = np.array(bits).reshape(ny, nx)
+    grid = GridSpec(h * complex(*corner), h, nx, ny)
+    m = RegionMask(grid, inside, np.zeros_like(inside))
+    m.interior = interior_shrunk(m, 1)
+    a, b, c = coeffs
+    got = dbar_fd_onesided(sample_field(
+        lambda z: a + b * z.real + c * z.imag, m)).values
+    pad = np.pad(inside, 1)
+    has_x = pad[1:-1, 2:] | pad[1:-1, :-2]
+    has_y = pad[2:, 1:-1] | pad[:-2, 1:-1]
+    want = 0.5 * (b * has_x + 1j * c * has_y)
+    tol = 1e-12 * max(abs(b), abs(c), 1.0)
+    assert np.abs(got - want)[inside].max() <= tol
+    assert (got[~inside] == 0).all()
 
 
 def test_verify_dbar_solution_report(disk_mask_64):
