@@ -72,7 +72,7 @@ from .bezout import (BezoutProblem, CommonZeroError, CoveringError,
                      bezout_pou, quotient_fits)
 from .cauchy import dbar_convergence
 from .corona import corona_convergence
-from .division import FAIL, PASS, DominationError, certify_class
+from .division import CLASSES, FAIL, PASS, DominationError, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       HalfRingSpiral, InnerSpiral, MaskResolutionError,
                       Polygon, SectorChain, build_mask, connected_components,
@@ -321,11 +321,10 @@ _CORONA = {"f": (_expr_list, REQUIRED), "route": (_one_of("poly", "pou"), "poly"
            "residual_tol": (_positive, "1e-6"), "dbar_tol": (_positive, "1e-3"),
            "slope_min": (_number, "0.9"), "max_degree": (_at_least(0), "16"),
            "physical_margin": (_positive, "0.15")}
-_CLASSES = ("C0", "C1", "A0", "A1", "Dbar1")
 # derivative-layer probes need ring room around the divisor zeros;
 # h = 1/512 keeps every shipped class decidable out of the box
 _DIVIDE = {"f": (_expr, REQUIRED), "g": (_expr, REQUIRED),
-           "power": (_at_least(1), REQUIRED), "class": (_one_of(*_CLASSES), REQUIRED),
+           "power": (_at_least(1), REQUIRED), "class": (_one_of(*CLASSES), REQUIRED),
            "h": (_positive, "1/512"), "expect": (_one_of("pass", "fail"), "pass")}
 _DIVIDE_FLAGS = {"f": {}, "g": {}, "power": {}, "class": {},
                  "domain": {"choices": list(_DOMAIN_KINDS)}}
@@ -580,26 +579,24 @@ def sharpness_battery(h_fine: float = 1 / 512,
     fv, gv = _vanishing_inner_pair()
     fams = _radial_circle_families()
     items = [
-        ("boundary values", "C0", "disk", 2, fv, gv,
-         dict(families=fams), dict(families=fams)),
-        ("first derivatives", "C1", "disk", 3, Z, conj(Z),
-         dict(h=h_fine), dict(h=h_fine)),
-        ("holomorphic values", "A0", "disk", 2, fv, gv,
-         dict(), dict(families=fams)),
+        ("boundary values", "C0", "disk", 2, fv, gv, dict(families=fams)),
+        ("first derivatives", "C1", "disk", 3, Z, conj(Z), dict(h=h_fine)),
+        ("holomorphic values", "A0", "disk", 2, fv, gv, dict()),
         ("holomorphic derivatives, chain", "A1", "sector_chain", 3,
          Z, _chain_divisor(chain),
-         dict(h=h_chain, families=_chain_families(chain), g_locally_constant=True),
          dict(h=h_chain, families=_chain_families(chain), g_locally_constant=True)),
         ("holomorphic derivatives", "A1", "disk", 2,
-         mul(intpow(one_minus, 3), S), intpow(one_minus, 3), dict(), dict()),
-        ("dbar derivatives", "Dbar1", "disk", 4, Z, conj(Z),
-         dict(h=h_fine), dict(h=h_fine)),
+         mul(intpow(one_minus, 3), S), intpow(one_minus, 3), dict()),
+        ("dbar derivatives", "Dbar1", "disk", 4, Z, conj(Z), dict(h=h_fine)),
     ]
+    # the one item whose run one power below differs: families, not rings
+    below_override = {"holomorphic values": dict(families=fams)}
     out = []
-    for name, claimed, dom_label, power, f, g, kw_at, kw_below in items:
+    for name, claimed, dom_label, power, f, g, kw in items:
         dom = chain if dom_label == "sector_chain" else disk
-        at = certify_class(f, g, power, dom, claimed, **kw_at)
-        below = certify_class(f, g, power - 1, dom, claimed, **kw_below)
+        at = certify_class(f, g, power, dom, claimed, **kw)
+        below = certify_class(f, g, power - 1, dom, claimed,
+                              **{**kw, **below_override.get(name, {})})
         out.append({"item": name, "claimed": claimed, "domain": dom_label,
                     "power": power,
                     "verdict_at_power": at.verdict,

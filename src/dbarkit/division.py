@@ -7,12 +7,16 @@ reports PASS when the quantity is small against the field's own scale,
 FAIL when it is large, and INCONCLUSIVE between.  The thresholds are
 fixed once: spread <= 0.05 * scale passes, spread >= 0.5 * scale fails.
 
+The classes are the table CLASSES: per class, the Wirtinger chains
+("d", "dbar", applied left to right) whose layers are probed after the
+value f^N/g itself; the A-classes add the holomorphy probe.
+
 A probe or report whose node selection is empty reads NaN (sups go
 through cauchy.sup_abs), and a NaN measurement or scale grades
 INCONCLUSIVE: nothing measured is never a pass.  The zero floor
 ZERO_REL is applied in _zeros, the domination slack in
-check_domination, and the ring radii are PROBE_RADII_CELLS; the
-common-zero guard and the collar floor live in the bezout module.
+check_domination, and the rings at PROBE_RADII_CELLS are built in
+_rings; the common-zero guard and the collar floor live in bezout.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .expr import (ComplexExpr, Const, as_callable, div, intpow,
                    is_conj_free, mul, wirtinger_d, wirtinger_dbar)
 
 __all__ = [
-    "ZERO_REL", "PROBE_RADII_CELLS", "PASS", "FAIL", "INCONCLUSIVE",
+    "ZERO_REL", "PROBE_RADII_CELLS", "CLASSES", "PASS", "FAIL", "INCONCLUSIVE",
     "DominationError", "ProbeResult", "DivisionCertificate",
     "check_domination", "divide", "ring_selection", "zero_centers", "spread",
     "certify_class", "derivative_bound_scan",
@@ -49,6 +53,16 @@ SPREAD_CAP = 512
 FAMILY_TAIL = 3
 # multi_division_c1 rejects common-zero clusters larger than this
 CLUSTER_CELLS = 9
+# class -> Wirtinger chains on f^N/g, one derivative layer each; the
+# operators are named, not bound, so a layer calls whatever this module's
+# wirtinger_d / wirtinger_dbar are when it is built (a wrapped one too)
+CLASSES = {
+    "C0": (),
+    "C1": (("d",), ("dbar",)),
+    "A0": (),
+    "A1": (("d",),),
+    "Dbar1": (("dbar",), ("dbar", "d"), ("dbar", "dbar")),
+}
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -132,9 +146,13 @@ def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
     like inner functions may be singular exactly there); its values
     there are recorded as 0, which domination forces in the limit.
     """
+    return _quotient(f, g, N, resolve_mask(domain, h, mask))[0]
+
+
+def _quotient(f, g, N, mask):
+    # divide on a resolved mask, sampling g once; also returns g's zero set
     if N < 1:
         raise ValueError("power must be a positive integer")
-    mask = resolve_mask(domain, h, mask)
     gv = sample_field(g, mask).values
     zero = _zeros(mask, np.abs(gv))
     live = mask.inside & ~zero
@@ -143,7 +161,7 @@ def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
                      sel=live)
     vals = np.zeros_like(fv)
     vals[live] = fv[live] ** N / gv[live]
-    return SampledField(mask, vals)
+    return SampledField(mask, vals), zero
 
 
 def spread(values: np.ndarray) -> float:
@@ -160,21 +178,26 @@ def spread(values: np.ndarray) -> float:
 def ring_selection(mask: RegionMask, center: complex,
                    radius: float) -> np.ndarray:
     """Inside nodes within one spacing of the circle |z - center| = radius."""
-    d = np.abs(mask.grid.zgrid() - center)
-    return mask.inside & (np.abs(d - radius) <= mask.grid.h)
+    return _rings(mask, mask.grid.zgrid(), center, (radius,))[0]
+
+
+def _rings(mask: RegionMask, zg: np.ndarray, center: complex, radii) -> list:
+    """Per radius, the ring_selection around center; zg is the grid's
+    node coordinates."""
+    dist = np.abs(zg - center)
+    return [mask.inside & (np.abs(dist - r) <= mask.grid.h) for r in radii]
 
 
 def zero_centers(mask: RegionMask, magnitude: np.ndarray,
                  threshold: float) -> list:
     """Centroids of the connected small-magnitude node clusters."""
-    return _centroids(mask, mask.inside & (magnitude <= threshold))
+    return _centroids(mask.grid.zgrid(), mask.inside & (magnitude <= threshold))
 
 
-def _centroids(mask: RegionMask, sel: np.ndarray) -> list:
+def _centroids(zg: np.ndarray, sel: np.ndarray) -> list:
     if not sel.any():
         return []
     labels, count = ndimage.label(sel)
-    zg = mask.grid.zgrid()
     return [complex(zg[labels == lab].mean()) for lab in range(1, count + 1)]
 
 
@@ -182,24 +205,27 @@ def _probe_radii(mask: RegionMask) -> list:
     return [k * mask.grid.h for k in PROBE_RADII_CELLS]
 
 
-def _probe_rings(mask: RegionMask, centers, within: np.ndarray) -> list:
-    """Per probe radius, the union of the rings around all centers, cut
-    to the within set."""
-    rings = []
-    for r in _probe_radii(mask):
-        sel = np.zeros(mask.inside.shape, bool)
-        for c in centers:
-            sel |= ring_selection(mask, c, r)
-        rings.append(sel & within)
-    return rings
-
-
-def _ring_grad_max(fld: SampledField, rings, weight=1.0) -> list:
-    """Per ring, the max of max(|d_fd|, |dbar_fd|) / weight over the
-    field's nodes; None for an empty ring."""
-    grad = np.maximum(np.abs(d_fd(fld).values),
-                      np.abs(dbar_fd(fld).values)) / weight
-    return [float(grad[sel].max()) if sel.any() else None for sel in rings]
+def _ring_gradients(mask: RegionMask, zero: np.ndarray, fields,
+                    weight=1.0) -> tuple:
+    """Centroids of the zero clusters and, per field and probe radius,
+    the max of max(|d_fd|, |dbar_fd|) / weight on the rings around them
+    cut to the Interior off the zero set (None for an empty ring)."""
+    zg = mask.grid.zgrid()
+    centers = _centroids(zg, zero)
+    radii = _probe_radii(mask)
+    rings = [np.zeros(mask.inside.shape, bool) for _ in radii]
+    for c in centers:
+        for sel, ring in zip(rings, _rings(mask, zg, c, radii)):
+            sel |= ring
+    within = mask.inside & ~zero & mask.interior
+    rings = [sel & within for sel in rings]
+    out = []
+    for fld in fields:
+        grad = np.maximum(np.abs(d_fd(fld).values), np.abs(dbar_fd(fld).values))
+        grad /= weight
+        out.append([float(grad[sel].max()) if sel.any() else None
+                    for sel in rings])
+    return centers, out
 
 
 def _grade(measured: float, scale: float) -> str:
@@ -218,19 +244,15 @@ def _grade(measured: float, scale: float) -> str:
     return INCONCLUSIVE
 
 
-def _ring_probe(name, value_fn, mask, centers, scale):
+def _ring_probe(name, value_fn, rings, radii, scale):
     # spread of the probed quantity on rings closing in on each center;
     # continuity shows up as the smallest ring's spread collapsing.  The
     # measurement is the worst innermost spread, NaN when no center has
     # a ring node
-    radii = _probe_radii(mask)
     per_center, innermost = {}, []
-    for c in centers:
-        spreads = []
-        for r in radii:
-            sel = ring_selection(mask, c, r)
-            spreads.append(spread(value_fn(mask.coords(sel)))
-                           if sel.any() else None)
+    for c, ring_pts in rings:
+        spreads = [None if pts is None else spread(value_fn(pts))
+                   for pts in ring_pts]
         per_center[c] = spreads
         seen = [s for s in spreads if s is not None]
         if seen:
@@ -240,7 +262,7 @@ def _ring_probe(name, value_fn, mask, centers, scale):
                        {"radii": radii, "per_center": per_center})
 
 
-def _family_probe(name, value_fn, families, scale):
+def _family_probe(name, value_fn, families):
     # family = sequence of points marching toward the limit; families
     # must agree in their tails for the limit to exist, and fewer than
     # two families compare nothing (NaN)
@@ -252,18 +274,9 @@ def _family_probe(name, value_fn, families, scale):
     vals = list(tails.values())
     measured = (max(abs(a - b) for a in vals for b in vals)
                 if len(vals) >= 2 else float("nan"))
-    if scale is None:
-        scale = sup_abs(np.asarray(allvals))
+    scale = sup_abs(np.asarray(allvals))
     return ProbeResult(name, _grade(measured, scale), measured, scale,
                        {"tails": tails, "tail": FAMILY_TAIL})
-
-
-def _probe_centers(mask, gv, domain):
-    centers = _centroids(mask, _zeros(mask, np.abs(gv)))
-    for p in getattr(domain, "tagged_points", ()) or ():
-        if all(abs(p - c) > 4 * mask.grid.h for c in centers):
-            centers.append(p)
-    return centers
 
 
 def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
@@ -271,95 +284,79 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
                   g_locally_constant: bool = False) -> DivisionCertificate:
     """Probe whether f^N/g (zero-extended) behaves like the claimed class.
 
-    claimed is one of C0, A0 (value continuity), C1, A1 (first
-    derivative continuity; A-classes track the holomorphic derivative
-    only), Dbar1 (value, dbar, and both second-layer derivatives of the
-    dbar).  Probes run on rings shrinking toward the zeros of g and any
-    tagged boundary points, or on caller-supplied approach families
-    (dict name -> point sequence), which take precedence.
+    claimed is a key of CLASSES: C0, A0 (value continuity), C1, A1
+    (first derivative continuity; A-classes track the holomorphic
+    derivative only), Dbar1 (value, dbar, and both second-layer
+    derivatives of the dbar).  Probes run on rings shrinking toward the
+    zeros of g and any tagged boundary points, where the A-classes add
+    the holomorphy probe; or on caller-supplied approach families (dict
+    name -> point sequence), which take precedence and probe the layers
+    only, without the holomorphy probe.
 
     g_locally_constant switches the symbolic derivative layers to treat
     g as locally constant (step functions on disjoint pieces), in which
     case only f needs to be an expression.
     """
-    if claimed not in ("C0", "A0", "C1", "A1", "Dbar1"):
+    if claimed not in CLASSES:
         raise ValueError(f"unknown class {claimed!r}")
+    chains = CLASSES[claimed]
+    if chains and not (isinstance(f, ComplexExpr) and (
+            g_locally_constant or isinstance(g, ComplexExpr))):
+        raise ValueError(f"{claimed} derivative-layer probes need "
+                         "expression inputs")
     mask = build_mask(domain, h=h)
-    hfield = divide(f, g, N, mask=mask)
-    gv = sample_field(g, mask).values
-    centers = _probe_centers(mask, gv, domain)
-    gcall = as_callable(g)
+    hfield, zero = _quotient(f, g, N, mask)
+    fcall, gcall = as_callable(f), as_callable(g)
 
-    def quotient_values(pts):
-        return as_callable(f)(pts) ** N / gcall(pts)
+    def symbolic_layer(chain):
+        # with g piecewise constant every layer is a derivative of f^N
+        # divided pointwise by g
+        expr = intpow(f, N) if g_locally_constant else div(intpow(f, N), g)
+        for op in chain:
+            expr = wirtinger_d(expr) if op == "d" else wirtinger_dbar(expr)
+        fn = as_callable(expr)
+        return (lambda pts: fn(pts) / gcall(pts)) if g_locally_constant else fn
 
-    layers = [("value", quotient_values)]
+    layers = [("value", lambda pts: fcall(pts) ** N / gcall(pts))]
+    layers += [("_of_".join(reversed(chain)), symbolic_layer(chain))
+               for chain in chains]
+    if families:
+        probes = [_family_probe(name, fn, families) for name, fn in layers]
+        return DivisionCertificate(N, claimed, mask.grid.h, probes)
 
-    symbolic = isinstance(f, ComplexExpr) and (
-        g_locally_constant or isinstance(g, ComplexExpr))
-
-    def symbolic_layer(op_chain):
-        if g_locally_constant:
-            # d/dz (f^N / g) with g piecewise constant: all layers are
-            # plain derivatives of f^N divided pointwise by g
-            expr = intpow(f, N)
-            for op in op_chain:
-                expr = op(expr)
-            fn = as_callable(expr)
-            return lambda pts: fn(pts) / gcall(pts)
-        expr = div(intpow(f, N), g)
-        for op in op_chain:
-            expr = op(expr)
-        return as_callable(expr)
-
-    if claimed in ("C1", "A1"):
-        if not symbolic:
-            raise ValueError("first-derivative probes need expression "
-                             "inputs for the symbolic layer")
-        layers.append(("d", symbolic_layer([wirtinger_d])))
-        if claimed == "C1":
-            layers.append(("dbar", symbolic_layer([wirtinger_dbar])))
-    elif claimed == "Dbar1":
-        if not symbolic:
-            raise ValueError("dbar-layer probes need expression inputs")
-        layers.append(("dbar", symbolic_layer([wirtinger_dbar])))
-        layers.append(("d_of_dbar",
-                       symbolic_layer([wirtinger_dbar, wirtinger_d])))
-        layers.append(("dbar_of_dbar",
-                       symbolic_layer([wirtinger_dbar, wirtinger_dbar])))
-
-    probes = []
-    for name, fn in layers:
-        if families:
-            probes.append(_family_probe(name, fn, families, scale=None))
-        else:
-            if name == "value":
-                scale = hfield.max_abs()
-            else:
-                sel = interior_shrunk(mask, 3) & ~_near_centers(mask, centers, 4 * mask.grid.h)
-                scale = sup_abs(fn(mask.coords(sel)))
-            probes.append(_ring_probe(name, fn, mask, centers, scale))
-
-    if claimed in ("A0", "A1") and not families:
-        probes.append(_holomorphy_probe(hfield, centers))
-
+    # the probe geometry, built once and shared by every layer
+    zg = mask.grid.zgrid()
+    centers = _centroids(zg, zero)
+    for p in mask.tagged_points:
+        if all(abs(p - c) > 4 * mask.grid.h for c in centers):
+            centers.append(p)
+    radii = _probe_radii(mask)
+    rings = [(c, [mask.coords(sel) if sel.any() else None
+                  for sel in _rings(mask, zg, c, radii)]) for c in centers]
+    away = mask.coords(interior_shrunk(mask, 3)
+                       & ~_near_centers(zg, centers, 4 * mask.grid.h))
+    probes = [_ring_probe(name, fn, rings, radii,
+                          hfield.max_abs() if name == "value"
+                          else sup_abs(fn(away)))
+              for name, fn in layers]
+    if claimed.startswith("A"):
+        probes.append(_holomorphy_probe(hfield, zg, centers))
     return DivisionCertificate(N, claimed, mask.grid.h, probes)
 
 
-def _near_centers(mask, centers, dist):
-    zg = mask.grid.zgrid()
-    out = np.zeros(mask.inside.shape, bool)
+def _near_centers(zg, centers, dist):
+    out = np.zeros(zg.shape, bool)
     for c in centers:
         out |= np.abs(zg - c) <= dist
     return out
 
 
-def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
+def _holomorphy_probe(hfield: SampledField, zg, centers) -> ProbeResult:
     # discrete dbar away from the zero set and the outer boundary; the
     # quotient of holomorphic data must not show a conjugate component
     mask = hfield.mask
     dv = dbar_fd(hfield)
-    sel = interior_shrunk(mask, 8) & ~_near_centers(mask, centers, 0.25)
+    sel = interior_shrunk(mask, 8) & ~_near_centers(zg, centers, 0.25)
     scale = hfield.max_abs()
     measured = sup_abs(dv.values, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,
@@ -378,8 +375,11 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
     differs from the z-derivative by the unimodular factor i^j2, so the
     estimated constant is identical and only the order changes.
     Both f and g are rescaled by the measured sup of |g| first, which
-    keeps |f| <= |g| intact and normalizes |g| <= 1.
+    keeps |f| <= |g| intact and normalizes |g| <= 1.  levels needs two
+    distinct spacings at least, or the stability ratio compares nothing.
     """
+    if len(set(levels)) < 2:
+        raise ValueError(f"need at least two distinct spacings, got {levels}")
     if mixed is not None:
         j1, j2 = mixed
         if j1 < 0 or j2 < 0:
@@ -479,11 +479,9 @@ def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
     total = sum(g.values * v for g, v in zip(gs, fv))
     residual = sup_abs(total - hv ** power, live)
 
-    centers = _centroids(mask, zero)
-    rings = _probe_rings(mask, centers, live & mask.interior)
     # the rings lie off the zero set; the 1 elsewhere only avoids 0/0
     rootf = np.where(live, np.sqrt(s2), 1.0)
-    evidence = [_ring_grad_max(g, rings, rootf) for g in gs]
+    centers, evidence = _ring_gradients(mask, zero, gs, rootf)
     seen = [[v for v in row if v is not None] for row in evidence]
     growth = max((row[0] / row[-1] for row in seen if len(row) >= 2 and row[-1] > 0),
                  default=float("nan"))
@@ -526,10 +524,8 @@ def quotient_extension_lemma(g, f_list, power: int,
     vals[live] = gv[live] ** power / s2[live]
     field = SampledField(mask, vals)
 
-    centers = _centroids(mask, zero)
+    centers, (ring_max,) = _ring_gradients(mask, zero, [field])
     radii = _probe_radii(mask)
-    ring_max = _ring_grad_max(
-        field, _probe_rings(mask, centers, mask.interior & live))
     seen = [(r, v) for r, v in zip(radii, ring_max) if v is not None and v > 0]
     slope = None
     if len(seen) >= 2:

@@ -380,9 +380,7 @@ class GridSpec:
                         (self.nx - 1) * factor + 1, (self.ny - 1) * factor + 1)
 
     def zgrid(self) -> np.ndarray:
-        ix = np.arange(self.nx)
-        iy = np.arange(self.ny)
-        return (self.origin + self.h * ix[None, :] + 1j * self.h * iy[:, None])
+        return self.node(np.arange(self.nx)[None, :], np.arange(self.ny)[:, None])
 
     def node(self, ix: int, iy: int) -> complex:
         return self.origin + self.h * (ix + 1j * iy)
@@ -459,9 +457,7 @@ def build_mask(domain: CompactDomain, h: float = None,
     inside = np.zeros((grid.ny, grid.nx), dtype=bool)
     for y0 in range(0, grid.ny, ROW_BLOCK):
         y1 = min(y0 + ROW_BLOCK, grid.ny)
-        ix = np.arange(grid.nx)
-        iy = np.arange(y0, y1)
-        zz = grid.origin + grid.h * ix[None, :] + 1j * grid.h * iy[:, None]
+        zz = grid.node(np.arange(grid.nx)[None, :], np.arange(y0, y1)[:, None])
         inside[y0:y1] = domain.contains(zz)
     if not inside.any():
         raise MaskResolutionError(

@@ -274,7 +274,9 @@ def _taylor_eval(expr: ComplexExpr, var: TaylorPoly, at) -> TaylorPoly:
 
 
 def taylor_expand(expr: ComplexExpr, x, n: int) -> TaylorPoly:
-    """Taylor coefficients of expr around x up to order n."""
+    """Taylor coefficients of expr around x up to order n (0 allowed)."""
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported maximum {MAX_ORDER}")
     var = TaylorPoly.variable(complex(x), n)

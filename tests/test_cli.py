@@ -7,6 +7,7 @@ through main() so stderr and exit codes stay observable.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -506,3 +507,23 @@ def test_shipped_configs_exit_clean(cfg_path, tmp_path):
         assert stamp.startswith(b"# ")
         bodies.append(rest)
     assert bodies[0] == bodies[1]
+
+
+# ------------------------------------------------------- documented runs
+
+
+def _readme_quick_runs() -> list:
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = readme.split("Quick runs without a config:", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.strip()]
+
+
+def test_readme_quick_runs_exit_0(capsys):
+    # every documented config-free command still runs clean
+    runs = _readme_quick_runs()
+    assert len(runs) >= 4
+    for argv in runs:
+        assert argv[0] == "dbarkit"
+        assert main(argv[1:]) == EXIT_OK, argv

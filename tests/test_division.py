@@ -18,8 +18,10 @@ hand maximum of |5 z^4| / |z| = 5|z|^3 on the shrunk disk.
 import numpy as np
 import pytest
 
-from dbarkit.division import (FAIL, INCONCLUSIVE, PASS, DominationError,
-                              certify_class, derivative_bound_scan, divide,
+from dbarkit import division
+from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
+                              DominationError, certify_class,
+                              derivative_bound_scan, divide,
                               multi_division_c1, multi_division_continuous,
                               quotient_extension_lemma, ring_selection,
                               spread, zero_centers)
@@ -271,6 +273,54 @@ def test_certify_derivative_layers_need_expressions():
         certify_class(lambda z: z, lambda z: z, 1, DISK, "C1")
 
 
+# the probes each class yields on rings; on approach families the same
+# layers without the holomorphy probe
+RING_PROBES = {
+    "C0": ["value"],
+    "C1": ["value", "d", "dbar"],
+    "A0": ["value", "holomorphy"],
+    "A1": ["value", "d", "holomorphy"],
+    "Dbar1": ["value", "dbar", "d_of_dbar", "dbar_of_dbar"],
+}
+TOWARD_ZERO = {"radial": [2.0 ** -k for k in range(1, 9)],
+               "diagonal": [(1 + 1j) * 2.0 ** -k for k in range(1, 9)]}
+
+
+def test_class_table_lists_the_five_classes_in_order():
+    assert list(CLASSES) == list(RING_PROBES)
+
+
+@pytest.mark.parametrize("claimed", list(RING_PROBES))
+def test_probe_names_per_class(claimed):
+    rings = certify_class(Z, conj(Z), 4, DISK, claimed, h=1 / 64)
+    fams = certify_class(Z, conj(Z), 4, DISK, claimed, h=1 / 64,
+                         families=TOWARD_ZERO)
+    assert [p.name for p in rings.probes] == RING_PROBES[claimed]
+    assert [p.name for p in fams.probes] == [
+        n for n in RING_PROBES[claimed] if n != "holomorphy"]
+
+
+@pytest.fixture
+def ring_builds(monkeypatch):
+    """One (center, radii) entry per ring construction while the test runs."""
+    calls = []
+    build = division._rings
+    monkeypatch.setattr(division, "_rings", lambda mask, zg, c, radii: (
+        calls.append((c, tuple(radii))) or build(mask, zg, c, radii)))
+    return calls
+
+
+def test_certificate_builds_each_ring_once(ring_builds):
+    # four layers share one ring geometry: each center's rings are built
+    # once, at every probe radius, not once per layer
+    g = mul(Z, sub(Z, Const(0.5)))
+    cert = certify_class(g, g, 2, DISK, "Dbar1", h=1 / 128)
+    centers = list(cert.probe("value").details["per_center"])
+    assert len(cert.probes) == 4 and len(centers) == 2
+    radii = tuple(cert.probe("value").details["radii"])
+    assert ring_builds == [(c, radii) for c in centers]
+
+
 # --- derivative bound scan ----------------------------------------------------
 
 
@@ -308,6 +358,13 @@ def test_scan_order_capped_by_smoothness():
 def test_scan_rejects_conjugate_data():
     with pytest.raises(ValueError, match="conjugation-free"):
         derivative_bound_scan(conj(Z), Z, 1, 1, DISK)
+
+
+@pytest.mark.parametrize("levels", [(1 / 64,), (1 / 64, 1 / 64)])
+def test_scan_needs_two_distinct_spacings(levels):
+    # one spacing compares a constant with itself: ratio 1, always stable
+    with pytest.raises(ValueError, match="two distinct spacings"):
+        derivative_bound_scan(intpow(Z, 2), Z, 1, 1, DISK, levels=levels)
 
 
 # --- multi-generator division -------------------------------------------------

@@ -170,7 +170,8 @@ def test_zgrid_matches_node():
     g = GridSpec(1 - 1j, 0.25, 4, 3)
     zz = g.zgrid()
     assert zz.shape == (3, 4)
-    assert zz[2, 1] == g.node(1, 2)
+    nodes = np.array([[g.node(ix, iy) for ix in range(4)] for iy in range(3)])
+    np.testing.assert_array_equal(zz, nodes)
 
 
 # ----------------------------------------------------------------- masks

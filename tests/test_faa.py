@@ -178,6 +178,16 @@ def test_taylor_expand_known_series():
         taylor_expand(exp(Z), 0j, MAX_ORDER + 1)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_taylor_expand_rejects_negative_order(n):
+    with pytest.raises(ValueError, match=f"order must be >= 0, got {n}"):
+        taylor_expand(exp(Z), 0j, n)
+
+
+def test_taylor_expand_order_zero_is_the_value():
+    assert taylor_expand(exp(Z), 1 + 0j, 0).c == pytest.approx([math.e])
+
+
 def test_oracle_rejects_conj_and_handles_n0():
     with pytest.raises(ValueError, match="conj node"):
         taylor_oracle(conj(Z), Z, 0.5, 2)
