@@ -18,12 +18,13 @@ measured quantity is how smooth the output is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .cauchy import SampledField, sample_field, sup_abs
+from .cauchy import SampledField, sample_field, sup_abs, zero_extended
 from .domains import CompactDomain, RegionMask, resolve_mask
 from .expr import ComplexExpr, Const, Z, add, conj, div, intpow, mul
 
@@ -72,7 +73,10 @@ class VanishingError(ValueError):
 class BezoutProblem:
     """Generators sampled on a mask, with the measured corona floor.
 
-    delta = min over Inside nodes of sum_j |f_j(z)|.  The quotient and
+    The one place a generator list is sampled.  s1 = sum_j |f_j| and
+    s2 = sum_j |f_j|^2 are recomputed from f_fields on each access, so
+    no grid-size sum outlives its caller; collar = zero_collar(s1) and
+    delta = min over Inside nodes of s1 are kept.  The quotient and
     covering solvers demand delta > 0; generalized_division tolerates
     common zeros as long as the dividend vanishes around them.
     """
@@ -81,7 +85,6 @@ class BezoutProblem:
     f_list: Sequence
     mask: RegionMask
     f_fields: list = field(repr=False)
-    delta: float = 0.0
 
     @classmethod
     def build(cls, domain, f_list, h: float = 1 / 64,
@@ -89,14 +92,28 @@ class BezoutProblem:
         if len(f_list) < 1:
             raise ValueError("need at least one generator")
         mask = resolve_mask(domain, h, mask)
-        fields = [sample_field(f, mask) for f in f_list]
-        s1 = sum(np.abs(g.values) for g in fields)
-        delta = float(s1[mask.inside].min())
-        return cls(domain, list(f_list), mask, fields, delta)
+        return cls(domain, list(f_list), mask,
+                   [sample_field(f, mask) for f in f_list])
 
     @property
     def n(self) -> int:
         return len(self.f_list)
+
+    @property
+    def s1(self) -> np.ndarray:
+        return sum(np.abs(g.values) for g in self.f_fields)
+
+    @property
+    def s2(self) -> np.ndarray:
+        return sum(np.abs(g.values) ** 2 for g in self.f_fields)
+
+    @cached_property
+    def collar(self) -> np.ndarray:
+        return zero_collar(self.mask.inside, self.s1)
+
+    @cached_property
+    def delta(self) -> float:
+        return float(self.s1[self.mask.inside].min())
 
 
 def require_no_common_zero(mask: RegionMask, s2: np.ndarray,
@@ -119,13 +136,11 @@ def zero_collar(inside: np.ndarray, s1: np.ndarray) -> np.ndarray:
 def q_fields(problem: BezoutProblem) -> list:
     """Pointwise smooth solution q_j = conj(f_j) / sum_k |f_k|^2."""
     mask = problem.mask
-    s2 = sum(np.abs(g.values) ** 2 for g in problem.f_fields)
+    s2 = problem.s2
     require_no_common_zero(mask, s2)
-    out = []
-    for g in problem.f_fields:
-        vals = np.where(mask.inside, np.conj(g.values) / np.where(mask.inside, s2, 1.0), 0.0)
-        out.append(SampledField(mask, vals))
-    return out
+    return [SampledField(mask, zero_extended(np.conj(g.values), s2,
+                                             mask.inside))
+            for g in problem.f_fields]
 
 
 def _monomials(d: int) -> list:
@@ -381,23 +396,18 @@ def partition_of_unity(problem: BezoutProblem,
             f"epsilon = {epsilon:.4g} too large for delta = "
             f"{problem.delta:.4g}: {int(uncovered.sum())} node(s) uncovered, "
             f"first at {where}")
-    out = []
-    for b in betas:
-        vals = np.where(mask.inside, b / np.where(mask.inside, total, 1.0), 0.0)
-        out.append(SampledField(mask, vals.astype(complex)))
-    return out
+    return [SampledField(mask,
+                         zero_extended(b, total, mask.inside).astype(complex))
+            for b in betas]
 
 
 def bezout_pou(problem: BezoutProblem,
                epsilon: Optional[float] = None) -> list:
     """Covering-route solution x_j = alpha_j / f_j as sampled fields."""
     alphas = partition_of_unity(problem, epsilon)
-    out = []
-    for a, g in zip(alphas, problem.f_fields):
-        live = a.values != 0
-        vals = np.where(live, a.values / np.where(live, g.values, 1.0), 0.0)
-        out.append(SampledField(problem.mask, vals))
-    return out
+    return [SampledField(problem.mask,
+                         zero_extended(a.values, g.values, a.values != 0))
+            for a, g in zip(alphas, problem.f_fields)]
 
 
 def generalized_division(f, problem: BezoutProblem,
@@ -417,8 +427,8 @@ def generalized_division(f, problem: BezoutProblem,
         zero = np.zeros_like(fvals)
         return [SampledField(mask, zero.copy()) for _ in problem.f_list]
 
-    s1 = sum(np.abs(g.values) for g in problem.f_fields)
-    small = zero_collar(mask.inside, s1)
+    s1 = problem.s1
+    small = problem.collar
 
     near = np.zeros_like(mask.inside)
     if small.any():
@@ -448,9 +458,6 @@ def generalized_division(f, problem: BezoutProblem,
     betas, total, uncovered = _bumps(problem, epsilon, live)
     if uncovered.any():
         raise CoveringError("covering failed off the vanishing neighborhood")
-    out = []
-    for b, g in zip(betas, problem.f_fields):
-        hot = live & (b > 0)
-        vals = np.where(hot, fvals * b / np.where(hot, total * g.values, 1.0), 0.0)
-        out.append(SampledField(mask, vals))
-    return out
+    return [SampledField(mask, zero_extended(fvals * b, total * g.values,
+                                             live & (b > 0)))
+            for b, g in zip(betas, problem.f_fields)]

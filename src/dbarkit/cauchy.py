@@ -51,12 +51,12 @@ from typing import Optional
 import numpy as np
 from scipy import fft
 
-from .domains import RegionMask, interior_shrunk
+from .domains import RegionMask, build_mask, interior_shrunk
 from .expr import as_callable
 
 __all__ = [
     "NEAR_RADIUS_CELLS", "sup_abs", "SampledField", "sample_field",
-    "exact_cell_integral",
+    "zero_extended", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
     "EXACT_FLOOR", "refinement_ladder", "dbar_convergence",
 ]
@@ -114,11 +114,27 @@ def sample_field(f, mask: RegionMask,
     """Sample an expression or callable on the Inside nodes.
 
     zero_on: optional node set forced to 0 without evaluation (zero
-    extensions across singular sets)."""
+    extensions across singular sets).  A SampledField on the grid of
+    mask comes back as it is (copied with zero_on set to 0 if given);
+    one from another grid raises."""
+    if isinstance(f, SampledField):
+        if f.mask.grid != mask.grid:
+            raise ValueError("field sampled on a different grid")
+        return f if zero_on is None else SampledField(
+            f.mask, np.where(zero_on, 0.0, f.values), f.support)
     sel = mask.inside if zero_on is None else mask.inside & ~zero_on
     vals = np.zeros(mask.inside.shape, dtype=complex)
     vals[sel] = as_callable(f)(mask.coords(sel))
     return SampledField(mask, vals)
+
+
+def zero_extended(num: np.ndarray, den: np.ndarray,
+                  live: np.ndarray) -> np.ndarray:
+    """num / den on the live nodes and 0 on every other node: the zero
+    extension across a singular set.  Nothing off live is divided."""
+    out = np.zeros(live.shape, dtype=np.result_type(num, den))
+    out[live] = num[live] / den[live]
+    return out
 
 
 def exact_cell_integral(v0: np.ndarray, h: float) -> np.ndarray:
@@ -342,8 +358,6 @@ def dbar_convergence(f, domain, hs=(1 / 64, 1 / 128, 1 / 256),
     Returns the refinement_ladder result for the metric 'max_dev'; its
     'slope' is the max_dev exponent.
     """
-    from .domains import build_mask
-
     def solve(h, margin):
         field = sample_field(f, build_mask(domain, h=h))
         return {"max_dev": verify_dbar_solution(field, margin)["max_dev"]}

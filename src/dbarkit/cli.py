@@ -339,7 +339,8 @@ _LCONN_DISK = {**_LCONN, "z0": (_complex, "0+0j"),
                "scales": (_ladder(2), "0.2 0.1 0.05"),
                "samples": (_at_least(1), "64"), "h": (_positive, "1/128")}
 _LCONN_SPIRAL = {**_LCONN, "scales": (_ladder(2), "0.3 0.15 0.075"),
-                 "samples": (_at_least(1), "256"), "nodes": (_at_least(1), "256"),
+                 "samples": (_at_least(1), "256"),
+                 "nodes": (_at_least(64), "256"),
                  "depth": (_positive, "1.45")}
 _TAYLOR = {"f": (_expr, REQUIRED), "z0": (_complex, REQUIRED),
            "m": (_at_least(0), REQUIRED),
@@ -736,6 +737,9 @@ def _run_lconn(cfg: ExperimentConfig) -> RunReport:
 
 def _run_taylor(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
+    if p["coeffs"] is not None and len(p["coeffs"]) != p["m"] + 1:
+        raise ConfigError(f"[taylor] coeffs must list m + 1 = {p['m'] + 1} "
+                          f"value(s), got {len(p['coeffs'])}")
     rep = taylor_remainder_fit(p["f"], p["z0"], p["m"], cfg.domain,
                                radii=p["radii"],
                                samples_per_radius=p["samples"],
@@ -858,7 +862,8 @@ def main(argv=None) -> int:
         config = load_config(args.command, config_path=args.config,
                              overrides=overrides, out=args.out,
                              levels=args.levels)
-        # a runner's cross-key rule (faa's n or verify) raises ConfigError too
+        # a runner's cross-key rule (faa's n or verify, taylor's coeffs
+        # count) raises ConfigError too
         report = run(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

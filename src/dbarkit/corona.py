@@ -11,9 +11,10 @@ across common zeros of the generators.
 
 corona_solve, g_power_solve and g12_solve differ only in their set-up
 (the Bezout route, the hypothesis check, how x and dbar x are
-obtained; the two power targets share the sampling, the domination
-check and the collar); each hands its sampled x and dbar x to one
-correction core, which builds F, solves for H, assembles u and
+obtained).  Each samples its generators once, as a
+bezout.BezoutProblem (the power targets add g and the domination
+|g| <= sum|f_j|), and hands x, dbar x and that record, collar included,
+to one correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
 On the poly route x_j = p_j / D comes from the node values and the
 certified D = sum p_k f_k of bezout.quotient_fits, and dbar x_j by the
@@ -33,11 +34,12 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
-                     quotient_fits, require_no_common_zero, zero_collar)
-from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, pompeiu,
-                     refinement_ladder, sample_field, sup_abs)
+                     quotient_fits, require_no_common_zero)
+from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided,
+                     refinement_ladder, sample_field, sup_abs,
+                     verify_dbar_solution, zero_extended)
 from .division import check_domination, divide
-from .domains import CompactDomain, RegionMask, interior_shrunk, resolve_mask
+from .domains import CompactDomain, RegionMask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
 
 __all__ = [
@@ -47,23 +49,11 @@ __all__ = [
 ]
 
 
-def _as_values(obj, mask: RegionMask) -> np.ndarray:
-    if isinstance(obj, SampledField):
-        if obj.mask.grid != mask.grid:
-            raise ValueError("field sampled on a different grid")
-        return obj.values
-    return sample_field(obj, mask).values
-
-
 def _dbar_values(x, mask: RegionMask) -> np.ndarray:
     # symbolic dbar for expressions, one-sided differences for data
     # that exists only on the nodes
     if isinstance(x, ComplexExpr):
         return sample_field(wirtinger_dbar(x), mask).values
-    if isinstance(x, SampledField):
-        if x.mask.grid != mask.grid:
-            raise ValueError("field sampled on a different grid")
-        return dbar_fd_onesided(x).values
     return dbar_fd_onesided(sample_field(x, mask)).values
 
 
@@ -112,58 +102,55 @@ def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
     dbar x_j is symbolic for expressions and one-sided differences for
     callables and fields.  Generators with a common zero on the grid
     are an error unless a weight is supplied (the g^4 route): weighted
-    entries are multiplied by it and zero-extended on
-    bezout.zero_collar.
+    entries are multiplied by it and zero-extended on the generators'
+    collar (BezoutProblem.collar).
     """
     if len(f_list) != len(x_list):
         raise ValueError("x_list and f_list lengths differ")
-    mask = resolve_mask(domain, h, mask)
-    return _obstruction((_dbar_values(x, mask) for x in x_list),
-                        [_as_values(f, mask) for f in f_list], mask,
-                        None if weight is None else _as_values(weight, mask))
+    gens = BezoutProblem.build(domain, f_list, h=h, mask=mask)
+    wv = None if weight is None else sample_field(weight, gens.mask).values
+    return _obstruction((_dbar_values(x, gens.mask) for x in x_list), gens, wv)
 
 
-def _obstruction(dbx, fv, mask: RegionMask, wv=None) -> AntisymMatrixField:
-    # F from the sampled dbar x_j (dbx), f_j (fv) and weight (wv); dbx
-    # is drawn once, after the common-zero check, and dropped with the
-    # frame, so callers pass generators and no dbar x array outlives F
-    n = len(fv)
-    s2 = sum(np.abs(v) ** 2 for v in fv)
-    inside = mask.inside
+def _obstruction(dbx, gens: BezoutProblem, wv=None) -> AntisymMatrixField:
+    # F from the sampled dbar x_j (dbx), the generator record (gens)
+    # and the weight (wv); dbx is drawn once, after the common-zero
+    # check, and dropped with the frame, so callers pass generators and
+    # no dbar x or sum|f_j|^2 array outlives F
+    mask, inside = gens.mask, gens.mask.inside
+    fv = [g.values for g in gens.f_fields]
+    s2 = gens.s2
     if wv is None:
         require_no_common_zero(mask, s2, "; use the weighted (g-power) route")
         live = inside
     else:
-        live = inside & ~zero_collar(inside, sum(np.abs(v) for v in fv))
+        live = inside & ~gens.collar
 
     dbx = list(dbx)
     upper = {}
-    for j in range(n):
-        for k in range(j + 1, n):
+    for j in range(gens.n):
+        for k in range(j + 1, gens.n):
             num = dbx[k] * np.conj(fv[j]) - dbx[j] * np.conj(fv[k])
-            vals = np.zeros(inside.shape, dtype=complex)
-            vals[live] = num[live] / s2[live]
+            vals = zero_extended(num, s2, live)
             if wv is not None:
                 vals[live] *= wv[live]
             upper[(j, k)] = SampledField(mask, vals)
-    return AntisymMatrixField(n, mask, upper)
+    return AntisymMatrixField(gens.n, mask, upper)
 
 
 def solve_dbar_matrix(F: AntisymMatrixField, margin: int = 3):
     """Entrywise dbar solve H_jk = pompeiu(F_jk).
 
-    Returns (H, reports); reports[(j, k)] carries the round-trip
-    deviation max |dbar_fd(H_jk) - F_jk| over the margin-shrunk nodes,
-    NaN when the margin leaves no node to measure.
+    Returns (H, reports); reports[(j, k)] carries the round trip of
+    cauchy.verify_dbar_solution: max_dev = max |dbar_fd(H_jk) - F_jk|
+    over the margin-shrunk nodes (NaN when the margin leaves no node to
+    measure), h and margin.
     """
-    sel = interior_shrunk(F.mask, margin)
     upper, reports = {}, {}
     for key, fld in F.upper.items():
-        u = pompeiu(fld)
-        dev = dbar_fd(u).values - fld.values
-        upper[key] = u
-        reports[key] = {"max_dev": sup_abs(dev, sel),
-                        "h": F.mask.grid.h, "margin": margin}
+        trip = verify_dbar_solution(fld, margin)
+        upper[key] = trip["u"]
+        reports[key] = {k: trip[k] for k in ("max_dev", "h", "margin")}
     return AntisymMatrixField(F.n, F.mask, upper), reports
 
 
@@ -196,33 +183,34 @@ def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
                 for v in value_arrays), default=float("nan"))
 
 
-def _correct(x_fields, dbx, f_vals, target, desc: str, margin: int,
-             weight=None, lift=None, collar=None,
+def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
+             margin: int, weight=None, lift=None,
              extras=None) -> CoronaSolution:
     """The correction core: F from dbar x, H = pompeiu(F) entrywise,
     u = x - f H, then the measurements.
 
-    Everything arrives sampled on the mask of x_fields: dbx (the arrays
-    dbar x_j, drawn once by _obstruction), f_vals, target (what
-    sum u_j f_j should equal), and the optional weight (the g^4 route:
-    x and F are multiplied by it), lift (multiplies u, which is then
-    zero-extended on the collar) and collar (nodes around common zeros;
-    the dbar sups skip it dilated by two cells).
+    Everything arrives sampled on the mask of the generator record
+    gens: x_fields, dbx (the arrays dbar x_j, drawn once by
+    _obstruction), target (what sum u_j f_j should equal), and the
+    optional weight (the g^4 route: x and F are multiplied by it, and
+    the dbar sups skip the record's collar dilated by two cells) and
+    lift (multiplies u, which is then zero-extended on the collar).
     """
-    mask = x_fields[0].mask
-    F = _obstruction(dbx, f_vals, mask, weight)
+    mask = gens.mask
+    f_vals = [g.values for g in gens.f_fields]
+    F = _obstruction(dbx, gens, weight)
     H, reports = solve_dbar_matrix(F, margin)
     xv = [x.values if weight is None else weight * x.values for x in x_fields]
     uv = _assemble(xv, f_vals, H)
     if lift is not None:
-        uv = [np.where(collar, 0.0, lift * v) for v in uv]
+        uv = [np.where(gens.collar, 0.0, lift * v) for v in uv]
     total = sum(u * f for u, f in zip(uv, f_vals))
     extras = dict(extras or {})
     exclude = None
-    if collar is not None:
-        extras["collar_nodes"] = int(collar.sum())
-        if collar.any():
-            exclude = ndimage.binary_dilation(collar, iterations=2)
+    if weight is not None:
+        extras["collar_nodes"] = int(gens.collar.sum())
+        if gens.collar.any():
+            exclude = ndimage.binary_dilation(gens.collar, iterations=2)
     return CoronaSolution(
         u=[SampledField(mask, v) for v in uv],
         residual_sup=sup_abs(total - target, mask.inside),
@@ -287,8 +275,7 @@ def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
     else:
         x_fields = bezout_pou(problem)
         dbx = (_dbar_values(x, problem.mask) for x in x_fields)
-    return _correct(x_fields, dbx, [g.values for g in problem.f_fields], 1.0,
-                    "1", margin, extras=extras)
+    return _correct(x_fields, dbx, problem, 1.0, "1", margin, extras=extras)
 
 
 def corona_convergence(f_list, domain: CompactDomain,
@@ -309,14 +296,12 @@ def corona_convergence(f_list, domain: CompactDomain,
 
 
 def _power_setup(g, f_list, domain, h, mask):
-    # the power targets' common opening: the mask, g and f_j sampled on
-    # it, the corona domination |g| <= sum|f_j| and the common-zero collar
-    mask = resolve_mask(domain, h, mask)
-    gv = _as_values(g, mask)
-    fv = [_as_values(f, mask) for f in f_list]
-    s1 = sum(np.abs(v) for v in fv)
-    check_domination(np.abs(gv), s1, mask, "|g| <= sum|f_j|")
-    return mask, gv, fv, zero_collar(mask.inside, s1)
+    # the power targets' common opening: the generator record, g
+    # sampled on its mask and the corona domination |g| <= sum|f_j|
+    gens = BezoutProblem.build(domain, f_list, h=h, mask=mask)
+    gv = sample_field(g, gens.mask).values
+    check_domination(np.abs(gv), gens.s1, gens.mask, "|g| <= sum|f_j|")
+    return gens, gv
 
 
 def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
@@ -331,9 +316,10 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     one more g and zero-extended across the common-zero collar
     (target g^6).
     """
-    mask, gv, fv, collar = _power_setup(g, f_list, domain, h, mask)
-    xv = [_as_values(x, mask) for x in x_list]
-    total_x = sum(x * f for x, f in zip(xv, fv))
+    gens, gv = _power_setup(g, f_list, domain, h, mask)
+    mask = gens.mask
+    xv = [sample_field(x, mask).values for x in x_list]
+    total_x = sum(x * f.values for x, f in zip(xv, gens.f_fields))
     gscale = max(sup_abs(gv, mask.inside), 1e-300)
     xres = sup_abs(total_x - gv, mask.inside)
     if xres > 1e-10 * gscale:
@@ -343,8 +329,8 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     target, desc, lift = ((gv ** 5, "g^5", None) if isolated_zeros
                           else (gv ** 6, "g^6", gv))
     return _correct([SampledField(mask, v) for v in xv],
-                    (_dbar_values(x, mask) for x in x_list), fv, target,
-                    desc, margin, weight=gv ** 4, lift=lift, collar=collar,
+                    (_dbar_values(x, mask) for x in x_list), gens, target,
+                    desc, margin, weight=gv ** 4, lift=lift,
                     extras={"x_residual": xres})
 
 
@@ -363,30 +349,22 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     n = len(f_list)
     if len(h_list) != n:
         raise ValueError("h_list and f_list lengths differ")
-    mask, gv, fv, collar = _power_setup(g, f_list, domain, h, mask)
-    hv = [_as_values(hj, mask) for hj in h_list]
-    s2 = sum(np.abs(v) ** 2 for v in fv)
-    hsum = sum(a * b for a, b in zip(hv, fv))
+    gens, gv = _power_setup(g, f_list, domain, h, mask)
+    mask = gens.mask
+    hv = [sample_field(hj, mask).values for hj in h_list]
+    s2 = gens.s2
+    hsum = sum(a * b.values for a, b in zip(hv, gens.f_fields))
     # the slack scales with sum|f_j|^2, the side the hypothesis bounds
     check_domination(s2, np.abs(hsum), mask,
                      "hypothesis sum|f_j|^2 <= |sum h_j f_j|",
                      slack_ref=sup_abs(s2, mask.inside))
 
-    gc = as_callable(g)
-    hparts = [(as_callable(hj), as_callable(fj))
-              for hj, fj in zip(h_list, f_list)]
-
-    def scaled_g2(z):
-        return np.asarray(gc(z), dtype=complex) ** 2 / n
-
-    def hsum_fn(z):
-        return sum(hc(z) * fc(z) for hc, fc in hparts)
-
-    k_field = divide(scaled_g2, hsum_fn, 4, mask=mask)
+    k_field = divide(SampledField(mask, gv ** 2 / n), SampledField(mask, hsum),
+                     4, mask=mask)
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
-    return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), fv,
-                    gv ** 12, "g^12", margin, weight=gv ** 4, collar=collar)
+    return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), gens,
+                    gv ** 12, "g^12", margin, weight=gv ** 4)
 
 
 def koszul_cancellation(x_list, f_list, points) -> dict:

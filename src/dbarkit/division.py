@@ -16,7 +16,9 @@ through cauchy.sup_abs), and a NaN measurement or scale grades
 INCONCLUSIVE: nothing measured is never a pass.  The zero floor
 ZERO_REL is applied in _zeros, the domination slack in
 check_domination, and the rings at PROBE_RADII_CELLS are built in
-_rings; the common-zero guard and the collar floor live in bezout.
+_rings; generators are sampled once, as a bezout.BezoutProblem (with
+the common-zero guard and the collar), and every quotient is
+zero-extended by cauchy.zero_extended.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .cauchy import SampledField, d_fd, dbar_fd, sample_field, sup_abs
+from .bezout import BezoutProblem
+from .cauchy import (SampledField, d_fd, dbar_fd, sample_field, sup_abs,
+                     zero_extended)
 from .domains import (CompactDomain, RegionMask, build_mask, interior_shrunk,
                       resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -159,9 +163,8 @@ def _quotient(f, g, N, mask):
     fv = sample_field(f, mask, zero_on=zero).values
     check_domination(np.abs(fv), np.abs(gv), mask, "|f| <= |g| off Z(g)",
                      sel=live)
-    vals = np.zeros_like(fv)
-    vals[live] = fv[live] ** N / gv[live]
-    return SampledField(mask, vals), zero
+    fv **= N  # fv is this call's own array: no second grid-size one
+    return SampledField(mask, zero_extended(fv, gv, live)), zero
 
 
 def spread(values: np.ndarray) -> float:
@@ -391,8 +394,9 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
         raise ValueError("symbolic derivatives need holomorphic "
                          "(conjugation-free) expressions")
 
-    mask0 = build_mask(domain, h=max(levels))
-    gmax = sample_field(g, mask0).max_abs()
+    hs = sorted(levels, reverse=True)
+    masks = [build_mask(domain, h=h) for h in hs]
+    gmax = sample_field(g, masks[0]).max_abs()
     scale = Const(1.0 / gmax)
     fs, gs = mul(scale, f), mul(scale, g)
 
@@ -402,9 +406,8 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
     dq_fn = as_callable(dq)
     g_fn = as_callable(gs)
 
-    consts, hs = [], sorted(levels, reverse=True)
-    for h in hs:
-        mask = build_mask(domain, h=h)
+    consts = []
+    for mask in masks:
         sel = interior_shrunk(mask, 3)
         z = mask.coords(sel)
         gvals = np.abs(g_fn(z))
@@ -418,12 +421,12 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
 
 
 def _multi_problem(h_expr, f_list, domain, grid_h, mask):
-    mask = resolve_mask(domain, grid_h, mask)
+    gens = BezoutProblem.build(domain, f_list, h=grid_h, mask=mask)
+    mask = gens.mask
     hv = sample_field(h_expr, mask).values
-    fv = [sample_field(f, mask).values for f in f_list]
-    s1 = sum(np.abs(v) for v in fv)
-    s2 = sum(np.abs(v) ** 2 for v in fv)
-    check_domination(np.abs(hv), s1, mask, "|h| <= sum|f_j|")
+    check_domination(np.abs(hv), gens.s1, mask, "|h| <= sum|f_j|")
+    fv = [f.values for f in gens.f_fields]
+    s2 = gens.s2
     return mask, hv, fv, s2, _zeros(mask, s2)
 
 
@@ -438,12 +441,8 @@ def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
     """
     mask, hv, fv, s2, zero = _multi_problem(h, f_list, domain, grid_h, mask)
     live = mask.inside & ~zero
-    qs, gs = [], []
-    for v in fv:
-        q = np.zeros_like(v)
-        q[live] = hv[live] * np.conj(v[live]) / s2[live]
-        qs.append(q)
-        gs.append(SampledField(mask, hv * q))
+    qs = [zero_extended(hv * np.conj(v), s2, live) for v in fv]
+    gs = [SampledField(mask, hv * q) for q in qs]
     total = sum(g.values * v for g, v in zip(gs, fv))
     report = {"q_sup": max(sup_abs(q, live) for q in qs), "n": len(f_list),
               "residual_off_zero": sup_abs(total - hv ** 2, live),
@@ -471,11 +470,9 @@ def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
         raise ValueError(f"common zero cluster of {int(biggest)} nodes; the "
                          f"construction needs isolated zeros")
     live = mask.inside & ~zero
-    gs = []
-    for v in fv:
-        q = np.zeros_like(v)
-        q[live] = np.conj(v[live]) * hv[live] ** power / s2[live]
-        gs.append(SampledField(mask, q))
+    hp = hv ** power
+    gs = [SampledField(mask, zero_extended(np.conj(v) * hp, s2, live))
+          for v in fv]
     total = sum(g.values * v for g, v in zip(gs, fv))
     residual = sup_abs(total - hv ** power, live)
 
@@ -505,10 +502,10 @@ def quotient_extension_lemma(g, f_list, power: int,
     first derivative decays on rings approaching the zero set, and the
     lemma's conclusion corresponds to slope > 0 (derivative -> 0).
     """
-    mask = resolve_mask(domain, grid_h, mask)
+    gens = BezoutProblem.build(domain, f_list, h=grid_h, mask=mask)
+    mask = gens.mask
     gv = sample_field(g, mask).values
-    fv = [sample_field(f, mask).values for f in f_list]
-    s2 = sum(np.abs(v) ** 2 for v in fv)
+    s2 = gens.s2
     ga = np.abs(gv)
     lhs, cond = (ga ** 2, "|g|^2 <= |f|") if power == 7 else (ga, "|g| <= |f|")
     check_domination(lhs, np.sqrt(s2), mask, cond)
@@ -519,10 +516,8 @@ def quotient_extension_lemma(g, f_list, power: int,
                        "trivial": True}
 
     zero = _zeros(mask, s2)
-    live = mask.inside & ~zero
-    vals = np.zeros_like(gv)
-    vals[live] = gv[live] ** power / s2[live]
-    field = SampledField(mask, vals)
+    field = SampledField(mask, zero_extended(gv ** power, s2,
+                                             mask.inside & ~zero))
 
     centers, (ring_max,) = _ring_gradients(mask, zero, [field])
     radii = _probe_radii(mask)

@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, set before numpy loads: the acceptance lines printed
+# in the terminal summary are then comparable across runs (with two
+# threads criterion 2 moves at roundoff)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

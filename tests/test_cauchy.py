@@ -25,8 +25,10 @@ from dbarkit.cauchy import (
     refinement_ladder,
     sample_field,
     verify_dbar_solution,
+    zero_extended,
 )
-from dbarkit.domains import Disk, GridSpec, RegionMask, interior_shrunk
+from dbarkit.domains import (Disk, GridSpec, RegionMask, build_mask,
+                             interior_shrunk)
 
 CELL_H = 0.02
 
@@ -344,6 +346,55 @@ def test_sample_field_zero_on(disk_mask_64):
     f = sample_field(lambda z: 1 / z, m, zero_on=hole)
     assert np.abs(f.values[hole & m.inside]).max() == 0
     assert np.isfinite(f.values).all()
+
+
+def test_sample_field_passes_a_sampled_field_through(disk_mask_64):
+    m = disk_mask_64
+    f = sample_field(lambda z: z, m)
+    assert sample_field(f, m) is f
+    # same grid, another node set: still already sampled
+    assert sample_field(f, build_mask(Disk(0j, 0.5), grid=m.grid)) is f
+    with pytest.raises(ValueError, match="different grid"):
+        sample_field(f, build_mask(Disk(0j, 1.0), h=1 / 32))
+    hole = np.abs(m.grid.zgrid()) < 0.2
+    cut = sample_field(f, m, zero_on=hole)
+    assert not cut.values[hole].any()
+    assert np.array_equal(cut.values[~hole], f.values[~hole])
+    assert f.values[hole & m.inside].any()
+
+
+_NUM = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                          allow_infinity=False)
+_DEN = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                          allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ny=st.integers(1, 6), nx=st.integers(1, 6),
+       dead_num=st.sampled_from([0.0, 1.0]))
+def test_zero_extended_divides_on_live_nodes_only(data, ny, nx, dead_num):
+    # den = 0 off live, with num 0 (0/0) or 1 (1/0) there: a division
+    # off live would raise the RuntimeWarning the suite treats as error
+    n = ny * nx
+
+    def grid(strategy):
+        return np.array(data.draw(st.lists(strategy, min_size=n, max_size=n)),
+                        dtype=complex).reshape(ny, nx)
+
+    live = grid(st.booleans()).real.astype(bool)
+    num, den = grid(_NUM), grid(_DEN)
+    num[~live], den[~live] = dead_num, 0.0
+    out = zero_extended(num, den, live)
+    assert out.shape == live.shape and out.dtype == complex
+    assert out[live].tobytes() == (num[live] / den[live]).tobytes()
+    assert not out[~live].any()
+
+
+def test_zero_extended_keeps_a_real_quotient_real():
+    live = np.array([True, False, True])
+    out = zero_extended(np.array([1.0, 2.0, 3.0]), np.array([4.0, 0.0, 2.0]),
+                        live)
+    assert out.dtype == float and out.tolist() == [0.25, 0.0, 1.5]
 
 
 def test_target_exactly_on_source_node(disk_mask_64):

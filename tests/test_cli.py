@@ -198,11 +198,17 @@ def test_unknown_key_exits_1(tmp_path, capsys, command, text, key, known):
     ("lconn", "[lconn]\nz0 = 1+0j\nh = 1/64\nsamples = 0\n", "samples"),
     ("lconn", "[lconn]\npreset = spiral\nsamples = 0\n", "samples"),
     ("lconn", "[lconn]\npreset = spiral\nnodes = 0\n", "nodes"),
+    # the spiral probe needs at least 64 path nodes
+    ("lconn", "[lconn]\npreset = spiral\nnodes = 10\n", "nodes"),
     ("taylor", "[taylor]\nf = exp(z)\nz0 = 1+0j\nm = 2\nsamples = 0\n",
      "samples"),
+    # m = 2 takes exactly m + 1 = 3 coefficient overrides
+    ("taylor", "[taylor]\nf = exp(z)\nz0 = 1+0j\nm = 2\ncoeffs = 1, 1\n",
+     "coeffs"),
 ], ids=["empty-levels", "trials-0", "max_n-0", "max_n-30", "verify-ture",
         "lconn-samples-0", "spiral-samples-0", "spiral-nodes-0",
-        "taylor-samples-0"])
+        "spiral-nodes-10",
+        "taylor-samples-0", "taylor-coeffs-2-of-3"])
 def test_counts_and_booleans_checked_at_load(tmp_path, capsys, command,
                                              text, key):
     assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG

@@ -8,11 +8,14 @@ transform's own closed form); targets of the power pipelines are plain
 powers of z, so residuals are compared against exact node values.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dbarkit import bezout, corona
 from dbarkit.bezout import BezoutProblem, CommonZeroError, bezout_poly
 from dbarkit.cauchy import SampledField, sample_field
 from dbarkit.corona import (AntisymMatrixField, _assemble, _dbar_sup,
@@ -304,6 +307,38 @@ def test_g12_singleton_is_principal_division():
     # n = 1: no obstruction, no correction
     assert sol.entry_reports == {}
     assert sol.dbar_sup == sol.dbar_sup_x
+
+
+def test_g12_samples_g_each_h_and_each_f_once():
+    calls = Counter()
+
+    def counted(name, fn):
+        def point_fn(z):
+            calls[name] += 1
+            return fn(z)
+        return point_fn
+
+    sol = g12_solve(counted("g", lambda z: z ** 2),
+                    [counted("f1", lambda z: z ** 2),
+                     counted("f2", lambda z: z ** 3)],
+                    [counted("h1", lambda z: np.conj(z) ** 2),
+                     counted("h2", lambda z: np.conj(z) ** 3)],
+                    DISK, h=1 / 32)
+    assert sol.residual_sup < 1e-10
+    assert calls == {"g": 1, "f1": 1, "f2": 1, "h1": 1, "h2": 1}
+
+
+def test_weighted_power_solve_computes_the_collar_once(monkeypatch):
+    calls = []
+    collar = bezout.zero_collar
+    for module in (bezout, corona):
+        if hasattr(module, "zero_collar"):
+            monkeypatch.setattr(module, "zero_collar",
+                                lambda *args: calls.append(1) or collar(*args))
+    sol = g_power_solve(intpow(Z, 2), CUBIC_PAIR, rational_x(), DISK,
+                        isolated_zeros=False, h=1 / 32)
+    assert sol.extras["collar_nodes"] >= 1
+    assert len(calls) == 1
 
 
 def test_g12_checks_domination_before_hypothesis():

@@ -350,6 +350,18 @@ def test_scan_mixed_partials_match_holomorphic_derivative():
     assert mixed["n"] == 1
 
 
+def test_scan_builds_each_level_mask_once(monkeypatch):
+    # the coarsest level's mask also gives the sup of g
+    built = []
+    build = division.build_mask
+    monkeypatch.setattr(division, "build_mask",
+                        lambda *a, **kw: built.append(kw["h"]) or build(*a, **kw))
+    rep = derivative_bound_scan(intpow(Z, 2), Z, 1, 1, DISK,
+                                levels=(1 / 64, 1 / 128))
+    assert sorted(built) == [1 / 128, 1 / 64]
+    assert rep["C"][0] == pytest.approx(4.2302231721, rel=1e-9)
+
+
 def test_scan_order_capped_by_smoothness():
     with pytest.raises(ValueError, match="0 <= n <= m"):
         derivative_bound_scan(intpow(Z, 2), Z, 1, 2, DISK)
