@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .cauchy import SampledField, sample_field, sup_abs, zero_extended
-from .domains import CompactDomain, RegionMask, resolve_mask
+from .domains import CompactDomain, PreconditionError, RegionMask, resolve_mask
 from .expr import ComplexExpr, Const, Z, add, conj, div, intpow, mul
 
 __all__ = [
@@ -41,32 +41,26 @@ COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
 
 
-class CommonZeroError(ValueError):
+class CommonZeroError(PreconditionError):
     """The generators vanish together somewhere on the node set."""
 
-    def __init__(self, message, nodes=()):
-        super().__init__(message)
-        self.nodes = tuple(nodes)
 
-
-class FitRankError(ValueError):
+class FitRankError(PreconditionError):
     pass
 
 
-class FitToleranceError(ValueError):
+class FitToleranceError(PreconditionError):
     def __init__(self, message, sup_error):
         super().__init__(message)
         self.sup_error = sup_error
 
 
-class CoveringError(ValueError):
+class CoveringError(PreconditionError):
     pass
 
 
-class VanishingError(ValueError):
-    def __init__(self, message, nodes=()):
-        super().__init__(message)
-        self.nodes = tuple(nodes)
+class VanishingError(PreconditionError):
+    """The dividend does not vanish near the generators' common zeros."""
 
 
 @dataclass
@@ -228,9 +222,6 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     sel = qs[0].support
     m = int(sel.sum())
     first, top = degrees[0], degrees[-1]
-    if m < _count(first):
-        raise ValueError(
-            f"{m} sample node(s) cannot determine {_count(first)} coefficients")
     zp = _powers(qs[0].mask.coords(sel), top)
     zcp = zp.conj()
     vals = [q.values[sel] for q in qs]
@@ -252,7 +243,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             break
         p0, p = _count(d - 1), _count(d)
         if m < p:
-            raise ValueError(
+            raise FitRankError(
                 f"{m} sample node(s) cannot determine {p} coefficients")
         W = (zf[:d + 1] * zcf[d::-1]).T
         Qp = Q[:, :p0]

@@ -51,14 +51,14 @@ from typing import Optional
 import numpy as np
 from scipy import fft
 
-from .domains import RegionMask, build_mask, interior_shrunk
+from .domains import PreconditionError, RegionMask, build_mask, interior_shrunk
 from .expr import as_callable
 
 __all__ = [
     "NEAR_RADIUS_CELLS", "sup_abs", "SampledField", "sample_field",
     "zero_extended", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
-    "EXACT_FLOOR", "refinement_ladder", "dbar_convergence",
+    "EXACT_FLOOR", "log_slope", "refinement_ladder", "dbar_convergence",
 ]
 
 # metrics at or below this sup are floating-point roundoff of an identity
@@ -101,9 +101,9 @@ class SampledField:
         bad = ~np.isfinite(self.values[self.support])
         if bad.any():
             where = self.mask.coords(self.support)[bad][:3]
-            raise ValueError(
+            raise PreconditionError(
                 f"{int(bad.sum())} non-finite samples on support, "
-                f"first at {where}")
+                f"first at {where}", nodes=where)
 
     def max_abs(self, on: np.ndarray = None) -> float:
         return sup_abs(self.values, self.support if on is None else on)
@@ -315,11 +315,13 @@ def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
             "margin": margin}
 
 
-def _log_slope(hs, values) -> dict:
+def log_slope(xs, values, floor: float = EXACT_FLOOR) -> dict:
+    """{'slope', 'exact', 'values'}: the log-log least-squares p in values
+    ~ C * xs**p, or slope None and exact when no value exceeds floor."""
     vals = [float(v) for v in values]
-    if max(vals) <= EXACT_FLOOR:
+    if max(vals) <= floor:
         return {"slope": None, "exact": True, "values": vals}
-    fit = np.polyfit(np.log(hs), np.log(np.maximum(vals, 1e-300)), 1)
+    fit = np.polyfit(np.log(xs), np.log(np.maximum(vals, 1e-300)), 1)
     return {"slope": float(fit[0]), "exact": False, "values": vals}
 
 
@@ -341,10 +343,12 @@ def refinement_ladder(solve, hs, physical_margin: float = 0.15) -> dict:
     ladder fits nothing: slopes is empty and slope is None.
     """
     hs = sorted(hs, reverse=True)
+    if not hs or not all(a > b for a, b in zip(hs, hs[1:] + [0.0])):
+        raise ValueError(f"need positive, distinct spacings, got {hs}")
     margins = [max(3, int(round(physical_margin / h))) for h in hs]
     levels = [solve(h, margin) for h, margin in zip(hs, margins)]
     series = {name: [level[name] for level in levels] for name in levels[0]}
-    slopes = ({name: _log_slope(hs, vals) for name, vals in series.items()}
+    slopes = ({name: log_slope(hs, vals) for name, vals in series.items()}
               if len(hs) >= 2 else {})
     first = next(iter(slopes.values()), {})
     return {"h": hs, "margins": margins, **series, "slopes": slopes,

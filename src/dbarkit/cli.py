@@ -18,9 +18,12 @@ lconn      interior path-length probe (bounded / growing / inconclusive)
 taylor     remainder-order fits for holomorphic expressions
 
 Exit codes: 0 success; 1 configuration errors, including malformed
-expressions (reported with character positions); 2 module preconditions
-violated at run time (common zeros, domination, disconnection, poles,
-fit failures); 3 declared acceptance checks failed.
+expressions (reported with character positions); 2 a violated
+hypothesis, raised as a domains.PreconditionError (CommonZeroError,
+FitRankError, FitToleranceError, CoveringError, VanishingError,
+DominationError, DisconnectedError, MaskResolutionError or the base)
+or an expr.PoleError; 3 declared acceptance checks failed.  Any other
+exception is a bug and propagates with its traceback.
 
 Configs are INI files.  ``[run]`` holds command, out, levels (grid
 spacings, e.g. ``1/64 1/128 1/256``), seed.  ``[domain]``
@@ -30,8 +33,9 @@ with the constructor's keyword arguments as further keys (complex values
 like ``0.5+0.25j``; ``vertices`` space-separated).  A section named
 after the subcommand holds its parameters.  Every section is read
 against one schema of keys: an unknown key is rejected, counts are at
-least 1, booleans take configparser's words (true/false, yes/no, on/off,
-1/0), and every malformed, missing or unknown key exits 1.  Expressions
+least 1 (the seed at least 0), numbers and complex values are finite,
+booleans take configparser's words (true/false, yes/no, on/off, 1/0),
+and every malformed, missing or unknown key exits 1.  Expressions
 use the prefix grammar of the expression module, e.g. ``sub(1, z)``,
 ``pow(z, 3)``, ``mul(conj(z), S)``.  Command-line flags override file
 values; without --config every parameter falls back to its default
@@ -67,22 +71,18 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .bezout import (BezoutProblem, CommonZeroError, CoveringError,
-                     FitRankError, FitToleranceError, VanishingError,
-                     bezout_pou, quotient_fits)
+from .bezout import BezoutProblem, bezout_pou, quotient_fits
 from .cauchy import dbar_convergence
 from .corona import corona_convergence
-from .division import CLASSES, FAIL, PASS, DominationError, certify_class
+from .division import CLASSES, FAIL, PASS, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
-                      HalfRingSpiral, InnerSpiral, MaskResolutionError,
-                      Polygon, SectorChain, build_mask, connected_components,
-                      dump_mask)
+                      HalfRingSpiral, InnerSpiral, Polygon, PreconditionError,
+                      SectorChain, build_mask, connected_components, dump_mask)
 from .expr import (Const, ExprParseError, PoleError, S, Z, add, conj, intpow,
                    mul, parse_expr, sub)
 from .faa import (MAX_ORDER, coefficient, compose_derivative,
                   enumerate_multi_indices, taylor_oracle)
-from .geometry import (DisconnectedError, l_probe, spiral_growth_probe,
-                       taylor_remainder_fit)
+from .geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
 __all__ = [
     "EXIT_OK", "EXIT_CONFIG", "EXIT_PRECONDITION", "EXIT_ACCEPTANCE",
@@ -95,11 +95,6 @@ EXIT_CONFIG = 1
 EXIT_PRECONDITION = 2
 EXIT_ACCEPTANCE = 3
 
-# errors that mean "the requested computation is not admissible on this
-# input", as opposed to config mistakes (exit 1) or failed checks (exit 3)
-PRECONDITION_ERRORS = (CommonZeroError, CoveringError, FitRankError,
-                       FitToleranceError, VanishingError, DominationError,
-                       DisconnectedError, PoleError, MaskResolutionError)
 
 class ConfigError(ValueError):
     """Bad config file, bad flag value, or malformed expression."""
@@ -179,9 +174,16 @@ def _number(raw, key) -> float:
     text = raw.strip()
     num, slash, den = text.partition("/")
     try:
-        return float(num) / (float(den) if slash else 1.0)
+        value = float(num) / (float(den) if slash else 1.0)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{key}: cannot parse number {text!r}") from None
+    return _finite(value, key, text)
+
+
+def _finite(value, key, text):
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {text!r}")
+    return value
 
 
 def _positive(raw, key) -> float:
@@ -238,9 +240,10 @@ def _ladder(shortest):
 
 def _complex(raw, key) -> complex:
     try:
-        return complex(raw.replace(" ", ""))
+        value = complex(raw.replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{key}: cannot parse complex value {raw!r}") from None
+    return _finite(value, key, raw)
 
 
 def _split_top(text: str) -> list:
@@ -273,7 +276,8 @@ def _expr_list(raw, key) -> list:
 
 
 _RUN = {"command": (_text, None), "out": (_text, None),
-        "levels": (_ladder(1), "1/64 1/128 1/256"), "seed": (_int, "20260817")}
+        "levels": (_ladder(1), "1/64 1/128 1/256"),
+        "seed": (_at_least(0), "20260817")}
 
 # kind: (constructor, schema); a key that reads None is left to the
 # constructor's default
@@ -868,10 +872,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except PRECONDITION_ERRORS as err:
-        print(f"precondition failed: {err}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as err:
+    except (PreconditionError, PoleError) as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     _emit(report, config)

@@ -318,8 +318,9 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     """
     gens, gv = _power_setup(g, f_list, domain, h, mask)
     mask = gens.mask
-    xv = [sample_field(x, mask).values for x in x_list]
-    total_x = sum(x * f.values for x, f in zip(xv, gens.f_fields))
+    x_fields = [sample_field(x, mask) for x in x_list]
+    total_x = sum(x.values * f.values
+                  for x, f in zip(x_fields, gens.f_fields))
     gscale = max(sup_abs(gv, mask.inside), 1e-300)
     xres = sup_abs(total_x - gv, mask.inside)
     if xres > 1e-10 * gscale:
@@ -328,10 +329,11 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
 
     target, desc, lift = ((gv ** 5, "g^5", None) if isolated_zeros
                           else (gv ** 6, "g^6", gv))
-    return _correct([SampledField(mask, v) for v in xv],
-                    (_dbar_values(x, mask) for x in x_list), gens, target,
-                    desc, margin, weight=gv ** 4, lift=lift,
-                    extras={"x_residual": xres})
+    # a callable x is differenced from its samples, not sampled again
+    dbx = (_dbar_values(x if isinstance(x, ComplexExpr) else xf, mask)
+           for x, xf in zip(x_list, x_fields))
+    return _correct(x_fields, dbx, gens, target, desc, margin,
+                    weight=gv ** 4, lift=lift, extras={"x_residual": xres})
 
 
 def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,

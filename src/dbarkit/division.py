@@ -31,10 +31,10 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import BezoutProblem
-from .cauchy import (SampledField, d_fd, dbar_fd, sample_field, sup_abs,
-                     zero_extended)
-from .domains import (CompactDomain, RegionMask, build_mask, interior_shrunk,
-                      resolve_mask)
+from .cauchy import (SampledField, d_fd, dbar_fd, log_slope, sample_field,
+                     sup_abs, zero_extended)
+from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
+                      interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
                    is_conj_free, mul, wirtinger_d, wirtinger_dbar)
 
@@ -51,8 +51,6 @@ __all__ = [
 ZERO_REL = 1e-12
 # probe rings around each center sit at these multiples of the spacing
 PROBE_RADII_CELLS = (8, 16, 32)
-# spread measures at most this many values (stride subsample)
-SPREAD_CAP = 512
 # approach families are compared on the mean of their last values
 FAMILY_TAIL = 3
 # multi_division_c1 rejects common-zero clusters larger than this
@@ -73,7 +71,7 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-class DominationError(ValueError):
+class DominationError(PreconditionError):
     """A required node-wise inequality between moduli failed."""
 
     def __init__(self, message, worst=None):
@@ -172,9 +170,6 @@ def spread(values: np.ndarray) -> float:
     v = np.asarray(values).ravel()
     if v.size == 0:
         return 0.0
-    if v.size > SPREAD_CAP:
-        step = v.size // SPREAD_CAP + 1
-        v = v[::step]
     return float(np.abs(v[:, None] - v[None, :]).max())
 
 
@@ -524,9 +519,7 @@ def quotient_extension_lemma(g, f_list, power: int,
     seen = [(r, v) for r, v in zip(radii, ring_max) if v is not None and v > 0]
     slope = None
     if len(seen) >= 2:
-        rr = np.log([r for r, _ in seen])
-        vv = np.log([v for _, v in seen])
-        slope = float(np.polyfit(rr, vv, 1)[0])
+        slope = log_slope(*zip(*seen), floor=0.0)["slope"]
     report = {"power": power, "radii": radii, "ring_max": ring_max,
               "slope": slope, "centers": centers,
               "derivative_vanishes": bool(slope is not None and slope >= 0.8)}

@@ -23,7 +23,7 @@ from scipy import ndimage
 __all__ = [
     "CompactDomain", "Disk", "Union", "AnnulusSector", "SectorChain",
     "DiskChain", "Comb", "InnerSpiral", "HalfRingSpiral", "Polygon",
-    "GridSpec", "RegionMask", "MaskResolutionError",
+    "GridSpec", "RegionMask", "PreconditionError", "MaskResolutionError",
     "build_mask", "resolve_mask", "connected_components", "interior_shrunk",
     "dump_mask", "load_mask",
 ]
@@ -33,7 +33,16 @@ _EIGHT_CONN = np.ones((3, 3), dtype=bool)
 ROW_BLOCK = 512
 
 
-class MaskResolutionError(ValueError):
+class PreconditionError(ValueError):
+    """A hypothesis of the computation fails on this input; nodes holds
+    the offending node coordinates where the raiser names them."""
+
+    def __init__(self, message, nodes=()):
+        super().__init__(message)
+        self.nodes = tuple(nodes)
+
+
+class MaskResolutionError(PreconditionError):
     """The grid spacing cannot resolve the domain."""
 
 

@@ -24,8 +24,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .domains import (CompactDomain, GridSpec, InnerSpiral, RegionMask,
-                      build_mask, resolve_mask)
+from .cauchy import log_slope
+from .domains import (CompactDomain, GridSpec, InnerSpiral, PreconditionError,
+                      RegionMask, build_mask, resolve_mask)
 from .expr import ComplexExpr, Const, evaluate, is_conj_free, wirtinger_d
 
 __all__ = [
@@ -44,7 +45,7 @@ _DISCONNECTED = "disconnected at this resolution"
 HOP_CELLS = 3
 
 
-class DisconnectedError(RuntimeError):
+class DisconnectedError(PreconditionError):
     """No interior path exists between the requested endpoints."""
 
 
@@ -299,8 +300,8 @@ def spiral_growth_probe(scales=(0.3, 0.15, 0.075), depth: float = 1.45,
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
     if depth / scales[0] <= math.pi + 1:
-        raise ValueError("depth too shallow for the coarsest scale: "
-                         "theta_max = depth/r must exceed pi + 1")
+        raise PreconditionError("depth too shallow for the coarsest scale: "
+                                "theta_max = depth/r must exceed pi + 1")
     ratios, counts, notes = [], [], []
     zb = 0j
     for r in scales:
@@ -340,9 +341,10 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
     Subtracting the degree-m polynomial with coefficients f^(j)(z0)/j!
     leaves R_m; on shrinking circles around z0 intersected with the
     interior (radii: at least two, strictly decreasing, positive), the
-    sup of |R_m^(j)| is fitted log-log against the radius.  PASS per j means slope >= (m - j) - 0.2.  Remainders that
-    are zero to rounding (f itself polynomial of degree <= m) get
-    slope inf and the exact_zero flag.
+    sup of |R_m^(j)| is fitted log-log against the radius
+    (cauchy.log_slope).  PASS per j means slope >= (m - j) - 0.2.
+    Remainders within 1e-13 of the coefficient scale (f itself
+    polynomial of degree <= m) get slope inf and the exact_zero flag.
 
     coeffs overrides the derivative values at z0 for boundary points
     where only the limit exists and direct evaluation raises.
@@ -350,7 +352,7 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
     if m < 0:
         raise ValueError("m must be >= 0")
     if not is_conj_free(f):
-        raise ValueError("f must be conjugation-free (holomorphic)")
+        raise PreconditionError("f must be conjugation-free (holomorphic)")
     z0 = complex(z0)
     derivs = [f]
     for _ in range(m):
@@ -369,7 +371,7 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
     for i, r in enumerate(radii):
         pts = _interior_points(domain, z0 + r * np.exp(1j * theta))
         if pts.size == 0:
-            raise ValueError(f"no interior samples at radius {r}")
+            raise PreconditionError(f"no interior samples at radius {r}")
         used.append(int(pts.size))
         for j in range(m + 1):
             # R_m^(j) = f^(j) - sum_{i>=j} c_i i!/(i-j)! (z-z0)^(i-j)
@@ -381,18 +383,10 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
             sup[j, i] = float(np.abs(evaluate(derivs[j], pts) - tail).max())
 
     scale = max(1.0, max(abs(c) for c in coeffs))
-    slopes, passes, exact = [], [], []
-    logr = np.log(np.asarray(radii))
-    for j in range(m + 1):
-        if sup[j].max() <= 1e-13 * scale:
-            slopes.append(math.inf)
-            exact.append(True)
-            passes.append(True)
-            continue
-        fit = np.polyfit(logr, np.log(np.maximum(sup[j], 1e-300)), 1)
-        slopes.append(float(fit[0]))
-        exact.append(False)
-        passes.append(fit[0] >= (m - j) - 0.2)
+    fits = [log_slope(radii, row, floor=1e-13 * scale) for row in sup]
+    slopes = [math.inf if fit["exact"] else fit["slope"] for fit in fits]
+    passes = [s >= (m - j) - 0.2 for j, s in enumerate(slopes)]
+    exact = [fit["exact"] for fit in fits]
     return {"z0": z0, "m": m, "radii": radii, "samples": tuple(used),
             "sup": sup, "slope": slopes, "passes": passes,
             "exact_zero": exact, "coeffs": coeffs}

@@ -21,7 +21,7 @@ from dbarkit.bezout import (
     weierstrass_fit,
 )
 from dbarkit.cauchy import SampledField, dbar_fd, sample_field
-from dbarkit.domains import Disk, build_mask
+from dbarkit.domains import Disk, PreconditionError, build_mask
 from dbarkit.expr import (Const, Quotient, Z, as_callable, intpow, sub,
                           wirtinger_dbar)
 
@@ -99,6 +99,28 @@ def test_weierstrass_too_few_nodes(disk_mask_64):
                          support=np.zeros(m.inside.shape, bool))
     with pytest.raises(ValueError, match="node"):
         weierstrass_fit(empty, 2, 1.0)
+
+
+def test_too_few_nodes_is_a_rank_error(disk_mask_64):
+    # five nodes cannot determine the six degree-2 coefficients
+    m = disk_mask_64
+    sel = np.zeros(m.inside.shape, bool)
+    iy, ix = np.nonzero(m.interior)
+    sel[iy[:5], ix[:5]] = True
+    q = SampledField(m, np.where(sel, 1.0 + 0j, 0), support=sel)
+    with pytest.raises(FitRankError,
+                       match="5 sample node.s. cannot determine 6 coeff"):
+        weierstrass_fit(q, 2, 1.0)
+
+
+def test_bezout_errors_share_the_precondition_base():
+    for cls in (CommonZeroError, FitRankError, FitToleranceError,
+                CoveringError, VanishingError):
+        assert issubclass(cls, PreconditionError)
+    # the base carries the offending nodes
+    for cls in (CommonZeroError, VanishingError):
+        assert "__init__" not in vars(cls)
+        assert cls("boom", nodes=[1j, 0.5]).nodes == (1j, 0.5)
 
 
 def test_fit_degree_must_be_nonnegative(linear_pair):

@@ -21,6 +21,7 @@ from dbarkit.cauchy import (
     dbar_fd,
     dbar_fd_onesided,
     exact_cell_integral,
+    log_slope,
     pompeiu,
     refinement_ladder,
     sample_field,
@@ -329,6 +330,23 @@ def test_refinement_ladder_margins_slopes_and_exact_flag():
     single = refinement_ladder(solve, (1 / 8,))
     assert single["margins"] == [3]
     assert single["slopes"] == {} and single["slope"] is None
+
+
+@pytest.mark.parametrize("hs", [[0.1, 0.1], [0.1, -0.05], []],
+                         ids=["repeated", "negative", "none"])
+def test_refinement_ladder_rejects_bad_spacings(hs):
+    # a repeated spacing fitted a slope through one point, a negative one
+    # took the log of a negative number, and no spacing indexed nothing
+    with pytest.raises(ValueError, match=r"positive, distinct spacings, got \["):
+        refinement_ladder(lambda h, margin: {"dev": h}, hs)
+
+
+def test_log_slope_floor():
+    vals = [4e-14, 1e-14]
+    assert log_slope([0.2, 0.1], vals) == {"slope": None, "exact": True,
+                                           "values": vals}
+    fit = log_slope([0.2, 0.1], vals, floor=0.0)
+    assert not fit["exact"] and fit["slope"] == pytest.approx(2.0)
 
 
 def test_sampled_field_rejects_nonfinite(disk_mask_64):

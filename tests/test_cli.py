@@ -6,6 +6,8 @@ preconditions, 3 failed acceptance checks.  Everything runs in-process
 through main() so stderr and exit codes stay observable.
 """
 
+import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -78,6 +80,42 @@ def test_disconnected_probe_exits_2(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+# hypotheses that raise the plain domains.PreconditionError, each with
+# the exact line main prints for it
+@pytest.mark.parametrize("command, text, line", [
+    ("cauchy", "[run]\nlevels = 1/32\n\n[cauchy]\nf = exp(mul(800, z))\n",
+     "66 non-finite samples on support, first at "
+     "[0.90625-0.40625j 0.90625-0.375j   0.90625-0.34375j]"),
+    ("lconn", "[lconn]\npreset = spiral\ndepth = 0.5\n",
+     "depth too shallow for the coarsest scale: "
+     "theta_max = depth/r must exceed pi + 1"),
+    ("taylor", "[taylor]\nf = conj(z)\nz0 = 0.5+0j\nm = 1\n",
+     "f must be conjugation-free (holomorphic)"),
+    ("taylor", "[taylor]\nf = z\nz0 = 5+0j\nm = 1\n",
+     "no interior samples at radius 0.2"),
+], ids=["cauchy-non-finite", "spiral-too-shallow", "taylor-conj",
+        "taylor-no-samples"])
+def test_plain_preconditions_exit_2(tmp_path, capsys, command, text, line):
+    assert main([command, "--config", write(tmp_path, text)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err == f"precondition failed: {line}\n"
+
+
+def test_main_takes_exit_2_from_the_error_class():
+    # exactly two handlers, and no list of precondition classes to keep
+    # in step with the modules that raise them
+    handlers = [ast.unparse(node.type)
+                for node in ast.walk(ast.parse(inspect.getsource(main)))
+                if isinstance(node, ast.ExceptHandler)]
+    assert handlers == ["ConfigError", "(PreconditionError, PoleError)"]
+    imported = {alias.name
+                for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {n for n in imported if n.endswith("Error")} \
+        == {"ExprParseError", "PoleError", "PreconditionError"}
+    assert not hasattr(cli, "PRECONDITION_ERRORS")
+
+
 def test_failed_acceptance_exits_3(tmp_path, capsys):
     cfg = write(tmp_path, "[run]\nlevels = 1/32 1/64\n\n"
                           "[corona]\nf = sub(1, z), z\ndbar_tol = 1e-12\n")
@@ -97,15 +135,18 @@ def test_corona_empty_margin_exits_3(tmp_path, capsys):
 
 
 def test_programming_errors_surface(monkeypatch):
-    # no CLI input reaches a TypeError precondition, so a TypeError is a
-    # bug and main lets it through instead of reporting exit 2
-    def broken(cfg):
-        raise TypeError("unsupported operand")
+    # exit 2 belongs to PreconditionError and PoleError; any other
+    # exception, a plain ValueError included, is a bug and main lets it
+    # through instead of reporting "precondition failed"
+    for error in (TypeError("unsupported operand"),
+                  ValueError("math domain error")):
+        def broken(cfg, error=error):
+            raise error
 
-    monkeypatch.setitem(cli._COMMANDS, "cauchy",
-                        cli._COMMANDS["cauchy"]._replace(run=broken))
-    with pytest.raises(TypeError, match="unsupported operand"):
-        main(["cauchy", "--levels", "1"])
+        monkeypatch.setitem(cli._COMMANDS, "cauchy",
+                            cli._COMMANDS["cauchy"]._replace(run=broken))
+        with pytest.raises(type(error), match=str(error)):
+            main(["cauchy", "--levels", "1"])
 
 
 # -------------------------------------------------------- config loading
@@ -174,6 +215,24 @@ def test_non_numeric_number_rejected(tmp_path, capsys):
     assert "cannot parse number" in capsys.readouterr().err
 
 
+# nan and inf parse as floats; each of these once reached the grid, the
+# probe or a check and failed there, or made a check that cannot fail
+@pytest.mark.parametrize("command, text, where, key", [
+    ("domains", "[domain]\nradius = nan\n", "domain", "radius"),
+    ("domains", "[run]\nlevels = inf 1/16\n", "run", "levels"),
+    ("lconn", "[lconn]\nz0 = nan+0j\n", "lconn", "z0"),
+    ("lconn", "[lconn]\nh = inf\n", "lconn", "h"),
+    ("corona", "[corona]\nf = z\ndbar_tol = inf\n", "corona", "dbar_tol"),
+    ("taylor", "[taylor]\nf = z\nz0 = 0.5+0j\nm = 1\ncoeffs = 1, inf\n",
+     "taylor", "coeffs"),
+], ids=["radius-nan", "levels-inf", "z0-nan", "h-inf", "dbar_tol-inf",
+        "coeffs-inf"])
+def test_non_finite_values_rejected(tmp_path, capsys, command, text, where,
+                                    key):
+    assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG
+    assert f"[{where}] {key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text, key, known", [
     # a misspelt dbar_tol used to be ignored: PASS against the default
     ("corona", "[run]\nlevels = 1/32 1/64\n\n"
@@ -205,10 +264,12 @@ def test_unknown_key_exits_1(tmp_path, capsys, command, text, key, known):
     # m = 2 takes exactly m + 1 = 3 coefficient overrides
     ("taylor", "[taylor]\nf = exp(z)\nz0 = 1+0j\nm = 2\ncoeffs = 1, 1\n",
      "coeffs"),
+    # numpy seeds are nonnegative
+    ("faa", "[run]\nseed = -1\n\n[faa]\nverify = true\n", "seed"),
 ], ids=["empty-levels", "trials-0", "max_n-0", "max_n-30", "verify-ture",
         "lconn-samples-0", "spiral-samples-0", "spiral-nodes-0",
         "spiral-nodes-10",
-        "taylor-samples-0", "taylor-coeffs-2-of-3"])
+        "taylor-samples-0", "taylor-coeffs-2-of-3", "seed-negative"])
 def test_counts_and_booleans_checked_at_load(tmp_path, capsys, command,
                                              text, key):
     assert main([command, "--config", write(tmp_path, text)]) == EXIT_CONFIG

@@ -24,7 +24,8 @@ from dbarkit.corona import (AntisymMatrixField, _assemble, _dbar_sup,
                             koszul_cancellation, solve_dbar_matrix)
 from dbarkit.division import DominationError
 from dbarkit.domains import Disk, build_mask
-from dbarkit.expr import Z, Const, add, conj, div, intpow, mul, sub
+from dbarkit.expr import (Z, Const, add, as_callable, conj, div, intpow, mul,
+                          sub)
 from strategies import POLY_TREES
 
 DISK = Disk(0j, 1.0)
@@ -326,6 +327,27 @@ def test_g12_samples_g_each_h_and_each_f_once():
                     DISK, h=1 / 32)
     assert sol.residual_sup < 1e-10
     assert calls == {"g": 1, "f1": 1, "f2": 1, "h1": 1, "h2": 1}
+
+
+def test_g_power_samples_each_callable_x_once():
+    calls = Counter()
+
+    def counted(name, x):
+        fn = as_callable(x)
+
+        def point_fn(z):
+            calls[name] += 1
+            return fn(z)
+        return point_fn
+
+    x1, x2 = rational_x()
+    sol = g_power_solve(intpow(Z, 2), CUBIC_PAIR,
+                        [counted("x1", x1), counted("x2", x2)], DISK,
+                        h=1 / 32)
+    assert calls == {"x1": 1, "x2": 1}
+    # the one-sided dbar of the samples is the dbar of a second sampling
+    assert sol.residual_sup == 2.482534153247273e-16
+    assert sol.dbar_sup == 0.014585781787686014
 
 
 def test_weighted_power_solve_computes_the_collar_once(monkeypatch):

@@ -108,6 +108,14 @@ def test_spread_matches_diameter():
     assert spread(np.array([])) == 0.0
 
 
+def test_spread_is_exact_past_512_values():
+    # the extreme pair sits at indices 0 and 1, which a stride-2
+    # subsample of the 600 values would split
+    vals = np.zeros(600, complex)
+    vals[1] = 1.0
+    assert spread(vals) == 1.0
+
+
 def test_ring_selection_radius(disk_mask_64):
     m = disk_mask_64
     sel = ring_selection(m, 0j, 0.25)

@@ -7,7 +7,9 @@ identifier anywhere in the module or in its `__all__`.  Package
 skipped.  Likewise each top-level def, class or assignment in
 src/dbarkit must be referenced (as an identifier, an attribute or an
 imported name) somewhere in src/, tests/ or perfbench/, or be listed
-in its module's `__all__`.
+in its module's `__all__`.  And every class whose name ends in Error
+derives from PreconditionError within the package, or is one of the
+four classes in NAMED_ERRORS.
 """
 
 import ast
@@ -107,3 +109,45 @@ def test_no_dead_module_names():
     others = [p.read_text() for p in [*(ROOT / "tests").glob("*.py"),
                                       *(ROOT / "perfbench").glob("*.py")]]
     assert dead_names({p.stem: p.read_text() for p in PACKAGE}, others) == []
+
+
+# the classes the scan exempts: PreconditionError itself, ConfigError
+# (exit 1), ExprParseError (a malformed expression, wrapped into
+# ConfigError) and PoleError (exit 2 by name in cli.main; expr imports
+# nothing of the package, so it cannot derive from the base)
+NAMED_ERRORS = {"PreconditionError", "ConfigError", "ExprParseError",
+                "PoleError"}
+
+
+def stray_errors(sources) -> list:
+    """Names of the *Error classes in the sources that neither are one
+    of NAMED_ERRORS nor derive from PreconditionError through classes
+    defined in the sources."""
+    bases = {}
+    for src in sources:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases
+                                    if isinstance(b, ast.Name)]
+
+    def derives(name):
+        return name == "PreconditionError" or any(
+            derives(b) for b in bases.get(name, ()))
+
+    return sorted(name for name in bases if name.endswith("Error")
+                  and name not in NAMED_ERRORS and not derives(name))
+
+
+def test_scan_flags_a_stray_error_class():
+    src = ("class PreconditionError(ValueError): pass\n"
+           "class FitError(PreconditionError): pass\n"
+           "class DeepError(FitError): pass\n"
+           "class LostError(RuntimeError): pass\n"
+           "class BadError(ValueError): pass\n")
+    assert stray_errors([src]) == ["BadError", "LostError"]
+
+
+def test_every_error_class_is_a_precondition_or_named():
+    # without a catch-all in cli.main, a precondition class outside the
+    # base would surface as a traceback instead of exit 2
+    assert stray_errors([p.read_text() for p in PACKAGE]) == []
