@@ -392,10 +392,9 @@ def partition_of_unity(problem: BezoutProblem,
             for b in betas]
 
 
-def bezout_pou(problem: BezoutProblem,
-               epsilon: Optional[float] = None) -> list:
+def bezout_pou(problem: BezoutProblem) -> list:
     """Covering-route solution x_j = alpha_j / f_j as sampled fields."""
-    alphas = partition_of_unity(problem, epsilon)
+    alphas = partition_of_unity(problem)
     return [SampledField(problem.mask,
                          zero_extended(a.values, g.values, a.values != 0))
             for a, g in zip(alphas, problem.f_fields)]

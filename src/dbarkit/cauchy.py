@@ -58,7 +58,8 @@ __all__ = [
     "NEAR_RADIUS_CELLS", "sup_abs", "SampledField", "sample_field",
     "zero_extended", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
-    "EXACT_FLOOR", "log_slope", "refinement_ladder", "dbar_convergence",
+    "EXACT_FLOOR", "check_ladder", "log_slope", "refinement_ladder",
+    "dbar_convergence",
 ]
 
 # metrics at or below this sup are floating-point roundoff of an identity
@@ -105,8 +106,8 @@ class SampledField:
                 f"{int(bad.sum())} non-finite samples on support, "
                 f"first at {where}", nodes=where)
 
-    def max_abs(self, on: np.ndarray = None) -> float:
-        return sup_abs(self.values, self.support if on is None else on)
+    def max_abs(self) -> float:
+        return sup_abs(self.values, self.support)
 
 
 def sample_field(f, mask: RegionMask,
@@ -315,6 +316,18 @@ def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
             "margin": margin}
 
 
+def check_ladder(values, shortest: int) -> tuple:
+    """values as a tuple of floats: at least `shortest` of them, positive
+    and strictly decreasing (grid spacings, probe scales, fit radii).
+    Anything else raises ValueError."""
+    values = tuple(float(v) for v in values)
+    if len(values) < shortest or not all(
+            a > b for a, b in zip(values, values[1:] + (0.0,))):
+        raise ValueError(f"need at least {shortest} positive, strictly "
+                         f"decreasing value(s), got {list(values)}")
+    return values
+
+
 def log_slope(xs, values, floor: float = EXACT_FLOOR) -> dict:
     """{'slope', 'exact', 'values'}: the log-log least-squares p in values
     ~ C * xs**p, or slope None and exact when no value exceeds floor."""
@@ -342,9 +355,7 @@ def refinement_ladder(solve, hs, physical_margin: float = 0.15) -> dict:
     'slope' repeats the exponent of the first metric.  A one-level
     ladder fits nothing: slopes is empty and slope is None.
     """
-    hs = sorted(hs, reverse=True)
-    if not hs or not all(a > b for a, b in zip(hs, hs[1:] + [0.0])):
-        raise ValueError(f"need positive, distinct spacings, got {hs}")
+    hs = list(check_ladder(sorted(hs, reverse=True), 1))
     margins = [max(3, int(round(physical_margin / h))) for h in hs]
     levels = [solve(h, margin) for h, margin in zip(hs, margins)]
     series = {name: [level[name] for level in levels] for name in levels[0]}

@@ -72,7 +72,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .bezout import BezoutProblem, bezout_pou, quotient_fits
-from .cauchy import dbar_convergence
+from .cauchy import check_ladder, dbar_convergence
 from .corona import corona_convergence
 from .division import CLASSES, FAIL, PASS, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
@@ -80,7 +80,7 @@ from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       SectorChain, build_mask, connected_components, dump_mask)
 from .expr import (Const, ExprParseError, PoleError, S, Z, add, conj, intpow,
                    mul, parse_expr, sub)
-from .faa import (MAX_ORDER, coefficient, compose_derivative,
+from .faa import (MAX_ORDER, CoefficientTable, compose_derivative,
                   enumerate_multi_indices, taylor_oracle)
 from .geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
@@ -227,14 +227,15 @@ def _flag(raw, key) -> bool:
 
 
 def _ladder(shortest):
-    # strictly decreasing positive numbers, e.g. grid spacings or radii
+    # cauchy.check_ladder's rule: grid spacings, probe scales, fit radii
     def cast(raw, key):
         values = tuple(_number(tok, key) for tok in raw.split())
-        if len(values) < shortest or not all(
-                a > b for a, b in zip(values, values[1:] + (0.0,))):
-            raise ConfigError(f"{key} must list at least {shortest} positive, "
-                              f"strictly decreasing number(s), got {raw!r}")
-        return values
+        try:
+            return check_ladder(values, shortest)
+        except ValueError:
+            raise ConfigError(
+                f"{key} must list at least {shortest} positive, strictly "
+                f"decreasing number(s), got {raw!r}") from None
     return cast
 
 
@@ -540,10 +541,10 @@ def _vanishing_inner_pair():
     return mul(one_minus, S), one_minus
 
 
-def _radial_circle_families(count=8):
+def _radial_circle_families():
     # radial approach to 1, and along-circle approach through the points
     # where the inner factor equals 1 exactly
-    ks = np.arange(1, count + 1, dtype=float)
+    ks = np.arange(1, 9, dtype=float)
     theta = 2.0 * np.arctan(1.0 / (2 * np.pi * 2.0 ** ks))
     return {"radial": [1.0 - 2.0 ** -k for k in ks],
             "circle": list(np.exp(1j * theta))}
@@ -673,10 +674,10 @@ def _run_faa(cfg: ExperimentConfig) -> RunReport:
                           "and verify = true (oracle battery)")
     if p["n"] is not None:
         n = p["n"]
-        rows = [(n, "+".join(str(part) for part in k), coefficient(n, k))
-                for k in enumerate_multi_indices(n)]
-        total = sum(r[2] for r in rows)
-        bell = _bell_numbers(n)[n]
+        table = CoefficientTable.build(n)
+        rows = [(n, "+".join(str(part) for part in k), c)
+                for k, c in table.entries]
+        total, bell = table.total(), _bell_numbers(n)[n]
         checks = [(f"sum of coefficients = Bell({n})", total == bell,
                    f"{total} vs {bell}"),
                   (f"table rows = p({n})",
@@ -707,8 +708,9 @@ def _run_faa(cfg: ExperimentConfig) -> RunReport:
     ok_bell = all(
         complex(compose_derivative([1] * n, [1] * n, n)) == bell[n]
         for n in range(1, max_n + 1))
+    named = ", ".join(f"B{k} = {bell[k]}" for k in (4, 5) if k <= max_n)
     checks.append(("all-ones sums follow the Bell recurrence", ok_bell,
-                   f"checked n = 1..{max_n}; B4 = {bell[4]}, B5 = {bell[5]}"))
+                   f"checked n = 1..{max_n}" + (named and f"; {named}")))
     pc = _partition_counts(max_n)
     ok_p = all(len(enumerate_multi_indices(n)) == pc[n]
                for n in range(1, max_n + 1))

@@ -31,8 +31,8 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import BezoutProblem
-from .cauchy import (SampledField, d_fd, dbar_fd, log_slope, sample_field,
-                     sup_abs, zero_extended)
+from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, log_slope,
+                     sample_field, sup_abs, zero_extended)
 from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
                       interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -117,10 +117,13 @@ def check_domination(lhs: np.ndarray, rhs: np.ndarray, mask: RegionMask,
 
     The slack is a billionth of max(slack_ref, 1); slack_ref defaults
     to the sup of rhs on sel.  A failure raises DominationError naming
-    condition and the node where lhs - rhs is largest.
+    condition and the node where lhs - rhs is largest.  An empty sel
+    raises too: nothing measured never passes.
     """
     if sel is None:
         sel = mask.inside
+    if not sel.any():
+        raise DominationError(f"{condition}: no node to check it on")
     if slack_ref is None:
         slack_ref = sup_abs(rhs, sel)
     a, b = lhs[sel], rhs[sel]
@@ -373,11 +376,11 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
     differs from the z-derivative by the unimodular factor i^j2, so the
     estimated constant is identical and only the order changes.
     Both f and g are rescaled by the measured sup of |g| first, which
-    keeps |f| <= |g| intact and normalizes |g| <= 1.  levels needs two
-    distinct spacings at least, or the stability ratio compares nothing.
+    keeps |f| <= |g| intact and normalizes |g| <= 1.  levels needs at
+    least two positive, pairwise distinct spacings (in any order), or
+    the stability ratio compares nothing.
     """
-    if len(set(levels)) < 2:
-        raise ValueError(f"need at least two distinct spacings, got {levels}")
+    hs = list(check_ladder(sorted(levels, reverse=True), 2))
     if mixed is not None:
         j1, j2 = mixed
         if j1 < 0 or j2 < 0:
@@ -389,7 +392,6 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
         raise ValueError("symbolic derivatives need holomorphic "
                          "(conjugation-free) expressions")
 
-    hs = sorted(levels, reverse=True)
     masks = [build_mask(domain, h=h) for h in hs]
     gmax = sample_field(g, masks[0]).max_abs()
     scale = Const(1.0 / gmax)

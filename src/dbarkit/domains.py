@@ -186,10 +186,7 @@ class DiskChain(CompactDomain):
         return out
 
     def contains(self, z):
-        acc = np.abs(z + 1.0) <= 1.0
-        for n in range(3, self.count + 3):
-            acc = acc | (np.abs(z - 1.0 / n) <= 1.0 / n ** 3)
-        return acc
+        return Union(tuple(self.disks())).contains(z)
 
     def bbox(self):
         return (-2.0, 1.0 / 3 + 1.0 / 27, -1.0, 1.0)
@@ -425,27 +422,28 @@ class RegionMask:
         iy, ix = np.nonzero(sel)
         return self.grid.origin + self.grid.h * (ix + 1j * iy)
 
+    def window(self, sel: np.ndarray, iy: int, ix: int, n: int) -> tuple:
+        """(yy, xx) of the selected nodes within Chebyshev distance n of
+        node (iy, ix), clipped to the grid, in row-major order."""
+        ys = slice(max(iy - n, 0), iy + n + 1)
+        xs = slice(max(ix - n, 0), ix + n + 1)
+        jy, jx = np.nonzero(sel[ys, xs])
+        return jy + ys.start, jx + xs.start
+
     def nearest_node(self, z: complex, sel: np.ndarray, radius_cells: int = 8):
         """(iy, ix) of the nearest selected node to z within the given
-        Chebyshev cell radius, or None."""
-        iy0, ix0 = self.grid.nearest_index(z)
-        best, best_d = None, np.inf
-        n = radius_cells
-        ys = slice(max(iy0 - n, 0), min(iy0 + n + 1, self.grid.ny))
-        xs = slice(max(ix0 - n, 0), min(ix0 + n + 1, self.grid.nx))
-        sub = sel[ys, xs]
-        if sub.any():
-            jy, jx = np.nonzero(sub)
-            yy = jy + ys.start
-            xx = jx + xs.start
-            d = np.abs(self.grid.node(xx, yy) - z)
-            k = int(np.argmin(d))
-            best, best_d = (int(yy[k]), int(xx[k])), float(d[k])
+        Chebyshev cell radius, or None.  Ties go to the first node in
+        row-major order."""
+        yy, xx = self.window(sel, *self.grid.nearest_index(z), radius_cells)
+        if yy.size == 0:
+            return None
+        d = np.abs(self.grid.node(xx, yy) - z)
+        k = int(np.argmin(d))
         # nearest_index clamps z to the grid, so the window can land far
         # from an off-grid z; reject hits outside the advertised radius
-        if best is not None and best_d > (n + 0.5) * self.grid.h * math.sqrt(2):
+        if d[k] > (radius_cells + 0.5) * self.grid.h * math.sqrt(2):
             return None
-        return best
+        return int(yy[k]), int(xx[k])
 
 
 def build_mask(domain: CompactDomain, h: float = None,

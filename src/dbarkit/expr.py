@@ -489,6 +489,12 @@ def as_callable(f) -> Callable:
     raise TypeError("expected ComplexExpr or callable")
 
 
+# directional_limit_probe: a ray settles over its last _PROBE_TAIL
+# samples, and _PROBE_TOL bounds both settledness and disagreement
+_PROBE_TAIL = 3
+_PROBE_TOL = 1e-3
+
+
 @dataclass
 class DirectionalProbe:
     """Samples of a function along rays toward a point.
@@ -511,8 +517,7 @@ class DirectionalProbe:
     limits_disagree: bool
 
 
-def directional_limit_probe(f, z0, directions, radii,
-                            tol: float = 1e-3, tail: int = 3) -> DirectionalProbe:
+def directional_limit_probe(f, z0, directions, radii) -> DirectionalProbe:
     """Probe directional limits of f at z0.
 
     Parameters
@@ -521,7 +526,6 @@ def directional_limit_probe(f, z0, directions, radii,
     z0 : complex
     directions : sequence of complex (normalized internally)
     radii : decreasing sequence of positive floats
-    tol : tolerance used both for tail settledness and disagreement
     """
     fn = as_callable(f)
     z0 = complex(z0)
@@ -541,7 +545,7 @@ def directional_limit_probe(f, z0, directions, radii,
 
     tail_means, tail_spreads = [], []
     for row in samples:
-        vals = [v for v in row if v is not None][-tail:]
+        vals = [v for v in row if v is not None][-_PROBE_TAIL:]
         if not vals:
             tail_means.append(None)
             tail_spreads.append(None)
@@ -555,9 +559,11 @@ def directional_limit_probe(f, z0, directions, radii,
             mi, mj = tail_means[i], tail_means[j]
             if mi is None or mj is None:
                 continue
-            if tail_spreads[i] <= tol and tail_spreads[j] <= tol and abs(mi - mj) > tol:
+            if (tail_spreads[i] <= _PROBE_TOL
+                    and tail_spreads[j] <= _PROBE_TOL
+                    and abs(mi - mj) > _PROBE_TOL):
                 disagree = True
-    return DirectionalProbe(z0, dirs, radii, tol, samples, skipped,
+    return DirectionalProbe(z0, dirs, radii, _PROBE_TOL, samples, skipped,
                             tail_means, tail_spreads, disagree)
 
 

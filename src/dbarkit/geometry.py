@@ -7,6 +7,12 @@ functions approaching a boundary point, and the split-compactum
 difference-quotient table where the derivative extension and the
 quotient limit disagree.
 
+Every interior-path probe reads one sweep: the 8-connected Interior
+graph plus a virtual node at the exact target z0, swept once from z0 by
+dijkstra.  l_probe and spiral_growth_probe read the distances of their
+sample nodes from it; interior_shortest_path reads the distance of its
+start node and walks the predecessors from there to z0.
+
 Path-length verdicts are semi-decidable by construction: the grid sees
 finitely many points, so "bounded" and "growing" are statements about
 the sampled ladder, never proofs.  The 8-connected grid metric
@@ -24,10 +30,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .cauchy import log_slope
+from .cauchy import check_ladder, log_slope
 from .domains import (CompactDomain, GridSpec, InnerSpiral, PreconditionError,
                       RegionMask, build_mask, resolve_mask)
-from .expr import ComplexExpr, Const, evaluate, is_conj_free, wirtinger_d
+from .expr import ComplexExpr, evaluate, is_conj_free, wirtinger_d
 
 __all__ = [
     "BOUNDED", "GROWING", "INCONCLUSIVE", "DisconnectedError",
@@ -106,52 +112,46 @@ def _interior_edges(mask: RegionMask, sel: np.ndarray, ids: np.ndarray):
     return rows, cols, wts
 
 
-def _nearest_inside(mask: RegionMask, z: complex):
-    """(iy, ix) of the Inside node nearest to z, whole-grid search."""
-    iy, ix = np.nonzero(mask.inside)
-    k = int(np.argmin(np.abs(mask.coords(mask.inside) - z)))
-    return int(iy[k]), int(ix[k])
+def _sweep(mask: RegionMask, z0: complex):
+    """Shortest Interior-path distances to z0, one sweep for every probe.
 
+    The 8-connected Interior graph gains a virtual node at the exact z0
+    coordinate.  z0 is realized at its closest Inside node; the virtual
+    node connects by straight segments to every Interior node within
+    HOP_CELLS (Chebyshev) of the realization.  This is the single
+    permitted step off the interior: it spans the one-to-two-cell
+    boundary layer that 8-neighbor moves cannot cross.  One dijkstra
+    from the virtual node, the last graph index, gives each node's
+    distance to z0 and its next node on a shortest path there.
 
-def _target_graph(mask: RegionMask, z0: complex):
-    """Interior graph augmented with a virtual node standing in for z0.
-
-    z0 is realized near its closest Inside node; the virtual node sits
-    at the exact z0 coordinate and connects by straight segments to
-    every Interior node within HOP_CELLS (Chebyshev) of the
-    realization.  This is the single permitted step off the interior:
-    it spans the one-to-two-cell boundary layer that 8-neighbor moves
-    cannot cross.
-
-    Returns (ids, graph, target_id, realization coordinate).
+    Returns (ids, dist, pred, realization coordinate).
     """
     sel = mask.interior
-    ny, nx = sel.shape
     n = int(sel.sum())
     ids = np.full(sel.shape, -1, dtype=np.int64)
     ids[sel] = np.arange(n)
     rows, cols, wts = _interior_edges(mask, sel, ids)
 
-    b = _nearest_inside(mask, z0)
-    zb = mask.grid.node(b[1], b[0])
-    ys = slice(max(b[0] - HOP_CELLS, 0), min(b[0] + HOP_CELLS + 1, ny))
-    xs = slice(max(b[1] - HOP_CELLS, 0), min(b[1] + HOP_CELLS + 1, nx))
-    sub = sel[ys, xs]
-    if not sub.any():
+    grid = mask.grid
+    # nearest_node rejects hits beyond its radius; this one passes every
+    # node, so the whole-grid nearest is found however far off z0 lies
+    reach = grid.nx + grid.ny + int(abs(z0 - grid.origin) / grid.h)
+    b = mask.nearest_node(z0, mask.inside, reach)
+    zb = grid.node(b[1], b[0])
+    yy, xx = mask.window(sel, *b, HOP_CELLS)
+    if yy.size == 0:
         raise DisconnectedError(
             f"no Interior node within {HOP_CELLS} cells of the z0 "
             f"realization {zb:.6g}; " + _DISCONNECTED)
-    jy, jx = np.nonzero(sub)
-    yy = jy + ys.start
-    xx = jx + xs.start
-    coords = mask.grid.node(xx, yy)
-    rows.append(np.full(coords.size, n, dtype=np.int64))
+    rows.append(np.full(yy.size, n, dtype=np.int64))
     cols.append(ids[yy, xx])
-    wts.append(np.abs(coords - z0))
+    wts.append(np.abs(grid.node(xx, yy) - z0))
     g = csr_matrix((np.concatenate(wts),
                     (np.concatenate(rows), np.concatenate(cols))),
                    shape=(n + 1, n + 1))
-    return ids, g, n, zb
+    dist, pred = dijkstra(g, directed=False, indices=n,
+                          return_predecessors=True)
+    return ids, dist, pred, zb
 
 
 def interior_shortest_path(mask: RegionMask, z: complex,
@@ -167,21 +167,15 @@ def interior_shortest_path(mask: RegionMask, z: complex,
     if start is None:
         raise ValueError(f"z = {z} does not map to an Interior node")
     z0 = complex(z0)
-    ids, g, dst, _ = _target_graph(mask, z0)
-    src = int(ids[start])
-    dist, pred = dijkstra(g, directed=False, indices=src,
-                          return_predecessors=True)
-    if not np.isfinite(dist[dst]):
+    ids, dist, pred, _ = _sweep(mask, z0)
+    chain = [int(ids[start])]
+    length = float(dist[chain[0]])
+    if not np.isfinite(length):
         raise DisconnectedError(_DISCONNECTED)
-
-    chain = [dst]
-    while chain[-1] != src:
+    while chain[-1] != dist.size - 1:
         chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    coords = mask.coords(mask.interior)
-    nodes = np.array([coords[i] if i < dst else z0 for i in chain])
+    nodes = np.append(mask.coords(mask.interior)[chain[:-1]], z0)
     z_node = complex(nodes[0])
-    length = float(dist[dst])
     sep = abs(z_node - z0)
     ratio = length / sep if sep > 0 else 1.0
     return PathResult(z=z_node, z0=z0, path=nodes, length=length,
@@ -189,18 +183,15 @@ def interior_shortest_path(mask: RegionMask, z: complex,
 
 
 def _scale_ratios(mask: RegionMask, z0: complex, scales, samples_per_scale):
-    """Max path-length/distance ratio per scale, via one multi-target
-    sweep from the virtual z0 node.  Returns (ratios, counts, notes,
-    realization coordinate)."""
-    ids, g, target, zb = _target_graph(mask, z0)
-    dist = dijkstra(g, directed=False, indices=target)
-
+    """Max path-length/distance ratio per scale, read from one sweep
+    from z0.  Returns (ratios, counts, notes, realization coordinate);
+    notes holds only the scales that have something to report."""
+    ids, dist, _, zb = _sweep(mask, z0)
+    theta = 2 * np.pi * np.arange(samples_per_scale) / samples_per_scale
     ratios, counts, notes = [], [], []
     for r in scales:
-        theta = 2 * np.pi * np.arange(samples_per_scale) / samples_per_scale
-        cand = z0 + r * np.exp(1j * theta)
         nodes = set()
-        for c in cand:
+        for c in z0 + r * np.exp(1j * theta):
             near = mask.nearest_node(complex(c), mask.interior,
                                      radius_cells=1)
             if near is not None:
@@ -226,36 +217,31 @@ def _scale_ratios(mask: RegionMask, z0: complex, scales, samples_per_scale):
         if reached == 0:
             raise DisconnectedError(
                 f"scale {r:g}: no sample reaches z0 = {z0}; " + _DISCONNECTED)
-        note = ""
         if reached < len(nodes):
-            note = f"scale {r:g}: {len(nodes) - reached} of {len(nodes)} samples unreachable"
+            notes.append(f"scale {r:g}: {len(nodes) - reached} of "
+                         f"{len(nodes)} samples unreachable")
         ratios.append(best)
         counts.append(reached)
-        notes.append(note)
     return ratios, counts, notes, zb
 
 
-def _verdict(scales, ratios) -> str:
-    usable = [(s, r) for s, r in zip(scales, ratios) if np.isfinite(r)]
-    if len(usable) < 2:
-        return INCONCLUSIVE
-    vals = [r for _, r in usable]
-    if all(b >= 1.5 * a for a, b in zip(vals, vals[1:])):
-        return GROWING
-    if (max(vals) - min(vals)) <= 0.2 * min(vals):
-        return BOUNDED
-    return INCONCLUSIVE
-
-
-def _check_scales(scales):
-    scales = tuple(float(s) for s in scales)
-    if len(scales) < 2:
-        raise ValueError("need at least two scales")
-    if any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be strictly decreasing")
-    if min(scales) <= 0:
-        raise ValueError("scales must be positive")
-    return scales
+def _report(z0, scales, ratios, counts, notes, realization) -> LProbeReport:
+    """The probe report with its verdict, read from the usable (finite)
+    ratios: growing when each jumped by 1.5x over the one before,
+    bounded when all agree within 20 percent, and inconclusive
+    otherwise or with fewer than two of them."""
+    vals = [r for r in ratios if np.isfinite(r)]
+    if len(vals) < 2:
+        verdict = INCONCLUSIVE
+    elif all(b >= 1.5 * a for a, b in zip(vals, vals[1:])):
+        verdict = GROWING
+    elif (max(vals) - min(vals)) <= 0.2 * min(vals):
+        verdict = BOUNDED
+    else:
+        verdict = INCONCLUSIVE
+    return LProbeReport(z0=z0, scales=scales, max_ratios=tuple(ratios),
+                        verdict=verdict, samples=tuple(counts),
+                        annotations=tuple(notes), realization=realization)
 
 
 def l_probe(domain: CompactDomain, z0: complex,
@@ -270,16 +256,11 @@ def l_probe(domain: CompactDomain, z0: complex,
     every consecutive ratio jumped by 1.5x; bounded means all ratios
     agree within 20 percent; anything else is inconclusive.
     """
-    scales = _check_scales(scales)
+    scales = check_ladder(scales, 2)
     mask = resolve_mask(domain, h, mask)
-    ratios, counts, notes, zb = _scale_ratios(mask, complex(z0), scales,
-                                              samples_per_scale)
-    return LProbeReport(z0=complex(z0), scales=scales,
-                        max_ratios=tuple(ratios),
-                        verdict=_verdict(scales, ratios),
-                        samples=tuple(counts),
-                        annotations=tuple(n for n in notes if n),
-                        realization=zb)
+    z0 = complex(z0)
+    return _report(z0, scales, *_scale_ratios(mask, z0, scales,
+                                              samples_per_scale))
 
 
 def spiral_growth_probe(scales=(0.3, 0.15, 0.075), depth: float = 1.45,
@@ -296,14 +277,13 @@ def spiral_growth_probe(scales=(0.3, 0.15, 0.075), depth: float = 1.45,
     per halving for the true spiral and the growing verdict is reached
     with grids of constant size.
     """
-    scales = _check_scales(scales)
+    scales = check_ladder(scales, 2)
     if nodes < 64:
         raise ValueError("nodes must be >= 64")
     if depth / scales[0] <= math.pi + 1:
         raise PreconditionError("depth too shallow for the coarsest scale: "
                                 "theta_max = depth/r must exceed pi + 1")
     ratios, counts, notes = [], [], []
-    zb = 0j
     for r in scales:
         w = 1.1 * r
         grid = GridSpec(complex(-w, -w), 2 * w / (nodes - 1), nodes, nodes)
@@ -311,13 +291,9 @@ def spiral_growth_probe(scales=(0.3, 0.15, 0.075), depth: float = 1.45,
         rs, cs, ns, zb = _scale_ratios(mask, 0j, (r,), samples_per_scale)
         ratios += rs
         counts += cs
-        notes += [n for n in ns if n]
-        notes.append(f"scale {r:g}: theta_max = {depth / r:.3f}, "
-                     f"h = {grid.h:.2e}")
-    return LProbeReport(z0=0j, scales=scales, max_ratios=tuple(ratios),
-                        verdict=_verdict(scales, ratios),
-                        samples=tuple(counts), annotations=tuple(notes),
-                        realization=zb)
+        notes += ns + [f"scale {r:g}: theta_max = {depth / r:.3f}, "
+                       f"h = {grid.h:.2e}"]
+    return _report(0j, scales, ratios, counts, notes, zb)
 
 
 # --- boundary Taylor behaviour --------------------------------------------------
@@ -364,7 +340,7 @@ def taylor_remainder_fit(f: ComplexExpr, z0: complex, m: int,
         if len(coeffs) != m + 1:
             raise ValueError("need exactly m + 1 coefficient overrides")
 
-    radii = _check_scales(radii)
+    radii = check_ladder(radii, 2)
     theta = 2 * np.pi * np.arange(samples_per_radius) / samples_per_radius
     sup = np.zeros((m + 1, len(radii)))
     used = []
@@ -405,16 +381,9 @@ def disk_chain_quotient_demo(count: int = 8) -> list:
     if count < 3:
         raise ValueError("count must be >= 3")
     rows = []
-    prev = 0.0
     for n in range(3, count + 3):
         f_n = 1.0 / math.sqrt(n)
-        raw = (f_n - 0.0) / (1.0 / n - 0.0)
-        exact = math.sqrt(n)
-        piece_deriv = wirtinger_d(Const(f_n))
-        d_val = complex(evaluate(piece_deriv, np.array([1.0 / n + 0j]))[0])
-        if prev >= exact:
-            raise AssertionError("quotients must increase")
-        prev = exact
-        rows.append({"n": n, "quotient": exact, "raw_quotient": raw,
-                     "derivative": abs(d_val)})
+        rows.append({"n": n, "quotient": math.sqrt(n),
+                     "raw_quotient": (f_n - 0.0) / (1.0 / n - 0.0),
+                     "derivative": 0.0})
     return rows

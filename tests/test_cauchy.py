@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from dbarkit.cauchy import (
     SampledField,
     _kernel_spectrum,
+    check_ladder,
     d_fd,
     dbar_convergence,
     dbar_fd,
@@ -28,8 +29,12 @@ from dbarkit.cauchy import (
     verify_dbar_solution,
     zero_extended,
 )
+from dbarkit.cli import load_config
+from dbarkit.division import derivative_bound_scan
 from dbarkit.domains import (Disk, GridSpec, RegionMask, build_mask,
                              interior_shrunk)
+from dbarkit.expr import Z, exp, intpow
+from dbarkit.geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
 CELL_H = 0.02
 
@@ -337,8 +342,42 @@ def test_refinement_ladder_margins_slopes_and_exact_flag():
 def test_refinement_ladder_rejects_bad_spacings(hs):
     # a repeated spacing fitted a slope through one point, a negative one
     # took the log of a negative number, and no spacing indexed nothing
-    with pytest.raises(ValueError, match=r"positive, distinct spacings, got \["):
+    with pytest.raises(ValueError, match=r"at least 1 positive, strictly "
+                       r"decreasing value\(s\), got \["):
         refinement_ladder(lambda h, margin: {"dev": h}, hs)
+
+
+def _lconn_scales(tmp_path, values):
+    path = tmp_path / "lconn.ini"
+    path.write_text(f"[lconn]\nscales = {' '.join(map(str, values))}\n")
+    return load_config("lconn", config_path=path)
+
+
+# every entry point that reads a ladder of spacings, scales or radii
+LADDER_ENTRIES = {
+    "check_ladder": lambda v, tmp: check_ladder(v, 1),
+    "refinement_ladder": lambda v, tmp: refinement_ladder(
+        lambda h, margin: {"dev": h}, v),
+    "derivative_bound_scan": lambda v, tmp: derivative_bound_scan(
+        intpow(Z, 2), Z, 1, 1, Disk(0j, 1.0), levels=v),
+    "l_probe": lambda v, tmp: l_probe(Disk(0j, 1.0), 1.0 + 0j, scales=v,
+                                      h=1 / 64),
+    "spiral_growth_probe": lambda v, tmp: spiral_growth_probe(scales=v),
+    "taylor_remainder_fit": lambda v, tmp: taylor_remainder_fit(
+        exp(Z), 1.0 + 0j, 2, Disk(0j, 1.5), radii=v),
+    "cli": lambda v, tmp: _lconn_scales(tmp, v),
+}
+
+
+@pytest.mark.parametrize("ladder", [(), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05)],
+                         ids=["empty", "repeated", "zero", "negative"])
+@pytest.mark.parametrize("entry", list(LADDER_ENTRIES))
+def test_every_ladder_entry_rejects_bad_ladders(entry, ladder, tmp_path):
+    # one rule (check_ladder) behind every entry; the CLI words it as a
+    # config error, which is a ValueError too
+    with pytest.raises(ValueError,
+                       match=r"at least \d positive, strictly decreasing"):
+        LADDER_ENTRIES[entry](ladder, tmp_path)
 
 
 def test_log_slope_floor():

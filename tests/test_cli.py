@@ -73,6 +73,14 @@ def test_domination_violation_exits_2(capsys):
     assert "|f| <= |g|" in capsys.readouterr().err
 
 
+def test_divisor_zero_everywhere_exits_2(capsys):
+    # g = 0 puts every node in Z(g), and nothing measured never passes
+    rc = main(["divide", "--f", "z", "--g", "0",
+               "--power", "3", "--class", "C1"])
+    assert rc == EXIT_PRECONDITION
+    assert "|f| <= |g| off Z(g): no node" in capsys.readouterr().err
+
+
 def test_disconnected_probe_exits_2(tmp_path, capsys):
     cfg = write(tmp_path, "[domain]\nkind = sector_chain\ncount = 6\n\n"
                           "[lconn]\nz0 = 0+0j\nscales = 0.2 0.05\nh = 1/256\n")
@@ -339,6 +347,15 @@ def test_faa_table_matches_hand_values(tmp_path):
     table = {r[1]: int(r[2]) for r in rows}
     assert table == {"4": 1, "3+1": 4, "2+2": 3, "2+1+1": 6, "1+1+1+1": 1}
     assert sum(table.values()) == 15
+
+
+@pytest.mark.parametrize("max_n, bell", [(1, ""), (4, "; B4 = 15")])
+def test_faa_verify_names_only_checked_bell_numbers(tmp_path, capsys, max_n,
+                                                    bell):
+    cfg = write(tmp_path, f"[faa]\nverify = true\ntrials = 5\n"
+                          f"max_n = {max_n}\n")
+    assert main(["faa", "--config", cfg]) == EXIT_OK
+    assert f"checked n = 1..{max_n}{bell}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flags, text", [

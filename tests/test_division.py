@@ -83,6 +83,12 @@ def test_divide_rejects_undominated(disk_mask_64):
     assert exc.value.worst is not None
 
 
+def test_divide_by_zero_everywhere_raises(disk_mask_64):
+    # every node lies in Z(0): a domination check on no node must fail
+    with pytest.raises(DominationError, match="no node"):
+        divide(Z, Const(0.0), 3, mask=disk_mask_64)
+
+
 def test_divide_rejects_bad_power(disk_mask_64):
     with pytest.raises(ValueError, match="positive"):
         divide(Z, Z, 0, mask=disk_mask_64)
@@ -383,7 +389,8 @@ def test_scan_rejects_conjugate_data():
 @pytest.mark.parametrize("levels", [(1 / 64,), (1 / 64, 1 / 64)])
 def test_scan_needs_two_distinct_spacings(levels):
     # one spacing compares a constant with itself: ratio 1, always stable
-    with pytest.raises(ValueError, match="two distinct spacings"):
+    with pytest.raises(ValueError,
+                       match="at least 2 positive, strictly decreasing"):
         derivative_bound_scan(intpow(Z, 2), Z, 1, 1, DISK, levels=levels)
 
 

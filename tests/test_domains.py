@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbarkit.corona import g12_solve, g_power_solve, koszul_F
 from dbarkit.division import (divide, multi_division_c1,
@@ -13,9 +15,9 @@ from dbarkit.division import (divide, multi_division_c1,
 
 from dbarkit.domains import (AnnulusSector, Comb, Disk, DiskChain, GridSpec,
                              HalfRingSpiral, InnerSpiral, MaskResolutionError,
-                             Polygon, SectorChain, Union, build_mask,
-                             connected_components, dump_mask, interior_shrunk,
-                             load_mask)
+                             Polygon, RegionMask, SectorChain, Union,
+                             build_mask, connected_components, dump_mask,
+                             interior_shrunk, load_mask)
 from dbarkit.expr import Z, Const, conj
 
 
@@ -222,6 +224,36 @@ def test_nearest_node_prefers_selected(disk_mask_64):
 
 def test_nearest_node_rejects_far_points(disk_mask_64):
     assert disk_mask_64.nearest_node(50 + 50j, disk_mask_64.inside) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_window_and_nearest_node_match_brute_force(data):
+    ny, nx = data.draw(st.integers(2, 9)), data.draw(st.integers(2, 9))
+    bits = data.draw(st.lists(st.booleans(), min_size=ny * nx,
+                              max_size=ny * nx))
+    sel = np.array(bits).reshape(ny, nx)
+    mask = RegionMask(GridSpec(0.5 - 0.25j, 0.125, nx, ny), sel, sel)
+    nodes = [(y, x) for y in range(ny) for x in range(nx) if sel[y, x]]
+
+    # radii up to 10 clip the window at one or more grid edges
+    iy = data.draw(st.integers(0, ny - 1))
+    ix = data.draw(st.integers(0, nx - 1))
+    n = data.draw(st.integers(0, 10))
+    yy, xx = mask.window(sel, iy, ix, n)
+    assert list(zip(yy.tolist(), xx.tolist())) == [
+        (y, x) for y, x in nodes if max(abs(y - iy), abs(x - ix)) <= n]
+
+    # a whole-grid radius finds the first nearest node in row-major order
+    g = mask.grid
+    z = g.node(data.draw(st.floats(0, nx - 1)),
+               data.draw(st.floats(0, ny - 1)))
+    hit = mask.nearest_node(z, sel, max(nx, ny))
+    if not nodes:
+        assert hit is None
+    else:
+        d = [abs(g.node(x, y) - z) for y, x in nodes]
+        assert hit == nodes[int(np.argmin(d))]
 
 
 def test_build_mask_requires_h_or_grid():

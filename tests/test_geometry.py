@@ -112,6 +112,31 @@ def test_comb_tooth_detours_grow(comb_mask):
     assert p34.ratio / p23.ratio >= 1.5
 
 
+@pytest.mark.parametrize("fixture, domain, z0, r", [
+    ("disk_mask_64", DISK, 1.0 + 0j, 0.2),
+    ("comb_mask", Comb(), 0.6 + 0j, 0.1),
+], ids=["disk", "comb"])
+def test_path_lengths_agree_with_probe_sweep(request, fixture, domain, z0, r):
+    # rebuild the probe's worst ratio at one scale from one path per
+    # sample node; each path's segments add up to its reported length
+    mask = request.getfixturevalue(fixture)
+    rep = l_probe(domain, z0, scales=(r, r / 2), samples_per_scale=8,
+                  mask=mask)
+    circle = z0 + r * np.exp(2j * np.pi * np.arange(8) / 8)
+    nodes = {mask.nearest_node(complex(c), mask.interior, radius_cells=1)
+             for c in circle} - {None}
+    assert rep.samples[0] == len(nodes) > 0
+    worst = 0.0
+    for iy, ix in nodes:
+        zn = mask.grid.node(ix, iy)
+        p = interior_shortest_path(mask, zn, z0)
+        assert p.z == zn and p.path[-1] == z0
+        assert np.abs(np.diff(p.path)).sum() == pytest.approx(p.length,
+                                                              abs=1e-12)
+        worst = max(worst, p.length / abs(zn - z0))
+    assert worst == pytest.approx(rep.max_ratios[0], abs=1e-12)
+
+
 # -------------------------------------------------------- disconnects
 
 
@@ -160,7 +185,7 @@ def test_single_usable_scale_is_inconclusive(disk_mask_64):
 
 
 @pytest.mark.parametrize("scales, msg", [
-    ((0.1,), "at least two"),
+    ((0.1,), "at least 2 positive"),
     ((0.1, 0.2), "strictly decreasing"),
     ((0.2, -0.1), "positive"),
 ])
@@ -254,8 +279,8 @@ def test_fit_rejects_bad_arguments():
 
 
 @pytest.mark.parametrize("radii, message", [
-    ((0.1,), "at least two"),  # one point fits no slope
-    ((), "at least two"),
+    ((0.1,), "at least 2 positive"),  # one point fits no slope
+    ((), "at least 2 positive"),
     ((0.05, 0.1), "strictly decreasing"),
     ((0.1, 0.0), "positive"),
 ])
