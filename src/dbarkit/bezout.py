@@ -6,17 +6,25 @@ combination D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
 returns the fits, their values on the Inside nodes as the fit ladder
 measured them, and the certified D there, so x_j = p_j / D needs no
-second evaluation (PolyZZbar carries an analytic dbar for dbar x_j).
-bezout_poly returns the same quotient as expressions, which remain the
-symbolic test oracle.  The covering route builds a smoothstep
-partition of unity subordinate to {|f_j| > eps/3} and divides each
-bump by its own generator.  Both
-keep the residual identity exact up to rounding; the interesting
-measured quantity is how smooth the output is.
+second evaluation (PolyZZbar carries an analytic dbar for dbar x_j;
+poly_dbars reads every fit's from one power table).  The
+factorization is real: each degree's monomials are closed under
+conjugation, so sqrt2 Re and sqrt2 Im of z^a conj(z)^b (a > b), plus
+|z|^d on the diagonal, span them by a unitary change of basis, and Re
+and Im of a field are two real right-hand sides.  On a stride
+subsample (grids beyond MAX_FIT_NODES) each degree's sup error is
+screened on the subsample first; only a degree that passes, or the
+last, is measured on every node.  bezout_poly returns the same
+quotient as expressions, which remain the symbolic test oracle.  The
+covering route builds a smoothstep partition of unity subordinate to
+{|f_j| > eps/3} and divides each bump by its own generator.  Both keep
+the residual identity exact up to rounding; the interesting measured
+quantity is how smooth the output is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -32,13 +40,18 @@ __all__ = [
     "COLLAR_REL", "BezoutProblem", "PolyZZbar", "CommonZeroError",
     "FitRankError", "FitToleranceError", "CoveringError", "VanishingError",
     "require_no_common_zero", "zero_collar",
-    "q_fields", "weierstrass_fit", "quotient_fits", "bezout_poly",
+    "q_fields", "poly_dbars", "weierstrass_fit", "quotient_fits",
+    "bezout_poly",
     "smoothstep", "partition_of_unity", "bezout_pou", "generalized_division",
 ]
 
 # sum|f_j| <= COLLAR_REL * max marks the collar around common zeros
 COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
+# a subsample sup error above target_sup * SCREEN_SLACK fails the fit
+# degree without a full-node evaluation; the slack covers roundoff
+SCREEN_SLACK = 1 + 1e-9
+_SQRT2 = math.sqrt(2.0)
 
 
 class CommonZeroError(PreconditionError):
@@ -157,6 +170,40 @@ def _count(d: int) -> int:
     return (d + 1) * (d + 2) // 2
 
 
+def _pairs(s: int) -> np.ndarray:
+    # a of the degree-s monomials z^a conj(z)^(s-a) with a > s - a
+    return np.arange(s, s // 2, -1)
+
+
+def _real_block(zp: np.ndarray, zcp: np.ndarray, s: int) -> np.ndarray:
+    # real columns spanning the degree-s monomials: sqrt2 Re and sqrt2 Im
+    # of z^a conj(z)^b for each a > b, then |z|^s for even s
+    hi = _pairs(s)
+    mono = zp[hi] * zcp[s - hi]
+    cols = [_SQRT2 * mono.real, _SQRT2 * mono.imag]
+    if s % 2 == 0:
+        cols.append((zp[s // 2] * zcp[s // 2]).real[None])
+    return np.concatenate(cols).T
+
+
+def _monomial_coefs(c: np.ndarray, d: int) -> np.ndarray:
+    # rows of c weight the _real_block columns through degree d; return
+    # the weights of the monomials in _monomials(d) order.  The pair
+    # c1 sqrt2 Re m + c2 sqrt2 Im m is C m + C' conj(m) with
+    # C = (c1 - i c2)/sqrt2 and C' = (c1 + i c2)/sqrt2
+    out = np.empty(c.shape, dtype=complex)
+    for s in range(d + 1):
+        blk = slice(_count(s - 1), _count(s))
+        cb, ob = c[blk], out[blk]
+        hi = _pairs(s)
+        c1, c2 = cb[:hi.size], cb[hi.size:2 * hi.size]
+        ob[hi] = (c1 - 1j * c2) / _SQRT2
+        ob[s - hi] = (c1 + 1j * c2) / _SQRT2
+        if s % 2 == 0:
+            ob[s // 2] = cb[-1]
+    return out
+
+
 @dataclass
 class PolyZZbar:
     """Bivariate polynomial sum c_ab z^a conj(z)^b, a + b <= degree.
@@ -193,8 +240,7 @@ class PolyZZbar:
     def dbar(self, z):
         """Analytic Wirtinger dbar at the points z."""
         z = np.asarray(z, dtype=complex)
-        zp = _powers(z.ravel(), self.degree)
-        return self._on_table(zp, zp.conj(), dbar=True).reshape(z.shape)
+        return poly_dbars([self], z.ravel())[0].reshape(z.shape)
 
     def as_expr(self) -> ComplexExpr:
         out = Const(0.0)
@@ -203,20 +249,44 @@ class PolyZZbar:
         return out
 
 
+def poly_dbars(polys: Sequence[PolyZZbar], z: np.ndarray) -> list:
+    """Analytic dbar of each polynomial at the flat points z.
+
+    One _powers table of the highest degree serves them all; its rows
+    come from the same recurrence as a table of lower degree, so each
+    value is bitwise that of PolyZZbar.dbar.
+    """
+    zp = _powers(z, max(p.degree for p in polys))
+    zcp = zp.conj()
+    return [p._on_table(zp, zcp, dbar=True) for p in polys]
+
+
 def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
     # qs[0], at each degree of `degrees` in turn.  Returns two lists:
     # per field, its first fit with sup error within target_sup, or else
     # the last degree's FitToleranceError; and that fit's values on the
     # support nodes (mask.coords order), as measured for the sup, or
-    # None where the fit failed.  Graded monomial order nests: the
-    # columns of degree d are those of degree d - 1 plus the d + 1
-    # monomials z^a conj(z)^(d-a).  So one QR factorization V = Q R of
-    # the monomial matrix, grown by one block of columns per degree
-    # (block Gram-Schmidt, projected twice, Householder within the
-    # block), serves every degree and every field: a degree-d solution
-    # is a triangular solve on the leading p x p block of R, whose
-    # singular values are those of the first p columns of V.
+    # None where the fit failed.
+    #
+    # The degree-d monomials z^a conj(z)^(d-a) are closed under
+    # conjugation, so the real columns sqrt2 Re and sqrt2 Im of each
+    # a > b monomial, plus |z|^d for even d, span them by a unitary
+    # change of basis: the singular values, the rank rule and the
+    # least-squares fit are those of the complex monomial matrix V,
+    # and a complex field enters as two real right-hand sides, Re and
+    # Im.  Graded order nests, so one real QR factorization of that
+    # matrix, grown by one block of d + 1 columns per degree (block
+    # Gram-Schmidt, projected twice, Householder within the block),
+    # serves every degree and every field: a degree-d solution is a
+    # triangular solve on the leading p x p block of R.
+    #
+    # Beyond MAX_FIT_NODES the fit runs on a stride subsample, and each
+    # degree's sup error is screened there first: the subsample sup is
+    # a lower bound on the full one, so a degree that exceeds
+    # target_sup on it (with SCREEN_SLACK for roundoff) is never
+    # evaluated on every node.  A degree that passes the screen, and
+    # the last degree always, is measured on every support node.
     if not degrees or degrees[0] < 0:
         raise ValueError(f"fit degrees {degrees} must be nonnegative")
     sel = qs[0].support
@@ -228,31 +298,32 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     stride = max(1, -(-m // MAX_FIT_NODES))
     if -(-m // stride) < _count(top):
         stride = 1
-    zf, zcf = zp[:, ::stride], zcp[:, ::stride]
-    vf = np.stack([v[::stride] for v in vals])
-    rows, cols = vf.shape[1], _count(top)
-    Q = np.empty((rows, cols), dtype=complex, order="F")
-    R = np.zeros((cols, cols), dtype=complex)
-    qv = np.empty((cols, len(qs)), dtype=complex)  # Q^H vf^T
-    out = [None] * len(qs)
-    on_nodes = [None] * len(qs)
+    zf, zcf = (np.ascontiguousarray(t[:, ::stride]) for t in (zp, zcp))
+    vf = [v[::stride] for v in vals]
+    n = len(qs)
+    rhs = np.stack([v.real for v in vf] + [v.imag for v in vf], axis=1)
+    rows, cols = rhs.shape[0], _count(top)
+    Q = np.empty((rows, cols), order="F")
+    R = np.zeros((cols, cols))
+    qv = np.empty((cols, 2 * n))  # Q^T rhs
+    out = [None] * n
+    on_nodes = [None] * n
     for d in range(top + 1):
-        pending = [j for j, fit in enumerate(out)
-                   if not isinstance(fit, PolyZZbar)]
+        pending = [j for j, fit in enumerate(out) if fit is None]
         if not pending:
             break
         p0, p = _count(d - 1), _count(d)
         if m < p:
             raise FitRankError(
                 f"{m} sample node(s) cannot determine {p} coefficients")
-        W = (zf[:d + 1] * zcf[d::-1]).T
+        W = _real_block(zf, zcf, d)
         Qp = Q[:, :p0]
         for _ in range(2):
-            proj = (W.T.conj() @ Qp).T.conj()
+            proj = Qp.T @ W
             W = W - Qp @ proj
             R[:p0, p0:p] += proj
         Q[:, p0:p], R[p0:p, p0:p] = np.linalg.qr(W)
-        qv[p0:p] = (vf.conj() @ Q[:, p0:p]).T.conj()
+        qv[p0:p] = Q[:, p0:p].T @ rhs
         if d < first:
             continue
         sing = np.linalg.svd(R[:p, :p], compute_uv=False)
@@ -262,16 +333,23 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             raise FitRankError(
                 f"monomial matrix rank {rank} < {p} unknowns; "
                 f"lower the degree or supply more nodes")
-        coefs = solve_triangular(R[:p, :p], qv[:p, pending])
-        for j, c in zip(pending, coefs.T):
-            terms = [(a, b, ck) for (a, b), ck in zip(_monomials(d), c)]
+        c = solve_triangular(R[:p, :p], qv[:p])
+        coefs = _monomial_coefs(c[:, :n] + 1j * c[:, n:], d)
+        last = d == top
+        for j in pending:
+            terms = [(a, b, ck) for (a, b), ck in zip(_monomials(d),
+                                                      coefs[:, j])]
             poly = PolyZZbar(d, terms, cond=float(sing[0] / sing[-1]))
+            if stride > 1 and not last:
+                screen = np.abs(poly._on_table(zf, zcf) - vf[j]).max()
+                if screen > SCREEN_SLACK * target_sup:
+                    continue
             pv = poly._on_table(zp, zcp)
             sup = float(np.abs(pv - vals[j]).max())
             if sup <= target_sup:
                 poly.sup_error = sup
                 out[j], on_nodes[j] = poly, pv
-            else:
+            elif last:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
                     f"{target_sup:.3e}; increase degree", sup_error=sup)

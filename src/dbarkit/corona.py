@@ -34,7 +34,7 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
-                     quotient_fits, require_no_common_zero)
+                     poly_dbars, quotient_fits, require_no_common_zero)
 from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided,
                      refinement_ladder, sample_field, sup_abs,
                      verify_dbar_solution, zero_extended)
@@ -234,8 +234,7 @@ def _poly_unit_solution(problem: BezoutProblem, max_degree: int):
     fits, pv, D = quotient_fits(problem, max_degree=max_degree)
     mask = problem.mask
     inside = mask.inside
-    zin = mask.coords(inside)
-    dpv = [p.dbar(zin) for p in fits]
+    dpv = poly_dbars(fits, mask.coords(inside))
     fv = [g.values[inside] for g in problem.f_fields]
     dfv = [_dbar_values(f, mask)[inside] for f in problem.f_list]
     dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))

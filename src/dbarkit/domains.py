@@ -31,6 +31,11 @@ __all__ = [
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _EIGHT_CONN = np.ones((3, 3), dtype=bool)
 ROW_BLOCK = 512
+# Largest grid a GridSpec may describe: 8192 x 8192 nodes.  One complex
+# field on it takes 1 GiB and the Pompeiu lattice solve works on four
+# times as many cells, so a config asking for more is refused before
+# anything is allocated.
+MAX_GRID_NODES = 2 ** 26
 
 
 class PreconditionError(ValueError):
@@ -43,7 +48,8 @@ class PreconditionError(ValueError):
 
 
 class MaskResolutionError(PreconditionError):
-    """The grid spacing cannot resolve the domain."""
+    """The grid spacing cannot resolve the domain, or the grid that
+    covers it at that spacing is past MAX_GRID_NODES."""
 
 
 class CompactDomain(ABC):
@@ -354,6 +360,11 @@ class Polygon(CompactDomain):
 # --- grids and masks ----------------------------------------------------------
 
 
+def _magnitude(n: int) -> str:
+    # a node count for a message; ints past a float's range print as 10^k
+    return f"{n:.3g}" if n < 10 ** 300 else f"10^{math.log10(n):.0f}"
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform node-centered grid: node (ix, iy) sits at
@@ -369,14 +380,26 @@ class GridSpec:
             raise ValueError("grid spacing must be positive")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid must have at least 2x2 nodes")
+        nodes = self.nx * self.ny
+        if nodes > MAX_GRID_NODES:
+            past = ("numpy's array size limit"
+                    if nodes > np.iinfo(np.intp).max
+                    else f"MAX_GRID_NODES = {MAX_GRID_NODES}")
+            raise MaskResolutionError(
+                f"a grid of {_magnitude(nodes)} nodes at h = {self.h:g} "
+                f"is past {past}; coarsen h or shrink the domain")
 
     @classmethod
     def cover(cls, bbox: tuple, h: float, margin: int = 2) -> "GridSpec":
         xmin, xmax, ymin, ymax = bbox
         ox = xmin - margin * h
         oy = ymin - margin * h
-        nx = int(math.ceil((xmax - ox) / h)) + 1 + margin
-        ny = int(math.ceil((ymax - oy) / h)) + 1 + margin
+        spans = ((xmax - ox) / h, (ymax - oy) / h)
+        if not all(map(math.isfinite, spans)):
+            raise MaskResolutionError(
+                f"the domain spans more nodes than a float holds at "
+                f"h = {h:g}, past numpy's array size limit")
+        nx, ny = (int(math.ceil(w)) + 1 + margin for w in spans)
         return cls(complex(ox, oy), h, nx, ny)
 
     def refined(self, factor: int = 2) -> "GridSpec":
@@ -454,8 +477,9 @@ def build_mask(domain: CompactDomain, h: float = None,
     explicit GridSpec must be given.  Membership is evaluated ROW_BLOCK
     rows at a time to bound memory on large grids.
 
-    Raises MaskResolutionError when no node lands Inside, or when the
-    domain has Inside nodes but no Interior ones (grid too coarse).
+    Raises MaskResolutionError when no node lands Inside, when the
+    domain has Inside nodes but no Interior ones (grid too coarse), or,
+    before anything is allocated, when the grid is past MAX_GRID_NODES.
     """
     if grid is None:
         if h is None:

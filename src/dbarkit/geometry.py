@@ -120,9 +120,13 @@ def _sweep(mask: RegionMask, z0: complex):
     node connects by straight segments to every Interior node within
     HOP_CELLS (Chebyshev) of the realization.  This is the single
     permitted step off the interior: it spans the one-to-two-cell
-    boundary layer that 8-neighbor moves cannot cross.  One dijkstra
-    from the virtual node, the last graph index, gives each node's
-    distance to z0 and its next node on a shortest path there.
+    boundary layer that 8-neighbor moves cannot cross, so a z0 more
+    than HOP_CELLS cells from its realization is a PreconditionError,
+    unless it is one of the mask's tagged points (an accumulation point
+    or isolated point of the ideal set, reached by one longer hop).
+    One dijkstra from the virtual node, the last graph index, gives
+    each node's distance to z0 and its next node on a shortest path
+    there.
 
     Returns (ids, dist, pred, realization coordinate).
     """
@@ -138,6 +142,12 @@ def _sweep(mask: RegionMask, z0: complex):
     reach = grid.nx + grid.ny + int(abs(z0 - grid.origin) / grid.h)
     b = mask.nearest_node(z0, mask.inside, reach)
     zb = grid.node(b[1], b[0])
+    gap = max(abs(zb.real - z0.real), abs(zb.imag - z0.imag)) / grid.h
+    if gap > HOP_CELLS and z0 not in mask.tagged_points:
+        raise PreconditionError(
+            f"z0 = {z0:.6g} lies {gap:.3g} cells from its closest Inside "
+            f"node {zb:.6g}, beyond the {HOP_CELLS}-cell hop to z0; z0 "
+            "must lie on the domain or within its boundary layer")
     yy, xx = mask.window(sel, *b, HOP_CELLS)
     if yy.size == 0:
         raise DisconnectedError(

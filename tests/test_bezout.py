@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dbarkit import bezout
 from dbarkit.bezout import (
     BezoutProblem,
     CommonZeroError,
@@ -15,6 +16,7 @@ from dbarkit.bezout import (
     bezout_pou,
     generalized_division,
     partition_of_unity,
+    poly_dbars,
     q_fields,
     quotient_fits,
     smoothstep,
@@ -34,11 +36,18 @@ def linear_pair(disk_mask_64):
                                mask=disk_mask_64)
 
 
+QUARTIC = [intpow(Z, 2), intpow(ONE_MINUS_Z, 2)]
+
+
 @pytest.fixture(scope="module")
 def quartic_pair(disk_mask_64):
-    return BezoutProblem.build(Disk(0j, 1.0),
-                               [intpow(Z, 2), intpow(ONE_MINUS_Z, 2)],
-                               mask=disk_mask_64)
+    return BezoutProblem.build(Disk(0j, 1.0), QUARTIC, mask=disk_mask_64)
+
+
+@pytest.fixture(scope="module")
+def quartic_pair_128():
+    # about 51,000 Inside nodes: the fit runs on a stride-3 subsample
+    return BezoutProblem.build(Disk(0j, 1.0), QUARTIC, h=1 / 128)
 
 
 def residual(fields, problem, target=1.0):
@@ -169,6 +178,99 @@ def test_weierstrass_matches_lstsq_on_the_subsample():
         fit = weierstrass_fit(q, d, 10.0)
         assert np.abs(fit(z) - want).max() <= 1e-9 * np.abs(want).max()
         assert fit.cond >= 1 and np.isfinite(fit.cond)
+
+
+_SMALL_DISK = build_mask(Disk(0j, 1.0), h=1 / 16)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 6), extra=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_real_basis_fit_matches_complex_lstsq(degree, extra, seed):
+    # the ladder factors the real block basis sqrt2 Re, sqrt2 Im of
+    # z^a conj(z)^b; that is a unitary change of the complex monomial
+    # basis, so the fit and cond must be those of the monomial matrix
+    m = _SMALL_DISK
+    rng = np.random.default_rng(seed)
+    p = (degree + 1) * (degree + 2) // 2
+    iy, ix = np.nonzero(m.inside)
+    pick = rng.choice(iy.size, size=2 * p + extra, replace=False)
+    sel = np.zeros(m.inside.shape, bool)
+    sel[iy[pick], ix[pick]] = True
+    vals = np.zeros(m.inside.shape, complex)
+    vals[sel] = rng.normal(size=sel.sum()) + 1j * rng.normal(size=sel.sum())
+    fit = weierstrass_fit(SampledField(m, vals, support=sel), degree, np.inf)
+    z = m.coords(sel)
+    V = np.stack([z ** a * np.conj(z) ** (s - a)
+                  for s in range(degree + 1) for a in range(s + 1)], axis=1)
+    want = V @ np.linalg.lstsq(V, vals[sel], rcond=None)[0]
+    assert np.abs(fit(z) - want).max() <= 1e-10 * np.abs(want).max()
+    assert fit.cond == pytest.approx(np.linalg.cond(V), rel=1e-8)
+
+
+def test_screened_ladder_matches_full_node_ladder(quartic_pair_128,
+                                                  monkeypatch):
+    # at stride > 1 each degree is screened on the subsample first; with
+    # the screen switched off every degree is measured on every node,
+    # and the chosen degrees and sup errors must be the same
+    qs = q_fields(quartic_pair_128)
+    target = 1.0 / (2.0 * sum(g.max_abs() for g in quartic_pair_128.f_fields))
+    screened = bezout._fit_ladder(qs, range(17), target)
+    monkeypatch.setattr(bezout, "SCREEN_SLACK", np.inf)
+    full = bezout._fit_ladder(qs, range(17), target)
+    for (a, va), (b, vb) in zip(zip(*screened), zip(*full)):
+        assert (a.degree, a.sup_error) == (b.degree, b.sup_error)
+        assert np.array_equal(va, vb)
+    assert [p.degree for p in screened[0]] == [15, 14]
+
+
+def test_last_degree_error_reports_the_full_node_sup(quartic_pair_128):
+    # q_1 needs degree 15; its degree-13 fit fails, and the reported sup
+    # error is measured on every Inside node, not on the stride-3
+    # subsample the fit ran on (whose sup is smaller here)
+    with pytest.raises(FitToleranceError, match="q_1 not approximable") as err:
+        quotient_fits(quartic_pair_128, max_degree=13)
+    mask = quartic_pair_128.mask
+    q = q_fields(quartic_pair_128)[0]
+    fit = weierstrass_fit(q, 13, np.inf)
+    resid = np.abs(fit(mask.coords(mask.inside)) - q.values[mask.inside])
+    assert err.value.sup_error == pytest.approx(resid.max(), rel=1e-12)
+    assert resid.max() > resid[::3].max()
+
+
+@pytest.mark.parametrize("h, counts", [(1 / 64, {"linear": 12, "quartic": 31}),
+                                       (1 / 128, {"linear": 2, "quartic": 2}),
+                                       (1 / 256, {"linear": 2, "quartic": 2})])
+def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
+    # at stride 1 every tried degree of every field is evaluated on all
+    # Inside nodes; beyond MAX_FIT_NODES only the chosen degree of each
+    # field is, the rest fail the subsample screen
+    pairs = {"linear": [Z, ONE_MINUS_Z], "quartic": QUARTIC}
+    for name, fs in pairs.items():
+        problem = BezoutProblem.build(Disk(0j, 1.0), fs, h=h)
+        m = int(problem.mask.inside.sum())
+        full = []
+        on_table = PolyZZbar._on_table
+
+        def counted(self, zp, zcp, dbar=False):
+            full.append(zp.shape[1] == m)
+            return on_table(self, zp, zcp, dbar)
+
+        monkeypatch.setattr(PolyZZbar, "_on_table", counted)
+        quotient_fits(problem)
+        monkeypatch.setattr(PolyZZbar, "_on_table", on_table)
+        assert sum(full) == counts[name], name
+
+
+def test_poly_dbars_share_one_table_bitwise(quartic_pair):
+    # the degree-14 fit reads the leading rows of the degree-15 table;
+    # the recurrence makes them bitwise those of its own table
+    fits = quotient_fits(quartic_pair)[0]
+    assert [p.degree for p in fits] == [15, 14]
+    z = quartic_pair.mask.coords(quartic_pair.mask.inside)
+    for p, got in zip(fits, poly_dbars(fits, z)):
+        zp = bezout._powers(z, p.degree)
+        assert np.array_equal(got, p._on_table(zp, zp.conj(), dbar=True))
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,

@@ -101,8 +101,15 @@ def test_disconnected_probe_exits_2(tmp_path, capsys):
      "f must be conjugation-free (holomorphic)"),
     ("taylor", "[taylor]\nf = z\nz0 = 5+0j\nm = 1\n",
      "no interior samples at radius 0.2"),
+    ("lconn", "[lconn]\nz0 = 5+0j\n",
+     "z0 = 5+0j lies 512 cells from its closest Inside node 1+0j, beyond "
+     "the 3-cell hop to z0; z0 must lie on the domain or within its "
+     "boundary layer"),
+    ("domains", "[domain]\nkind = disk\nradius = 1e300\n",
+     "a grid of 10^604 nodes at h = 0.015625 is past numpy's array size "
+     "limit; coarsen h or shrink the domain"),
 ], ids=["cauchy-non-finite", "spiral-too-shallow", "taylor-conj",
-        "taylor-no-samples"])
+        "taylor-no-samples", "lconn-z0-off-domain", "domains-huge-grid"])
 def test_plain_preconditions_exit_2(tmp_path, capsys, command, text, line):
     assert main([command, "--config", write(tmp_path, text)]) \
         == EXIT_PRECONDITION

@@ -13,9 +13,9 @@ from dbarkit.division import (divide, multi_division_c1,
                               multi_division_continuous,
                               quotient_extension_lemma)
 
-from dbarkit.domains import (AnnulusSector, Comb, Disk, DiskChain, GridSpec,
-                             HalfRingSpiral, InnerSpiral, MaskResolutionError,
-                             Polygon, RegionMask, SectorChain, Union,
+from dbarkit.domains import (MAX_GRID_NODES, AnnulusSector, Comb, Disk,
+                             DiskChain, GridSpec, HalfRingSpiral, InnerSpiral,
+                             MaskResolutionError, Polygon, RegionMask, SectorChain, Union,
                              build_mask, connected_components, dump_mask,
                              interior_shrunk, load_mask)
 from dbarkit.expr import Z, Const, conj
@@ -159,6 +159,27 @@ def test_grid_validation():
         GridSpec(0j, -0.1, 4, 4)
     with pytest.raises(ValueError, match="2x2"):
         GridSpec(0j, 0.1, 1, 4)
+
+
+def test_grid_size_bound():
+    # refused by GridSpec arithmetic alone: nothing is allocated
+    side = int(math.isqrt(MAX_GRID_NODES))
+    assert GridSpec(0j, 1.0, side, side).nx == side
+    with pytest.raises(MaskResolutionError,
+                       match=f"past MAX_GRID_NODES = {MAX_GRID_NODES}"):
+        GridSpec(0j, 1.0, side + 1, side)
+    with pytest.raises(MaskResolutionError, match="MAX_GRID_NODES"):
+        GridSpec(0j, 1.0, side, side).refined(2)
+    # a radius of 100 at h = 1/256 asks for 2.6e9 nodes
+    with pytest.raises(MaskResolutionError, match=r"2\.62e\+09 nodes"):
+        GridSpec.cover(Disk(0j, 100.0).bbox(), 1 / 256)
+    with pytest.raises(MaskResolutionError, match="numpy's array size limit"):
+        GridSpec(0j, 1.0, 2 ** 40, 2 ** 40)
+    with pytest.raises(MaskResolutionError,
+                       match=r"10\^604 nodes .* numpy's array size limit"):
+        GridSpec.cover(Disk(0j, 1e300).bbox(), 1 / 64)
+    with pytest.raises(MaskResolutionError, match="more nodes than a float"):
+        GridSpec.cover((-1.0, 1.0, -1.0, 1.0), 1e-320)
 
 
 def test_nearest_index_clips():

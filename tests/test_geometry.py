@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from dbarkit.domains import (Comb, Disk, DiskChain, HalfRingSpiral,
-                             SectorChain, build_mask, connected_components)
+                             PreconditionError, SectorChain, build_mask,
+                             connected_components)
 from dbarkit.expr import Const, PoleError, Z, add, conj, evaluate, exp, intpow, log, mul, sub, wirtinger_d
 from dbarkit.geometry import (BOUNDED, GROWING, INCONCLUSIVE,
                               DisconnectedError, disk_chain_quotient_demo,
@@ -93,6 +94,20 @@ def test_refinement_changes_length_by_under_one_percent(disk_mask_64):
 def test_point_outside_grid_rejected(disk_mask_64):
     with pytest.raises(ValueError, match="Interior node"):
         interior_shortest_path(disk_mask_64, 2.0 + 0j, 0j)
+
+
+def test_z0_beyond_the_hop_is_a_precondition_error(disk_mask_64):
+    # the hop to z0 spans the boundary layer, not the plane: a z0 more
+    # than HOP_CELLS cells from its closest Inside node is refused
+    with pytest.raises(PreconditionError,
+                       match=r"z0 = 5\+0j lies 256 cells from its closest "
+                             r"Inside node 1\+0j, beyond the 3-cell hop"):
+        l_probe(DISK, 5.0 + 0j, h=1 / 64, mask=disk_mask_64)
+    with pytest.raises(PreconditionError, match="beyond the 3-cell hop"):
+        interior_shortest_path(disk_mask_64, 0.5 + 0j, 1.0 + 4 / 64)
+    # three cells off the rim is still within the hop
+    pr = interior_shortest_path(disk_mask_64, 0.5 + 0j, 1.0 + 3 / 64)
+    assert pr.path[-1] == pr.z0 == 1.0 + 3 / 64
 
 
 # ----------------------------------------------------- comb corridors
