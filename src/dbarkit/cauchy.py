@@ -99,6 +99,10 @@ class SampledField:
             self.support = self.mask.inside
         if self.values.shape != self.support.shape:
             raise ValueError("values and support shapes differ")
+        # one pass over the whole array; only a non-finite value somewhere
+        # pays for the support's copy
+        if np.isfinite(self.values).all():
+            return
         bad = ~np.isfinite(self.values[self.support])
         if bad.any():
             where = self.mask.coords(self.support)[bad][:3]

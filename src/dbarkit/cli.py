@@ -74,7 +74,7 @@ import numpy as np
 from .bezout import BezoutProblem, bezout_pou, quotient_fits
 from .cauchy import check_ladder, dbar_convergence
 from .corona import corona_convergence
-from .division import CLASSES, FAIL, PASS, certify_class
+from .division import CLASSES, FAIL, PASS, DivisionProblem, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       HalfRingSpiral, InnerSpiral, Polygon, PreconditionError,
                       SectorChain, build_mask, connected_components, dump_mask)
@@ -571,38 +571,49 @@ def _worst_measure(cert) -> float:
     return max(vals) if vals else float("nan")
 
 
+def _sharpness_items(h_fine: float, h_chain: float) -> list:
+    """The battery's counterexamples: (item, claimed, domain label,
+    domain, power, f, g, DivisionProblem.build keywords, families at the
+    power, families one power below; None probes rings)."""
+    disk = Disk(0j, 1.0)
+    chain = SectorChain(8)
+    one_minus = sub(Const(1.0), Z)
+    fv, gv = _vanishing_inner_pair()
+    fams = _radial_circle_families()
+    chain_fams = _chain_families(chain)
+    # "holomorphic values" is the one item whose run one power below
+    # differs: families, not rings
+    return [
+        ("boundary values", "C0", "disk", disk, 2, fv, gv, {}, fams, fams),
+        ("first derivatives", "C1", "disk", disk, 3, Z, conj(Z),
+         dict(h=h_fine), None, None),
+        ("holomorphic values", "A0", "disk", disk, 2, fv, gv, {}, None, fams),
+        ("holomorphic derivatives, chain", "A1", "sector_chain", chain, 3,
+         Z, _chain_divisor(chain), dict(h=h_chain, g_locally_constant=True),
+         chain_fams, chain_fams),
+        ("holomorphic derivatives", "A1", "disk", disk, 2,
+         mul(intpow(one_minus, 3), S), intpow(one_minus, 3), {}, None, None),
+        ("dbar derivatives", "Dbar1", "disk", disk, 4, Z, conj(Z),
+         dict(h=h_fine), None, None),
+    ]
+
+
 def sharpness_battery(h_fine: float = 1 / 512,
                       h_chain: float = 1 / 256) -> list:
     """Run every counterexample at its certified power and one below.
 
     Returns one dict per item with both verdicts and the largest probe
     measurement of each run.  A correct implementation yields PASS at
-    the power and FAIL below for all six items.
+    the power and FAIL below for all six items.  Both powers are
+    certified from one DivisionProblem per item, so each item samples
+    its data and builds its probe geometry once.
     """
-    disk = Disk(0j, 1.0)
-    chain = SectorChain(8)
-    one_minus = sub(Const(1.0), Z)
-    fv, gv = _vanishing_inner_pair()
-    fams = _radial_circle_families()
-    items = [
-        ("boundary values", "C0", "disk", 2, fv, gv, dict(families=fams)),
-        ("first derivatives", "C1", "disk", 3, Z, conj(Z), dict(h=h_fine)),
-        ("holomorphic values", "A0", "disk", 2, fv, gv, dict()),
-        ("holomorphic derivatives, chain", "A1", "sector_chain", 3,
-         Z, _chain_divisor(chain),
-         dict(h=h_chain, families=_chain_families(chain), g_locally_constant=True)),
-        ("holomorphic derivatives", "A1", "disk", 2,
-         mul(intpow(one_minus, 3), S), intpow(one_minus, 3), dict()),
-        ("dbar derivatives", "Dbar1", "disk", 4, Z, conj(Z), dict(h=h_fine)),
-    ]
-    # the one item whose run one power below differs: families, not rings
-    below_override = {"holomorphic values": dict(families=fams)}
     out = []
-    for name, claimed, dom_label, power, f, g, kw in items:
-        dom = chain if dom_label == "sector_chain" else disk
-        at = certify_class(f, g, power, dom, claimed, **kw)
-        below = certify_class(f, g, power - 1, dom, claimed,
-                              **{**kw, **below_override.get(name, {})})
+    for (name, claimed, dom_label, dom, power, f, g, build, fams_at,
+         fams_below) in _sharpness_items(h_fine, h_chain):
+        problem = DivisionProblem.build(f, g, dom, **build)
+        at = problem.certify(power, claimed, fams_at)
+        below = problem.certify(power - 1, claimed, fams_below)
         out.append({"item": name, "claimed": claimed, "domain": dom_label,
                     "power": power,
                     "verdict_at_power": at.verdict,

@@ -11,20 +11,32 @@ The classes are the table CLASSES: per class, the Wirtinger chains
 ("d", "dbar", applied left to right) whose layers are probed after the
 value f^N/g itself; the A-classes add the holomorphy probe.
 
+A DivisionProblem is the one record of a quotient problem on a grid: f
+and g are sampled once, the zero set Z(g) is found and |f| <= |g| is
+checked off it once, and f and g are kept only on the live nodes (Inside,
+off Z(g)).  divide and certify_class build one and use it once; a caller
+that needs several powers of one (f, g) builds it once and calls
+quotient(N) or certify(N, claimed) per power.  A certificate's probe
+geometry (zero-cluster centers, their rings, the away nodes the layer
+scales are taken on) is built on the first ring certificate and shared
+by every later one.
+
 A probe or report whose node selection is empty reads NaN (sups go
 through cauchy.sup_abs), and a NaN measurement or scale grades
 INCONCLUSIVE: nothing measured is never a pass.  The zero floor
 ZERO_REL is applied in _zeros, the domination slack in
-check_domination, and the rings at PROBE_RADII_CELLS are built in
-_rings; generators are sampled once, as a bezout.BezoutProblem (with
-the common-zero guard and the collar), and every quotient is
-zero-extended by cauchy.zero_extended.
+check_domination, and the rings at PROBE_RADII_CELLS are found by
+_rings in the node window around each center, so no full-grid
+coordinate or distance array is built; generators are sampled once, as
+a bezout.BezoutProblem (with the common-zero guard and the collar), and
+every multi-generator quotient is zero-extended by cauchy.zero_extended.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,8 +53,8 @@ from .expr import (ComplexExpr, Const, as_callable, div, intpow,
 __all__ = [
     "ZERO_REL", "PROBE_RADII_CELLS", "CLASSES", "PASS", "FAIL", "INCONCLUSIVE",
     "DominationError", "ProbeResult", "DivisionCertificate",
-    "check_domination", "divide", "ring_selection", "zero_centers", "spread",
-    "certify_class", "derivative_bound_scan",
+    "DivisionProblem", "check_domination", "divide", "ring_selection",
+    "zero_centers", "spread", "certify_class", "derivative_bound_scan",
     "multi_division_continuous", "multi_division_c1",
     "quotient_extension_lemma",
 ]
@@ -55,6 +67,9 @@ PROBE_RADII_CELLS = (8, 16, 32)
 FAMILY_TAIL = 3
 # multi_division_c1 rejects common-zero clusters larger than this
 CLUSTER_CELLS = 9
+# a derivative layer's scale is evaluated on this many away nodes at a
+# time, which bounds the layer's temporaries without changing its sup
+SCALE_BLOCK = 1 << 16
 # class -> Wirtinger chains on f^N/g, one derivative layer each; the
 # operators are named, not bound, so a layer calls whatever this module's
 # wirtinger_d / wirtinger_dbar are when it is built (a wrapped one too)
@@ -141,6 +156,112 @@ def _zeros(mask: RegionMask, magnitude: np.ndarray) -> np.ndarray:
     return mask.inside & (magnitude <= floor)
 
 
+@dataclass
+class DivisionProblem:
+    """The quotient problem f^N/g on one mask, sampled once for every N.
+
+    build samples g on the Inside nodes and f off the zero set Z(g) (f is
+    never evaluated on Z(g): data like inner functions may be singular
+    exactly there), and demands |f| <= |g| off Z(g).  Only the live nodes
+    (Inside, off Z(g)) keep their samples, as 1-D arrays in row-major
+    order.  g_locally_constant makes the certificates' symbolic layers
+    treat g as locally constant (see certify_class).
+    """
+
+    f: object
+    g: object
+    mask: RegionMask
+    zero: np.ndarray = dc_field(repr=False)
+    live: np.ndarray = dc_field(repr=False)
+    f_live: np.ndarray = dc_field(repr=False)
+    g_live: np.ndarray = dc_field(repr=False)
+    g_locally_constant: bool = False
+
+    @classmethod
+    def build(cls, f, g, domain: Optional[CompactDomain] = None,
+              h: float = 1 / 128, mask: Optional[RegionMask] = None,
+              g_locally_constant: bool = False) -> "DivisionProblem":
+        mask = resolve_mask(domain, h, mask)
+        gv = sample_field(g, mask).values
+        zero = _zeros(mask, np.abs(gv))
+        live = mask.inside & ~zero
+        fv = sample_field(f, mask, zero_on=zero).values
+        check_domination(np.abs(fv), np.abs(gv), mask, "|f| <= |g| off Z(g)",
+                         sel=live)
+        return cls(f, g, mask, zero, live, fv[live], gv[live],
+                   g_locally_constant)
+
+    def quotient(self, N: int) -> SampledField:
+        """f^N/g, set to 0 on Z(g) and off the Inside nodes."""
+        if N < 1:
+            raise ValueError("power must be a positive integer")
+        q = self.f_live ** N / self.g_live
+        out = np.zeros(self.live.shape, dtype=q.dtype)
+        out[self.live] = q
+        return SampledField(self.mask, out)
+
+    def certify(self, N: int, claimed: str,
+                families: Optional[dict] = None) -> DivisionCertificate:
+        """The certificate of certify_class for this problem at power N."""
+        if claimed not in CLASSES:
+            raise ValueError(f"unknown class {claimed!r}")
+        chains = CLASSES[claimed]
+        f, g = self.f, self.g
+        if chains and not (isinstance(f, ComplexExpr) and (
+                self.g_locally_constant or isinstance(g, ComplexExpr))):
+            raise ValueError(f"{claimed} derivative-layer probes need "
+                             "expression inputs")
+        hfield = self.quotient(N)
+        fcall, gcall = as_callable(f), as_callable(g)
+
+        def symbolic_layer(chain):
+            # with g piecewise constant every layer is a derivative of f^N
+            # divided pointwise by g
+            expr = (intpow(f, N) if self.g_locally_constant
+                    else div(intpow(f, N), g))
+            for op in chain:
+                expr = wirtinger_d(expr) if op == "d" else wirtinger_dbar(expr)
+            fn = as_callable(expr)
+            return ((lambda pts: fn(pts) / gcall(pts))
+                    if self.g_locally_constant else fn)
+
+        layers = [("value", lambda pts: fcall(pts) ** N / gcall(pts))]
+        layers += [("_of_".join(reversed(chain)), symbolic_layer(chain))
+                   for chain in chains]
+        grid_h = self.mask.grid.h
+        if families:
+            probes = [_family_probe(name, fn, families) for name, fn in layers]
+            return DivisionCertificate(N, claimed, grid_h, probes)
+
+        centers, radii, rings, away = self._probe_geometry
+        probes = [_ring_probe(name, fn, rings, radii,
+                              hfield.max_abs() if name == "value"
+                              else _blocked_sup(fn, away))
+                  for name, fn in layers]
+        if claimed.startswith("A"):
+            probes.append(_holomorphy_probe(hfield, centers))
+        return DivisionCertificate(N, claimed, grid_h, probes)
+
+    @cached_property
+    def _probe_geometry(self) -> tuple:
+        # the zero-cluster centers plus each tagged point not within 4
+        # spacings of one, the probe radii, each center's ring node
+        # coordinates per radius (None for an empty ring), and the away
+        # nodes: 3 cells inside, more than 4 spacings from every center
+        mask = self.mask
+        h = mask.grid.h
+        centers = _centroids(mask, self.zero)
+        for p in mask.tagged_points:
+            if all(abs(p - c) > 4 * h for c in centers):
+                centers.append(p)
+        radii = _probe_radii(mask)
+        rings = [(c, [mask.grid.node(xx, yy) if yy.size else None
+                      for yy, xx in _rings(mask, c, radii)]) for c in centers]
+        away = mask.coords(interior_shrunk(mask, 3)
+                           & ~_near_centers(mask, centers, 4 * h))
+        return centers, radii, rings, away
+
+
 def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
            h: float = 1 / 128, mask: Optional[RegionMask] = None) -> SampledField:
     """Quotient field f^N/g, set to 0 on the grid zeros of g.
@@ -151,21 +272,7 @@ def divide(f, g, N: int, domain: Optional[CompactDomain] = None,
     like inner functions may be singular exactly there); its values
     there are recorded as 0, which domination forces in the limit.
     """
-    return _quotient(f, g, N, resolve_mask(domain, h, mask))[0]
-
-
-def _quotient(f, g, N, mask):
-    # divide on a resolved mask, sampling g once; also returns g's zero set
-    if N < 1:
-        raise ValueError("power must be a positive integer")
-    gv = sample_field(g, mask).values
-    zero = _zeros(mask, np.abs(gv))
-    live = mask.inside & ~zero
-    fv = sample_field(f, mask, zero_on=zero).values
-    check_domination(np.abs(fv), np.abs(gv), mask, "|f| <= |g| off Z(g)",
-                     sel=live)
-    fv **= N  # fv is this call's own array: no second grid-size one
-    return SampledField(mask, zero_extended(fv, gv, live)), zero
+    return DivisionProblem.build(f, g, domain, h, mask).quotient(N)
 
 
 def spread(values: np.ndarray) -> float:
@@ -179,27 +286,40 @@ def spread(values: np.ndarray) -> float:
 def ring_selection(mask: RegionMask, center: complex,
                    radius: float) -> np.ndarray:
     """Inside nodes within one spacing of the circle |z - center| = radius."""
-    return _rings(mask, mask.grid.zgrid(), center, (radius,))[0]
+    sel = np.zeros(mask.inside.shape, bool)
+    sel[_rings(mask, center, (radius,))[0]] = True
+    return sel
 
 
-def _rings(mask: RegionMask, zg: np.ndarray, center: complex, radii) -> list:
-    """Per radius, the ring_selection around center; zg is the grid's
-    node coordinates."""
-    dist = np.abs(zg - center)
-    return [mask.inside & (np.abs(dist - r) <= mask.grid.h) for r in radii]
+def _rings(mask: RegionMask, center: complex, radii) -> list:
+    """Per radius, (yy, xx) of the Inside nodes within one spacing of the
+    circle |z - center| = radius, in row-major order.  Only the node
+    window that can hold the largest ring is searched: a node within
+    r + h of center lies within r/h + 1.5 cells of center's nearest
+    node (clipped to the grid, which only brings nodes closer)."""
+    h = mask.grid.h
+    yy, xx = mask.window(mask.inside, *mask.grid.nearest_index(center),
+                         math.ceil(max(radii) / h) + 2)
+    dist = np.abs(mask.grid.node(xx, yy) - center)
+    return [(yy[on], xx[on]) for on in (np.abs(dist - r) <= h for r in radii)]
 
 
 def zero_centers(mask: RegionMask, magnitude: np.ndarray,
                  threshold: float) -> list:
     """Centroids of the connected small-magnitude node clusters."""
-    return _centroids(mask.grid.zgrid(), mask.inside & (magnitude <= threshold))
+    return _centroids(mask, mask.inside & (magnitude <= threshold))
 
 
-def _centroids(zg: np.ndarray, sel: np.ndarray) -> list:
-    if not sel.any():
-        return []
-    labels, count = ndimage.label(sel)
-    return [complex(zg[labels == lab].mean()) for lab in range(1, count + 1)]
+def _centroids(mask: RegionMask, sel: np.ndarray) -> list:
+    # each cluster's node coordinates come from its bounding window, in
+    # the row-major order a full-grid selection would list them
+    labels, _ = ndimage.label(sel)
+    out = []
+    for lab, (ys, xs) in enumerate(ndimage.find_objects(labels), 1):
+        iy, ix = np.nonzero(labels[ys, xs] == lab)
+        out.append(complex(
+            mask.grid.node(ix + xs.start, iy + ys.start).mean()))
+    return out
 
 
 def _probe_radii(mask: RegionMask) -> list:
@@ -211,13 +331,12 @@ def _ring_gradients(mask: RegionMask, zero: np.ndarray, fields,
     """Centroids of the zero clusters and, per field and probe radius,
     the max of max(|d_fd|, |dbar_fd|) / weight on the rings around them
     cut to the Interior off the zero set (None for an empty ring)."""
-    zg = mask.grid.zgrid()
-    centers = _centroids(zg, zero)
+    centers = _centroids(mask, zero)
     radii = _probe_radii(mask)
     rings = [np.zeros(mask.inside.shape, bool) for _ in radii]
     for c in centers:
-        for sel, ring in zip(rings, _rings(mask, zg, c, radii)):
-            sel |= ring
+        for sel, nodes in zip(rings, _rings(mask, c, radii)):
+            sel[nodes] = True
     within = mask.inside & ~zero & mask.interior
     rings = [sel & within for sel in rings]
     out = []
@@ -292,72 +411,47 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
     zeros of g and any tagged boundary points, where the A-classes add
     the holomorphy probe; or on caller-supplied approach families (dict
     name -> point sequence), which take precedence and probe the layers
-    only, without the holomorphy probe.
+    only, without the holomorphy probe.  A value layer's scale is the
+    quotient's Inside sup, a derivative layer's the sup of the layer on
+    the away nodes (3 cells inside, more than 4 spacings from every
+    center).
 
     g_locally_constant switches the symbolic derivative layers to treat
     g as locally constant (step functions on disjoint pieces), in which
-    case only f needs to be an expression.
+    case only f needs to be an expression.  To certify several powers of
+    one (f, g), build one DivisionProblem and call its certify per power.
     """
-    if claimed not in CLASSES:
-        raise ValueError(f"unknown class {claimed!r}")
-    chains = CLASSES[claimed]
-    if chains and not (isinstance(f, ComplexExpr) and (
-            g_locally_constant or isinstance(g, ComplexExpr))):
-        raise ValueError(f"{claimed} derivative-layer probes need "
-                         "expression inputs")
-    mask = build_mask(domain, h=h)
-    hfield, zero = _quotient(f, g, N, mask)
-    fcall, gcall = as_callable(f), as_callable(g)
-
-    def symbolic_layer(chain):
-        # with g piecewise constant every layer is a derivative of f^N
-        # divided pointwise by g
-        expr = intpow(f, N) if g_locally_constant else div(intpow(f, N), g)
-        for op in chain:
-            expr = wirtinger_d(expr) if op == "d" else wirtinger_dbar(expr)
-        fn = as_callable(expr)
-        return (lambda pts: fn(pts) / gcall(pts)) if g_locally_constant else fn
-
-    layers = [("value", lambda pts: fcall(pts) ** N / gcall(pts))]
-    layers += [("_of_".join(reversed(chain)), symbolic_layer(chain))
-               for chain in chains]
-    if families:
-        probes = [_family_probe(name, fn, families) for name, fn in layers]
-        return DivisionCertificate(N, claimed, mask.grid.h, probes)
-
-    # the probe geometry, built once and shared by every layer
-    zg = mask.grid.zgrid()
-    centers = _centroids(zg, zero)
-    for p in mask.tagged_points:
-        if all(abs(p - c) > 4 * mask.grid.h for c in centers):
-            centers.append(p)
-    radii = _probe_radii(mask)
-    rings = [(c, [mask.coords(sel) if sel.any() else None
-                  for sel in _rings(mask, zg, c, radii)]) for c in centers]
-    away = mask.coords(interior_shrunk(mask, 3)
-                       & ~_near_centers(zg, centers, 4 * mask.grid.h))
-    probes = [_ring_probe(name, fn, rings, radii,
-                          hfield.max_abs() if name == "value"
-                          else sup_abs(fn(away)))
-              for name, fn in layers]
-    if claimed.startswith("A"):
-        probes.append(_holomorphy_probe(hfield, zg, centers))
-    return DivisionCertificate(N, claimed, mask.grid.h, probes)
+    return DivisionProblem.build(
+        f, g, domain, h, g_locally_constant=g_locally_constant).certify(
+            N, claimed, families)
 
 
-def _near_centers(zg, centers, dist):
-    out = np.zeros(zg.shape, bool)
+def _blocked_sup(fn, pts: np.ndarray) -> float:
+    """sup |fn| over pts, evaluated SCALE_BLOCK points at a time: the max
+    of the block sups is the one-shot sup, NaN on no point or on a NaN."""
+    sups = [sup_abs(fn(pts[k:k + SCALE_BLOCK]))
+            for k in range(0, pts.size, SCALE_BLOCK)]
+    return float(np.max(sups)) if sups else float("nan")
+
+
+def _near_centers(mask: RegionMask, centers, dist: float) -> np.ndarray:
+    # Inside nodes within dist of some center, each found in its center's
+    # node window (see _rings for the window's half-width)
+    out = np.zeros(mask.inside.shape, bool)
     for c in centers:
-        out |= np.abs(zg - c) <= dist
+        yy, xx = mask.window(mask.inside, *mask.grid.nearest_index(c),
+                             math.ceil(dist / mask.grid.h) + 2)
+        on = np.abs(mask.grid.node(xx, yy) - c) <= dist
+        out[yy[on], xx[on]] = True
     return out
 
 
-def _holomorphy_probe(hfield: SampledField, zg, centers) -> ProbeResult:
+def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
     # discrete dbar away from the zero set and the outer boundary; the
     # quotient of holomorphic data must not show a conjugate component
     mask = hfield.mask
     dv = dbar_fd(hfield)
-    sel = interior_shrunk(mask, 8) & ~_near_centers(zg, centers, 0.25)
+    sel = interior_shrunk(mask, 8) & ~_near_centers(mask, centers, 0.25)
     scale = hfield.max_abs()
     measured = sup_abs(dv.values, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,

@@ -31,8 +31,8 @@ from dbarkit.cauchy import (
 )
 from dbarkit.cli import load_config
 from dbarkit.division import derivative_bound_scan
-from dbarkit.domains import (Disk, GridSpec, RegionMask, build_mask,
-                             interior_shrunk)
+from dbarkit.domains import (Disk, GridSpec, PreconditionError, RegionMask,
+                             build_mask, interior_shrunk)
 from dbarkit.expr import Z, exp, intpow
 from dbarkit.geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
@@ -395,6 +395,23 @@ def test_sampled_field_rejects_nonfinite(disk_mask_64):
     vals[iy[0], ix[0]] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         SampledField(m, vals)
+
+
+def test_sampled_field_checks_finiteness_on_the_support_only(disk_mask_64):
+    # NaN off the support is accepted; on it, the message names the
+    # count and the first nodes
+    m = disk_mask_64
+    vals = np.zeros(m.inside.shape, dtype=complex)
+    vals[0, 0] = np.nan
+    vals[~m.inside] = np.inf
+    assert not m.inside[0, 0]
+    assert SampledField(m, vals).max_abs() == 0.0
+    iy, ix = np.nonzero(m.inside)
+    vals[iy[3], ix[3]] = vals[iy[5], ix[5]] = np.nan
+    where = m.coords(m.inside)[[3, 5]]
+    with pytest.raises(PreconditionError) as exc:
+        SampledField(m, vals)
+    assert str(exc.value) == f"2 non-finite samples on support, first at {where}"
 
 
 def test_sample_field_zero_on(disk_mask_64):

@@ -15,17 +15,24 @@ measurement.  The derivative-bound constants are checked against the
 hand maximum of |5 z^4| / |z| = 5|z|^3 on the shrunk disk.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
-from dbarkit import division
+from dbarkit import cli, division, domains
+from dbarkit.cauchy import SampledField
 from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
+                              PROBE_RADII_CELLS, DivisionProblem,
                               DominationError, certify_class,
                               derivative_bound_scan, divide,
                               multi_division_c1, multi_division_continuous,
                               quotient_extension_lemma, ring_selection,
                               spread, zero_centers)
-from dbarkit.domains import Disk, GridSpec, RegionMask, SectorChain
+from dbarkit.domains import Disk, GridSpec, RegionMask, SectorChain, build_mask
 from dbarkit.expr import Z, S, Const, conj, intpow, mul, sub
 
 DISK = Disk(0j, 1.0)
@@ -94,6 +101,23 @@ def test_divide_rejects_bad_power(disk_mask_64):
         divide(Z, Z, 0, mask=disk_mask_64)
 
 
+def test_divide_sampled_fields_matches_the_full_grid_rule(disk_mask_64):
+    # the quotient of sampled fields (as g12_solve forms it) is bitwise
+    # the full-grid rule: f^N on the whole grid, divided on the live nodes
+    m = disk_mask_64
+    z = np.where(m.inside, m.grid.zgrid(), 0)
+    noise = np.random.default_rng(7).standard_normal(z.shape)
+    f = np.where(m.inside, (z * (1 - z)) ** 2 / 2, 0)
+    g = np.where(m.inside, z * (4 + z + 0.1 * noise), 0)
+    got = divide(SampledField(m, f), SampledField(m, g), 4, mask=m).values
+    zero = m.inside & (np.abs(g) <= division.ZERO_REL * np.abs(g[m.inside]).max())
+    live = m.inside & ~zero
+    want = np.zeros(m.inside.shape, complex)
+    want[live] = (f ** 4)[live] / g[live]
+    assert zero.sum() == 1
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_divide_singular_numerator_skips_zero_set(disk_mask_64):
     # the inner factor cannot be evaluated at z = 1, which is a grid
     # node; divide must not touch it
@@ -136,6 +160,59 @@ def test_zero_centers_locates_roots(disk_mask_64):
     mag = np.abs(z - 0.5) * np.abs(z + 0.5)
     centers = zero_centers(disk_mask_64, mag, 1e-12)
     assert sorted(np.round(c.real, 6) for c in centers) == [-0.5, 0.5]
+
+
+def test_zero_centers_match_the_full_grid_rule(disk_mask_64):
+    # clusters of several nodes, averaged in their bounding windows, give
+    # bitwise the centroid of the full-grid selection
+    m = disk_mask_64
+    z = m.grid.zgrid()
+    mag = np.abs(z - 0.5) * np.abs(z + 0.3j) * np.abs(z + 0.77 - 0.1j)
+    sel = m.inside & (mag <= 0.02)
+    labels, count = ndimage.label(sel)
+    want = [complex(z[labels == lab].mean()) for lab in range(1, count + 1)]
+    assert count == 3 and min(np.bincount(labels.ravel())[1:]) > 1
+    assert zero_centers(m, mag, 0.02) == want
+
+
+@lru_cache(maxsize=None)
+def _ring_mask(name):
+    if name == "disk":
+        return build_mask(Disk(0.3 + 0.2j, 0.6), h=1 / 64)
+    return build_mask(SectorChain(8), h=1 / 256)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(["disk", "chain"]), data=st.data())
+def test_windowed_rings_match_the_full_grid_rule(name, data):
+    # the same nodes, in row-major order, with bitwise-equal coordinates,
+    # for centers on nodes, between nodes, near or past the grid's edges
+    # and at tagged points; _near_centers likewise at both its distances
+    mask = _ring_mask(name)
+    grid = mask.grid
+    h = grid.h
+    lo = grid.origin
+    hi = grid.node(grid.nx - 1, grid.ny - 1)
+    pad = 40 * h
+    center = data.draw(st.one_of(
+        st.builds(grid.node, st.integers(0, grid.nx - 1),
+                  st.integers(0, grid.ny - 1)),
+        st.builds(complex, st.floats(lo.real - pad, hi.real + pad),
+                  st.floats(lo.imag - pad, hi.imag + pad)),
+        st.sampled_from((lo, hi, complex(lo.real, hi.imag))
+                        + mask.tagged_points)))
+    radii = [k * h for k in PROBE_RADII_CELLS]
+    zg = grid.zgrid()
+    dist = np.abs(zg - center)
+    for r, (yy, xx) in zip(radii, division._rings(mask, center, radii)):
+        full = mask.inside & (np.abs(dist - r) <= h)
+        iy, ix = np.nonzero(full)
+        assert np.array_equal(yy, iy) and np.array_equal(xx, ix)
+        assert grid.node(xx, yy).tobytes() == mask.coords(full).tobytes()
+        assert np.array_equal(ring_selection(mask, center, r), full)
+    for reach in (4 * h, 0.25):
+        assert np.array_equal(division._near_centers(mask, [center], reach),
+                              mask.inside & (dist <= reach))
 
 
 # --- the optimal-power battery ------------------------------------------------
@@ -319,8 +396,8 @@ def ring_builds(monkeypatch):
     """One (center, radii) entry per ring construction while the test runs."""
     calls = []
     build = division._rings
-    monkeypatch.setattr(division, "_rings", lambda mask, zg, c, radii: (
-        calls.append((c, tuple(radii))) or build(mask, zg, c, radii)))
+    monkeypatch.setattr(division, "_rings", lambda mask, c, radii: (
+        calls.append((c, tuple(radii))) or build(mask, c, radii)))
     return calls
 
 
@@ -333,6 +410,76 @@ def test_certificate_builds_each_ring_once(ring_builds):
     assert len(cert.probes) == 4 and len(centers) == 2
     radii = tuple(cert.probe("value").details["radii"])
     assert ring_builds == [(c, radii) for c in centers]
+
+
+def test_record_certifies_two_powers_on_one_sampling(ring_builds, monkeypatch):
+    # g and f are sampled once for both powers, and each center's rings
+    # are built once, on the first ring certificate
+    sampled = []
+    sample = division.sample_field
+    monkeypatch.setattr(division, "sample_field", lambda fn, *a, **kw: (
+        sampled.append(fn) or sample(fn, *a, **kw)))
+    g = mul(Z, sub(Z, Const(0.5)))
+    f = mul(Z, g)
+    problem = DivisionProblem.build(f, g, DISK, h=1 / 128)
+    at, below = problem.certify(2, "Dbar1"), problem.certify(1, "Dbar1")
+    assert [fn is g for fn in sampled] == [True, False] and sampled[1] is f
+    centers = list(at.probe("value").details["per_center"])
+    assert len(centers) == 2
+    assert list(below.probe("value").details["per_center"]) == centers
+    radii = tuple(at.probe("value").details["radii"])
+    assert ring_builds == [(c, radii) for c in centers]
+
+
+def test_blocked_scale_evaluates_each_away_node_once(monkeypatch):
+    # with blocks far smaller than the away set, every away node is
+    # evaluated exactly once per derivative layer, and the scales are
+    # the one-shot sups
+    one_shot = certify_class(Z, conj(Z), 3, DISK, "C1", h=1 / 128)
+    blocks = []
+    blocked = division._blocked_sup
+
+    def counted(fn, pts):
+        layer = []
+        blocks.append((pts.size, layer))
+        return blocked(lambda p: layer.append(p.size) or fn(p), pts)
+
+    monkeypatch.setattr(division, "SCALE_BLOCK", 1000)
+    monkeypatch.setattr(division, "_blocked_sup", counted)
+    cert = certify_class(Z, conj(Z), 3, DISK, "C1", h=1 / 128)
+    mask = build_mask(DISK, h=1 / 128)
+    z = mask.grid.zgrid()
+    away = int((domains.interior_shrunk(mask, 3)
+                & (np.abs(z) > 4 * mask.grid.h)).sum())
+    assert len(blocks) == 2 and away > 20 * 1000
+    for size, layer in blocks:
+        assert size == away == sum(layer) and max(layer) == 1000
+    assert repr(cert) == repr(one_shot)
+
+
+def test_blocked_sup_reads_nan_on_no_point():
+    assert np.isnan(division._blocked_sup(np.abs, np.zeros(0, complex)))
+
+
+def test_battery_builds_one_mask_per_item(monkeypatch):
+    built = []
+    build = domains.build_mask
+    monkeypatch.setattr(domains, "build_mask",
+                        lambda *a, **kw: built.append(kw.get("h")) or build(*a, **kw))
+    items = cli.sharpness_battery(h_fine=1 / 128, h_chain=1 / 256)
+    assert len(items) == 6 and len(built) == 6
+
+
+@pytest.mark.parametrize("item", cli._sharpness_items(1 / 512, 1 / 256),
+                         ids=lambda item: item[0])
+def test_record_certificates_match_independent_calls(item):
+    # one record certifying both powers gives the same probes, verdicts,
+    # measured values, scales and details as two certify_class calls
+    name, claimed, _, dom, power, f, g, build, fams_at, fams_below = item
+    problem = DivisionProblem.build(f, g, dom, **build)
+    for n, fams in ((power, fams_at), (power - 1, fams_below)):
+        alone = certify_class(f, g, n, dom, claimed, families=fams, **build)
+        assert repr(problem.certify(n, claimed, fams)) == repr(alone)
 
 
 # --- derivative bound scan ----------------------------------------------------
