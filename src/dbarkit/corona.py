@@ -90,7 +90,6 @@ class CoronaSolution:
     dbar_sup_x: float
     skew_residual: float
     entry_reports: dict
-    x_fields: list = dc_field(default_factory=list)
     extras: dict = dc_field(default_factory=dict)
 
 
@@ -221,7 +220,6 @@ def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
         dbar_sup_x=_dbar_sup(xv, mask, margin, exclude),
         skew_residual=_skew_residual(f_vals, H, mask.inside),
         entry_reports=reports,
-        x_fields=x_fields,
         extras=extras,
     )
 
@@ -266,8 +264,6 @@ def corona_solve(f_list, domain: CompactDomain, h: float = 1 / 64,
     if route not in ("poly", "pou"):
         raise ValueError(f"unknown route {route!r}")
     problem = BezoutProblem.build(domain, f_list, h=h, mask=mask)
-    if problem.delta <= 0:
-        raise CommonZeroError("generators vanish together on the grid")
     extras = {"route": route, "delta": problem.delta}
     if route == "poly":
         x_fields, dbx, extras["fits"] = _poly_unit_solution(problem, max_degree)

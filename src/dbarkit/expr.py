@@ -1,14 +1,18 @@
 """Symbolic complex expressions with Wirtinger calculus.
 
 Expression trees are built from the variable z, complex constants,
-conj, sums, products, quotients, integer powers, exp, log (principal
-branch), Moebius maps, and the atomic inner function
+conj, sums, products, quotients, integer powers, exp and log (principal
+branch); one node class per primitive.  Compound maps are builders over
+these: `mobius(a, b, c, d, g)` returns the quotient (a g + b)/(c g + d),
+and the atomic inner function
 
-    S(z) = exp(-(1 + z)/(1 - z)),
+    S(z) = exp(-(1 + z)/(1 - z))
 
-which is the standard example of a bounded holomorphic function on the
-unit disk whose modulus tends to 0 along the radius toward 1 while
-staying 1 on the rest of the circle.
+is the module constant `S`, the standard example of a bounded
+holomorphic function on the unit disk whose modulus tends to 0 along
+the radius toward 1 while staying 1 on the rest of the circle.  Their
+evaluation, poles, derivatives and Taylor series all come from the
+primitive nodes, and `str` prints the composition.
 
 The two first-order operators are the Wirtinger derivatives
 
@@ -33,7 +37,7 @@ import numpy as np
 
 __all__ = [
     "ComplexExpr", "Const", "Var", "Conj", "Sum", "Product", "Quotient",
-    "IntPow", "Exp", "Log", "Mobius", "AtomicInner",
+    "IntPow", "Exp", "Log",
     "Z", "S", "add", "sub", "mul", "div", "neg", "intpow", "exp", "log",
     "conj", "mobius", "const",
     "PoleError", "ExprParseError",
@@ -43,8 +47,8 @@ __all__ = [
 
 
 class PoleError(ArithmeticError):
-    """A denominator (or log/S argument restriction) vanished at an
-    evaluation point.  Carries the offending subtree and one point."""
+    """A denominator or a log argument vanished at an evaluation point.
+    Carries the offending subtree and one point."""
 
     def __init__(self, node: "ComplexExpr", at: complex):
         self.node = node
@@ -80,7 +84,7 @@ class ComplexExpr:
         """Evaluate at a complex scalar or ndarray.
 
         Raises PoleError if any point hits a declared singular set
-        (denominator zero, log(0), or the S pole at z = 1).
+        (a zero denominator, such as S's at z = 1, or log(0)).
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return self._ev(np.asarray(z, dtype=complex) if not np.isscalar(z) else z)
@@ -253,42 +257,6 @@ class Log(ComplexExpr):
         return f"log({self.arg})"
 
 
-@dataclass(frozen=True, repr=False)
-class Mobius(ComplexExpr):
-    """(a*g + b)/(c*g + d) with constant coefficients."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    arg: ComplexExpr
-
-    def _ev(self, z):
-        g = self.arg._ev(z)
-        den = self.c * g + self.d
-        if np.any(den == 0):
-            raise PoleError(self, _first_hit(z, den == 0))
-        return (self.a * g + self.b) / den
-
-    def __str__(self):
-        cs = ",".join(_fmt_complex(v) for v in (self.a, self.b, self.c, self.d))
-        return f"mobius({cs},{self.arg})"
-
-
-@dataclass(frozen=True, repr=False)
-class AtomicInner(ComplexExpr):
-    """S(z) = exp(-(1+z)/(1-z)); essential singularity at z = 1."""
-
-    def _ev(self, z):
-        den = 1.0 - (z if np.isscalar(z) else np.asarray(z))
-        if np.any(den == 0):
-            raise PoleError(self, _first_hit(z, den == 0))
-        return np.exp(-(1.0 + z) / den)
-
-    def __str__(self):
-        return "S"
-
-
 def _first_hit(z, hits) -> complex:
     if np.isscalar(z):
         return complex(z)
@@ -296,7 +264,6 @@ def _first_hit(z, hits) -> complex:
 
 
 Z = Var()
-S = AtomicInner()
 
 
 def const(c) -> Const:
@@ -394,9 +361,14 @@ def conj(arg) -> ComplexExpr:
 
 
 def mobius(a, b, c, d, arg) -> ComplexExpr:
-    if complex(a) * complex(d) - complex(b) * complex(c) == 0:
+    """The Moebius map (a*arg + b)/(c*arg + d) as a quotient tree."""
+    a, b, c, d = (complex(v) for v in (a, b, c, d))
+    if a * d - b * c == 0:
         raise ValueError("degenerate Moebius map: ad - bc = 0")
-    return Mobius(complex(a), complex(b), complex(c), complex(d), _as_expr(arg))
+    return div(add(mul(a, arg), b), add(mul(c, arg), d))
+
+
+S = exp(div(neg(add(1, Z)), sub(1, Z)))
 
 
 def evaluate(expr: ComplexExpr, z):
@@ -432,8 +404,8 @@ def wirtinger_dbar(expr: ComplexExpr) -> ComplexExpr:
 
 def _wirtinger(expr: ComplexExpr, bar: bool) -> ComplexExpr:
     # d (bar False) or dbar (bar True); the two rules differ only at z
-    # (d z = 1, dbar z = 0), at conj, which swaps them, and at S, which
-    # is holomorphic.  Subtrees recurse through the public names.
+    # (d z = 1, dbar z = 0) and at conj, which swaps them.  Subtrees
+    # recurse through the public names.
     deriv = wirtinger_dbar if bar else wirtinger_d
     if isinstance(expr, Const):
         return Const(0j)
@@ -455,15 +427,6 @@ def _wirtinger(expr: ComplexExpr, bar: bool) -> ComplexExpr:
         return mul(expr, deriv(expr.arg))
     if isinstance(expr, Log):
         return div(deriv(expr.arg), expr.arg)
-    if isinstance(expr, Mobius):
-        det = expr.a * expr.d - expr.b * expr.c
-        den = add(mul(Const(expr.c), expr.arg), Const(expr.d))
-        return mul(div(Const(det), intpow(den, 2)), deriv(expr.arg))
-    if isinstance(expr, AtomicInner):
-        if bar:
-            return Const(0j)
-        # S'(z) = S(z) * (-2/(1-z)^2)
-        return mul(expr, div(Const(-2.0 + 0j), intpow(sub(Const(1.0 + 0j), Var()), 2)))
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 

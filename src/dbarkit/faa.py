@@ -22,14 +22,15 @@ involved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .expr import (AtomicInner, ComplexExpr, Conj, Const, Exp, IntPow, Log,
-                   Mobius, PoleError, Product, Quotient, Sum, Var)
+from .expr import (ComplexExpr, Conj, Const, Exp, IntPow, Log, PoleError,
+                   Product, Quotient, Sum, Var)
 
 __all__ = [
     "MAX_ORDER", "OrderedMultiIndex", "CoefficientTable",
@@ -98,7 +99,10 @@ class CoefficientTable:
     entries: tuple  # ((multi_index, coefficient), ...) in enumeration order
 
     @classmethod
+    @functools.cache
     def build(cls, n: int) -> "CoefficientTable":
+        """The table of order n, built once per order (tables are
+        immutable)."""
         ks = enumerate_multi_indices(n)
         return cls(n, tuple((k, coefficient(n, k)) for k in ks))
 
@@ -124,8 +128,7 @@ def compose_derivative(f_derivs: Sequence[complex],
     if len(f_derivs) < n or len(g_derivs) < n:
         raise ValueError(f"need at least {n} derivatives of f and of g")
     acc = 0
-    for k in enumerate_multi_indices(n):
-        term = coefficient(n, k)
+    for k, term in CoefficientTable.build(n).entries:
         for p in k:
             term = term * g_derivs[p - 1]
         acc = acc + term * f_derivs[len(k) - 1]
@@ -164,15 +167,9 @@ class TaylorPoly:
     def __add__(self, other):
         return TaylorPoly(self.c + other.c)
 
-    def __sub__(self, other):
-        return TaylorPoly(self.c - other.c)
-
     def __mul__(self, other):
         n = len(self.c)
         return TaylorPoly(np.convolve(self.c, other.c)[:n])
-
-    def scale(self, a):
-        return TaylorPoly(a * self.c)
 
     def divide(self, other, node=None, at=None):
         b = other.c
@@ -232,9 +229,8 @@ class TaylorPoly:
 
 
 def _taylor_eval(expr: ComplexExpr, var: TaylorPoly, at) -> TaylorPoly:
-    order = var.order
     if isinstance(expr, Const):
-        return TaylorPoly.constant(expr.value, order)
+        return TaylorPoly.constant(expr.value, var.order)
     if isinstance(expr, Var):
         return var
     if isinstance(expr, Conj):
@@ -260,16 +256,6 @@ def _taylor_eval(expr: ComplexExpr, var: TaylorPoly, at) -> TaylorPoly:
         return _taylor_eval(expr.arg, var, at).expseries()
     if isinstance(expr, Log):
         return _taylor_eval(expr.arg, var, at).logseries(expr, at)
-    if isinstance(expr, Mobius):
-        g = _taylor_eval(expr.arg, var, at)
-        num = g.scale(expr.a) + TaylorPoly.constant(expr.b, order)
-        den = g.scale(expr.c) + TaylorPoly.constant(expr.d, order)
-        return num.divide(den, expr, at)
-    if isinstance(expr, AtomicInner):
-        one = TaylorPoly.constant(1.0, order)
-        num = (one + var).scale(-1.0)
-        den = one - var
-        return num.divide(den, expr, at).expseries()
     raise TypeError(f"unknown node {type(expr).__name__}")
 
 

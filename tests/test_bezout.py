@@ -310,6 +310,21 @@ def test_quotient_fits_returns_the_ladder_node_values(pair, request):
     assert np.abs(D).min() >= 0.5
 
 
+def test_quotient_fits_refuses_a_small_denominator(linear_pair, monkeypatch):
+    # fits within tolerance force 1/2 <= |D| <= 3/2; node values scaled
+    # by 0.3 (as inconsistent sampled norms would leave them) put every
+    # |D| below 1/2, and the certificate must refuse them
+    ladder = bezout._fit_ladder
+
+    def shrunk(*args):
+        fits, pv = ladder(*args)
+        return fits, [0.3 * v for v in pv]
+
+    monkeypatch.setattr(bezout, "_fit_ladder", shrunk)
+    with pytest.raises(ValueError, match=r"< 1/2 although every fit"):
+        quotient_fits(linear_pair)
+
+
 def test_bezout_poly_linear(linear_pair):
     xs = bezout_poly(linear_pair)
     z = linear_pair.mask.coords(linear_pair.mask.inside)

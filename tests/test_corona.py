@@ -232,8 +232,9 @@ def test_corona_covering_route():
 
 
 def test_corona_rejects_interior_zero():
-    with pytest.raises(CommonZeroError):
-        corona_solve([Z], DISK, h=1 / 64)
+    for route in ("poly", "pou"):
+        with pytest.raises(CommonZeroError):
+            corona_solve([Z], DISK, h=1 / 64, route=route)
 
 
 def test_corona_rejects_unknown_route():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dbarkit.expr import (S, Z, Conj, Const, ExprParseError, IntPow, PoleError,
@@ -192,6 +192,67 @@ def test_second_dbar_of_z_conj_z_squared():
     e = mul(Z, intpow(conj(Z), 2))
     d2 = wirtinger_dbar(wirtinger_dbar(e))
     assert d2.eval(0.25j) == pytest.approx(0.5j)
+
+
+# -------------------------------------------------- S and mobius builders
+
+# points of the disk |z| <= 3 more than 1e-2 from S's pole at z = 1, so
+# |(1 + z)/(1 - z)| <= 400 and no exponential overflows
+OFF_POLE = st.complex_numbers(max_magnitude=3, allow_nan=False,
+                              allow_infinity=False).filter(
+                                  lambda z: abs(1 - z) > 1e-2)
+COEFFS = st.complex_numbers(max_magnitude=2, allow_nan=False,
+                            allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(OFF_POLE, min_size=1, max_size=16))
+def test_inner_function_is_its_closed_form(zs):
+    # the composed tree runs the closed form's own operations
+    z = np.array(zs)
+    assert np.array_equal(S.eval(z), np.exp(-(1 + z) / (1 - z)))
+    for w in zs:
+        assert S.eval(w) == np.exp(-(1 + w) / (1 - w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, COEFFS, COEFFS, COEFFS, POLY_TREES, OFF_POLE)
+def test_mobius_is_its_closed_form(a, b, c, d, g, z):
+    assume(abs(a * d - b * c) > 1e-3)
+    gz = g.eval(z)
+    den = c * gz + d
+    assume(abs(den) > 1e-3 * (abs(c * gz) + abs(d)))
+    want = (a * gz + b) / den
+    assert mobius(a, b, c, d, g).eval(z) == pytest.approx(want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(OFF_POLE)
+def test_inner_function_derivative_closed_form(z):
+    assert wirtinger_d(S).eval(z) == pytest.approx(
+        -2 * S.eval(z) / (1 - z) ** 2, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, COEFFS, COEFFS, COEFFS,
+       st.complex_numbers(max_magnitude=1, allow_nan=False,
+                          allow_infinity=False))
+def test_mobius_derivative_closed_form(a, b, c, d, z):
+    # d mobius(g) = (ad - bc) g'/(cg + d)^2 with g = exp(z), so g' = g;
+    # the quotient rule's cancellation stays at roundoff while ad - bc
+    # is not small against the coefficients
+    g = np.exp(z)
+    assume(abs(a * d - b * c) > 0.5 and abs(c * g + d) > 0.1)
+    want = (a * d - b * c) * g / (c * g + d) ** 2
+    assert wirtinger_d(mobius(a, b, c, d, exp(Z))).eval(z) == pytest.approx(
+        want, rel=1e-12)
+
+
+def test_builders_print_their_composition():
+    assert str(S) == "exp(div(mul(-1,add(z,1)),add(mul(-1,z),1)))"
+    for e in (S, mobius(1, 1j, 0.5, 2, intpow(Z, 2)),
+              mobius(2, -1, 1j, 3, conj(Z))):
+        assert parse_expr(str(e)) == e
 
 
 # ----------------------------------------------------------------- parser
