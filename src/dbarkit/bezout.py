@@ -17,7 +17,11 @@ screened on the subsample first; only a degree that passes, or the
 last, is measured on every node.  bezout_poly returns the same
 quotient as expressions, which remain the symbolic test oracle.  The
 covering route builds a smoothstep partition of unity subordinate to
-{|f_j| > eps/3} and divides each bump by its own generator.  Both keep
+{|f_j| > eps/3} and divides each bump by its own generator.  One
+covering step, _covering, checks the floor delta, sets eps = delta/(2n)
+and builds and checks the bumps, for partition_of_unity on the Inside
+nodes and for generalized_division off the dividend's vanishing
+neighborhood, which RegionMask.near finds in node windows.  Both keep
 the residual identity exact up to rounding; the interesting measured
 quantity is how smooth the output is.
 """
@@ -435,13 +439,32 @@ def smoothstep(t):
     return u ** 3 * (u * (6.0 * u - 15.0) + 10.0)
 
 
-def _bumps(problem: BezoutProblem, epsilon: float, sel: np.ndarray):
-    # bumps smoothstep(|f_j| / epsilon) on sel, zero elsewhere; their
-    # total; the sel nodes no bump covers
+def _covering(problem: BezoutProblem, sel: np.ndarray, delta: float,
+              epsilon: Optional[float] = None) -> tuple:
+    # The covering step on the nodes sel, where delta = min sum|f_j|:
+    # bumps smoothstep(|f_j| / epsilon) on sel, zero elsewhere, and
+    # their total.  The default epsilon = delta/(2n) covers every node
+    # of sel: there some |f_j| >= delta/n = 2 epsilon > epsilon/3
+    mask = problem.mask
+    if delta <= 0:
+        dead = sel & (problem.s1 == 0)
+        where = mask.coords(dead)[:5]
+        raise CommonZeroError(
+            f"generators share a zero at {int(dead.sum())} node(s) of the "
+            f"covered set, first at {list(where)}", nodes=where)
+    if epsilon is None:
+        epsilon = delta / (2 * problem.n)
     betas = [np.where(sel, smoothstep(np.abs(g.values) / epsilon), 0.0)
              for g in problem.f_fields]
     total = sum(betas)
-    return betas, total, sel & (total == 0)
+    uncovered = sel & (total == 0)
+    if uncovered.any():
+        where = mask.coords(uncovered)[:5]
+        raise CoveringError(
+            f"epsilon = {epsilon:.4g} too large for delta = {delta:.4g}: "
+            f"{int(uncovered.sum())} node(s) uncovered, first at {where}",
+            nodes=where)
+    return betas, total
 
 
 def partition_of_unity(problem: BezoutProblem,
@@ -452,19 +475,8 @@ def partition_of_unity(problem: BezoutProblem,
     by f_j is safe.  Default epsilon = delta/(2n) guarantees coverage:
     at every node some |f_j| >= delta/n = 2 epsilon > epsilon/3.
     """
-    if problem.delta <= 0:
-        raise CommonZeroError("generators share a zero on the node set")
-    n = problem.n
-    if epsilon is None:
-        epsilon = problem.delta / (2 * n)
     mask = problem.mask
-    betas, total, uncovered = _bumps(problem, epsilon, mask.inside)
-    if uncovered.any():
-        where = mask.coords(uncovered)[:5]
-        raise CoveringError(
-            f"epsilon = {epsilon:.4g} too large for delta = "
-            f"{problem.delta:.4g}: {int(uncovered.sum())} node(s) uncovered, "
-            f"first at {where}")
+    betas, total = _covering(problem, mask.inside, problem.delta, epsilon)
     return [SampledField(mask,
                          zero_extended(b, total, mask.inside).astype(complex))
             for b in betas]
@@ -495,16 +507,7 @@ def generalized_division(f, problem: BezoutProblem,
         zero = np.zeros_like(fvals)
         return [SampledField(mask, zero.copy()) for _ in problem.f_list]
 
-    s1 = problem.s1
-    small = problem.collar
-
-    near = np.zeros_like(mask.inside)
-    if small.any():
-        zin = mask.coords(mask.inside)
-        zsmall = mask.coords(small)
-        dist = np.abs(zin[:, None] - zsmall[None, :]).min(axis=1)
-        near[tuple(np.argwhere(mask.inside)[dist <= vanish_radius].T)] = True
-
+    near = mask.near(mask.coords(problem.collar), vanish_radius)
     offending = near & (np.abs(fvals) > 1e-12 * scale_f)
     if offending.any():
         where = mask.coords(offending)[:5]
@@ -516,16 +519,7 @@ def generalized_division(f, problem: BezoutProblem,
     live = mask.inside & ~near
     if not live.any():
         raise CoveringError("vanish_radius swallows every node")
-    delta_live = float(s1[live].min())
-    if delta_live <= 0:
-        bad = live & (s1 == 0)
-        raise CommonZeroError(
-            "generators share a zero outside the vanishing neighborhood",
-            nodes=mask.coords(bad)[:5])
-    epsilon = delta_live / (2 * problem.n)
-    betas, total, uncovered = _bumps(problem, epsilon, live)
-    if uncovered.any():
-        raise CoveringError("covering failed off the vanishing neighborhood")
+    betas, total = _covering(problem, live, float(problem.s1[live].min()))
     return [SampledField(mask, zero_extended(fvals * b, total * g.values,
                                              live & (b > 0)))
             for b, g in zip(betas, problem.f_fields)]

@@ -25,11 +25,13 @@ A probe or report whose node selection is empty reads NaN (sups go
 through cauchy.sup_abs), and a NaN measurement or scale grades
 INCONCLUSIVE: nothing measured is never a pass.  The zero floor
 ZERO_REL is applied in _zeros, the domination slack in
-check_domination, and the rings at PROBE_RADII_CELLS are found by
-_rings in the node window around each center, so no full-grid
-coordinate or distance array is built; generators are sampled once, as
-a bezout.BezoutProblem (with the common-zero guard and the collar), and
-every multi-generator quotient is zero-extended by cauchy.zero_extended.
+check_domination.  The rings at PROBE_RADII_CELLS and the nodes near
+the centers (the away set, the holomorphy exclusion) come from the
+node-window rule of domains, RegionMask.around and RegionMask.near, so
+no full-grid coordinate or distance array is built.  Generators are
+sampled once, as a bezout.BezoutProblem (with the common-zero guard and
+the collar), and every multi-generator quotient is zero-extended by
+cauchy.zero_extended.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ class DivisionProblem:
         rings = [(c, [mask.grid.node(xx, yy) if yy.size else None
                       for yy, xx in _rings(mask, c, radii)]) for c in centers]
         away = mask.coords(interior_shrunk(mask, 3)
-                           & ~_near_centers(mask, centers, 4 * h))
+                           & ~mask.near(centers, 4 * h))
         return centers, radii, rings, away
 
 
@@ -293,14 +295,10 @@ def ring_selection(mask: RegionMask, center: complex,
 
 def _rings(mask: RegionMask, center: complex, radii) -> list:
     """Per radius, (yy, xx) of the Inside nodes within one spacing of the
-    circle |z - center| = radius, in row-major order.  Only the node
-    window that can hold the largest ring is searched: a node within
-    r + h of center lies within r/h + 1.5 cells of center's nearest
-    node (clipped to the grid, which only brings nodes closer)."""
+    circle |z - center| = radius, in row-major order, found in the node
+    window of the largest ring (RegionMask.around)."""
     h = mask.grid.h
-    yy, xx = mask.window(mask.inside, *mask.grid.nearest_index(center),
-                         math.ceil(max(radii) / h) + 2)
-    dist = np.abs(mask.grid.node(xx, yy) - center)
+    yy, xx, dist = mask.around(center, max(radii))
     return [(yy[on], xx[on]) for on in (np.abs(dist - r) <= h for r in radii)]
 
 
@@ -434,24 +432,12 @@ def _blocked_sup(fn, pts: np.ndarray) -> float:
     return float(np.max(sups)) if sups else float("nan")
 
 
-def _near_centers(mask: RegionMask, centers, dist: float) -> np.ndarray:
-    # Inside nodes within dist of some center, each found in its center's
-    # node window (see _rings for the window's half-width)
-    out = np.zeros(mask.inside.shape, bool)
-    for c in centers:
-        yy, xx = mask.window(mask.inside, *mask.grid.nearest_index(c),
-                             math.ceil(dist / mask.grid.h) + 2)
-        on = np.abs(mask.grid.node(xx, yy) - c) <= dist
-        out[yy[on], xx[on]] = True
-    return out
-
-
 def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
     # discrete dbar away from the zero set and the outer boundary; the
     # quotient of holomorphic data must not show a conjugate component
     mask = hfield.mask
     dv = dbar_fd(hfield)
-    sel = interior_shrunk(mask, 8) & ~_near_centers(mask, centers, 0.25)
+    sel = interior_shrunk(mask, 8) & ~mask.near(centers, 0.25)
     scale = hfield.max_abs()
     measured = sup_abs(dv.values, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,

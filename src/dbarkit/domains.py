@@ -453,6 +453,26 @@ class RegionMask:
         jy, jx = np.nonzero(sel[ys, xs])
         return jy + ys.start, jx + xs.start
 
+    def around(self, center: complex, reach: float) -> tuple:
+        """(yy, xx, dist) of the Inside nodes in the node window around
+        center that holds every Inside node within reach + h of it, in
+        row-major order, with their distances |node - center|.  Such a
+        node lies within reach/h + 1.5 cells of center's nearest node
+        (clipped to the grid, which only brings nodes closer)."""
+        yy, xx = self.window(self.inside, *self.grid.nearest_index(center),
+                             math.ceil(reach / self.grid.h) + 2)
+        return yy, xx, np.abs(self.grid.node(xx, yy) - center)
+
+    def near(self, points, dist: float) -> np.ndarray:
+        """Inside nodes within dist of some point; each point's nodes are
+        found in its node window (see around)."""
+        out = np.zeros(self.inside.shape, bool)
+        for p in points:
+            yy, xx, d = self.around(p, dist)
+            on = d <= dist
+            out[yy[on], xx[on]] = True
+        return out
+
     def nearest_node(self, z: complex, sel: np.ndarray, radius_cells: int = 8):
         """(iy, ix) of the nearest selected node to z within the given
         Chebyshev cell radius, or None.  Ties go to the first node in

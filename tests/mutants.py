@@ -12,11 +12,14 @@ first runs once on an unmutated copy, where it must pass.  The script
 names each survivor and exits 1 if any mutant survives (2 if the table
 or the unmutated run is broken).  A survivor needs a test that kills it.
 
-pytest does not collect this file, so the tier-1 suite is unchanged.
+pytest does not collect this file.  tests/test_mutants.py checks in the
+suite, without running a mutant, that every snippet occurs once and
+every named test exists (table_errors).
 Reference: DeMillo, Lipton and Sayward, "Hints on test data selection",
 Computer 11 (1978).
 """
 
+import ast
 import os
 import shutil
 import subprocess
@@ -62,10 +65,40 @@ MUTANTS = [
            ("tests/test_corona.py::test_g12_singleton_is_principal_division",
             "tests/test_division.py::"
             "test_extension_power_seven_under_weak_domination")),
-    Mutant("ring window without its + 2", "dbarkit/division.py",
-           "math.ceil(max(radii) / h) + 2)", "math.ceil(max(radii) / h))",
+    Mutant("node window without its + 2", "dbarkit/domains.py",
+           "math.ceil(reach / self.grid.h) + 2)",
+           "math.ceil(reach / self.grid.h))",
            ("tests/test_division.py::"
             "test_windowed_rings_match_the_full_grid_rule",)),
+    Mutant("near set drops nodes at exactly the distance",
+           "dbarkit/domains.py", "on = d <= dist", "on = d < dist",
+           ("tests/test_division.py::"
+            "test_near_keeps_nodes_at_exactly_the_distance",)),
+    Mutant("covering floor admits a zero delta", "dbarkit/bezout.py",
+           "if delta <= 0:", "if delta < 0:",
+           ("tests/test_bezout.py::test_partition_names_the_common_zero",)),
+    Mutant("criterion 1: sign of the Cauchy transform", "dbarkit/cauchy.py",
+           "return (-1.0 / math.pi) * fftconvolve(fv, spectrum)",
+           "return (1.0 / math.pi) * fftconvolve(fv, spectrum)",
+           ("tests/test_cauchy.py::test_pompeiu_constant_density",)),
+    Mutant("criterion 3: g^5 target weighted by g^3", "dbarkit/corona.py",
+           "weight=gv ** 4, lift=lift,", "weight=gv ** 3, lift=lift,",
+           ("tests/test_corona.py::test_g5_pipeline",)),
+    Mutant("criterion 6: derivative bound's power of |g|",
+           "dbarkit/division.py",
+           "/ gvals[live] ** (m + 1 - n)", "/ gvals[live] ** (m - n)",
+           ("tests/test_division.py::"
+            "test_scan_constant_matches_hand_maximum",)),
+    Mutant("criterion 8: f-derivative order in the chain rule",
+           "dbarkit/faa.py",
+           "acc = acc + term * f_derivs[len(k) - 1]",
+           "acc = acc + term * f_derivs[0]",
+           ("tests/test_faa.py::test_low_order_closed_forms",)),
+    Mutant("criterion 9: bounded band of the L-probe", "dbarkit/geometry.py",
+           "(max(vals) - min(vals)) <= 0.2 * min(vals)",
+           "(max(vals) - min(vals)) <= 0.02 * min(vals)",
+           ("tests/test_geometry.py::"
+            "test_disk_probe_bounded_at_two_resolutions",)),
 ]
 
 
@@ -96,12 +129,33 @@ def tests_pass(src: Path, tests) -> bool:
     return done.returncode == 0
 
 
-def main() -> int:
+def table_errors() -> list:
+    """One message per broken row: a snippet that does not occur exactly
+    once in its file, or a test id that names no module-level test
+    function.  Nothing is run."""
+    errors = []
     for m in MUTANTS:
         count = (ROOT / "src" / m.file).read_text().count(m.snippet)
         if count != 1:
-            print(f"{m.name}: snippet occurs {count} times in {m.file}")
-            return 2
+            errors.append(
+                f"{m.name}: snippet occurs {count} times in {m.file}")
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            file = ROOT / path
+            defined = file.is_file() and any(
+                isinstance(node, ast.FunctionDef)
+                and node.name == name.split("[")[0]
+                for node in ast.parse(file.read_text()).body)
+            if not defined:
+                errors.append(f"{m.name}: no test {test}")
+    return errors
+
+
+def main() -> int:
+    errors = table_errors()
+    if errors:
+        print("\n".join(errors))
+        return 2
     named = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
         if not tests_pass(source_copy(tmp), named):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,15 @@ def test_partition_epsilon_too_large(linear_pair):
         partition_of_unity(linear_pair, epsilon=10 * linear_pair.delta)
 
 
+def test_partition_names_the_common_zero(disk_mask_64):
+    # Z and Z^2 vanish together only at the origin, a node of this grid
+    p = BezoutProblem.build(Disk(0j, 1.0), [Z, intpow(Z, 2)],
+                            mask=disk_mask_64)
+    with pytest.raises(CommonZeroError) as err:
+        partition_of_unity(p)
+    assert err.value.nodes == (0j,)
+
+
 def test_bezout_pou_residual(linear_pair):
     xs = bezout_pou(linear_pair)
     assert residual(xs, linear_pair) <= 1e-12
@@ -462,3 +473,22 @@ def test_generalized_division_needs_vanishing(disk_mask_64):
     with pytest.raises(VanishingError) as err:
         generalized_division(Const(1.0), p, 0.1)
     assert len(err.value.nodes) > 0
+
+
+def test_generalized_division_near_set_is_windowed():
+    # the vanishing neighborhood comes from node windows around the 29
+    # collar nodes, not from an Inside-by-collar distance matrix, which
+    # alone would take about 100 MB here
+    tracemalloc.start()
+    try:
+        p = BezoutProblem.build(Disk(0j, 1.0), [intpow(Z, 4), intpow(Z, 5)],
+                                h=1 / 256)
+        gs = generalized_division(intpow(Z, 12), p, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(p.collar.sum()) == 29
+    assert peak < 60e6
+    want = sample_field(intpow(Z, 12), p.mask).values
+    got = sum(g.values * f.values for g, f in zip(gs, p.f_fields))
+    assert np.abs(got - want)[p.mask.inside].max() <= 1e-12

@@ -187,20 +187,23 @@ def _ring_mask(name):
 def test_windowed_rings_match_the_full_grid_rule(name, data):
     # the same nodes, in row-major order, with bitwise-equal coordinates,
     # for centers on nodes, between nodes, near or past the grid's edges
-    # and at tagged points; _near_centers likewise at both its distances
+    # and at tagged points; RegionMask.near likewise on point sets (a
+    # collar-like node cluster, scattered points) against the all-pairs
+    # Inside-by-points distance rule
     mask = _ring_mask(name)
     grid = mask.grid
     h = grid.h
     lo = grid.origin
     hi = grid.node(grid.nx - 1, grid.ny - 1)
     pad = 40 * h
-    center = data.draw(st.one_of(
+    points = st.one_of(
         st.builds(grid.node, st.integers(0, grid.nx - 1),
                   st.integers(0, grid.ny - 1)),
         st.builds(complex, st.floats(lo.real - pad, hi.real + pad),
                   st.floats(lo.imag - pad, hi.imag + pad)),
         st.sampled_from((lo, hi, complex(lo.real, hi.imag))
-                        + mask.tagged_points)))
+                        + mask.tagged_points))
+    center = data.draw(points)
     radii = [k * h for k in PROBE_RADII_CELLS]
     zg = grid.zgrid()
     dist = np.abs(zg - center)
@@ -210,9 +213,43 @@ def test_windowed_rings_match_the_full_grid_rule(name, data):
         assert np.array_equal(yy, iy) and np.array_equal(xx, ix)
         assert grid.node(xx, yy).tobytes() == mask.coords(full).tobytes()
         assert np.array_equal(ring_selection(mask, center, r), full)
+
+    reach = data.draw(st.one_of(st.sampled_from((4 * h, 0.25)),
+                                st.integers(0, 12).map(lambda k: k * h),
+                                st.floats(0, 12 * h)))
+    yy, xx, d = mask.around(center, reach)
+    full = mask.inside & (dist <= reach + h)
+    within = d <= reach + h
+    assert np.array_equal(np.nonzero(full), (yy[within], xx[within]))
+    assert d[within].tobytes() == dist[full].tobytes()
+
+    iy, ix = grid.nearest_index(data.draw(points))
+    k = data.draw(st.integers(0, 3))
+    cluster = np.zeros_like(mask.inside)
+    cluster[max(iy - k, 0):iy + k + 1, max(ix - k, 0):ix + k + 1] = True
+    zin = mask.coords(mask.inside)
+    for pts in (mask.coords(cluster & mask.inside),
+                np.array(data.draw(st.lists(points, max_size=6)), complex)):
+        want = np.zeros_like(mask.inside)
+        if pts.size:
+            pair = np.abs(zin[:, None] - pts[None, :]).min(axis=1)
+            want[mask.inside] = pair <= reach
+        assert np.array_equal(mask.near(pts, reach), want)
+
+
+def test_near_keeps_nodes_at_exactly_the_distance():
+    # the certificate's two reaches, 4h (away set) and 0.25 (holomorphy
+    # exclusion): on the unit disk at h = 1/64 every node coordinate is
+    # a dyadic rational, so nodes 4 and 16 cells from the origin along
+    # an axis sit at exactly 4h and 0.25
+    mask = build_mask(DISK, h=1 / 64)
+    h = mask.grid.h
+    zg = mask.grid.zgrid()
     for reach in (4 * h, 0.25):
-        assert np.array_equal(division._near_centers(mask, [center], reach),
-                              mask.inside & (dist <= reach))
+        near = mask.near([0j], reach)
+        assert np.array_equal(near, mask.inside & (np.abs(zg) <= reach))
+        assert near[np.abs(zg) == reach].all()
+        assert (np.abs(zg) == reach).sum() >= 4
 
 
 # --- the optimal-power battery ------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dbarkit.expr import (S, Z, Conj, Const, ExprParseError, IntPow, PoleError,
@@ -217,12 +217,17 @@ def test_inner_function_is_its_closed_form(zs):
 
 @settings(max_examples=60, deadline=None)
 @given(COEFFS, COEFFS, COEFFS, COEFFS, POLY_TREES, OFF_POLE)
+@example(0j, 1 + 0j, 1 + 0j, 0j, add(Z, conj(Z)), 2.225073858507203e-309 + 0j)
 def test_mobius_is_its_closed_form(a, b, c, d, g, z):
     assume(abs(a * d - b * c) > 1e-3)
     gz = g.eval(z)
     den = c * gz + d
     assume(abs(den) > 1e-3 * (abs(c * gz) + abs(d)))
-    want = (a * gz + b) / den
+    # a subnormal denominator (the example above) sends the closed form
+    # itself past the float range; there is nothing to compare
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (a * gz + b) / den
+    assume(np.isfinite(want))
     assert mobius(a, b, c, d, g).eval(z) == pytest.approx(want, rel=1e-12)
 
 

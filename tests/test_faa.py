@@ -228,7 +228,8 @@ def test_routes_agree_on_log_compose_mobius(n):
 
 
 def test_faa_on_inner_function_matches_series():
-    # S has an explicit Taylor expansion engine path; compare the n-th
+    # S is the composed tree exp(-(1+z)/(1-z)), so the Taylor oracle
+    # reaches it through its Exp and Quotient branches; compare the n-th
     # derivative at 0 from the table route with closed-form pieces of
     # exp o (-(1+z)/(1-z)) assembled by hand
     n = 6
