@@ -1,8 +1,13 @@
 """Two constructions for solving sum x_j f_j = 1 on a compact set.
 
-The quotient route approximates q_j = conj(f_j)/sum|f_k|^2 by bivariate
-polynomials in z and conj(z) and divides by the (certified nonvanishing)
-combination D = sum p_k f_k.  quotient_fits owns that quotient: it
+q_fields is the one Wolff quotient q_j = w conj(f_j)/sum|f_k|^2, formed
+on a node set and zero elsewhere, so sum q_j f_j = w there: with w = 1
+on the Inside nodes (a common zero raises) it is the quotient below,
+and division's multi-generator solvers pass their own weight and the
+nodes off the common zeros.  The quotient route approximates
+q_j = conj(f_j)/sum|f_k|^2 by bivariate polynomials in z and conj(z)
+and divides by the (certified nonvanishing) combination
+D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
 returns the fits, their values on the Inside nodes as the fit ladder
 measured them, and the certified D there, so x_j = p_j / D needs no
@@ -21,9 +26,12 @@ covering route builds a smoothstep partition of unity subordinate to
 covering step, _covering, checks the floor delta, sets eps = delta/(2n)
 and builds and checks the bumps, for partition_of_unity on the Inside
 nodes and for generalized_division off the dividend's vanishing
-neighborhood, which RegionMask.near finds in node windows.  Both keep
-the residual identity exact up to rounding; the interesting measured
-quantity is how smooth the output is.
+neighborhood, which RegionMask.near finds in node windows.  The bumps
+and their total are node vectors of the covered set, and each output
+is divided there and scattered to the grid once (cauchy.on_nodes), so
+no full-grid bump or product is built.  Both keep the residual
+identity exact up to rounding; the interesting measured quantity is
+how smooth the output is.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .cauchy import SampledField, sample_field, sup_abs, zero_extended
+from .cauchy import (SampledField, on_nodes, sample_field, sup_abs,
+                     zero_extended)
 from .domains import CompactDomain, PreconditionError, RegionMask, resolve_mask
 from .expr import ComplexExpr, Const, Z, add, conj, div, intpow, mul
 
@@ -144,13 +153,25 @@ def zero_collar(inside: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return inside & (s1 <= COLLAR_REL * sup_abs(s1, inside))
 
 
-def q_fields(problem: BezoutProblem) -> list:
-    """Pointwise smooth solution q_j = conj(f_j) / sum_k |f_k|^2."""
-    mask = problem.mask
-    s2 = problem.s2
-    require_no_common_zero(mask, s2)
-    return [SampledField(mask, zero_extended(np.conj(g.values), s2,
-                                             mask.inside))
+def q_fields(problem: BezoutProblem, weight=None, live=None) -> list:
+    """Wolff's quotient q_j = weight conj(f_j) / sum_k |f_k|^2.
+
+    Formed on the nodes live (default: Inside) and 0 on every other
+    node, so sum_j q_j f_j = weight there.  weight is a full-grid
+    array; without it the weight is 1 and a common zero on any Inside
+    node raises CommonZeroError.  A weighted caller takes live off the
+    generators' common zeros itself.
+    """
+    mask, s2 = problem.mask, problem.s2
+    if weight is None:
+        require_no_common_zero(mask, s2)
+    live = mask.inside if live is None else live
+    # conj(f_j) * weight in this order: numpy's complex product is not
+    # bitwise commutative, and past 256 KiB numpy evaluates
+    # weight * conj(f_j) in place in the temporary, as conj(f_j) * weight
+    return [SampledField(mask, zero_extended(
+                np.conj(g.values) if weight is None
+                else np.conj(g.values) * weight, s2, live))
             for g in problem.f_fields]
 
 
@@ -311,7 +332,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     R = np.zeros((cols, cols))
     qv = np.empty((cols, 2 * n))  # Q^T rhs
     out = [None] * n
-    on_nodes = [None] * n
+    fit_values = [None] * n
     for d in range(top + 1):
         pending = [j for j, fit in enumerate(out) if fit is None]
         if not pending:
@@ -352,12 +373,12 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             sup = float(np.abs(pv - vals[j]).max())
             if sup <= target_sup:
                 poly.sup_error = sup
-                out[j], on_nodes[j] = poly, pv
+                out[j], fit_values[j] = poly, pv
             elif last:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
                     f"{target_sup:.3e}; increase degree", sup_error=sup)
-    return out, on_nodes
+    return out, fit_values
 
 
 def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
@@ -442,9 +463,10 @@ def smoothstep(t):
 def _covering(problem: BezoutProblem, sel: np.ndarray, delta: float,
               epsilon: Optional[float] = None) -> tuple:
     # The covering step on the nodes sel, where delta = min sum|f_j|:
-    # bumps smoothstep(|f_j| / epsilon) on sel, zero elsewhere, and
-    # their total.  The default epsilon = delta/(2n) covers every node
-    # of sel: there some |f_j| >= delta/n = 2 epsilon > epsilon/3
+    # the bumps smoothstep(|f_j| / epsilon) and their total, as node
+    # vectors of sel (row-major).  The default epsilon = delta/(2n)
+    # covers every node of sel: there some |f_j| >= delta/n = 2 epsilon
+    # > epsilon/3
     mask = problem.mask
     if delta <= 0:
         dead = sel & (problem.s1 == 0)
@@ -454,12 +476,12 @@ def _covering(problem: BezoutProblem, sel: np.ndarray, delta: float,
             f"covered set, first at {list(where)}", nodes=where)
     if epsilon is None:
         epsilon = delta / (2 * problem.n)
-    betas = [np.where(sel, smoothstep(np.abs(g.values) / epsilon), 0.0)
+    betas = [smoothstep(np.abs(g.values[sel]) / epsilon)
              for g in problem.f_fields]
     total = sum(betas)
-    uncovered = sel & (total == 0)
+    uncovered = total == 0
     if uncovered.any():
-        where = mask.coords(uncovered)[:5]
+        where = mask.coords(sel)[uncovered][:5]
         raise CoveringError(
             f"epsilon = {epsilon:.4g} too large for delta = {delta:.4g}: "
             f"{int(uncovered.sum())} node(s) uncovered, first at {where}",
@@ -477,8 +499,7 @@ def partition_of_unity(problem: BezoutProblem,
     """
     mask = problem.mask
     betas, total = _covering(problem, mask.inside, problem.delta, epsilon)
-    return [SampledField(mask,
-                         zero_extended(b, total, mask.inside).astype(complex))
+    return [SampledField(mask, on_nodes(b / total, mask.inside, complex))
             for b in betas]
 
 
@@ -504,8 +525,8 @@ def generalized_division(f, problem: BezoutProblem,
     fvals = sample_field(f, mask).values
     scale_f = sup_abs(fvals, mask.inside)
     if scale_f == 0.0:
-        zero = np.zeros_like(fvals)
-        return [SampledField(mask, zero.copy()) for _ in problem.f_list]
+        return [SampledField(mask, np.zeros_like(fvals))
+                for _ in problem.f_list]
 
     near = mask.near(mask.coords(problem.collar), vanish_radius)
     offending = near & (np.abs(fvals) > 1e-12 * scale_f)
@@ -520,6 +541,6 @@ def generalized_division(f, problem: BezoutProblem,
     if not live.any():
         raise CoveringError("vanish_radius swallows every node")
     betas, total = _covering(problem, live, float(problem.s1[live].min()))
-    return [SampledField(mask, zero_extended(fvals * b, total * g.values,
-                                             live & (b > 0)))
+    return [SampledField(mask, on_nodes(zero_extended(
+                fvals[live] * b, total * g.values[live], b > 0), live))
             for b, g in zip(betas, problem.f_fields)]

@@ -56,7 +56,7 @@ from .expr import as_callable
 
 __all__ = [
     "NEAR_RADIUS_CELLS", "sup_abs", "SampledField", "sample_field",
-    "zero_extended", "exact_cell_integral",
+    "on_nodes", "zero_extended", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "verify_dbar_solution",
     "EXACT_FLOOR", "check_ladder", "log_slope", "refinement_ladder",
     "dbar_convergence",
@@ -133,13 +133,19 @@ def sample_field(f, mask: RegionMask,
     return SampledField(mask, vals)
 
 
+def on_nodes(values: np.ndarray, sel: np.ndarray, dtype=None) -> np.ndarray:
+    """The node vector values (one entry per node of sel, row-major) as a
+    full-grid array, 0 on every other node; dtype defaults to values'."""
+    out = np.zeros(sel.shape, dtype=values.dtype if dtype is None else dtype)
+    out[sel] = values
+    return out
+
+
 def zero_extended(num: np.ndarray, den: np.ndarray,
                   live: np.ndarray) -> np.ndarray:
     """num / den on the live nodes and 0 on every other node: the zero
     extension across a singular set.  Nothing off live is divided."""
-    out = np.zeros(live.shape, dtype=np.result_type(num, den))
-    out[live] = num[live] / den[live]
-    return out
+    return on_nodes(num[live] / den[live], live)
 
 
 def exact_cell_integral(v0: np.ndarray, h: float) -> np.ndarray:

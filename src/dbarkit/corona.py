@@ -12,8 +12,9 @@ across common zeros of the generators.
 corona_solve, g_power_solve and g12_solve differ only in their set-up
 (the Bezout route, the hypothesis check, how x and dbar x are
 obtained).  Each samples its generators once, as a
-bezout.BezoutProblem (the power targets add g and the domination
-|g| <= sum|f_j|), and hands x, dbar x and that record, collar included,
+bezout.BezoutProblem (the power targets open through
+division.dominated, which adds g and the domination |g| <= sum|f_j|),
+and hands x, dbar x and that record, collar included,
 to one correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
 On the poly route x_j = p_j / D comes from the node values and the
@@ -35,10 +36,10 @@ from scipy import ndimage
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
                      poly_dbars, quotient_fits, require_no_common_zero)
-from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided,
+from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, on_nodes,
                      refinement_ladder, sample_field, sup_abs,
                      verify_dbar_solution, zero_extended)
-from .division import check_domination, divide
+from .division import check_domination, divide, dominated
 from .domains import CompactDomain, RegionMask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
 
@@ -236,14 +237,9 @@ def _poly_unit_solution(problem: BezoutProblem, max_degree: int):
     fv = [g.values[inside] for g in problem.f_fields]
     dfv = [_dbar_values(f, mask)[inside] for f in problem.f_list]
     dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
-
-    def on_nodes(v):
-        out = np.zeros(inside.shape, dtype=complex)
-        out[inside] = v
-        return out
-
-    x_fields = [SampledField(mask, on_nodes(p / D)) for p in pv]
-    dbx = (on_nodes((dp * D - p * dD) / D ** 2) for p, dp in zip(pv, dpv))
+    x_fields = [SampledField(mask, on_nodes(p / D, inside)) for p in pv]
+    dbx = (on_nodes((dp * D - p * dD) / D ** 2, inside)
+           for p, dp in zip(pv, dpv))
     report = [{"degree": p.degree, "sup_error": p.sup_error, "cond": p.cond}
               for p in fits]
     return x_fields, dbx, report
@@ -290,15 +286,6 @@ def corona_convergence(f_list, domain: CompactDomain,
     return refinement_ladder(solve, hs, physical_margin)
 
 
-def _power_setup(g, f_list, domain, h, mask):
-    # the power targets' common opening: the generator record, g
-    # sampled on its mask and the corona domination |g| <= sum|f_j|
-    gens = BezoutProblem.build(domain, f_list, h=h, mask=mask)
-    gv = sample_field(g, gens.mask).values
-    check_domination(np.abs(gv), gens.s1, gens.mask, "|g| <= sum|f_j|")
-    return gens, gv
-
-
 def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                   isolated_zeros: bool = True, h: float = 1 / 64,
                   margin: int = 3,
@@ -311,7 +298,7 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
     one more g and zero-extended across the common-zero collar
     (target g^6).
     """
-    gens, gv = _power_setup(g, f_list, domain, h, mask)
+    gens, gv = dominated(g, f_list, domain, h, mask, "g")
     mask = gens.mask
     x_fields = [sample_field(x, mask) for x in x_list]
     total_x = sum(x.values * f.values
@@ -346,7 +333,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     n = len(f_list)
     if len(h_list) != n:
         raise ValueError("h_list and f_list lengths differ")
-    gens, gv = _power_setup(g, f_list, domain, h, mask)
+    gens, gv = dominated(g, f_list, domain, h, mask, "g")
     mask = gens.mask
     hv = [sample_field(hj, mask).values for hj in h_list]
     s2 = gens.s2

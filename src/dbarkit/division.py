@@ -28,10 +28,15 @@ ZERO_REL is applied in _zeros, the domination slack in
 check_domination.  The rings at PROBE_RADII_CELLS and the nodes near
 the centers (the away set, the holomorphy exclusion) come from the
 node-window rule of domains, RegionMask.around and RegionMask.near, so
-no full-grid coordinate or distance array is built.  Generators are
-sampled once, as a bezout.BezoutProblem (with the common-zero guard and
-the collar), and every multi-generator quotient is zero-extended by
-cauchy.zero_extended.
+no full-grid coordinate or distance array is built.
+
+The multi-generator family opens through dominated: it samples the
+generators once, as a bezout.BezoutProblem, samples the datum once on
+its mask and checks |datum| <= sum|f_j| (corona's power targets open the
+same way).  multi_division_continuous and multi_division_c1 then take
+their quotient from bezout.q_fields, weighted by h or h^power and zero
+on the common zeros of the generators; quotient_extension_lemma, whose
+hypothesis bounds |g| by the euclidean |f|, builds its record itself.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .bezout import BezoutProblem
+from .bezout import BezoutProblem, q_fields
 from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, log_slope,
-                     sample_field, sup_abs, zero_extended)
+                     on_nodes, sample_field, sup_abs, zero_extended)
 from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
                       interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -55,9 +60,9 @@ from .expr import (ComplexExpr, Const, as_callable, div, intpow,
 __all__ = [
     "ZERO_REL", "PROBE_RADII_CELLS", "CLASSES", "PASS", "FAIL", "INCONCLUSIVE",
     "DominationError", "ProbeResult", "DivisionCertificate",
-    "DivisionProblem", "check_domination", "divide", "ring_selection",
-    "zero_centers", "spread", "certify_class", "derivative_bound_scan",
-    "multi_division_continuous", "multi_division_c1",
+    "DivisionProblem", "check_domination", "dominated", "divide",
+    "ring_selection", "zero_centers", "spread", "certify_class",
+    "derivative_bound_scan", "multi_division_continuous", "multi_division_c1",
     "quotient_extension_lemma",
 ]
 
@@ -152,6 +157,19 @@ def check_domination(lhs: np.ndarray, rhs: np.ndarray, mask: RegionMask,
             f"{b[k]:.6g}", worst=worst)
 
 
+def dominated(datum, f_list, domain: Optional[CompactDomain], h: float,
+              mask: Optional[RegionMask], name: str) -> tuple:
+    """The one opening of a datum over a generator list: returns (gens,
+    values), the bezout.BezoutProblem of f_list and the datum's samples
+    on its mask, each built once, after demanding |datum| <= sum_j |f_j|
+    on the Inside nodes (DominationError: "|name| <= sum|f_j|")."""
+    gens = BezoutProblem.build(domain, f_list, h=h, mask=mask)
+    values = sample_field(datum, gens.mask).values
+    check_domination(np.abs(values), gens.s1, gens.mask,
+                     f"|{name}| <= sum|f_j|")
+    return gens, values
+
+
 def _zeros(mask: RegionMask, magnitude: np.ndarray) -> np.ndarray:
     """Inside nodes where magnitude is at most ZERO_REL of its Inside max."""
     floor = ZERO_REL * sup_abs(magnitude, mask.inside)
@@ -197,10 +215,8 @@ class DivisionProblem:
         """f^N/g, set to 0 on Z(g) and off the Inside nodes."""
         if N < 1:
             raise ValueError("power must be a positive integer")
-        q = self.f_live ** N / self.g_live
-        out = np.zeros(self.live.shape, dtype=q.dtype)
-        out[self.live] = q
-        return SampledField(self.mask, out)
+        return SampledField(self.mask,
+                            on_nodes(self.f_live ** N / self.g_live, self.live))
 
     def certify(self, N: int, claimed: str,
                 families: Optional[dict] = None) -> DivisionCertificate:
@@ -497,16 +513,6 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
             "g_sup_used": gmax}
 
 
-def _multi_problem(h_expr, f_list, domain, grid_h, mask):
-    gens = BezoutProblem.build(domain, f_list, h=grid_h, mask=mask)
-    mask = gens.mask
-    hv = sample_field(h_expr, mask).values
-    check_domination(np.abs(hv), gens.s1, mask, "|h| <= sum|f_j|")
-    fv = [f.values for f in gens.f_fields]
-    s2 = gens.s2
-    return mask, hv, fv, s2, _zeros(mask, s2)
-
-
 def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
                               grid_h: float = 1 / 128,
                               mask: Optional[RegionMask] = None):
@@ -516,11 +522,13 @@ def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
     witness max|q_j| (at most n) and the residual off the zero set,
     both NaN when no node lies off the zero set.
     """
-    mask, hv, fv, s2, zero = _multi_problem(h, f_list, domain, grid_h, mask)
+    gens, hv = dominated(h, f_list, domain, grid_h, mask, "h")
+    mask = gens.mask
+    zero = _zeros(mask, gens.s2)
     live = mask.inside & ~zero
-    qs = [zero_extended(hv * np.conj(v), s2, live) for v in fv]
+    qs = [q.values for q in q_fields(gens, hv, live)]
     gs = [SampledField(mask, hv * q) for q in qs]
-    total = sum(g.values * v for g, v in zip(gs, fv))
+    total = sum(g.values * f.values for g, f in zip(gs, gens.f_fields))
     report = {"q_sup": max(sup_abs(q, live) for q in qs), "n": len(f_list),
               "residual_off_zero": sup_abs(total - hv ** 2, live),
               "zero_nodes": int(zero.sum())}
@@ -541,16 +549,16 @@ def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
     residual off the zero set is NaN when no node lies off it, and the
     growth is NaN (not bounded) when no two rings measured a gradient.
     """
-    mask, hv, fv, s2, zero = _multi_problem(h, f_list, domain, grid_h, mask)
+    gens, hv = dominated(h, f_list, domain, grid_h, mask, "h")
+    mask, s2 = gens.mask, gens.s2
+    zero = _zeros(mask, s2)
     biggest = np.bincount(ndimage.label(zero)[0].ravel())[1:].max(initial=0)
     if biggest > CLUSTER_CELLS:
         raise ValueError(f"common zero cluster of {int(biggest)} nodes; the "
                          f"construction needs isolated zeros")
     live = mask.inside & ~zero
-    hp = hv ** power
-    gs = [SampledField(mask, zero_extended(np.conj(v) * hp, s2, live))
-          for v in fv]
-    total = sum(g.values * v for g, v in zip(gs, fv))
+    gs = q_fields(gens, hv ** power, live)
+    total = sum(g.values * f.values for g, f in zip(gs, gens.f_fields))
     residual = sup_abs(total - hv ** power, live)
 
     # the rings lie off the zero set; the 1 elsewhere only avoids 0/0

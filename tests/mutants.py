@@ -99,6 +99,27 @@ MUTANTS = [
            "(max(vals) - min(vals)) <= 0.02 * min(vals)",
            ("tests/test_geometry.py::"
             "test_disk_probe_bounded_at_two_resolutions",)),
+    Mutant("Wolff numerator without conj", "dbarkit/bezout.py",
+           "else np.conj(g.values) * weight, s2, live))",
+           "else g.values * weight, s2, live))",
+           ("tests/test_bezout.py::"
+            "test_q_fields_weighted_is_the_wolff_quotient",
+            "tests/test_bezout.py::"
+            "test_wolff_identity_holds_on_the_live_nodes")),
+    Mutant("opening bounds the datum by sum|f_j|^2", "dbarkit/division.py",
+           "check_domination(np.abs(values), gens.s1, gens.mask,",
+           "check_domination(np.abs(values), gens.s2, gens.mask,",
+           ("tests/test_division.py::"
+            "test_dominated_admits_equality_in_sum_of_moduli",)),
+    Mutant("covering check never fires", "dbarkit/bezout.py",
+           "uncovered = total == 0", "uncovered = total < 0",
+           ("tests/test_bezout.py::test_partition_epsilon_too_large",)),
+    Mutant("on_nodes fills with ones", "dbarkit/cauchy.py",
+           "out = np.zeros(sel.shape,", "out = np.ones(sel.shape,",
+           ("tests/test_cauchy.py::test_on_nodes_scatters_row_major",)),
+    Mutant("constant root left a scalar", "dbarkit/expr.py",
+           "return _full(self._ev(z), z)", "return self._ev(z)",
+           ("tests/test_expr.py::test_constant_trees_evaluate_to_arrays",)),
 ]
 
 

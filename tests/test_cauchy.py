@@ -23,6 +23,7 @@ from dbarkit.cauchy import (
     dbar_fd_onesided,
     exact_cell_integral,
     log_slope,
+    on_nodes,
     pompeiu,
     refinement_ladder,
     sample_field,
@@ -462,6 +463,23 @@ def test_zero_extended_divides_on_live_nodes_only(data, ny, nx, dead_num):
     assert out.shape == live.shape and out.dtype == complex
     assert out[live].tobytes() == (num[live] / den[live]).tobytes()
     assert not out[~live].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ny=st.integers(1, 6), nx=st.integers(1, 6),
+       dtype=st.sampled_from([bool, np.int64, float, complex]))
+def test_on_nodes_scatters_row_major(data, ny, nx, dtype):
+    sel = np.array(data.draw(st.lists(st.booleans(), min_size=ny * nx,
+                                      max_size=ny * nx))).reshape(ny, nx)
+    k = int(sel.sum())
+    values = np.arange(1, k + 1).astype(dtype)  # no zero value
+    out = on_nodes(values, sel)
+    assert out.shape == sel.shape and out.dtype == values.dtype
+    iy, ix = np.nonzero(sel)  # row-major order
+    assert out[iy, ix].tobytes() == values.tobytes()
+    assert not out[~sel].any()
+    wide = on_nodes(values, sel, complex)
+    assert wide.dtype == complex and (wide == out).all()
 
 
 def test_zero_extended_keeps_a_real_quotient_real():

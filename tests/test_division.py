@@ -15,6 +15,7 @@ measurement.  The derivative-bound constants are checked against the
 hand maximum of |5 z^4| / |z| = 5|z|^3 on the shrunk disk.
 """
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -23,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from dbarkit import cli, division, domains
+from dbarkit import bezout, cli, corona, division, domains
 from dbarkit.cauchy import SampledField
 from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
                               PROBE_RADII_CELLS, DivisionProblem,
                               DominationError, certify_class,
-                              derivative_bound_scan, divide,
+                              derivative_bound_scan, divide, dominated,
                               multi_division_c1, multi_division_continuous,
                               quotient_extension_lemma, ring_selection,
                               spread, zero_centers)
@@ -579,6 +580,54 @@ def test_scan_needs_two_distinct_spacings(levels):
 
 
 # --- multi-generator division -------------------------------------------------
+
+
+def test_dominated_admits_equality_in_sum_of_moduli():
+    # |2z| = |z| + |z| everywhere, while |z|^2 + |z|^2 < |2z| off the
+    # origin: the opening bounds the datum by sum|f_j|, not sum|f_j|^2
+    gens, values = dominated(mul(Const(2.0), Z), [Z, Z], DISK, 1 / 32, None,
+                             "h")
+    assert isinstance(gens, bezout.BezoutProblem) and gens.n == 2
+    inside = gens.mask.inside
+    assert np.array_equal(values[inside], 2 * gens.mask.coords(inside))
+    with pytest.raises(DominationError, match=r"\|g\| <= sum\|f_j\|"):
+        dominated(mul(Const(2.01), Z), [Z, Z], DISK, 1 / 32, None, "g")
+
+
+def _opening_counts(monkeypatch, run):
+    # BezoutProblem records built and datum samples taken by run(datum)
+    counts = Counter()
+    build = bezout.BezoutProblem.build.__func__
+
+    def counted_build(cls, *args, **kwargs):
+        counts["records"] += 1
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(bezout.BezoutProblem, "build",
+                        classmethod(counted_build))
+
+    def datum(z):
+        counts["datum"] += 1
+        return np.asarray(z) ** 2
+
+    run(datum)
+    return counts
+
+
+CUBIC_PAIR = [intpow(Z, 2), intpow(Z, 3)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda d: corona.g_power_solve(
+        d, CUBIC_PAIR, [Const(1.0), Const(0.0)], DISK, h=1 / 32),
+    lambda d: corona.g12_solve(
+        d, CUBIC_PAIR, [conj(intpow(Z, 2)), conj(intpow(Z, 3))], DISK,
+        h=1 / 32),
+    lambda d: multi_division_continuous(d, CUBIC_PAIR, DISK, grid_h=1 / 32),
+    lambda d: multi_division_c1(d, CUBIC_PAIR, DISK, grid_h=1 / 32),
+], ids=["g_power_solve", "g12_solve", "continuous", "c1"])
+def test_one_opening_per_solve(monkeypatch, run):
+    assert _opening_counts(monkeypatch, run) == {"records": 1, "datum": 1}
 
 
 def test_multi_continuous_identity():
