@@ -3,11 +3,11 @@
 q_fields is the one Wolff quotient q_j = w conj(f_j)/sum|f_k|^2, formed
 on a node set and zero elsewhere, so sum q_j f_j = w there: with w = 1
 on the Inside nodes (a common zero raises) it is the quotient below,
-and division's multi-generator solvers pass their own weight and the
-nodes off the common zeros.  The quotient route approximates
-q_j = conj(f_j)/sum|f_k|^2 by bivariate polynomials in z and conj(z)
-and divides by the (certified nonvanishing) combination
-D = sum p_k f_k.  quotient_fits owns that quotient: it
+and division's multi-generator solvers pass their own weight, the
+nodes off the common zeros and the sum|f_k|^2 they already hold.
+The quotient route approximates q_j = conj(f_j)/sum|f_k|^2 by bivariate
+polynomials in z and conj(z) and divides by the (certified nonvanishing)
+combination D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
 returns the fits, their values on the Inside nodes as the fit ladder
 measured them, and the certified D there, so x_j = p_j / D needs no
@@ -153,22 +153,23 @@ def zero_collar(inside: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return inside & (s1 <= COLLAR_REL * sup_abs(s1, inside))
 
 
-def q_fields(problem: BezoutProblem, weight=None, live=None) -> list:
-    """Wolff's quotient q_j = weight conj(f_j) / sum_k |f_k|^2.
+def q_fields(problem: BezoutProblem, weight=None, live=None, s2=None) -> list:
+    """Wolff's quotient q_j = weight conj(f_j) / s2, s2 = sum_k |f_k|^2.
 
-    Formed on the nodes live (default: Inside) and 0 on every other
-    node, so sum_j q_j f_j = weight there.  weight is a full-grid
-    array; without it the weight is 1 and a common zero on any Inside
-    node raises CommonZeroError.  A weighted caller takes live off the
-    generators' common zeros itself.
+    Formed on the nodes live and 0 on every other node, so
+    sum_j q_j f_j = weight there; weight (default 1) is a full-grid
+    array.  Without live the nodes are the Inside set and a common zero
+    on any of them raises CommonZeroError; a caller passing live has
+    taken it off the generators' common zeros, and passes s2 when it
+    already holds it.
     """
-    mask, s2 = problem.mask, problem.s2
-    if weight is None:
+    mask, s2 = problem.mask, problem.s2 if s2 is None else s2
+    if live is None:
         require_no_common_zero(mask, s2)
-    live = mask.inside if live is None else live
-    # conj(f_j) * weight in this order: numpy's complex product is not
-    # bitwise commutative, and past 256 KiB numpy evaluates
-    # weight * conj(f_j) in place in the temporary, as conj(f_j) * weight
+        live = mask.inside
+    # conj(f_j) * weight: numpy's complex product is not bitwise
+    # commutative, and with the temporary on the left its in-place
+    # reuse keeps this order
     return [SampledField(mask, zero_extended(
                 np.conj(g.values) if weight is None
                 else np.conj(g.values) * weight, s2, live))

@@ -35,7 +35,8 @@ generators once, as a bezout.BezoutProblem, samples the datum once on
 its mask and checks |datum| <= sum|f_j| (corona's power targets open the
 same way).  multi_division_continuous and multi_division_c1 then take
 their quotient from bezout.q_fields, weighted by h or h^power and zero
-on the common zeros of the generators; quotient_extension_lemma, whose
+on the common zeros of the generators, which _off_zeros finds from the
+one sum|f_j|^2 both share; quotient_extension_lemma, whose
 hypothesis bounds |g| by the euclidean |f|, builds its record itself.
 """
 
@@ -174,6 +175,14 @@ def _zeros(mask: RegionMask, magnitude: np.ndarray) -> np.ndarray:
     """Inside nodes where magnitude is at most ZERO_REL of its Inside max."""
     floor = ZERO_REL * sup_abs(magnitude, mask.inside)
     return mask.inside & (magnitude <= floor)
+
+
+def _off_zeros(gens: BezoutProblem) -> tuple:
+    """(s2, zero, live): sum|f_j|^2, its zero set and the Inside nodes
+    off it, for the multi-generator divisions."""
+    s2 = gens.s2
+    zero = _zeros(gens.mask, s2)
+    return s2, zero, gens.mask.inside & ~zero
 
 
 @dataclass
@@ -523,13 +532,13 @@ def multi_division_continuous(h, f_list, domain: Optional[CompactDomain] = None,
     both NaN when no node lies off the zero set.
     """
     gens, hv = dominated(h, f_list, domain, grid_h, mask, "h")
-    mask = gens.mask
-    zero = _zeros(mask, gens.s2)
-    live = mask.inside & ~zero
-    qs = [q.values for q in q_fields(gens, hv, live)]
-    gs = [SampledField(mask, hv * q) for q in qs]
+    s2, zero, live = _off_zeros(gens)
+    gs = q_fields(gens, hv, live, s2)
+    q_sup = max(sup_abs(g.values, live) for g in gs)
+    for g in gs:  # g_j = h q_j, formed in q_j's array
+        np.multiply(hv, g.values, out=g.values)
     total = sum(g.values * f.values for g, f in zip(gs, gens.f_fields))
-    report = {"q_sup": max(sup_abs(q, live) for q in qs), "n": len(f_list),
+    report = {"q_sup": q_sup, "n": len(f_list),
               "residual_off_zero": sup_abs(total - hv ** 2, live),
               "zero_nodes": int(zero.sum())}
     return gs, report
@@ -550,14 +559,13 @@ def multi_division_c1(h, f_list, domain: Optional[CompactDomain] = None,
     growth is NaN (not bounded) when no two rings measured a gradient.
     """
     gens, hv = dominated(h, f_list, domain, grid_h, mask, "h")
-    mask, s2 = gens.mask, gens.s2
-    zero = _zeros(mask, s2)
+    mask = gens.mask
+    s2, zero, live = _off_zeros(gens)
     biggest = np.bincount(ndimage.label(zero)[0].ravel())[1:].max(initial=0)
     if biggest > CLUSTER_CELLS:
         raise ValueError(f"common zero cluster of {int(biggest)} nodes; the "
                          f"construction needs isolated zeros")
-    live = mask.inside & ~zero
-    gs = q_fields(gens, hv ** power, live)
+    gs = q_fields(gens, hv ** power, live, s2)
     total = sum(g.values * f.values for g, f in zip(gs, gens.f_fields))
     residual = sup_abs(total - hv ** power, live)
 

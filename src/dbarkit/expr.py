@@ -24,11 +24,7 @@ syntactically by `is_conj_free` and falls out of the derivative rules,
 which produce a literal zero tree after constant folding.
 
 Trees are immutable; the smart constructors (`add`, `mul`, ...) fold
-constants for readability but perform no other rewriting.  A constant
-evaluates to a scalar, so no full array is made for it where it leads
-a product or enters a sum, quotient, conj, exp or log; `eval` makes a
-constant root the complex array of z's shape once.  The values are
-bitwise those of evaluation with every constant a full array.
+constants for readability but perform no other rewriting.
 """
 
 from __future__ import annotations
@@ -91,8 +87,7 @@ class ComplexExpr:
         (a zero denominator, such as S's at z = 1, or log(0)).
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z = z if np.isscalar(z) else np.asarray(z, dtype=complex)
-            return _full(self._ev(z), z)
+            return self._ev(np.asarray(z, dtype=complex) if not np.isscalar(z) else z)
 
     def _ev(self, z):
         raise NotImplementedError
@@ -148,8 +143,9 @@ class Const(ComplexExpr):
     value: complex
 
     def _ev(self, z):
-        # complex even for a float value: exp and log of it stay complex
-        return complex(self.value)
+        if np.isscalar(z):
+            return self.value
+        return np.full(np.shape(z), self.value, dtype=complex)
 
     def __str__(self):
         return _fmt_complex(self.value)
@@ -194,10 +190,9 @@ class Product(ComplexExpr):
     factors: tuple
 
     def _ev(self, z):
-        head, *rest = self.factors
-        acc = head._ev(z) if isinstance(head, Const) else _full(head._ev(z), z)
-        for f in rest:
-            acc = acc * _full(f._ev(z), z)
+        acc = self.factors[0]._ev(z)
+        for f in self.factors[1:]:
+            acc = acc * f._ev(z)
         return acc
 
     def __str__(self):
@@ -225,7 +220,7 @@ class IntPow(ComplexExpr):
     exponent: int
 
     def _ev(self, z):
-        b = _full(self.base._ev(z), z)
+        b = self.base._ev(z)
         if self.exponent < 0 and np.any(b == 0):
             raise PoleError(self, _first_hit(z, b == 0))
         return b ** self.exponent
@@ -260,20 +255,6 @@ class Log(ComplexExpr):
 
     def __str__(self):
         return f"log({self.arg})"
-
-
-def _full(v, z):
-    # A constant subtree evaluates to a scalar.  numpy's complex power
-    # rounds a scalar base differently from an array one, and its
-    # complex product is not bitwise commutative while it may run
-    # a * b on a large temporary b in place as b * a; so a power base and
-    # every product factor but a leading Const (where mul puts folded
-    # constants) are made arrays of z's shape first, and values match
-    # evaluation with every constant a full array.  Sums, quotients,
-    # conj, exp and log round a scalar operand alike.
-    if np.isscalar(v) and not np.isscalar(z):
-        return np.full(np.shape(z), v, dtype=complex)
-    return v
 
 
 def _first_hit(z, hits) -> complex:

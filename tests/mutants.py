@@ -117,9 +117,6 @@ MUTANTS = [
     Mutant("on_nodes fills with ones", "dbarkit/cauchy.py",
            "out = np.zeros(sel.shape,", "out = np.ones(sel.shape,",
            ("tests/test_cauchy.py::test_on_nodes_scatters_row_major",)),
-    Mutant("constant root left a scalar", "dbarkit/expr.py",
-           "return _full(self._ev(z), z)", "return self._ev(z)",
-           ("tests/test_expr.py::test_constant_trees_evaluate_to_arrays",)),
 ]
 
 

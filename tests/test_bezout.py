@@ -88,22 +88,25 @@ def test_q_fields_common_zero(disk_mask_64):
 
 def test_q_fields_weighted_is_the_wolff_quotient(disk_mask_64):
     # z^2 and z^3 share the zero at the origin: the weighted quotient
-    # is zero there, the unweighted one refuses the problem
+    # on nodes off it is zero there, while without those nodes (weight
+    # or not) the problem is refused
     p = BezoutProblem.build(Disk(0j, 1.0), [intpow(Z, 2), intpow(Z, 3)],
                             mask=disk_mask_64)
     w = sample_field(sub(intpow(Z, 2), Const(0.3j)), p.mask).values
     s2 = p.s2
     live = p.mask.inside & (s2 > 1e-12)
     qs = q_fields(p, w, live)
-    for q, f in zip(qs, p.f_fields):
+    for q, held, f in zip(qs, q_fields(p, w, live, s2), p.f_fields):
         # this operand order: complex products are not bitwise
         # commutative, and on this grid numpy runs w * conj(f) in place
         # in the temporary as conj(f) * w
         want = zero_extended(np.conj(f.values) * w, s2, live)
         assert q.values.tobytes() == want.tobytes()
-    with pytest.raises(CommonZeroError) as err:
-        q_fields(p)
-    assert err.value.nodes == (0j,)
+        assert held.values.tobytes() == want.tobytes()
+    for weight in (None, w):
+        with pytest.raises(CommonZeroError) as err:
+            q_fields(p, weight)
+        assert err.value.nodes == (0j,)
 
 
 @pytest.fixture(scope="module")

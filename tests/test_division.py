@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from dbarkit import bezout, cli, corona, division, domains
-from dbarkit.cauchy import SampledField
+from dbarkit.cauchy import SampledField, sample_field, zero_extended
 from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
                               PROBE_RADII_CELLS, DivisionProblem,
                               DominationError, certify_class,
@@ -630,11 +630,41 @@ def test_one_opening_per_solve(monkeypatch, run):
     assert _opening_counts(monkeypatch, run) == {"records": 1, "datum": 1}
 
 
+@pytest.mark.parametrize("divide_", [multi_division_continuous,
+                                     multi_division_c1])
+def test_multi_division_forms_sum_of_squares_once(monkeypatch, divide_):
+    # the zero set and the Wolff quotient share one sum|f_j|^2
+    formed = []
+    s2 = bezout.BezoutProblem.s2.fget
+    monkeypatch.setattr(bezout.BezoutProblem, "s2", property(
+        lambda self: formed.append(1) or s2(self)))
+    divide_(intpow(Z, 2), CUBIC_PAIR, DISK, grid_h=1 / 32)
+    assert len(formed) == 1
+
+
 def test_multi_continuous_identity():
     f_list = [Z, sub(Const(1.0), Z)]
     gs, rep = multi_division_continuous(Z, f_list, DISK)
     assert rep["residual_off_zero"] < 1e-12
     assert rep["q_sup"] <= rep["n"] + 1e-6
+
+
+def test_multi_continuous_residual_on_a_small_grid():
+    # on 102 x 102 nodes numpy forms h * conj(f_j) in that order (the
+    # temporary is too small to be reused in place), and h conj(f_j)
+    # and conj(f_j) h may differ in the last bit: the g_j agree with
+    # the h conj(f_j) order to roundoff and the residual stays there
+    gs, rep = multi_division_continuous(intpow(Z, 2), CUBIC_PAIR, DISK,
+                                        grid_h=1 / 48)
+    mask = gs[0].mask
+    hv = sample_field(intpow(Z, 2), mask).values
+    fv = [sample_field(f, mask).values for f in CUBIC_PAIR]
+    s2 = sum(np.abs(v) ** 2 for v in fv)
+    live = mask.inside & (s2 > division.ZERO_REL * s2[mask.inside].max())
+    for g, v in zip(gs, fv):
+        want = hv * zero_extended(hv * np.conj(v), s2, live)
+        assert np.abs(g.values - want).max() <= 1e-15
+    assert rep["zero_nodes"] == 1 and rep["residual_off_zero"] <= 2e-15
 
 
 def test_multi_continuous_cauchy_schwarz_witness():

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dbarkit.expr import (S, Z, Conj, Const, Exp, ExprParseError, IntPow, Log,
-                          PoleError, Product, Quotient, Sum, Var, add,
-                          as_callable, conj, const, div,
+from dbarkit.expr import (S, Z, Conj, Const, ExprParseError, IntPow, PoleError,
+                          Sum, add, as_callable, conj, const, div,
                           directional_limit_probe, exp, intpow, is_conj_free,
                           log, mobius, mul, parse_expr, sub, wirtinger_d,
                           wirtinger_dbar)
@@ -35,79 +34,6 @@ def test_array_evaluation_matches_scalar():
     assert arr.shape == pts.shape
     for k, p in enumerate(POINTS):
         assert arr[k] == pytest.approx(e.eval(p))
-
-
-@pytest.mark.parametrize("tree", [Const(2 - 1j), exp(Const(0.5j)),
-                                  conj(exp(Const(1 + 1j))), log(Const(-1.0))])
-@pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
-def test_constant_trees_evaluate_to_arrays(tree, shape):
-    # a constant evaluates to a scalar inside the tree; eval makes a
-    # constant root the complex array of z's shape
-    z = np.zeros(shape, dtype=complex)
-    out = tree.eval(z)
-    assert isinstance(out, np.ndarray)
-    assert out.shape == shape and out.dtype == complex
-    assert (out == tree.eval(0j)).all()
-
-
-def _full_constant_eval(e, z):
-    # the reference rule: every constant is a full complex array of z's
-    # shape, and each node runs the operations of its _ev in the same
-    # order (so numpy's in-place reuse of temporaries is the same too)
-    ev = _full_constant_eval
-    if isinstance(e, Const):
-        return np.full(np.shape(z), e.value, dtype=complex)
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Conj):
-        return np.conjugate(ev(e.arg, z))
-    if isinstance(e, (Sum, Product)):
-        kids = e.terms if isinstance(e, Sum) else e.factors
-        acc = ev(kids[0], z)
-        for k in kids[1:]:
-            acc = acc + ev(k, z) if isinstance(e, Sum) else acc * ev(k, z)
-        return acc
-    if isinstance(e, Quotient):
-        d = ev(e.den, z)
-        return ev(e.num, z) / d
-    if isinstance(e, IntPow):
-        return ev(e.base, z) ** e.exponent
-    if isinstance(e, Exp):
-        return np.exp(ev(e.arg, z))
-    assert isinstance(e, Log)
-    return np.log(ev(e.arg, z))
-
-
-_SMALL = st.complex_numbers(max_magnitude=2, allow_nan=False,
-                            allow_infinity=False)
-# pole-free trees with constant subtrees (exp and log of constants,
-# constants inside products, powers and quotients) next to z
-CONSTANT_TREES = st.recursive(
-    st.one_of(st.just(Z), st.just(conj(Z)), _SMALL.map(const),
-              _SMALL.map(lambda c: exp(const(c)))),
-    lambda kids: st.one_of(
-        st.lists(kids, min_size=2, max_size=3).map(lambda ts: add(*ts)),
-        st.lists(kids, min_size=2, max_size=3).map(lambda ts: mul(*ts)),
-        st.tuples(kids, st.integers(-2, 3)).map(
-            lambda t: intpow(add(t[0], 5), t[1])),
-        kids.map(lambda k: div(k, add(Z, 3))),
-        kids.map(lambda k: log(add(mul(0.1, k), 4)))),
-    max_leaves=6)
-
-
-@settings(max_examples=80, deadline=None)
-@given(CONSTANT_TREES, st.sampled_from([1, 7, 20011]), st.integers(0, 2**32))
-def test_constants_evaluate_bitwise_like_full_arrays(tree, size, seed):
-    # 20011 points pass numpy's 256 KiB threshold for reusing a
-    # temporary in place, where operand order is decided at run time
-    rng = np.random.default_rng(seed)
-    z = 0.9 * np.exp(2j * np.pi * rng.random(size)) * rng.random(size)
-    want = _full_constant_eval(tree, z)
-    want = np.broadcast_to(want, z.shape)
-    assume(np.isfinite(want).all())
-    got = tree.eval(z)
-    assert got.shape == z.shape and got.dtype == complex
-    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_operator_sugar():
