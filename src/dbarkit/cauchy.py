@@ -22,23 +22,33 @@ Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
 loop.  targets=None evaluates at every grid node; there the weights
 depend only on the source-target offset, and the identical sum is a
-circular FFT convolution over a period of next_fast_len(2n - 1) nodes
-per axis.  A period of at least 2n - 1 holds every offset in
--(n - 1)..(n - 1) once, so no source-target pair wraps onto another.
-The kernel enters as the spectrum of its reflection Kc[m] = K[-m],
-built once per grid shape and spacing (ny, nx, h) and cached for the
-4 most recently used grids.  Both engines take their weights from one
-near/far rule, so this is a reorganization of the same discrete
-quadrature (the direct loop is the reference it is tested against, to
-roundoff), not a different approximation.  On one core it is the
-difference between seconds and hours at h = 1/256.
+circular FFT convolution over a period of py x px nodes, with
+next_fast_len(2n - 1) per axis.  A period of at least 2n - 1 holds
+every offset in -(n - 1)..(n - 1) once, so no source-target pair
+wraps onto another.  The kernel enters as the spectrum of its
+reflection Kc[m] = K[-m].  The indices between those offsets (the
+band |m_y| >= ny or |m_x| >= nx) feed only outputs past the grid and
+are left 0, which makes Kc odd and mirrors it to its conjugate across
+the x-axis; its spectrum then obeys S(kx, -ky) = -conj S(kx, ky), so
+only rows 0..py//2 are built (the y-transform on strips of columns)
+and cached, per grid shape and spacing (ny, nx, h), for the 4 most
+recently used grids.  No py x px array is ever formed: the data's
+y-transform runs on its nx columns, strips of ROW_STRIP rows go
+through the x-transform, the product and the inverse x-transform,
+keeping nx columns, and one inverse y-transform keeps ny rows.  Both
+engines take their weights from one near/far rule, so this is a
+reorganization of the same discrete quadrature (the direct loop is
+the reference it is tested against, to roundoff), not a different
+approximation.  On one core it is the difference between seconds and
+hours at h = 1/256.
 
 Difference stencils.  dbar_fd and d_fd take the Wirtinger derivatives
 0.5 * (f_x +- i f_y) by central differences on the Interior nodes and
-report 0 elsewhere.  dbar_fd_onesided also covers the Boundary ring:
-per axis it takes the central difference when both neighbors are
-Inside, the one-sided difference toward the neighbor when only one is,
-and 0 when neither is (a 1-node sliver, flagged nowhere).
+report 0 elsewhere; both differences are written into one output
+array.  dbar_fd_onesided also covers the Boundary ring: per axis it
+takes the central difference when both neighbors are Inside, the
+one-sided difference toward the neighbor when only one is, and 0 when
+neither is (a 1-node sliver, flagged nowhere).
 """
 
 from __future__ import annotations
@@ -69,6 +79,10 @@ EXACT_FLOOR = 1e-13
 # source cells within this many spacings of the target use the exact
 # cell integral; the rest use the midpoint value
 NEAR_RADIUS_CELLS = 3
+
+# rows per strip of the lattice convolution (and columns per strip of
+# the kernel spectrum's build)
+ROW_STRIP = 64
 
 
 def sup_abs(values: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
@@ -217,29 +231,56 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
                            f.mask.grid.h, zt.ravel()).reshape(zt.shape)
 
 
+def _period(n: int) -> int:
+    # the lattice period along an axis of n nodes: at least 2n - 1, so
+    # the offsets -(n - 1)..(n - 1) sit on distinct indices
+    return fft.next_fast_len(2 * n - 1)
+
+
 def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Circular convolution of fv, zero-padded to spectrum.shape, with
-    the kernel whose 2-D spectrum is given; returns the leading
-    fv.shape block."""
-    x = fft.fft2(fv, s=spectrum.shape)
-    x *= spectrum
-    return fft.ifft2(x, overwrite_x=True)[:fv.shape[0], :fv.shape[1]]
+    """Circular convolution of fv, zero-padded to the (py, px) period,
+    with the kernel whose half spectrum is given (rows 0..py//2; row
+    py - k is -conj of row k); returns the leading fv.shape block.
+
+    The y-transform runs on the nx data columns only; strips of
+    ROW_STRIP rows then go through the x-transform, the product and
+    the inverse x-transform, and keep their first nx columns; one
+    inverse y-transform keeps the first ny rows."""
+    ny, nx = fv.shape
+    nh, px = spectrum.shape
+    py = _period(ny)
+    a = fft.fft(fv, n=py, axis=0)
+    for r0 in range(0, py, ROW_STRIP):
+        r1 = min(r0 + ROW_STRIP, py)
+        top = min(max(r0, nh), r1)
+        b = fft.fft(a[r0:r1], n=px, axis=1)
+        b[:top - r0] *= spectrum[r0:top]
+        b[top - r0:] *= -np.conj(spectrum[py - r1 + 1:py - top + 1][::-1])
+        a[r0:r1] = fft.ifft(b, axis=1, overwrite_x=True)[:, :nx]
+    return fft.ifft(a, axis=0, overwrite_x=True)[:ny]
 
 
 @lru_cache(maxsize=4)
 def _kernel_spectrum(ny: int, nx: int, h: float) -> np.ndarray:
     # u[t] = sum_s f[s] K[s - t] is a correlation: a convolution with
-    # Kc[m] = K[-m], the weight at source-minus-target offset -m.  On a
-    # period P >= 2n - 1 per axis, indices 0..n-1 hold offsets 0..n-1
-    # and P-n+1..P-1 hold -(n-1)..-1, all distinct; the indices between
-    # feed only outputs past the grid, which fftconvolve crops.
-    py, px = fft.next_fast_len(2 * ny - 1), fft.next_fast_len(2 * nx - 1)
-    my = np.arange(py)
-    my[ny:] -= py
-    mx = np.arange(px)
-    mx[nx:] -= px
-    dz = -h * (mx[None, :] + 1j * my[:, None])
-    spectrum = fft.fft2(_offset_weights(dz, h), overwrite_x=True)
+    # Kc[m] = K[-m], the weight at source-minus-target offset -m.  On
+    # the period, index m mod P holds offset m for |m| <= n - 1; the
+    # band of indices between feeds only outputs past the grid, which
+    # fftconvolve crops, and is left 0.  Kc is then odd and mirrors
+    # to its conjugate across the x-axis, so its spectrum S obeys
+    # S(kx, -ky) = -conj S(kx, ky) and rows 0..py//2 are stored.  The
+    # y-transform runs on strips of columns, keeping those rows.
+    py, px = _period(ny), _period(nx)
+    nh = py // 2 + 1
+    my = np.r_[0:ny, 1 - ny:0]
+    mx = np.r_[0:nx, 1 - nx:0]
+    spectrum = np.zeros((nh, px), dtype=complex)
+    for c0 in range(0, mx.size, ROW_STRIP):
+        cols = mx[c0:c0 + ROW_STRIP]
+        block = np.zeros((py, cols.size), dtype=complex)
+        block[my] = _offset_weights(-h * (cols + 1j * my[:, None]), h)
+        spectrum[:, cols] = fft.fft(block, axis=0, overwrite_x=True)[:nh]
+    spectrum = fft.fft(spectrum, axis=1, overwrite_x=True)
     # one array serves every solve on this grid
     spectrum.flags.writeable = False
     return spectrum
@@ -263,28 +304,38 @@ def _wirtinger_fd(f: SampledField, bar: bool,
                   one_sided: bool) -> SampledField:
     # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d: central
     # differences on the Interior nodes, and with one_sided also on the
-    # Boundary ring (see the module docstring)
+    # Boundary ring (see the module docstring), written into one array
     m = f.mask
     h = m.grid.h
     v = f.values
-    fx = np.zeros_like(v)
-    fy = np.zeros_like(v)
-    fx[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    fy[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
     keep = m.inside if one_sided else m.interior
+    out = np.zeros_like(v)
+    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    ify = (v[2:, :] - v[:-2, :]) / (2 * h)
+    ify *= 1j
+    if bar:
+        out[1:-1, :] += ify
+    else:
+        out[1:-1, :] -= ify
+    del ify
     if one_sided:
-        # past the grid's edge counts as not Inside
+        # past the grid's edge counts as not Inside; every Inside node
+        # on the grid's edge is a Boundary node, so it is rewritten here
         ins, vp = np.pad(keep, 1), np.pad(v, 1)
         iy, ix = np.nonzero(m.boundary)
         c = v[iy, ix]
-        for d, sy, sx in ((fx, 0, 1), (fy, 1, 0)):
+        d = []
+        for sy, sx in ((0, 1), (1, 0)):
             plus = (iy + 1 + sy, ix + 1 + sx)
             minus = (iy + 1 - sy, ix + 1 - sx)
             hp, hm = ins[plus], ins[minus]
-            d[iy, ix] = np.where(hp & hm, d[iy, ix], np.where(
-                hp, (vp[plus] - c) / h,
-                np.where(hm, (c - vp[minus]) / h, 0.0)))
-    out = 0.5 * (fx + 1j * fy if bar else fx - 1j * fy)
+            d.append(np.where(
+                hp & hm, (vp[plus] - vp[minus]) / (2 * h), np.where(
+                    hp, (vp[plus] - c) / h,
+                    np.where(hm, (c - vp[minus]) / h, 0.0))))
+        fx, fy = d
+        out[iy, ix] = fx + 1j * fy if bar else fx - 1j * fy
+    out *= 0.5
     out[~keep] = 0.0
     return SampledField(m, out, support=keep.copy())
 

@@ -112,14 +112,17 @@ def koszul_F(x_list, f_list, mask: Optional[RegionMask] = None,
     return _obstruction((_dbar_values(x, gens.mask) for x in x_list), gens, wv)
 
 
-def _obstruction(dbx, gens: BezoutProblem, wv=None) -> AntisymMatrixField:
-    # F from the sampled dbar x_j (dbx), the generator record (gens)
-    # and the weight (wv); dbx is drawn once, after the common-zero
-    # check, and dropped with the frame, so callers pass generators and
-    # no dbar x or sum|f_j|^2 array outlives F
+def _obstruction(dbx, gens: BezoutProblem, wv=None,
+                 s2=None) -> AntisymMatrixField:
+    # F from the sampled dbar x_j (dbx), the generator record (gens),
+    # the weight (wv) and sum|f_j|^2 when the caller holds it (s2);
+    # dbx is drawn once, after the common-zero check, and dropped with
+    # the frame, so callers pass generators and no dbar x array
+    # outlives F
     mask, inside = gens.mask, gens.mask.inside
     fv = [g.values for g in gens.f_fields]
-    s2 = gens.s2
+    if s2 is None:
+        s2 = gens.s2
     if wv is None:
         require_no_common_zero(mask, s2, "; use the weighted (g-power) route")
         live = inside
@@ -154,7 +157,9 @@ def solve_dbar_matrix(F: AntisymMatrixField, margin: int = 3):
     return AntisymMatrixField(F.n, F.mask, upper), reports
 
 
-def _assemble(x_vals, f_vals, H: AntisymMatrixField):
+def _assemble(x_vals, f_vals, H: AntisymMatrixField, own: bool = False):
+    # u_j = x_j - sum_{k != j} f_k H_kj, written over x_j when the
+    # caller owns the arrays x_vals
     n = len(x_vals)
     out = []
     for j in range(n):
@@ -162,64 +167,74 @@ def _assemble(x_vals, f_vals, H: AntisymMatrixField):
         for k in range(n):
             if k != j:
                 corr = corr + f_vals[k] * H.entry(k, j)
-        out.append(x_vals[j] - corr)
+        out.append(np.subtract(x_vals[j], corr,
+                               out=x_vals[j] if own else None))
     return out
 
 
 def _skew_residual(f_vals, H: AntisymMatrixField, inside) -> float:
-    # the contraction sum_j f_j sum_k H_jk f_k over the full matrix;
-    # antisymmetry of H makes it vanish up to roundoff
+    # the contraction sum_j f_j sum_{k != j} H_jk f_k over the full
+    # matrix (the diagonal is 0); antisymmetry of H makes it vanish up
+    # to roundoff
     n = len(f_vals)
-    acc = sum(f_vals[j] * sum(H.entry(j, k) * f_vals[k] for k in range(n))
+    acc = sum(f_vals[j] * sum(H.entry(j, k) * f_vals[k]
+                              for k in range(n) if k != j)
               for j in range(n))
     return sup_abs(acc, inside)
 
 
-def _dbar_sup(value_arrays, mask, margin, exclude=None) -> float:
-    sel = interior_shrunk(mask, margin)
-    if exclude is not None:
-        sel = sel & ~exclude
+def _dbar_sup(value_arrays, mask, sel) -> float:
     return max((sup_abs(dbar_fd(SampledField(mask, v)).values, sel)
                 for v in value_arrays), default=float("nan"))
 
 
 def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
-             margin: int, weight=None, lift=None,
+             margin: int, weight=None, lift=None, s2=None,
              extras=None) -> CoronaSolution:
     """The correction core: F from dbar x, H = pompeiu(F) entrywise,
     u = x - f H, then the measurements.
 
     Everything arrives sampled on the mask of the generator record
     gens: x_fields, dbx (the arrays dbar x_j, drawn once by
-    _obstruction), target (what sum u_j f_j should equal), and the
+    _obstruction), target (what sum u_j f_j should equal), the
     optional weight (the g^4 route: x and F are multiplied by it, and
-    the dbar sups skip the record's collar dilated by two cells) and
-    lift (multiplies u, which is then zero-extended on the collar).
+    the dbar sups skip the record's collar dilated by two cells), lift
+    (multiplies u, which is then zero-extended on the collar) and s2
+    (sum|f_j|^2, when the caller has formed it).  F is dropped once H
+    is solved.  dbar x is measured before u is assembled, since on the
+    weighted route u is written over the weighted x, which the core
+    owns; a caller's x is never written.
     """
     mask = gens.mask
     f_vals = [g.values for g in gens.f_fields]
-    F = _obstruction(dbx, gens, weight)
-    H, reports = solve_dbar_matrix(F, margin)
-    xv = [x.values if weight is None else weight * x.values for x in x_fields]
-    uv = _assemble(xv, f_vals, H)
-    if lift is not None:
-        uv = [np.where(gens.collar, 0.0, lift * v) for v in uv]
-    total = sum(u * f for u, f in zip(uv, f_vals))
+    H, reports = solve_dbar_matrix(_obstruction(dbx, gens, weight, s2), margin)
+    skew = _skew_residual(f_vals, H, mask.inside)
     extras = dict(extras or {})
-    exclude = None
+    sel = interior_shrunk(mask, margin)
     if weight is not None:
         extras["collar_nodes"] = int(gens.collar.sum())
         if gens.collar.any():
-            exclude = ndimage.binary_dilation(gens.collar, iterations=2)
+            sel &= ~ndimage.binary_dilation(gens.collar, iterations=2)
+    xv = [x.values if weight is None else weight * x.values for x in x_fields]
+    dbar_sup_x = _dbar_sup(xv, mask, sel)
+    uv = _assemble(xv, f_vals, H, own=weight is not None)
+    del H
+    if lift is not None:
+        for v in uv:
+            np.multiply(lift, v, out=v)
+            v[gens.collar] = 0.0
+    total = sum(u * f for u, f in zip(uv, f_vals))
+    residual_sup = sup_abs(total - target, mask.inside)
+    del total
     return CoronaSolution(
         u=[SampledField(mask, v) for v in uv],
-        residual_sup=sup_abs(total - target, mask.inside),
-        dbar_sup=_dbar_sup(uv, mask, margin, exclude),
+        residual_sup=residual_sup,
+        dbar_sup=_dbar_sup(uv, mask, sel),
         target_desc=desc,
         mask=mask,
         margin=margin,
-        dbar_sup_x=_dbar_sup(xv, mask, margin, exclude),
-        skew_residual=_skew_residual(f_vals, H, mask.inside),
+        dbar_sup_x=dbar_sup_x,
+        skew_residual=skew,
         entry_reports=reports,
         extras=extras,
     )
@@ -348,7 +363,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
     return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), gens,
-                    gv ** 12, "g^12", margin, weight=gv ** 4)
+                    gv ** 12, "g^12", margin, weight=gv ** 4, s2=s2)
 
 
 def koszul_cancellation(x_list, f_list, points) -> dict:

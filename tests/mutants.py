@@ -114,6 +114,25 @@ MUTANTS = [
     Mutant("covering check never fires", "dbarkit/bezout.py",
            "uncovered = total == 0", "uncovered = total < 0",
            ("tests/test_bezout.py::test_partition_epsilon_too_large",)),
+    Mutant("half spectrum mirrored without its sign", "dbarkit/cauchy.py",
+           "b[top - r0:] *= -np.conj(", "b[top - r0:] *= np.conj(",
+           ("tests/test_cauchy.py::test_lattice_matches_the_full_period_rule",)),
+    Mutant("kernel band filled, so the kernel is not odd",
+           "dbarkit/cauchy.py",
+           "my = np.r_[0:ny, 1 - ny:0]", "my = np.r_[0:py - ny + 1, 1 - ny:0]",
+           ("tests/test_cauchy.py::test_half_spectrum_matches_the_full_one",
+            "tests/test_cauchy.py::"
+            "test_lattice_matches_the_full_period_rule")),
+    Mutant("last strip runs past the period", "dbarkit/cauchy.py",
+           "r1 = min(r0 + ROW_STRIP, py)", "r1 = r0 + ROW_STRIP",
+           ("tests/test_cauchy.py::test_lattice_matches_the_full_period_rule",)),
+    Mutant("dbar x measured after u is written over it", "dbarkit/corona.py",
+           "    dbar_sup_x = _dbar_sup(xv, mask, sel)\n"
+           "    uv = _assemble(xv, f_vals, H, own=weight is not None)\n",
+           "    uv = _assemble(xv, f_vals, H, own=weight is not None)\n"
+           "    dbar_sup_x = _dbar_sup(xv, mask, sel)\n",
+           ("tests/test_corona.py::"
+            "test_g5_correction_lowers_dbar_of_the_weighted_x",)),
     Mutant("on_nodes fills with ones", "dbarkit/cauchy.py",
            "out = np.zeros(sel.shape,", "out = np.ones(sel.shape,",
            ("tests/test_cauchy.py::test_on_nodes_scatters_row_major",)),

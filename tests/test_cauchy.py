@@ -8,14 +8,20 @@ from the origin against the box, integrate exp(-i theta) times the
 chord length) for cells whose closure contains it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import fft
 
 from dbarkit.cauchy import (
+    ROW_STRIP,
     SampledField,
     _kernel_spectrum,
+    _offset_weights,
+    _period,
     check_ladder,
     d_fd,
     dbar_convergence,
@@ -211,11 +217,69 @@ def _engines(grid):
 
 def test_lattice_period_without_slack_does_not_wrap():
     # 2n - 1 = 25 and 27 are fast lengths already, so the period is
-    # exactly 2n - 1 and the corner-to-corner offsets sit on its edge
+    # exactly 2n - 1 and the corner-to-corner offsets sit on its edge;
+    # the cached spectrum holds rows 0..27 // 2 of it
     grid = GridSpec(-0.75 - 1j, 1 / 8, 13, 14)
-    assert _kernel_spectrum(14, 13, grid.h).shape == (27, 25)
+    assert (_period(14), _period(13)) == (27, 25)
+    assert _kernel_spectrum(14, 13, grid.h).shape == (27 // 2 + 1, 25)
     lattice, direct = _engines(grid)
     assert np.abs(lattice - direct).max() < 1e-12
+
+
+def _full_period_kernel(ny, nx, h):
+    # the reflected kernel Kc[m] = K[-m] on the whole (py, px) period,
+    # the band between the offsets -(n - 1)..(n - 1) filled with the
+    # weights of the offsets past n - 1 that its indices also stand for
+    py, px = fft.next_fast_len(2 * ny - 1), fft.next_fast_len(2 * nx - 1)
+    my = np.arange(py)
+    my[ny:] -= py
+    mx = np.arange(px)
+    mx[nx:] -= px
+    return _offset_weights(-h * (mx[None, :] + 1j * my[:, None]), h)
+
+
+def _full_period_pompeiu(fv, h):
+    # the full-period rule: one fft2 of the zero-padded data, the
+    # product with the fft2 of the kernel, one ifft2, then the crop
+    spectrum = fft.fft2(_full_period_kernel(*fv.shape, h))
+    x = fft.fft2(fv, s=spectrum.shape) * spectrum
+    return (-1.0 / math.pi) * fft.ifft2(x)[:fv.shape[0], :fv.shape[1]]
+
+
+@pytest.mark.parametrize("ny, nx", [(14, 13), (7, 9), (51, 23), (57, 31),
+                                    (85, 37), (78, 19), (33, 70)])
+def test_lattice_matches_the_full_period_rule(ny, nx):
+    # odd (27, 105, 175) and even (14, 120, 160, 66) periods, all but
+    # 27 with a band, on non-square grids; 105, 120, 175 and 160 rows
+    # take two or three strips of ROW_STRIP, the last one partial, and
+    # one strip straddles py // 2
+    assert _period(ny) % ROW_STRIP
+    grid = GridSpec(-1 - 1j, 1 / 16, nx, ny)
+    inside = np.ones((ny, nx), dtype=bool)
+    m = RegionMask(grid, inside, np.zeros_like(inside))
+    fv = np.random.default_rng(ny * nx).standard_normal((ny, nx, 2)) @ [1, 1j]
+    got = pompeiu(SampledField(m, fv)).values
+    want = _full_period_pompeiu(fv, grid.h)
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("ny, nx", [(14, 13), (7, 9), (51, 23), (78, 19)])
+def test_half_spectrum_matches_the_full_one(ny, nx):
+    # with the band zeroed the kernel is odd and mirrors to its
+    # conjugate across the x-axis, so row py - k of the full spectrum is
+    # -conj of row k, and the cache keeps rows 0..py // 2
+    h = 1 / 16
+    py, px = _period(ny), _period(nx)
+    kernel = _full_period_kernel(ny, nx, h)
+    kernel[ny:py - ny + 1] = 0.0
+    kernel[:, nx:px - nx + 1] = 0.0
+    full = fft.fft2(kernel)
+    scale = np.abs(full).max()
+    rows = np.arange(1, py)
+    assert np.abs(full[py - rows] + np.conj(full[rows])).max() <= 1e-15 * scale
+    half = _kernel_spectrum(ny, nx, h)
+    assert half.shape == (py // 2 + 1, px)
+    assert np.abs(half - full[:py // 2 + 1]).max() <= 1e-15 * scale
 
 
 def test_kernel_spectrum_is_keyed_by_shape_and_spacing():

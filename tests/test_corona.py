@@ -23,7 +23,7 @@ from dbarkit.corona import (AntisymMatrixField, _assemble, _dbar_sup,
                             g12_solve, g_power_solve, koszul_F,
                             koszul_cancellation, solve_dbar_matrix)
 from dbarkit.division import DominationError
-from dbarkit.domains import Disk, build_mask
+from dbarkit.domains import Disk, build_mask, interior_shrunk
 from dbarkit.expr import (Z, Const, add, as_callable, conj, div, intpow, mul,
                           sub)
 from strategies import POLY_TREES
@@ -171,7 +171,7 @@ def test_poly_route_matches_symbolic_oracle(f_list, disk_mask_64):
     _, _, u, reports = _symbolic_oracle(f_list, m, sol.margin)
     for got, want in zip(sol.u, u):
         assert np.abs(got.values - want).max() <= 1e-10 * np.abs(want).max()
-    want_sup = _dbar_sup(u, m, sol.margin)
+    want_sup = _dbar_sup(u, m, interior_shrunk(m, sol.margin))
     assert abs(sol.dbar_sup - want_sup) <= 1e-10 * want_sup
     assert reports.keys() == sol.entry_reports.keys()
     for key, rep in reports.items():
@@ -185,6 +185,28 @@ def test_skew_check_catches_symmetric_matrix(disk_mask_64):
     assert _skew_residual(fv, H, m.inside) <= 1e-12
     broken = _NoSignFlip(H.n, H.mask, H.upper)
     assert _skew_residual(fv, broken, m.inside) > 1e-12
+
+
+def test_skew_skips_the_zero_diagonal(disk_mask_64):
+    # the contraction over the full matrix, zero diagonal included,
+    # reads the same sup on the quartic pair: x + 0 is exact
+    m = disk_mask_64
+    H, fv = _symbolic_oracle(QUARTIC, m)[:2]
+    full = sum(fv[j] * sum(H.entry(j, k) * fv[k] for k in range(H.n))
+               for j in range(H.n))
+    assert _skew_residual(fv, H, m.inside) == np.abs(full[m.inside]).max()
+
+
+def test_correct_erodes_the_margin_once(monkeypatch, disk_mask_64):
+    # dbar u and dbar x are measured on one eroded node set; the round
+    # trip of each obstruction entry erodes its own in cauchy
+    calls = []
+    shrunk = corona.interior_shrunk
+    monkeypatch.setattr(corona, "interior_shrunk",
+                        lambda *args: calls.append(1) or shrunk(*args))
+    sol = corona_solve(QUARTIC, DISK, mask=disk_mask_64, margin=10)
+    assert np.isfinite(sol.dbar_sup) and np.isfinite(sol.dbar_sup_x)
+    assert len(calls) == 1
 
 
 def test_corona_three_generators(disk_mask_64):
@@ -348,7 +370,41 @@ def test_g_power_samples_each_callable_x_once():
     assert calls == {"x1": 1, "x2": 1}
     # the one-sided dbar of the samples is the dbar of a second sampling
     assert sol.residual_sup == 2.482534153247273e-16
-    assert sol.dbar_sup == 0.014585781787686014
+    assert sol.dbar_sup == 0.014585781787686044
+
+
+def test_g12_reads_the_generator_sum_of_squares_once(monkeypatch):
+    # the s2 checked against |sum h_j f_j| is the one the obstruction
+    # divides by; BezoutProblem.s2 is recomputed on every access
+    reads = []
+    s2 = BezoutProblem.s2
+    monkeypatch.setattr(BezoutProblem, "s2", property(
+        lambda self: reads.append(1) or s2.fget(self)))
+    sol = g12_solve(intpow(Z, 2), CUBIC_PAIR,
+                    [conj(intpow(Z, 2)), conj(intpow(Z, 3))], DISK, h=1 / 32)
+    assert sol.residual_sup < 1e-10
+    assert len(reads) == 1
+
+
+@pytest.mark.parametrize("isolated_zeros", [True, False])
+def test_g_power_leaves_a_callers_x_unchanged(isolated_zeros):
+    # the core writes u over the weighted x it made, never over x
+    m = build_mask(DISK, h=1 / 32)
+    xs = [sample_field(x, m) for x in rational_x()]
+    before = [x.values.copy() for x in xs]
+    sol = g_power_solve(intpow(Z, 2), CUBIC_PAIR, xs, DISK,
+                        isolated_zeros=isolated_zeros, mask=m)
+    assert sol.residual_sup < 1e-10
+    for x, want in zip(xs, before):
+        assert np.array_equal(x.values, want)
+
+
+def test_g5_correction_lowers_dbar_of_the_weighted_x():
+    # dbar_sup_x is measured on g^4 x, before u is written over it;
+    # the correction removes nearly all of it (0.0051 of 0.18 here)
+    sol = g_power_solve(intpow(Z, 2), CUBIC_PAIR, rational_x(), DISK,
+                        h=1 / 64)
+    assert sol.dbar_sup <= 0.05 * sol.dbar_sup_x
 
 
 def test_weighted_power_solve_computes_the_collar_once(monkeypatch):

@@ -1,0 +1,37 @@
+"""Traced memory peaks of the Pompeiu stages (tests/peak_memory.py).
+
+At h = 1/256 the bounds hold with room: the kernel spectrum's build
+traces 12.1 MB, pompeiu 17.5 MB and the pou-route corona_solve 39.7 MB.
+The full-period lattice, with its (py, px) work array and full cached
+spectrum, traced 36.4, 26.6 and 52.4 MB.
+"""
+
+import importlib.util
+from pathlib import Path
+
+
+def _probe():
+    path = Path(__file__).with_name("peak_memory.py")
+    spec = importlib.util.spec_from_file_location("peak_memory", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_prints_every_stage(capsys):
+    assert _probe().main(["16"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "h = 1/16"
+    assert [r[:20].strip() for r in rows[1:]] == [
+        "kernel build", "pompeiu", "pou corona_solve", "g^5 g_power_solve",
+        "g^12 g12_solve"]
+    assert all(float(r.split()[-2]) > 0 for r in rows[1:])
+
+
+def test_pompeiu_stages_stay_under_their_bounds_at_h_1_256():
+    probe = _probe()
+    peaks = {name: probe.traced_peak(call)
+             for name, call in probe.stages(1 / 256)[:3]}
+    bounds = {"kernel build": 25e6, "pompeiu": 23e6, "pou corona_solve": 47e6}
+    assert {name: peak for name, peak in peaks.items()
+            if peak >= bounds[name]} == {}
