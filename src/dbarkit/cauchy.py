@@ -224,7 +224,11 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
     """
     src_mask = f.mask.inside & f.support
     if targets is None:
-        u = _pompeiu_lattice(np.where(src_mask, f.values, 0.0), f.mask.grid)
+        spectrum = _kernel_spectrum(*src_mask.shape, f.mask.grid.h)
+        # the masked copy goes to fftconvolve alone, which drops it
+        # after its first transform
+        u = (-1.0 / math.pi) * fftconvolve(
+            np.where(src_mask, f.values, 0.0), spectrum)
         return SampledField(f.mask, u, support=np.ones_like(src_mask))
     zt = np.asarray(targets, dtype=complex)
     return _pompeiu_direct(f.values[src_mask], f.mask.coords(src_mask),
@@ -250,6 +254,7 @@ def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     nh, px = spectrum.shape
     py = _period(ny)
     a = fft.fft(fv, n=py, axis=0)
+    del fv
     for r0 in range(0, py, ROW_STRIP):
         r1 = min(r0 + ROW_STRIP, py)
         top = min(max(r0, nh), r1)
@@ -284,11 +289,6 @@ def _kernel_spectrum(ny: int, nx: int, h: float) -> np.ndarray:
     # one array serves every solve on this grid
     spectrum.flags.writeable = False
     return spectrum
-
-
-def _pompeiu_lattice(fv: np.ndarray, grid) -> np.ndarray:
-    spectrum = _kernel_spectrum(*fv.shape, grid.h)
-    return (-1.0 / math.pi) * fftconvolve(fv, spectrum)
 
 
 def _pompeiu_direct(fs: np.ndarray, w: np.ndarray, h: float,

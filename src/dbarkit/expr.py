@@ -29,6 +29,7 @@ constants for readability but perform no other rewriting.
 
 from __future__ import annotations
 
+import cmath
 import re as _re
 from dataclasses import dataclass
 from typing import Callable
@@ -66,7 +67,9 @@ class ExprParseError(ValueError):
 
 def _fmt_complex(c: complex) -> str:
     def fmt_real(x: float) -> str:
-        if x == int(x) and abs(x) < 1e15:
+        # the range test first: int() raises on inf and nan, which repr
+        # prints
+        if abs(x) < 1e15 and x == int(x):
             return str(int(x))
         return repr(x)
 
@@ -534,122 +537,112 @@ def directional_limit_probe(f, z0, directions, radii) -> DirectionalProbe:
 #
 # Prefix functional syntax, e.g.  mul(sub(1,z),S)
 #
-#   expr   := NUMBER | '-' expr | 'z' | 'i' | 'S' | call
-#   call   := NAME '(' expr (',' expr)* ')'
-#   NAME   in {add, sub, mul, div, neg, pow, exp, log, conj, cplx, mobius}
+#   expr   := NUMBER | '-' expr | 'z' | 'i' | 'S' | form
+#   form   := NAME '(' expr (',' expr)* ')'      NAME a key of _FORMS
 #
-# pow's second argument must be an integer literal; cplx takes two
-# number literals; the first four mobius arguments must fold to
-# constants.  Whitespace is insignificant.  Errors carry positions.
+# Whitespace is insignificant.  A _FORMS row gives a name its least and
+# most argument counts (None: no most), its builder and, for three
+# names, a literal rule: pow's exponent must fold to an integer
+# constant, cplx's two parts to real constants, and mobius's first four
+# coefficients to constants.  Constants stay finite.  Every error is an
+# ExprParseError with a position:
+#   - an unexpected character, a token out of place, an unknown name or
+#     a broken literal rule, at the offending character or token;
+#   - a wrong argument count, at the form's name;
+#   - a ValueError, ZeroDivisionError or OverflowError of the builder
+#     (a constant zero denominator, a degenerate Moebius map, a
+#     constant power past the float range), at the form's name;
+#   - a number literal past the float range, at the literal, and a
+#     constant that a form folds past it, at the form's name.
 
-_TOKEN = _re.compile(r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
+_TOKEN = _re.compile(r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
                      r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                     r"|(?P<punct>[(),-]))")
+                     r"|(?P<punct>[(),-])|(?P<bad>\S)")
+_ATOMS = {"z": Z, "i": Const(1j), "S": S}
+# name: (least, most, builder[, rule's argument indices, test, message]);
+# the builder receives the values of a rule's constants in their place
+_FORMS = {
+    "add": (2, None, add), "sub": (2, 2, sub), "mul": (2, None, mul),
+    "div": (2, 2, div), "neg": (1, 1, neg), "exp": (1, 1, exp),
+    "log": (1, 1, log), "conj": (1, 1, conj),
+    "pow": (2, 2, lambda b, k: intpow(b, int(k.real)), (1,),
+            lambda c: c.imag == 0 and c.real.is_integer(),
+            "pow exponent must be an integer literal"),
+    "cplx": (2, 2, lambda a, b: Const(complex(a.real, b.real)), (0, 1),
+             lambda c: c.imag == 0, "cplx takes two real number literals"),
+    "mobius": (5, 5, mobius, (0, 1, 2, 3), lambda c: True,
+               "mobius coefficients must be constants"),
+}
 
-_ARITY = {"add": (2, None), "sub": (2, 2), "mul": (2, None), "div": (2, 2),
-          "neg": (1, 1), "pow": (2, 2), "exp": (1, 1), "log": (1, 1),
-          "conj": (1, 1), "cplx": (2, 2), "mobius": (5, 5)}
-_BUILDERS = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg,
-             "exp": exp, "log": log, "conj": conj}
 
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ExprParseError(f"unexpected character {text[at]!r}", at)
-            kind = m.lastgroup
-            self.toks.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.k = 0
-
-    def peek(self):
-        return self.toks[self.k] if self.k < len(self.toks) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.k += 1
-        return tok
-
-    def expect_punct(self, ch):
-        kind, val, pos = self.next()
-        if kind != "punct" or val != ch:
-            raise ExprParseError(f"expected {ch!r}, found {val!r}", pos)
-
-    def parse(self) -> ComplexExpr:
-        e = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ExprParseError(f"trailing input {val!r}", pos)
-        return e
-
-    def expr(self) -> ComplexExpr:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Const(complex(float(val)))
-        if kind == "punct" and val == "-":
-            return neg(self.expr())
-        if kind == "name":
-            if val == "z":
-                return Z
-            if val == "i":
-                return Const(1j)
-            if val == "S":
-                return S
-            if val not in _ARITY:
-                raise ExprParseError(f"unknown function {val!r}", pos)
-            return self.call(val, pos)
-        raise ExprParseError(f"expected expression, found {val!r}", pos)
-
-    def call(self, name: str, name_pos: int) -> ComplexExpr:
-        self.expect_punct("(")
-        args, arg_pos = [], []
-        while True:
-            arg_pos.append(self.peek()[2])
-            args.append(self.expr())
-            kind, val, pos = self.next()
-            if kind == "punct" and val == ")":
-                break
-            if not (kind == "punct" and val == ","):
-                raise ExprParseError(f"expected ',' or ')', found {val!r}", pos)
-        lo, hi = _ARITY[name]
-        if len(args) < lo or (hi is not None and len(args) > hi):
-            want = str(lo) if hi == lo else (f">= {lo}" if hi is None else f"{lo}..{hi}")
-            raise ExprParseError(f"{name} takes {want} arguments, got {len(args)}", name_pos)
-        if name in _BUILDERS:
-            return _BUILDERS[name](*args)
-        if name == "pow":
-            k = args[1]
-            if not isinstance(k, Const) or k.value.imag != 0 or k.value.real != int(k.value.real):
-                raise ExprParseError("pow exponent must be an integer literal", arg_pos[1])
-            return intpow(args[0], int(k.value.real))
-        if name == "cplx":
-            for a, p in zip(args, arg_pos):
-                if not isinstance(a, Const) or a.value.imag != 0:
-                    raise ExprParseError("cplx takes two real number literals", p)
-            return Const(complex(args[0].value.real, args[1].value.real))
-        if name == "mobius":
-            coeffs = []
-            for a, p in zip(args[:4], arg_pos[:4]):
-                if not isinstance(a, Const):
-                    raise ExprParseError("mobius coefficients must be constants", p)
-                coeffs.append(a.value)
-            try:
-                return mobius(*coeffs, args[4])
-            except ValueError as err:
-                raise ExprParseError(str(err), name_pos) from None
-        raise AssertionError(name)
+def _finite(e: ComplexExpr, pos: int) -> ComplexExpr:
+    # a form folds constants into the node it returns or into that
+    # node's own terms or factors; deeper ones were checked when built
+    for c in (e, *getattr(e, "terms", ()), *getattr(e, "factors", ())):
+        if isinstance(c, Const) and not cmath.isfinite(c.value):
+            raise ExprParseError("constant out of float range", pos)
+    return e
 
 
 def parse_expr(text: str) -> ComplexExpr:
-    """Parse the prefix expression syntax.  See module docs for the
-    grammar; errors report character positions."""
-    return _Parser(text).parse()
+    """Parse the prefix expression syntax of the comment above this
+    function; every error is an ExprParseError with a character
+    position."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise ExprParseError(f"unexpected character {m.group()!r}",
+                                 m.start())
+        toks.append((m.lastgroup, m.group(), m.start()))
+    toks.append((None, None, len(text)))
+    k = 0
+
+    def expr() -> ComplexExpr:
+        nonlocal k
+        kind, val, pos = toks[k]
+        k += 1
+        if kind == "num":
+            return _finite(Const(complex(float(val))), pos)
+        if val == "-":
+            return neg(expr())
+        if val in _ATOMS:
+            return _ATOMS[val]
+        if kind != "name":
+            raise ExprParseError(f"expected expression, found {val!r}", pos)
+        if val not in _FORMS:
+            raise ExprParseError(f"unknown function {val!r}", pos)
+        name, name_pos = val, pos
+        lo, hi, build, *rule = _FORMS[name]
+        _, val, pos = toks[k]
+        k += 1
+        if val != "(":
+            raise ExprParseError(f"expected '(', found {val!r}", pos)
+        args, at = [], []
+        while not args or val == ",":
+            at.append(toks[k][2])
+            args.append(expr())
+            _, val, pos = toks[k]
+            k += 1
+        if val != ")":
+            raise ExprParseError(f"expected ',' or ')', found {val!r}", pos)
+        if len(args) < lo or (hi is not None and len(args) > hi):
+            want = f">= {lo}" if hi is None else str(lo)
+            raise ExprParseError(
+                f"{name} takes {want} arguments, got {len(args)}", name_pos)
+        if rule:
+            which, test, message = rule
+            for j in which:
+                if not (isinstance(args[j], Const) and test(args[j].value)):
+                    raise ExprParseError(message, at[j])
+                args[j] = args[j].value
+        try:
+            e = build(*args)
+        except (ValueError, ZeroDivisionError, OverflowError) as err:
+            raise ExprParseError(str(err), name_pos) from None
+        return _finite(e, name_pos)
+
+    e = expr()
+    kind, val, pos = toks[k]
+    if kind is not None:
+        raise ExprParseError(f"trailing input {val!r}", pos)
+    return e

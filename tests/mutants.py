@@ -49,6 +49,14 @@ MUTANTS = [
            "return div(add(mul(a, arg), b), add(mul(c, arg), d))",
            "return div(add(mul(a, arg), d), add(mul(c, arg), b))",
            ("tests/test_expr.py::test_mobius_is_its_closed_form",)),
+    Mutant("pow exponent need not be an integer", "dbarkit/expr.py",
+           "lambda c: c.imag == 0 and c.real.is_integer(),",
+           "lambda c: c.imag == 0,",
+           ("tests/test_expr.py::test_parser_errors_are_positioned",)),
+    Mutant("non-finite constants pass the parser", "dbarkit/expr.py",
+           "if isinstance(c, Const) and not cmath.isfinite(c.value):",
+           "if False:",
+           ("tests/test_expr.py::test_parser_errors_are_positioned",)),
     Mutant("antisymmetric sign in _obstruction", "dbarkit/corona.py",
            "num = dbx[k] * np.conj(fv[j]) - dbx[j] * np.conj(fv[k])",
            "num = dbx[k] * np.conj(fv[j]) + dbx[j] * np.conj(fv[k])",
@@ -78,17 +86,36 @@ MUTANTS = [
            "if delta <= 0:", "if delta < 0:",
            ("tests/test_bezout.py::test_partition_names_the_common_zero",)),
     Mutant("criterion 1: sign of the Cauchy transform", "dbarkit/cauchy.py",
-           "return (-1.0 / math.pi) * fftconvolve(fv, spectrum)",
-           "return (1.0 / math.pi) * fftconvolve(fv, spectrum)",
+           "u = (-1.0 / math.pi) * fftconvolve(",
+           "u = (1.0 / math.pi) * fftconvolve(",
            ("tests/test_cauchy.py::test_pompeiu_constant_density",)),
+    Mutant("criterion 2: u_j = x_j + sum f_k H_kj in the assembly",
+           "dbarkit/corona.py",
+           "out.append(np.subtract(x_vals[j], corr,",
+           "out.append(np.add(x_vals[j], corr,",
+           ("tests/test_corona.py::test_corona_linear_pair",)),
     Mutant("criterion 3: g^5 target weighted by g^3", "dbarkit/corona.py",
            "weight=gv ** 4, lift=lift,", "weight=gv ** 3, lift=lift,",
            ("tests/test_corona.py::test_g5_pipeline",)),
+    Mutant("criterion 4: covering route divides by |f_j|", "dbarkit/bezout.py",
+           "zero_extended(a.values, g.values, a.values != 0)",
+           "zero_extended(a.values, np.abs(g.values), a.values != 0)",
+           ("tests/test_bezout.py::test_bezout_pou_residual",)),
+    Mutant("criterion 5: PASS band of the verdict ladder narrowed",
+           "dbarkit/division.py",
+           "if measured <= 0.05 * scale:", "if measured <= 0.03 * scale:",
+           ("tests/test_division.py::test_verdict_ladder_thresholds",
+            "tests/test_cli.py::test_battery_passes_at_power_fails_below")),
     Mutant("criterion 6: derivative bound's power of |g|",
            "dbarkit/division.py",
            "/ gvals[live] ** (m + 1 - n)", "/ gvals[live] ** (m - n)",
            ("tests/test_division.py::"
             "test_scan_constant_matches_hand_maximum",)),
+    Mutant("criterion 7: gradient growth bound loosened",
+           "dbarkit/division.py",
+           "bool(growth <= 1.5)", "bool(growth <= 5.0)",
+           ("tests/test_division.py::"
+            "test_multi_c1_gradient_blows_up_at_power_two",)),
     Mutant("criterion 8: f-derivative order in the chain rule",
            "dbarkit/faa.py",
            "acc = acc + term * f_derivs[len(k) - 1]",

@@ -46,6 +46,19 @@ def test_malformed_expression_exits_1_with_position(tmp_path, capsys):
     assert "position" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "pow(z, 1e400)", "add(z, 1e400)", "div(z, 0)", "pow(0, -1)",
+    "div(1, sub(1, 1))", "pow(2, 1e20)", "pow(1e200, 2)", "mul(1e200, 1e200)"])
+def test_constant_errors_in_expressions_exit_1_with_position(capsys, text):
+    # literals past the float range, constant zero denominators and
+    # constant powers that overflow are malformed expressions
+    rc = main(["divide", "--f", text, "--g", "z", "--power", "1",
+               "--class", "C0"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "config error" in err and "(at position" in err
+
+
 def test_missing_config_file_exits_1(capsys):
     assert main(["domains", "--config", "/no/such/file.ini"]) == EXIT_CONFIG
 

@@ -345,6 +345,15 @@ def test_probes_on_nothing_measured_are_inconclusive():
     assert not rep["gradient_bounded"]
 
 
+def test_verdict_ladder_thresholds():
+    # PASS at or below 0.05 of the scale, FAIL at or above 0.5
+    grade = division._grade
+    assert [grade(m, 2.0) for m in (0.0, 0.1, 0.11, 0.99, 1.0, 5.0)] == [
+        PASS, PASS, INCONCLUSIVE, INCONCLUSIVE, FAIL, FAIL]
+    assert grade(float("nan"), 1.0) == grade(0.0, float("nan")) == INCONCLUSIVE
+    assert (grade(0.0, 0.0), grade(1e-300, 0.0)) == (PASS, FAIL)
+
+
 def test_single_family_is_inconclusive():
     # z/conj(z) is discontinuous at 0, but one approach family has no
     # second tail to disagree with; the probe must not read as a pass

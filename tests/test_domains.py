@@ -273,8 +273,19 @@ def test_window_and_nearest_node_match_brute_force(data):
     if not nodes:
         assert hit is None
     else:
-        d = [abs(g.node(x, y) - z) for y, x in nodes]
+        # np.abs, not the builtin abs: the builtin hypot can split a
+        # mirror-image tie by one ulp that np.abs leaves exact
+        d = np.abs(np.array([g.node(x, y) for y, x in nodes]) - z)
         assert hit == nodes[int(np.argmin(d))]
+
+
+def test_nearest_node_mirror_tie_goes_to_first_in_row_major():
+    # z on the diagonal is equally far from (0, 1) and (1, 0)
+    sel = np.zeros((9, 9), dtype=bool)
+    sel[0, 1] = sel[1, 0] = True
+    mask = RegionMask(GridSpec(0.5 - 0.25j, 0.125, 9, 9), sel, sel)
+    t = 1.3149440004571196
+    assert mask.nearest_node(mask.grid.node(t, t), sel, 9) == (0, 1)
 
 
 def test_build_mask_requires_h_or_grid():

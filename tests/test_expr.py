@@ -286,27 +286,64 @@ def test_parser_evaluates(text, at, want):
     assert parse_expr(text).eval(at) == pytest.approx(want)
 
 
-@pytest.mark.parametrize("text, fragment", [
-    ("frob(z)", "unknown function"),
-    ("add(z)", "takes >= 2 arguments"),
-    ("div(z, z, z)", "takes 2 arguments"),
-    ("pow(z, z)", "integer literal"),
-    ("pow(z, 1.5)", "integer literal"),
-    ("cplx(z, 1)", "real number literals"),
-    ("mobius(z, 0, 0, 1, z)", "must be constants"),
-    ("mobius(1, 2, 2, 4, z)", "ad - bc"),
-    ("add(1, 2) z", "trailing input"),
-    ("mul(1, ", "expected expression"),
-    ("@", "unexpected character"),
-    ("add(1; 2)", "unexpected character"),
-    ("", "expected expression"),
-])
-def test_parser_errors_are_positioned(text, fragment):
+# text, the fragment naming the case, the exact message, the position
+PARSE_ERRORS = [
+    ("frob(z)", "unknown function", "unknown function 'frob'", 0),
+    ("add(z)", "takes >= 2 arguments", "add takes >= 2 arguments, got 1", 0),
+    ("div(z, z, z)", "takes 2 arguments", "div takes 2 arguments, got 3", 0),
+    ("pow(z, z)", "integer literal",
+     "pow exponent must be an integer literal", 7),
+    ("pow(z, 1.5)", "integer literal",
+     "pow exponent must be an integer literal", 7),
+    ("cplx(z, 1)", "real number literals",
+     "cplx takes two real number literals", 5),
+    ("mobius(z, 0, 0, 1, z)", "must be constants",
+     "mobius coefficients must be constants", 7),
+    ("mobius(1, 2, 2, 4, z)", "ad - bc",
+     "degenerate Moebius map: ad - bc = 0", 0),
+    ("add(1, 2) z", "trailing input", "trailing input 'z'", 10),
+    ("mul(1, ", "expected expression", "expected expression, found None", 7),
+    ("@", "unexpected character", "unexpected character '@'", 0),
+    ("add(1; 2)", "unexpected character", "unexpected character ';'", 5),
+    ("", "expected expression", "expected expression, found None", 0),
+    ("exp z", "expected '('", "expected '(', found 'z'", 4),
+    ("add(1 2)", "expected ',' or ')'", "expected ',' or ')', found '2'", 6),
+    # literals past the float range, at the literal
+    ("pow(z, 1e400)", "float range", "constant out of float range", 7),
+    ("add(z, 1e400)", "float range", "constant out of float range", 7),
+    # the builder's own errors, at the form's name
+    ("div(z, 0)", "zero denominator", "constant zero denominator", 0),
+    ("div(1, sub(1, 1))", "zero denominator", "constant zero denominator", 0),
+    ("pow(0, -1)", "negative power", "0.0 to a negative or complex power", 0),
+    ("pow(2, 1e20)", "overflow", "complex exponentiation", 0),
+    ("pow(1e200, 2)", "overflow", "complex exponentiation", 0),
+    # constants folded past the float range, at the form's name: the
+    # constant itself, a sum's term and a product's factor
+    ("mul(1e200, 1e200)", "float range", "constant out of float range", 0),
+    ("mul(cplx(1e200, 1e200), cplx(1e200, 1e200))", "float range",
+     "constant out of float range", 0),
+    ("add(z, 1e308, 1e308)", "float range", "constant out of float range", 0),
+    ("add(1, mul(z, div(z, 1e-320)))", "float range",
+     "constant out of float range", 14),
+]
+
+
+@pytest.mark.parametrize("text, message, pos",
+                         [(t, m, p) for t, _, m, p in PARSE_ERRORS],
+                         ids=[f"{t}-{f}" for t, f, _, _ in PARSE_ERRORS])
+def test_parser_errors_are_positioned(text, message, pos):
     with pytest.raises(ExprParseError) as err:
         parse_expr(text)
-    assert fragment in str(err.value)
-    assert "(at position" in str(err.value)
-    assert isinstance(err.value.pos, int)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos
+
+
+def test_non_finite_constants_print():
+    assert str(mul(Const(1e200), Const(1e200), Z)) == "mul(inf,z)"
+    assert str(Const(complex(math.nan, 1.0))) == "cplx(nan,1)"
+    assert str(Const(complex(1.0, -math.inf))) == "cplx(1,-inf)"
+    err = PoleError(div(Z, mul(Const(1e200), Const(1e200), Z)), 0j)
+    assert str(err) == "pole of div(z,mul(inf,z)) hit at z = 0j"
 
 
 def test_parse_error_position_points_at_offender():
@@ -316,10 +353,24 @@ def test_parse_error_position_points_at_offender():
 
 
 def test_str_reparses_to_same_function():
-    for e in MIXED_TREES:
+    for e in MIXED_TREES + [parse_expr(c[0]) for c in CASES]:
         back = parse_expr(str(e))
+        assert back == e
         for z in POINTS:
             assert back.eval(z) == pytest.approx(e.eval(z), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLY_TREES)
+def test_print_parse_roundtrip(t):
+    # add and mul leave the constant of a sum or product they flatten
+    # where it stood (mul(z, mul(2, z)) is mul(z,2,z)), and parsing that
+    # text folds it (mul(2,z,z)); so a drawn tree parses back to the same
+    # function, and its reparse is a fixed point of print and parse
+    e = parse_expr(str(t))
+    assert parse_expr(str(e)) == e
+    for z in POINTS:
+        assert e.eval(z) == pytest.approx(t.eval(z), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
