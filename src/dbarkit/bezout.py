@@ -11,8 +11,8 @@ combination D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
 returns the fits, their values on the Inside nodes as the fit ladder
 measured them, and the certified D there, so x_j = p_j / D needs no
-second evaluation (PolyZZbar carries an analytic dbar for dbar x_j;
-poly_dbars reads every fit's from one power table).  The
+second evaluation (poly_dbars gives the analytic dbar of every fit,
+for dbar x_j, from one power table).  The
 factorization is real: each degree's monomials are closed under
 conjugation, so sqrt2 Re and sqrt2 Im of z^a conj(z)^b (a > b), plus
 |z|^d on the diagonal, span them by a unitary change of basis, and Re
@@ -263,11 +263,6 @@ class PolyZZbar:
         zp = _powers(z.ravel(), self.degree)
         return self._on_table(zp, zp.conj()).reshape(z.shape)
 
-    def dbar(self, z):
-        """Analytic Wirtinger dbar at the points z."""
-        z = np.asarray(z, dtype=complex)
-        return poly_dbars([self], z.ravel())[0].reshape(z.shape)
-
     def as_expr(self) -> ComplexExpr:
         out = Const(0.0)
         for a, b, c in self.terms:
@@ -280,7 +275,7 @@ def poly_dbars(polys: Sequence[PolyZZbar], z: np.ndarray) -> list:
 
     One _powers table of the highest degree serves them all; its rows
     come from the same recurrence as a table of lower degree, so each
-    value is bitwise that of PolyZZbar.dbar.
+    value is bitwise that of a table of the polynomial's own degree.
     """
     zp = _powers(z, max(p.degree for p in polys))
     zcp = zp.conj()

@@ -320,6 +320,7 @@ def g_power_solve(g, f_list, x_list, domain: Optional[CompactDomain] = None,
                   for x, f in zip(x_fields, gens.f_fields))
     gscale = max(sup_abs(gv, mask.inside), 1e-300)
     xres = sup_abs(total_x - gv, mask.inside)
+    del total_x
     if xres > 1e-10 * gscale:
         raise ValueError(
             f"x_list does not solve sum x_j f_j = g: residual {xres:.3g}")
@@ -362,6 +363,7 @@ def g12_solve(g, f_list, h_list, domain: Optional[CompactDomain] = None,
                      4, mask=mask)
     kv = (n ** 4) * k_field.values
     x_fields = [SampledField(mask, kv * v) for v in hv]
+    del hv, hsum, k_field, kv
     return _correct(x_fields, (_dbar_values(x, mask) for x in x_fields), gens,
                     gv ** 12, "g^12", margin, weight=gv ** 4, s2=s2)
 

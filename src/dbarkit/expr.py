@@ -544,10 +544,16 @@ def directional_limit_probe(f, z0, directions, radii) -> DirectionalProbe:
 # most argument counts (None: no most), its builder and, for three
 # names, a literal rule: pow's exponent must fold to an integer
 # constant, cplx's two parts to real constants, and mobius's first four
-# coefficients to constants.  Constants stay finite.  Every error is an
-# ExprParseError with a position:
+# coefficients to constants.  Constants stay finite.  A form's argument
+# and a minus sign's operand sit one level deeper than the form or sign;
+# MAX_NESTING levels are allowed, which keeps the recursive parser, and
+# the evaluators and derivative layers that walk the tree, well inside
+# Python's recursion limit.  Every error is an ExprParseError with a
+# position:
 #   - an unexpected character, a token out of place, an unknown name or
 #     a broken literal rule, at the offending character or token;
+#   - an expression nested deeper than MAX_NESTING levels, at its first
+#     token;
 #   - a wrong argument count, at the form's name;
 #   - a ValueError, ZeroDivisionError or OverflowError of the builder
 #     (a constant zero denominator, a degenerate Moebius map, a
@@ -559,6 +565,7 @@ _TOKEN = _re.compile(r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
                      r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                      r"|(?P<punct>[(),-])|(?P<bad>\S)")
 _ATOMS = {"z": Z, "i": Const(1j), "S": S}
+MAX_NESTING = 100
 # name: (least, most, builder[, rule's argument indices, test, message]);
 # the builder receives the values of a rule's constants in their place
 _FORMS = {
@@ -597,14 +604,17 @@ def parse_expr(text: str) -> ComplexExpr:
     toks.append((None, None, len(text)))
     k = 0
 
-    def expr() -> ComplexExpr:
+    def expr(depth: int) -> ComplexExpr:
         nonlocal k
         kind, val, pos = toks[k]
+        if depth > MAX_NESTING:
+            raise ExprParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", pos)
         k += 1
         if kind == "num":
             return _finite(Const(complex(float(val))), pos)
         if val == "-":
-            return neg(expr())
+            return neg(expr(depth + 1))
         if val in _ATOMS:
             return _ATOMS[val]
         if kind != "name":
@@ -620,7 +630,7 @@ def parse_expr(text: str) -> ComplexExpr:
         args, at = [], []
         while not args or val == ",":
             at.append(toks[k][2])
-            args.append(expr())
+            args.append(expr(depth + 1))
             _, val, pos = toks[k]
             k += 1
         if val != ")":
@@ -641,7 +651,7 @@ def parse_expr(text: str) -> ComplexExpr:
             raise ExprParseError(str(err), name_pos) from None
         return _finite(e, name_pos)
 
-    e = expr()
+    e = expr(0)
     kind, val, pos = toks[k]
     if kind is not None:
         raise ExprParseError(f"trailing input {val!r}", pos)

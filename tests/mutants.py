@@ -163,6 +163,12 @@ MUTANTS = [
     Mutant("on_nodes fills with ones", "dbarkit/cauchy.py",
            "out = np.zeros(sel.shape,", "out = np.ones(sel.shape,",
            ("tests/test_cauchy.py::test_on_nodes_scatters_row_major",)),
+    Mutant("series power by squaring tests the wrong bit", "dbarkit/faa.py",
+           "if e & 1:", "if e & 2:",
+           ("tests/test_faa.py::test_taylor_expand_known_series",)),
+    Mutant("nesting cap one level late", "dbarkit/expr.py",
+           "if depth > MAX_NESTING:", "if depth > MAX_NESTING + 1:",
+           ("tests/test_expr.py::test_nesting_stops_one_level_past_the_cap",)),
 ]
 
 

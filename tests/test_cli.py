@@ -21,6 +21,7 @@ from dbarkit.cli import (EXIT_ACCEPTANCE, EXIT_CONFIG, EXIT_OK,
                          refinement_study, run, sharpness_battery)
 from dbarkit.division import FAIL, PASS
 from dbarkit.domains import load_mask
+from dbarkit.expr import MAX_NESTING
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -57,6 +58,31 @@ def test_constant_errors_in_expressions_exit_1_with_position(capsys, text):
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert "config error" in err and "(at position" in err
+
+
+def _divide_dbar1(tmp_path, f):
+    # divide at h = 1/32, set in a config file: argparse reads --h as an
+    # abbreviation of --help
+    cfg = write(tmp_path, f"[divide]\nf = {f}\ng = z\npower = 1\n"
+                          "class = Dbar1\nh = 1/32\n")
+    return main(["divide", "--config", cfg, "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("text", [
+    "neg(" * 1200 + "z" + ")" * 1200,
+    "sub(z, " * 200 + "z" + ")" * 200], ids=["neg-1200", "sub-200"])
+def test_over_deep_expressions_exit_1_with_position(tmp_path, capsys, text):
+    # past MAX_NESTING levels the parser stops, before Python's recursion
+    # limit can stop the parser or the derivative layers
+    assert _divide_dbar1(tmp_path, text) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "(at position" in err
+    assert f"deeper than {MAX_NESTING} levels" in err
+
+
+def test_deepest_accepted_expression_runs_dbar1(tmp_path):
+    text = "sub(z, " * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert _divide_dbar1(tmp_path, text) == EXIT_OK
 
 
 def test_missing_config_file_exits_1(capsys):

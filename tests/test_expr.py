@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dbarkit.expr import (S, Z, Conj, Const, ExprParseError, IntPow, PoleError,
-                          Sum, add, as_callable, conj, const, div,
+from dbarkit.expr import (MAX_NESTING, S, Z, Conj, Const, ExprParseError,
+                          IntPow, PoleError, Sum, add, as_callable, conj, const, div,
                           directional_limit_probe, exp, intpow, is_conj_free,
                           log, mobius, mul, parse_expr, sub, wirtinger_d,
                           wirtinger_dbar)
@@ -336,6 +336,20 @@ def test_parser_errors_are_positioned(text, message, pos):
         parse_expr(text)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+def test_nesting_stops_one_level_past_the_cap():
+    # MAX_NESTING levels of forms or minus signs parse; the first token
+    # one level deeper is the error's position
+    m = MAX_NESTING
+    assert parse_expr("neg(" * m + "z" + ")" * m).eval(0.5) == 0.5
+    assert parse_expr("-" * m + "z").eval(0.5) == 0.5
+    for text, pos in [("neg(" * (m + 1) + "z" + ")" * (m + 1), 4 * m + 4),
+                      ("-" * (m + 1) + "z", m + 1)]:
+        with pytest.raises(ExprParseError) as err:
+            parse_expr(text)
+        assert str(err.value) == (f"expression nested deeper than {m} "
+                                  f"levels (at position {pos})")
 
 
 def test_non_finite_constants_print():

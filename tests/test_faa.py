@@ -2,18 +2,20 @@
 
 The coefficient tables are cross-checked three ways: hand-expanded
 low-order formulas, classical integer sequences (partition counts and
-Bell numbers, both recomputed here from their recurrences), and the
-truncated-Taylor route that involves no partition enumeration at all.
+Bell numbers, both recomputed here from their recurrences), and
+routes that involve no partition enumeration at all: truncated Taylor
+series (faa.taylor_oracle) on polynomial compositions, and mpmath's
+numerical differentiation at 40 digits on exp, log and quotient chains.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from dbarkit.expr import (Z, PoleError, add, conj, const, div, exp, intpow,
-                          log, mul, sub)
-from dbarkit.faa import (MAX_ORDER, CoefficientTable, TaylorPoly, coefficient,
+from dbarkit.expr import Z, add, conj, const, div, exp, intpow, log, mul, sub
+from dbarkit.faa import (MAX_ORDER, CoefficientTable, coefficient,
                          compose_derivative, enumerate_multi_indices,
                          taylor_expand, taylor_oracle)
 
@@ -38,6 +40,13 @@ def bell_numbers(top):
         out.append(nxt[0])
         row = nxt
     return out  # out[n] = B_n, out[0] = B_0 = 1
+
+
+def mp_derivative(fn, x, n):
+    """n-th derivative of the holomorphic fn at x by mpmath.diff at 40
+    digits; fn is written by hand with mpmath functions."""
+    with mpmath.workdps(40):
+        return complex(mpmath.diff(fn, mpmath.mpc(x), n))
 
 
 # ----------------------------------------------------------- enumeration
@@ -126,121 +135,102 @@ def test_compose_requires_enough_derivatives():
 
 
 def test_exp_of_square_hand_check():
-    # (e^{x^2})'' = e^{x^2} (2 + 4 x^2)
+    # (e^{x^2})'' = e^{x^2} (2 + 4 x^2), by hand and by mpmath
     x = 0.3 + 0.2j
     fg = np.exp(x ** 2)
     f_derivs = [fg, fg]          # exp is its own derivative, at g(x)
     g_derivs = [2 * x, 2.0]
-    assert compose_derivative(f_derivs, g_derivs, 2) == pytest.approx(
-        fg * (2 + 4 * x ** 2))
+    got = compose_derivative(f_derivs, g_derivs, 2)
+    assert got == pytest.approx(fg * (2 + 4 * x ** 2))
+    want = mp_derivative(lambda z: mpmath.exp(z ** 2), x, 2)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # ------------------------------------------------------ truncated Taylor
 
 
-def test_taylor_poly_arithmetic():
-    x = TaylorPoly.variable(0j, 5)
-    sq = x * x
-    assert sq.c == pytest.approx([0, 0, 1, 0, 0, 0])
-    geo = TaylorPoly.constant(1.0, 5).divide(TaylorPoly([1, -1, 0, 0, 0, 0]))
-    assert geo.c == pytest.approx(np.ones(6))
-
-
-def test_taylor_expseries_and_logseries():
-    t = TaylorPoly([0, 1, 0, 0, 0, 0])
-    assert t.expseries().c == pytest.approx(
-        [1 / math.factorial(k) for k in range(6)])
-    one_plus = TaylorPoly([1, 1, 0, 0, 0, 0])
-    want = [0] + [(-1) ** (k + 1) / k for k in range(1, 6)]
-    assert one_plus.logseries().c == pytest.approx(want)
-
-
-def test_taylor_negative_power():
-    inv = TaylorPoly([1, 1, 0, 0]).intpow(-2)
-    # (1+t)^-2 = 1 - 2t + 3t^2 - 4t^3 + ...
-    assert inv.c == pytest.approx([1, -2, 3, -4])
-
-
-def test_taylor_divide_pole():
-    with pytest.raises(PoleError):
-        TaylorPoly([1, 0, 0]).divide(TaylorPoly([0, 1, 0]))
-
-
 def test_taylor_expand_known_series():
-    e = taylor_expand(exp(Z), 0j, 6)
-    assert e.c == pytest.approx([1 / math.factorial(k) for k in range(7)])
-    g = taylor_expand(div(const(1), sub(const(1), Z)), 0j, 8)
-    assert g.c == pytest.approx(np.ones(9))
-    shifted = taylor_expand(exp(Z), 1 + 0j, 4)
-    assert shifted.c == pytest.approx(
-        [math.e / math.factorial(k) for k in range(5)])
+    # (1 + z)^k about x: coefficient j is C(k, j) (1 + x)^(k - j)
+    x = 0.5 - 0.25j
+    for k in (0, 1, 5, 12):
+        got = taylor_expand(intpow(add(const(1), Z), k), x, 8)
+        want = [math.comb(k, j) * (1 + x) ** (k - j) for j in range(9)]
+        assert got == pytest.approx(want, rel=1e-14)
+    # (1 - z)(1 + z + ... + z^8) = 1 - z^9, truncated at order 6 about 0
+    geo = add(*[intpow(Z, j) for j in range(9)])
+    got = taylor_expand(mul(sub(const(1), Z), geo), 0j, 6)
+    assert got == pytest.approx([1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="exceeds"):
-        taylor_expand(exp(Z), 0j, MAX_ORDER + 1)
+        taylor_expand(Z, 0j, MAX_ORDER + 1)
 
 
 @pytest.mark.parametrize("n", [-1, -3])
 def test_taylor_expand_rejects_negative_order(n):
     with pytest.raises(ValueError, match=f"order must be >= 0, got {n}"):
-        taylor_expand(exp(Z), 0j, n)
+        taylor_expand(Z, 0j, n)
 
 
 def test_taylor_expand_order_zero_is_the_value():
-    assert taylor_expand(exp(Z), 1 + 0j, 0).c == pytest.approx([math.e])
+    p = add(const(2), mul(const(3j), intpow(Z, 3)))
+    assert taylor_expand(p, 1 + 1j, 0) == pytest.approx([p.eval(1 + 1j)])
 
 
 def test_oracle_rejects_conj_and_handles_n0():
-    with pytest.raises(ValueError, match="conj node"):
+    with pytest.raises(ValueError, match="Conj node conj"):
         taylor_oracle(conj(Z), Z, 0.5, 2)
+    # order 0 evaluates f(g(x)) for any tree
     assert taylor_oracle(exp(Z), intpow(Z, 2), 2.0, 0) == pytest.approx(
         math.exp(4.0))
 
 
+@pytest.mark.parametrize("f", [exp(Z), log(add(const(2), Z)),
+                               div(const(1), sub(const(2), Z)),
+                               intpow(sub(const(2), Z), -2)],
+                         ids=["Exp", "Log", "Quotient", "IntPow"])
+def test_oracle_rejects_non_polynomial_nodes_by_name(f):
+    name = type(f).__name__
+    with pytest.raises(ValueError, match=f"polynomial trees only; {name} node"):
+        taylor_oracle(f, Z, 0.5, 2)
+    with pytest.raises(ValueError, match=f"{name} node"):
+        taylor_oracle(Z, f, 0.5, 2)
+
+
 def test_oracle_hand_value():
-    # (e^{x^2})'' at x = 0.3: e^{x^2} (2 + 4 x^2)
+    # ((x^2 + 1)^3)'' = 6 (x^2 + 1)^2 + 24 x^2 (x^2 + 1)
     x = 0.3
-    want = math.exp(x ** 2) * (2 + 4 * x ** 2)
-    assert taylor_oracle(exp(Z), intpow(Z, 2), x, 2) == pytest.approx(want)
+    want = 6 * (x ** 2 + 1) ** 2 + 24 * x ** 2 * (x ** 2 + 1)
+    got = taylor_oracle(intpow(Z, 3), add(intpow(Z, 2), const(1)), x, 2)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
-# --------------------------------------------------------- route cross-check
+# ------------------------------------------- non-polynomial chains, mpmath
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_routes_agree_on_log_compose_mobius(n):
-    # f = log(2 + z), g = (z + i)/(2 - z); both are infinitely
-    # differentiable near x, and neither route sees the other's math
-    f = log(add(const(2), Z))
-    g = div(add(Z, const(1j)), sub(const(2), Z))
+    # f = log(2 + w), g = (z + i)/(2 - z), both from closed-form
+    # derivative lists; mpmath differentiates the composition itself
     x = 0.25 - 0.1j
-    gx = complex(g.eval(x))
-
-    # closed-form derivative lists
+    gx = (x + 1j) / (2 - x)
     # log(2+w): n-th derivative (-1)^(n-1) (n-1)! / (2+w)^n
     f_derivs = [(-1) ** (k - 1) * math.factorial(k - 1) / (2 + gx) ** k
                 for k in range(1, n + 1)]
     # (z+i)/(2-z) = -1 + (2+i)/(2-z): n-th derivative (2+i) n! / (2-z)^(n+1)
     g_derivs = [(2 + 1j) * math.factorial(k) / (2 - x) ** (k + 1)
                 for k in range(1, n + 1)]
-
-    via_table = compose_derivative(f_derivs, g_derivs, n)
-    via_taylor = taylor_oracle(f, g, x, n)
-    assert via_table == pytest.approx(via_taylor, rel=1e-10)
+    got = compose_derivative(f_derivs, g_derivs, n)
+    want = mp_derivative(lambda z: mpmath.log(2 + (z + 1j) / (2 - z)), x, n)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_faa_on_inner_function_matches_series():
-    # S is the composed tree exp(-(1+z)/(1-z)), so the Taylor oracle
-    # reaches it through its Exp and Quotient branches; compare the n-th
-    # derivative at 0 from the table route with closed-form pieces of
-    # exp o (-(1+z)/(1-z)) assembled by hand
-    n = 6
-    x = 0.0
-    inner = div(mul(const(-1), add(const(1), Z)), sub(const(1), Z))
-    gx = complex(inner.eval(x))
-    w = np.exp(gx)
-    f_derivs = [w] * n
+    # S = exp(-(1+z)/(1-z)): the table route from closed-form pieces
+    # against mpmath's sixth derivative of S at 0
+    n, x = 6, 0.0
+    w = np.exp(-(1 + x) / (1 - x))
     # -(1+z)/(1-z) = 1 - 2/(1-z): n-th derivative -2 n! / (1-z)^(n+1)
     g_derivs = [-2.0 * math.factorial(k) / (1 - x) ** (k + 1)
                 for k in range(1, n + 1)]
-    from dbarkit.expr import S
-    assert compose_derivative(f_derivs, g_derivs, n) == pytest.approx(
-        taylor_oracle(S, Z, x, n), rel=1e-12)
+    got = compose_derivative([w] * n, g_derivs, n)
+    want = mp_derivative(lambda z: mpmath.exp(-(1 + z) / (1 - z)), x, n)
+    assert abs(got - want) <= 1e-12 * abs(want)
