@@ -320,19 +320,26 @@ def _wirtinger_fd(f: SampledField, bar: bool,
     del ify
     if one_sided:
         # past the grid's edge counts as not Inside; every Inside node
-        # on the grid's edge is a Boundary node, so it is rewritten here
-        ins, vp = np.pad(keep, 1), np.pad(v, 1)
+        # on the grid's edge is a Boundary node, so it is rewritten here.
+        # Neighbors are read at clipped indices, so no padded copy of
+        # the grid is made; a clipped read is masked out by its flag.
         iy, ix = np.nonzero(m.boundary)
         c = v[iy, ix]
+        ny, nx = v.shape
+
+        def neighbor(dy, dx):
+            jy, jx = iy + dy, ix + dx
+            on = (jy >= 0) & (jy < ny) & (jx >= 0) & (jx < nx)
+            at = (np.clip(jy, 0, ny - 1), np.clip(jx, 0, nx - 1))
+            return on & keep[at], v[at]
+
         d = []
         for sy, sx in ((0, 1), (1, 0)):
-            plus = (iy + 1 + sy, ix + 1 + sx)
-            minus = (iy + 1 - sy, ix + 1 - sx)
-            hp, hm = ins[plus], ins[minus]
+            (hp, vp), (hm, vm) = neighbor(sy, sx), neighbor(-sy, -sx)
             d.append(np.where(
-                hp & hm, (vp[plus] - vp[minus]) / (2 * h), np.where(
-                    hp, (vp[plus] - c) / h,
-                    np.where(hm, (c - vp[minus]) / h, 0.0))))
+                hp & hm, (vp - vm) / (2 * h), np.where(
+                    hp, (vp - c) / h,
+                    np.where(hm, (c - vm) / h, 0.0))))
         fx, fy = d
         out[iy, ix] = fx + 1j * fy if bar else fx - 1j * fy
     out *= 0.5

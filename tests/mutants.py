@@ -169,6 +169,20 @@ MUTANTS = [
     Mutant("nesting cap one level late", "dbarkit/expr.py",
            "if depth > MAX_NESTING:", "if depth > MAX_NESTING + 1:",
            ("tests/test_expr.py::test_nesting_stops_one_level_past_the_cap",)),
+    Mutant("erosion window one node narrow", "dbarkit/domains.py",
+           "n, width = len(a), 2 * k + 1", "n, width = len(a), 2 * k",
+           ("tests/test_domains.py::"
+            "test_eroded_matches_iterated_binary_erosion",)),
+    Mutant("erosion window without its rest AND", "dbarkit/domains.py",
+           "out[k:n - k] = run[:n - width + 1] & run[rest:]",
+           "out[k:n - k] = run[:n - width + 1]",
+           ("tests/test_domains.py::"
+            "test_eroded_matches_iterated_binary_erosion",)),
+    Mutant("node ordinates repeated by column counts", "dbarkit/domains.py",
+           "np.repeat(ys, np.count_nonzero(sel, axis=1))",
+           "np.repeat(ys, np.count_nonzero(sel, axis=0))",
+           ("tests/test_domains.py::"
+            "test_coords_and_zgrid_are_the_complex_rule_bitwise",)),
 ]
 
 

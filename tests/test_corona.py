@@ -128,6 +128,12 @@ def test_empty_margin_measures_nan():
     assert sol.residual_sup < 1e-12
 
 
+def test_margin_below_one_is_refused():
+    # margin 0 once eroded to nothing and read dbar_sup = NaN quietly
+    with pytest.raises(ValueError, match="margin 0 is below 1"):
+        corona_solve(LINEAR, DISK, h=1 / 32, margin=0)
+
+
 # --- unit-target pipeline -------------------------------------------------------
 
 

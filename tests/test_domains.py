@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from dbarkit.corona import g12_solve, g_power_solve, koszul_F
 from dbarkit.division import (divide, multi_division_c1,
@@ -17,7 +18,7 @@ from dbarkit.domains import (MAX_GRID_NODES, AnnulusSector, Comb, Disk,
                              DiskChain, GridSpec, HalfRingSpiral, InnerSpiral,
                              MaskResolutionError, Polygon, RegionMask, SectorChain, Union,
                              build_mask, connected_components, dump_mask,
-                             interior_shrunk, load_mask)
+                             _eroded, interior_shrunk, load_mask)
 from dbarkit.expr import Z, Const, conj
 
 
@@ -221,6 +222,66 @@ def test_interior_shrunk(disk_mask_64):
     deep = interior_shrunk(disk_mask_64, 3)
     assert int(deep.sum()) == 11361
     assert (deep & ~disk_mask_64.interior).sum() == 0
+
+
+@pytest.mark.parametrize("margin", [0, -2])
+def test_interior_shrunk_refuses_a_margin_below_one(disk_mask_64, margin):
+    # scipy reads iterations < 1 as "until nothing changes": margin 0
+    # once returned no node at all instead of a refusal
+    with pytest.raises(ValueError, match=f"margin {margin} is below 1"):
+        interior_shrunk(disk_mask_64, margin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eroded_matches_iterated_binary_erosion(data):
+    # the oracle: k iterations of the 3x3 erosion with the grid's edge
+    # outside; shapes run from one row or column through narrower than
+    # the window to a few nodes wider
+    k = data.draw(st.integers(1, 40), label="k")
+    side = st.one_of(st.just(1), st.integers(1, 2 * k),
+                     st.integers(2 * k + 1, 2 * k + 12))
+    ny, nx = data.draw(side, label="ny"), data.draw(side, label="nx")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    holes = data.draw(st.sampled_from([0.0, 0.002, 0.05, 0.5]))
+    inside = rng.random((ny, nx)) >= holes
+    want = ndimage.binary_erosion(inside, np.ones((3, 3), bool),
+                                  iterations=k, border_value=0)
+    np.testing.assert_array_equal(_eroded(inside, k), want)
+
+
+def test_node_sets_use_no_binary_erosion(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ndimage.binary_erosion called")
+
+    monkeypatch.setattr(ndimage, "binary_erosion", refuse)
+    mask = build_mask(Disk(0j, 1.0), h=1 / 16)
+    assert (interior_shrunk(mask, 1) == mask.interior).all()
+    assert interior_shrunk(mask, 4).sum() < mask.interior.sum()
+    dump_mask(mask, tmp_path / "disk.mask")
+    assert (load_mask(tmp_path / "disk.mask").interior == mask.interior).all()
+
+
+SIGNED_PART = st.one_of(st.sampled_from([0.0, -0.0]),
+                        st.floats(-8, 8, allow_subnormal=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_coords_and_zgrid_are_the_complex_rule_bitwise(data):
+    # the axis vectors must reproduce origin + h*(ix + 1j*iy) bit for
+    # bit, signed zeros of the origin included
+    origin = complex(data.draw(SIGNED_PART), data.draw(SIGNED_PART))
+    h = data.draw(st.floats(1e-4, 2.0))
+    ny, nx = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 40))
+    g = GridSpec(origin, h, nx, ny)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sel = rng.random((ny, nx)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    iy, ix = np.nonzero(sel)
+    want = g.origin + g.h * (ix + 1j * iy)
+    assert RegionMask(g, sel, sel).coords(sel).tobytes() == want.tobytes()
+    jx, jy = np.meshgrid(np.arange(nx), np.arange(ny))
+    assert g.zgrid().tobytes() == (g.origin + g.h * (jx + 1j * jy)).tobytes()
 
 
 def test_coords_are_row_major(disk_mask_64):
