@@ -9,10 +9,10 @@ The quotient route approximates q_j = conj(f_j)/sum|f_k|^2 by bivariate
 polynomials in z and conj(z) and divides by the (certified nonvanishing)
 combination D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
-returns the fits, their values on the Inside nodes as the fit ladder
-measured them, and the certified D there, so x_j = p_j / D needs no
-second evaluation (poly_dbars gives the analytic dbar of every fit,
-for dbar x_j, from one power table).  The
+returns the fits with x_j = p_j / D and dbar x_j on the Inside nodes,
+from the values and analytic dbar the fit ladder evaluated on its one
+power table, so no fit is evaluated again.  A fit holds its
+coefficients as one matrix coef[a, b] of z^a conj(z)^b.  The
 factorization is real: each degree's monomials are closed under
 conjugation, so sqrt2 Re and sqrt2 Im of z^a conj(z)^b (a > b), plus
 |z|^d on the diagonal, span them by a unitary change of basis, and Re
@@ -46,14 +46,15 @@ from scipy.linalg import solve_triangular
 
 from .cauchy import (SampledField, on_nodes, sample_field, sup_abs,
                      zero_extended)
-from .domains import CompactDomain, PreconditionError, RegionMask, resolve_mask
-from .expr import ComplexExpr, Const, Z, add, conj, div, intpow, mul
+from .domains import PreconditionError, RegionMask, resolve_mask
+from .expr import (ComplexExpr, Const, Z, add, conj, div, intpow, mul,
+                   wirtinger_dbar)
 
 __all__ = [
     "COLLAR_REL", "BezoutProblem", "PolyZZbar", "CommonZeroError",
     "FitRankError", "FitToleranceError", "CoveringError", "VanishingError",
     "require_no_common_zero", "zero_collar",
-    "q_fields", "poly_dbars", "weierstrass_fit", "quotient_fits",
+    "q_fields", "weierstrass_fit", "quotient_fits",
     "bezout_poly",
     "smoothstep", "partition_of_unity", "bezout_pou", "generalized_division",
 ]
@@ -101,7 +102,6 @@ class BezoutProblem:
     common zeros as long as the dividend vanishes around them.
     """
 
-    domain: CompactDomain
     f_list: Sequence
     mask: RegionMask
     f_fields: list = field(repr=False)
@@ -112,7 +112,7 @@ class BezoutProblem:
         if len(f_list) < 1:
             raise ValueError("need at least one generator")
         mask = resolve_mask(domain, h, mask)
-        return cls(domain, list(f_list), mask,
+        return cls(list(f_list), mask,
                    [sample_field(f, mask) for f in f_list])
 
     @property
@@ -176,11 +176,6 @@ def q_fields(problem: BezoutProblem, weight=None, live=None, s2=None) -> list:
             for g in problem.f_fields]
 
 
-def _monomials(d: int) -> list:
-    # (a, b) with a + b <= d, graded order; columns of the fit matrix
-    return [(a, s - a) for s in range(d + 1) for a in range(s + 1)]
-
-
 def _powers(z: np.ndarray, d: int) -> np.ndarray:
     # rows z^0 .. z^d of the flat points z; their conjugates are the
     # conj(z)^b rows, so one table serves every monomial
@@ -213,46 +208,45 @@ def _real_block(zp: np.ndarray, zcp: np.ndarray, s: int) -> np.ndarray:
 
 
 def _monomial_coefs(c: np.ndarray, d: int) -> np.ndarray:
-    # rows of c weight the _real_block columns through degree d; return
-    # the weights of the monomials in _monomials(d) order.  The pair
+    # rows of c weight the _real_block columns through degree d, one
+    # column per field; return out[j, a, b], the weight of
+    # z^a conj(z)^b in field j (0 where a + b > d), so out[j] is one
+    # contiguous coefficient matrix.  The pair
     # c1 sqrt2 Re m + c2 sqrt2 Im m is C m + C' conj(m) with
     # C = (c1 - i c2)/sqrt2 and C' = (c1 + i c2)/sqrt2
-    out = np.empty(c.shape, dtype=complex)
+    out = np.zeros((c.shape[1], d + 1, d + 1), dtype=complex)
     for s in range(d + 1):
-        blk = slice(_count(s - 1), _count(s))
-        cb, ob = c[blk], out[blk]
+        cb = c[_count(s - 1):_count(s)]
         hi = _pairs(s)
         c1, c2 = cb[:hi.size], cb[hi.size:2 * hi.size]
-        ob[hi] = (c1 - 1j * c2) / _SQRT2
-        ob[s - hi] = (c1 + 1j * c2) / _SQRT2
+        out[:, hi, s - hi] = ((c1 - 1j * c2) / _SQRT2).T
+        out[:, s - hi, hi] = ((c1 + 1j * c2) / _SQRT2).T
         if s % 2 == 0:
-            ob[s // 2] = cb[-1]
+            out[:, s // 2, s // 2] = cb[-1]
     return out
 
 
 @dataclass
 class PolyZZbar:
-    """Bivariate polynomial sum c_ab z^a conj(z)^b, a + b <= degree.
+    """Bivariate polynomial sum coef[a, b] z^a conj(z)^b, a + b <= degree.
 
-    cond is the 2-norm condition number of the fit's monomial matrix
-    (NaN for a polynomial that did not come from a fit).
+    coef is a (degree + 1) x (degree + 1) complex matrix, 0 where
+    a + b > degree.  cond is the 2-norm condition number of the fit's
+    monomial matrix (NaN for a polynomial that did not come from a fit).
     """
 
     degree: int
-    terms: list  # [(a, b, coefficient)]
+    coef: np.ndarray
     sup_error: float = float("nan")
     cond: float = float("nan")
 
     def _on_table(self, zp: np.ndarray, zcp: np.ndarray,
                   dbar: bool = False) -> np.ndarray:
-        # sum_a z^a (sum_b C_ab conj(z)^b) as one matrix product over a
-        # _powers table zp and its conjugate zcp; the Wirtinger dbar of
-        # c z^a conj(z)^b is b c z^a conj(z)^(b-1), so dbar shifts the b
-        # index down by one
-        d = self.degree
-        coef = np.zeros((d + 1, d + 1), dtype=complex)
-        for a, b, c in self.terms:
-            coef[a, b] = c
+        # sum_a z^a (sum_b coef[a, b] conj(z)^b) as one matrix product
+        # over a _powers table zp and its conjugate zcp; the Wirtinger
+        # dbar of c z^a conj(z)^b is b c z^a conj(z)^(b-1), so dbar
+        # shifts the b index down by one
+        d, coef = self.degree, self.coef
         if dbar:
             coef = coef[:, 1:] * np.arange(1, d + 1)
         inner = coef @ zcp[:coef.shape[1]]
@@ -264,31 +258,24 @@ class PolyZZbar:
         return self._on_table(zp, zp.conj()).reshape(z.shape)
 
     def as_expr(self) -> ComplexExpr:
+        # graded order: z^a conj(z)^(s - a) for s = 0 .. degree
         out = Const(0.0)
-        for a, b, c in self.terms:
-            out = add(out, mul(Const(c), mul(intpow(Z, a), intpow(conj(Z), b))))
+        for s in range(self.degree + 1):
+            for a in range(s + 1):
+                out = add(out, mul(Const(self.coef[a, s - a]),
+                                   mul(intpow(Z, a), intpow(conj(Z), s - a))))
         return out
-
-
-def poly_dbars(polys: Sequence[PolyZZbar], z: np.ndarray) -> list:
-    """Analytic dbar of each polynomial at the flat points z.
-
-    One _powers table of the highest degree serves them all; its rows
-    come from the same recurrence as a table of lower degree, so each
-    value is bitwise that of a table of the polynomial's own degree.
-    """
-    zp = _powers(z, max(p.degree for p in polys))
-    zcp = zp.conj()
-    return [p._on_table(zp, zcp, dbar=True) for p in polys]
 
 
 def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
-    # qs[0], at each degree of `degrees` in turn.  Returns two lists:
+    # qs[0], at each degree of `degrees` in turn.  Returns three lists:
     # per field, its first fit with sup error within target_sup, or else
-    # the last degree's FitToleranceError; and that fit's values on the
-    # support nodes (mask.coords order), as measured for the sup, or
-    # None where the fit failed.
+    # the last degree's FitToleranceError; that fit's values on the
+    # support nodes (mask.coords order), as measured for the sup; and
+    # its analytic dbar there, from the same power table; None where
+    # the fit failed.  A table's rows come from one recurrence, so they
+    # are bitwise those of a table of the fit's own degree.
     #
     # The degree-d monomials z^a conj(z)^(d-a) are closed under
     # conjugation, so the real columns sqrt2 Re and sqrt2 Im of each
@@ -329,6 +316,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     qv = np.empty((cols, 2 * n))  # Q^T rhs
     out = [None] * n
     fit_values = [None] * n
+    fit_dbars = [None] * n
     for d in range(top + 1):
         pending = [j for j, fit in enumerate(out) if fit is None]
         if not pending:
@@ -358,9 +346,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
         coefs = _monomial_coefs(c[:, :n] + 1j * c[:, n:], d)
         last = d == top
         for j in pending:
-            terms = [(a, b, ck) for (a, b), ck in zip(_monomials(d),
-                                                      coefs[:, j])]
-            poly = PolyZZbar(d, terms, cond=float(sing[0] / sing[-1]))
+            poly = PolyZZbar(d, coefs[j], cond=float(sing[0] / sing[-1]))
             if stride > 1 and not last:
                 screen = np.abs(poly._on_table(zf, zcf) - vf[j]).max()
                 if screen > SCREEN_SLACK * target_sup:
@@ -370,11 +356,12 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             if sup <= target_sup:
                 poly.sup_error = sup
                 out[j], fit_values[j] = poly, pv
+                fit_dbars[j] = poly._on_table(zp, zcp, dbar=True)
             elif last:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
                     f"{target_sup:.3e}; increase degree", sup_error=sup)
-    return out, fit_values
+    return out, fit_values, fit_dbars
 
 
 def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
@@ -402,16 +389,20 @@ def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
     Fits every q_j at increasing degree, all degrees and all j on one
     growing factorization, until the sup error is within
     1/(2 sum_k ||f_k||_inf), which forces |D| >= 1/2 on the nodes, then
-    certifies that lower bound.  Returns (fits, pv, D): the PolyZZbar
-    fits p_j, their values pv[j] on the Inside nodes in
-    mask.coords(mask.inside) order (the fit ladder's own evaluation),
-    and D on those nodes.
+    certifies that lower bound.  Returns (fits, x, dbar_x): the
+    PolyZZbar fits p_j and, on the Inside nodes in
+    mask.coords(mask.inside) order, x_j = p_j / D and, by the quotient
+    rule, dbar x_j = (dbar p_j D - p_j dbar D) / D^2 with
+    dbar D = sum (dbar p_k f_k + p_k dbar f_k).  p_j and dbar p_j are
+    the fit ladder's own evaluations; only the generators' dbar trees
+    are sampled.
     """
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
             raise TypeError("the poly route needs expression generators")
     target = 1.0 / (2.0 * sum(g.max_abs() for g in problem.f_fields))
-    fits, pv = _fit_ladder(q_fields(problem), range(max_degree + 1), target)
+    fits, pv, dpv = _fit_ladder(q_fields(problem), range(max_degree + 1),
+                                target)
     for j, fit in enumerate(fits):
         if isinstance(fit, FitToleranceError):
             raise FitToleranceError(
@@ -420,22 +411,28 @@ def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
 
     # f_j bound to names: numpy computes p * (temporary) in place as
     # temporary * p, and its complex product is not bitwise commutative
-    fv = [g.values[problem.mask.inside] for g in problem.f_fields]
+    mask = problem.mask
+    fv = [g.values[mask.inside] for g in problem.f_fields]
     D = sum(p * f for p, f in zip(pv, fv))
     dmin = float(np.abs(D).min())
     if dmin < 0.5:
         raise ValueError(
             f"min |sum p_k f_k| = {dmin:.6f} < 1/2 although every fit met "
             f"its tolerance; the sampled sup norms are inconsistent")
-    return fits, pv, D
+    dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
+           for f in problem.f_list]
+    dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
+    return (fits, [p / D for p in pv],
+            [(dp * D - p * dD) / D ** 2 for p, dp in zip(pv, dpv)])
 
 
 def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
     """Quotient-route solution as expressions x_j = p_j / sum p_k f_k.
 
     The p_j are the certified fits of quotient_fits.  corona_solve
-    evaluates the same quotient and its dbar numerically from the fits;
-    these expressions are the symbolic test oracle for that.
+    takes the same quotient and its dbar as quotient_fits evaluates
+    them on the nodes; these expressions are the symbolic test oracle
+    for that.
     """
     fits = quotient_fits(problem, max_degree)[0]
     denom = Const(0.0)

@@ -480,9 +480,8 @@ def _run_bezout(cfg: ExperimentConfig) -> RunReport:
     rows, checks = [], []
     for route in routes:
         if route == "poly":
-            # x_j = p_j / sum p_k f_k on the Inside nodes, from the fits
-            _, pv, denom = quotient_fits(problem, p["max_degree"])
-            xv = [v / denom for v in pv]
+            # x_j = p_j / sum p_k f_k on the Inside nodes
+            xv = quotient_fits(problem, p["max_degree"])[1]
         else:
             xv = [x.values[inside] for x in bezout_pou(problem)]
         res = float(np.abs(sum(x * f for x, f in zip(xv, fv)) - 1.0).max())

@@ -17,13 +17,13 @@ division.dominated, which adds g and the domination |g| <= sum|f_j|),
 and hands x, dbar x and that record, collar included,
 to one correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
-On the poly route x_j = p_j / D comes from the node values and the
-certified D = sum p_k f_k of bezout.quotient_fits, and dbar x_j by the
-quotient rule from the fits' analytic dbar, so no fit is evaluated
-again and no symbolic tree is built or sampled beyond the generators'
-own dbar; koszul_F on the expressions of bezout.bezout_poly remains
-the symbolic test oracle.  corona_convergence runs corona_solve down
-the shared refinement ladder of the cauchy module.
+On the poly route x_j = p_j / D and dbar x_j come on the Inside nodes
+from bezout.quotient_fits, which owns that quotient, and are only
+scattered to the grid here, so no fit is evaluated again and no
+symbolic tree is built or sampled beyond the generators' own dbar;
+koszul_F on the expressions of bezout.bezout_poly remains the symbolic
+test oracle.  corona_convergence runs corona_solve down the shared
+refinement ladder of the cauchy module.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
-                     poly_dbars, quotient_fits, require_no_common_zero)
+                     quotient_fits, require_no_common_zero)
 from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, on_nodes,
                      refinement_ladder, sample_field, sup_abs,
                      verify_dbar_solution, zero_extended)
@@ -198,12 +197,12 @@ def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
     gens: x_fields, dbx (the arrays dbar x_j, drawn once by
     _obstruction), target (what sum u_j f_j should equal), the
     optional weight (the g^4 route: x and F are multiplied by it, and
-    the dbar sups skip the record's collar dilated by two cells), lift
-    (multiplies u, which is then zero-extended on the collar) and s2
-    (sum|f_j|^2, when the caller has formed it).  F is dropped once H
-    is solved.  dbar x is measured before u is assembled, since on the
-    weighted route u is written over the weighted x, which the core
-    owns; a caller's x is never written.
+    the dbar sups skip the nodes within two steps of the record's
+    collar), lift (multiplies u, which is then zero-extended on the
+    collar) and s2 (sum|f_j|^2, when the caller has formed it).  F is
+    dropped once H is solved.  dbar x is measured before u is
+    assembled, since on the weighted route u is written over the
+    weighted x, which the core owns; a caller's x is never written.
     """
     mask = gens.mask
     f_vals = [g.values for g in gens.f_fields]
@@ -213,8 +212,9 @@ def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
     sel = interior_shrunk(mask, margin)
     if weight is not None:
         extras["collar_nodes"] = int(gens.collar.sum())
-        if gens.collar.any():
-            sel &= ~ndimage.binary_dilation(gens.collar, iterations=2)
+        # lattice offsets have integer squared lengths, so any radius in
+        # (2h, sqrt5 h) selects exactly the diamond |dx| + |dy| <= 2
+        sel &= ~mask.near(mask.coords(gens.collar), 2.1 * mask.grid.h)
     xv = [x.values if weight is None else weight * x.values for x in x_fields]
     dbar_sup_x = _dbar_sup(xv, mask, sel)
     uv = _assemble(xv, f_vals, H, own=weight is not None)
@@ -241,20 +241,12 @@ def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
 
 
 def _poly_unit_solution(problem: BezoutProblem, max_degree: int):
-    # x_j = p_j / D and dbar x_j = (dbar p_j D - p_j dbar D) / D^2 on
-    # the Inside nodes, with p_j and D = sum p_k f_k from quotient_fits
-    # and dbar D = sum (dbar p_k f_k + p_k dbar f_k); only the
-    # generators' own dbar trees are sampled
-    fits, pv, D = quotient_fits(problem, max_degree=max_degree)
+    # quotient_fits' x and dbar x scattered from the Inside nodes; dbar
+    # x stays a generator, drawn once by _obstruction
+    fits, xv, dbxv = quotient_fits(problem, max_degree=max_degree)
     mask = problem.mask
-    inside = mask.inside
-    dpv = poly_dbars(fits, mask.coords(inside))
-    fv = [g.values[inside] for g in problem.f_fields]
-    dfv = [_dbar_values(f, mask)[inside] for f in problem.f_list]
-    dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
-    x_fields = [SampledField(mask, on_nodes(p / D, inside)) for p in pv]
-    dbx = (on_nodes((dp * D - p * dD) / D ** 2, inside)
-           for p, dp in zip(pv, dpv))
+    x_fields = [SampledField(mask, on_nodes(v, mask.inside)) for v in xv]
+    dbx = (on_nodes(v, mask.inside) for v in dbxv)
     report = [{"degree": p.degree, "sup_error": p.sup_error, "cond": p.cond}
               for p in fits]
     return x_fields, dbx, report

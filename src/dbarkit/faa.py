@@ -36,14 +36,12 @@ import numpy as np
 from .expr import ComplexExpr, Const, IntPow, Product, Sum, Var
 
 __all__ = [
-    "MAX_ORDER", "OrderedMultiIndex", "CoefficientTable",
+    "MAX_ORDER", "CoefficientTable",
     "enumerate_multi_indices", "coefficient", "compose_derivative",
     "taylor_expand", "taylor_oracle",
 ]
 
 MAX_ORDER = 20
-
-OrderedMultiIndex = tuple  # non-increasing tuple of positive ints
 
 
 def _check_order(n: int) -> int:

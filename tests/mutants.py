@@ -64,6 +64,13 @@ MUTANTS = [
     Mutant("|D| >= 1/2 certificate", "dbarkit/bezout.py",
            "if dmin < 0.5:", "if dmin < 0.0:",
            ("tests/test_bezout.py::test_quotient_fits_refuses_a_small_denominator",)),
+    Mutant("dbar x's quotient rule adds its two terms", "dbarkit/bezout.py",
+           "(dp * D - p * dD)", "(dp * D + p * dD)",
+           ("tests/test_corona.py::test_poly_route_matches_symbolic_oracle",)),
+    Mutant("collar exclusion radius one step short", "dbarkit/corona.py",
+           "2.1 * mask.grid.h", "1.1 * mask.grid.h",
+           ("tests/test_corona.py::"
+            "test_weighted_dbar_sups_skip_the_two_step_diamond",)),
     Mutant("SCREEN_SLACK below 1", "dbarkit/bezout.py",
            "SCREEN_SLACK = 1 + 1e-9", "SCREEN_SLACK = 0.5",
            ("tests/test_bezout.py::test_screened_ladder_matches_full_node_ladder",)),

@@ -1,0 +1,133 @@
+"""Opt-in check that the working tree behaves as a git revision does.
+
+Run by hand from anywhere in the repository:
+
+    python tests/same_outputs.py REV
+
+REV is any local revision (a commit, branch or tag).  It is exported
+with `git archive` into a temporary directory; then, on that tree and
+on the working tree, with BLAS on one thread, each shipped config
+(configs/*.ini) runs through `python -m dbarkit.cli` with its own
+output directory, and tests/test_acceptance.py runs through pytest.
+The two output trees are compared byte for byte: each CSV body below
+its generation-stamp line, each summary.txt, each exit status and the
+nine acceptance lines.  The script names every difference (a tree
+that prints no acceptance line counts as one) and exits 1 on any, 0
+when there is none and 2 when REV cannot be exported.
+
+pytest does not collect this file; tests/test_same_outputs.py checks
+compare_trees on two small output trees.
+"""
+
+import configparser
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env.update((var, "1") for var in BLAS_VARS)
+    return env
+
+
+def run_outputs(tree: Path, out: Path) -> None:
+    """The shipped configs' outputs and the acceptance lines of the
+    source tree `tree`, written under `out`."""
+    for ini in sorted((tree / "configs").glob("*.ini")):
+        cp = configparser.ConfigParser()
+        cp.read(ini)
+        dest = out / ini.stem
+        done = subprocess.run(
+            [sys.executable, "-m", "dbarkit.cli", cp["run"]["command"],
+             "--config", str(ini), "--out", str(dest)],
+            cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        dest.mkdir(parents=True, exist_ok=True)
+        (dest / "exit_status").write_text(f"{done.returncode}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"],
+        cwd=tree, env=_env(tree), capture_output=True, text=True)
+    lines = [ln for ln in done.stdout.splitlines()
+             if ln.startswith("criterion ")]
+    (out / "acceptance.txt").write_text("".join(ln + "\n" for ln in lines))
+
+
+def _body(path: Path) -> list:
+    lines = path.read_bytes().split(b"\n")
+    # a CSV's first line is its generation stamp
+    return lines[1:] if path.suffix == ".csv" else lines
+
+
+def compare_trees(old: Path, new: Path) -> list:
+    """One message per file that differs between two output trees: a
+    file on one side only, or different contents, named with its first
+    differing line and the number of differing lines."""
+    names = sorted({p.relative_to(t) for t in (old, new)
+                    for p in t.rglob("*") if p.is_file()})
+    messages = []
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            side = "old" if a.is_file() else "new"
+            messages.append(f"{name}: only in the {side} tree")
+            continue
+        la, lb = _body(a), _body(b)
+        if la == lb:
+            continue
+        offset = 2 if name.suffix == ".csv" else 1
+        diff = [i for i in range(max(len(la), len(lb)))
+                if la[i:i + 1] != lb[i:i + 1]]
+        i = diff[0]
+        was, now = (repr(t[i]) if i < len(t) else "no line" for t in (la, lb))
+        messages.append(f"{name}: {len(diff)} line(s) differ, first line "
+                        f"{i + offset}: {was} -> {now}")
+    return messages
+
+
+def export(rev: str, dest: Path) -> None:
+    """The committed files of rev, extracted under dest."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tests/same_outputs.py REV")
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        try:
+            export(argv[0], tmp / "tree")
+        except subprocess.CalledProcessError as err:
+            print(f"cannot export {argv[0]}: {err.stderr.decode().strip()}")
+            return 2
+        run_outputs(tmp / "tree", tmp / "old")
+        run_outputs(ROOT, tmp / "new")
+        messages = compare_trees(tmp / "old", tmp / "new")
+        messages += [f"the {side} tree printed no acceptance line"
+                     for side in ("old", "new")
+                     if not (tmp / side / "acceptance.txt").read_text()]
+        print((tmp / "new" / "acceptance.txt").read_text(), end="")
+    for m in messages:
+        print(m)
+    if messages:
+        print(f"{len(messages)} difference(s) from {argv[0]}")
+        return 1
+    print(f"no difference from {argv[0]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,7 +18,6 @@ from dbarkit.bezout import (
     bezout_pou,
     generalized_division,
     partition_of_unity,
-    poly_dbars,
     q_fields,
     quotient_fits,
     smoothstep,
@@ -137,9 +136,8 @@ def test_weierstrass_recovers_monomial(disk_mask_64):
     q = sample_field(np.conj, disk_mask_64)
     fit = weierstrass_fit(q, 1, 1e-10)
     assert fit.sup_error <= 1e-10
-    coeffs = {(a, b): c for a, b, c in fit.terms}
-    assert abs(coeffs[(0, 1)] - 1) < 1e-10
-    assert abs(coeffs[(0, 0)]) < 1e-10
+    assert abs(fit.coef[0, 1] - 1) < 1e-10
+    assert abs(fit.coef[0, 0]) < 1e-10
 
 
 def test_weierstrass_quality_improves_with_degree(disk_mask_64):
@@ -262,15 +260,15 @@ def test_screened_ladder_matches_full_node_ladder(quartic_pair_128,
                                                   monkeypatch):
     # at stride > 1 each degree is screened on the subsample first; with
     # the screen switched off every degree is measured on every node,
-    # and the chosen degrees and sup errors must be the same
+    # and the chosen degrees, sup errors, values and dbar must be the same
     qs = q_fields(quartic_pair_128)
     target = 1.0 / (2.0 * sum(g.max_abs() for g in quartic_pair_128.f_fields))
     screened = bezout._fit_ladder(qs, range(17), target)
     monkeypatch.setattr(bezout, "SCREEN_SLACK", np.inf)
     full = bezout._fit_ladder(qs, range(17), target)
-    for (a, va), (b, vb) in zip(zip(*screened), zip(*full)):
+    for (a, va, da), (b, vb, db) in zip(zip(*screened), zip(*full)):
         assert (a.degree, a.sup_error) == (b.degree, b.sup_error)
-        assert np.array_equal(va, vb)
+        assert np.array_equal(va, vb) and np.array_equal(da, db)
     assert [p.degree for p in screened[0]] == [15, 14]
 
 
@@ -294,33 +292,48 @@ def test_last_degree_error_reports_the_full_node_sup(quartic_pair_128):
 def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
     # at stride 1 every tried degree of every field is evaluated on all
     # Inside nodes; beyond MAX_FIT_NODES only the chosen degree of each
-    # field is, the rest fail the subsample screen
+    # field is, the rest fail the subsample screen.  The dbar of each
+    # chosen fit is evaluated once, on all Inside nodes
     pairs = {"linear": [Z, ONE_MINUS_Z], "quartic": QUARTIC}
     for name, fs in pairs.items():
         problem = BezoutProblem.build(Disk(0j, 1.0), fs, h=h)
         m = int(problem.mask.inside.sum())
-        full = []
+        full, dbars = [], []
         on_table = PolyZZbar._on_table
 
         def counted(self, zp, zcp, dbar=False):
-            full.append(zp.shape[1] == m)
+            (dbars if dbar else full).append(zp.shape[1] == m)
             return on_table(self, zp, zcp, dbar)
 
         monkeypatch.setattr(PolyZZbar, "_on_table", counted)
-        quotient_fits(problem)
+        fits = quotient_fits(problem)[0]
         monkeypatch.setattr(PolyZZbar, "_on_table", on_table)
         assert sum(full) == counts[name], name
+        assert dbars == [True] * len(fits), name
 
 
 def test_poly_dbars_share_one_table_bitwise(quartic_pair):
-    # the degree-14 fit reads the leading rows of the degree-15 table;
-    # the recurrence makes them bitwise those of its own table
-    fits = quotient_fits(quartic_pair)[0]
+    # the fits read the leading rows of the ladder's degree-16 table;
+    # the recurrence makes them bitwise those of a table of each fit's
+    # own degree, so x and dbar x are the quotient rule over own-degree
+    # evaluations, bit for bit
+    fits, x, dbx = quotient_fits(quartic_pair)
     assert [p.degree for p in fits] == [15, 14]
-    z = quartic_pair.mask.coords(quartic_pair.mask.inside)
-    for p, got in zip(fits, poly_dbars(fits, z)):
+    mask = quartic_pair.mask
+    z = mask.coords(mask.inside)
+    pv, dpv = [], []
+    for p in fits:
         zp = bezout._powers(z, p.degree)
-        assert np.array_equal(got, p._on_table(zp, zp.conj(), dbar=True))
+        pv.append(p._on_table(zp, zp.conj()))
+        dpv.append(p._on_table(zp, zp.conj(), dbar=True))
+    fv = [g.values[mask.inside] for g in quartic_pair.f_fields]
+    dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
+           for f in QUARTIC]
+    D = sum(p * f for p, f in zip(pv, fv))
+    dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
+    for j, (p, dp) in enumerate(zip(pv, dpv)):
+        assert np.array_equal(x[j], p / D)
+        assert np.array_equal(dbx[j], (dp * D - p * dD) / D ** 2)
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,
@@ -332,32 +345,38 @@ _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,
 def test_poly_dbar_matches_symbolic_dbar(degree, data):
     # dbar of c z^a conj(z)^b is b c z^a conj(z)^(b-1); the table-based
     # values and dbar must agree with the expression tree's
-    terms = [(a, s - a, data.draw(_COEF))
-             for s in range(degree + 1) for a in range(s + 1)]
+    coef = np.zeros((degree + 1, degree + 1), dtype=complex)
+    for s in range(degree + 1):
+        for a in range(s + 1):
+            coef[a, s - a] = data.draw(_COEF)
     z = np.array(data.draw(st.lists(
         st.complex_numbers(max_magnitude=1, allow_nan=False,
                            allow_infinity=False), min_size=1, max_size=8)))
-    p = PolyZZbar(degree, terms)
-    scale = 1 + sum((1 + b) * abs(c) for _, b, c in terms)
+    p = PolyZZbar(degree, coef)
+    scale = 1 + sum((1 + b) * abs(coef[a, b])
+                    for a in range(degree + 1) for b in range(degree + 1))
     want_dbar = wirtinger_dbar(p.as_expr()).eval(z)
-    assert np.abs(poly_dbars([p], z)[0] - want_dbar).max() <= 1e-12 * scale
+    zp = bezout._powers(z, degree)
+    got_dbar = p._on_table(zp, zp.conj(), dbar=True)
+    assert np.abs(got_dbar - want_dbar).max() <= 1e-12 * scale
     assert np.abs(p(z) - p.as_expr().eval(z)).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("pair", ["linear_pair", "quartic_pair"])
 def test_quotient_fits_returns_the_ladder_node_values(pair, request):
-    # pv and D come from the fit ladder's own evaluation; they must be
-    # the fits evaluated afresh on the Inside nodes, in coords order
+    # x = p / D comes from the fit ladder's own evaluation; it must be
+    # the fits evaluated afresh on the Inside nodes, in coords order,
+    # over their D
     problem = request.getfixturevalue(pair)
-    fits, pv, D = quotient_fits(problem)
+    fits, x, _ = quotient_fits(problem)
     inside = problem.mask.inside
     zin = problem.mask.coords(inside)
     want = [p(zin) for p in fits]
-    for got, ref in zip(pv, want):
-        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     want_D = sum(v * g.values[inside] for v, g in zip(want, problem.f_fields))
-    assert np.abs(D - want_D).max() <= 1e-14 * np.abs(want_D).max()
-    assert np.abs(D).min() >= 0.5
+    assert np.abs(want_D).min() >= 0.5
+    for got, ref in zip(x, want):
+        ref = ref / want_D
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_quotient_fits_refuses_a_small_denominator(linear_pair, monkeypatch):
@@ -367,8 +386,8 @@ def test_quotient_fits_refuses_a_small_denominator(linear_pair, monkeypatch):
     ladder = bezout._fit_ladder
 
     def shrunk(*args):
-        fits, pv = ladder(*args)
-        return fits, [0.3 * v for v in pv]
+        fits, pv, dpv = ladder(*args)
+        return fits, [0.3 * v for v in pv], dpv
 
     monkeypatch.setattr(bezout, "_fit_ladder", shrunk)
     with pytest.raises(ValueError, match=r"< 1/2 although every fit"):

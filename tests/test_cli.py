@@ -477,8 +477,8 @@ def test_cauchy_single_level_has_no_slopes():
 
 
 def test_bezout_poly_route_evaluates_no_fit_again(tmp_path, poly_calls):
-    # the poly residual comes from quotient_fits' node values and D; no
-    # fit is called on the nodes after the ladder
+    # the poly residual comes from quotient_fits' x on the nodes; no fit
+    # is called on the nodes after the ladder
     cfg = write(tmp_path, "[run]\nlevels = 1/64\n\n"
                           "[bezout]\nf = z, sub(1, z)\nroute = poly\n")
     assert main(["bezout", "--config", cfg]) == EXIT_OK

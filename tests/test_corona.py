@@ -250,6 +250,17 @@ def test_poly_route_evaluates_no_fit_again(poly_calls):
     assert poly_calls == []
 
 
+def test_poly_route_builds_one_power_table(monkeypatch):
+    # the fit ladder's table serves the values and the dbar of every fit
+    calls = []
+    powers = bezout._powers
+    monkeypatch.setattr(bezout, "_powers",
+                        lambda *args: calls.append(1) or powers(*args))
+    sol = corona_solve(QUARTIC, DISK, h=1 / 32)
+    assert sol.residual_sup < 1e-12
+    assert len(calls) == 1
+
+
 def test_corona_covering_route():
     sol = corona_solve(LINEAR, DISK, h=1 / 64, route="pou")
     assert sol.residual_sup < 1e-12
@@ -424,6 +435,37 @@ def test_weighted_power_solve_computes_the_collar_once(monkeypatch):
                         isolated_zeros=False, h=1 / 32)
     assert sol.extras["collar_nodes"] >= 1
     assert len(calls) == 1
+
+
+def test_weighted_dbar_sups_skip_the_two_step_diamond(monkeypatch):
+    # the weighted route measures dbar off every node within two lattice
+    # steps (|dx| + |dy| <= 2) of the collar; scattered collar nodes and
+    # an adjacent cluster check the union of the diamonds
+    m = build_mask(DISK, h=1 / 32)
+    iy, ix = np.nonzero(interior_shrunk(m, 4))
+    pick = np.random.default_rng(7).choice(iy.size, 12, replace=False)
+    collar = np.zeros(m.inside.shape, bool)
+    collar[iy[pick], ix[pick]] = True
+    cy, cx = m.grid.nearest_index(0j)
+    collar[cy, cx - 1:cx + 2] = collar[cy + 1, cx] = True
+    fv = np.where(m.inside & ~collar, 1.0 + 0j, 0)
+    gens = BezoutProblem([Z, Z], m, [SampledField(m, fv) for _ in range(2)])
+    assert np.array_equal(gens.collar, collar)
+    seen = []
+    dbar_sup = corona._dbar_sup
+    monkeypatch.setattr(corona, "_dbar_sup", lambda v, mask, sel:
+                        seen.append(sel.copy()) or dbar_sup(v, mask, sel))
+    zero = np.zeros(m.inside.shape, complex)
+    corona._correct([SampledField(m, zero) for _ in range(2)], [zero, zero],
+                    gens, 0.0, "0", 1, weight=np.ones(m.inside.shape))
+    diamond = np.zeros_like(collar)
+    ky, kx = np.nonzero(collar)
+    for dy in range(-2, 3):
+        for dx in range(abs(dy) - 2, 3 - abs(dy)):
+            diamond[ky + dy, kx + dx] = True
+    want = interior_shrunk(m, 1) & ~diamond
+    assert len(seen) == 2
+    assert all(np.array_equal(sel, want) for sel in seen)
 
 
 def test_g12_checks_domination_before_hypothesis():

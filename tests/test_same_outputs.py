@@ -1,0 +1,46 @@
+"""The comparison of tests/same_outputs.py, on two small output trees."""
+
+import importlib.util
+from pathlib import Path
+
+
+def _same_outputs():
+    path = Path(__file__).with_name("same_outputs.py")
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree(root: Path, stamp: str, body: str) -> Path:
+    run = root / "corona_linear"
+    run.mkdir(parents=True)
+    (run / "corona.csv").write_text(
+        f"# corona generated {stamp}\nlevel,h\n0,{body}\n")
+    (run / "summary.txt").write_text("corona: PASS\n")
+    (run / "exit_status").write_text("0\n")
+    (root / "acceptance.txt").write_text("criterion 1 (dbar solver): PASS\n")
+    return root
+
+
+def test_a_changed_stamp_line_is_ignored(tmp_path):
+    compare = _same_outputs().compare_trees
+    old = _tree(tmp_path / "old", "2026-01-01T00:00:00+00:00", "0.015625")
+    new = _tree(tmp_path / "new", "2026-06-30T12:34:56+00:00", "0.015625")
+    assert compare(old, new) == []
+
+
+def test_a_changed_body_byte_is_reported(tmp_path):
+    compare = _same_outputs().compare_trees
+    old = _tree(tmp_path / "old", "2026-01-01T00:00:00+00:00", "0.015625")
+    new = _tree(tmp_path / "new", "2026-01-01T00:00:00+00:00", "0.015626")
+    (new / "acceptance.txt").write_text("criterion 1 (dbar solver): FAIL\n")
+    (new / "extra.txt").write_text("")
+    messages = compare(old, new)
+    assert len(messages) == 3
+    assert messages[0].startswith("acceptance.txt: 1 line(s) differ, "
+                                  "first line 1:")
+    assert messages[1].startswith(
+        "corona_linear/corona.csv: 1 line(s) differ, first line 3: "
+        "b'0,0.015625' -> b'0,0.015626'")
+    assert messages[2] == "extra.txt: only in the new tree"
