@@ -10,28 +10,33 @@ polynomials in z and conj(z) and divides by the (certified nonvanishing)
 combination D = sum p_k f_k.  quotient_fits owns that quotient: it
 fits every q_j at every degree on one growing QR factorization and
 returns the fits with x_j = p_j / D and dbar x_j on the Inside nodes,
-from the values and analytic dbar the fit ladder evaluated on its one
-power table, so no fit is evaluated again.  A fit holds its
-coefficients as one matrix coef[a, b] of z^a conj(z)^b.  The
-factorization is real: each degree's monomials are closed under
-conjugation, so sqrt2 Re and sqrt2 Im of z^a conj(z)^b (a > b), plus
-|z|^d on the diagonal, span them by a unitary change of basis, and Re
-and Im of a field are two real right-hand sides.  On a stride
-subsample (grids beyond MAX_FIT_NODES) each degree's sup error is
-screened on the subsample first; only a degree that passes, or the
-last, is measured on every node.  bezout_poly returns the same
-quotient as expressions, which remain the symbolic test oracle.  The
-covering route builds a smoothstep partition of unity subordinate to
-{|f_j| > eps/3} and divides each bump by its own generator.  One
-covering step, _covering, checks the floor delta, sets eps = delta/(2n)
-and builds and checks the bumps, for partition_of_unity on the Inside
-nodes and for generalized_division off the dividend's vanishing
-neighborhood, which RegionMask.near finds in node windows.  The bumps
-and their total are node vectors of the covered set, and each output
-is divided there and scattered to the grid once (cauchy.on_nodes), so
-no full-grid bump or product is built.  Both keep the residual
-identity exact up to rounding; the interesting measured quantity is
-how smooth the output is.
+from the values and analytic dbar the fit ladder evaluated, so no fit
+is evaluated again.  A fit holds its coefficients as one matrix
+coef[a, b] of z^a conj(z)^b.  The factorization is real: each
+degree's monomials are closed under conjugation, so sqrt2 Re and
+sqrt2 Im of z^a conj(z)^b (a > b), plus |z|^d on the diagonal, span
+them by a unitary change of basis, and Re and Im of a field are two
+real right-hand sides.  On a stride subsample (grids beyond
+MAX_FIT_NODES) each degree's sup error is screened on the subsample
+first; only a degree that passes, or the last, is measured on every
+node.  The ladder builds one power table, over its subsample (every
+node at stride 1); past the subsample a fit's values and dbar on
+every node are evaluated in node blocks of NODE_BLOCK points, each
+with a table of the fit's own degree, so no table spans every node of
+a fine grid, and the values are bitwise those of one table.
+bezout_poly takes the certified fits alone, without x and dbar x, and
+returns the same quotient as expressions, which remain the symbolic
+test oracle.  The covering route builds a smoothstep partition of
+unity subordinate to {|f_j| > eps/3} and divides each bump by its own
+generator.  One covering step, _covering, checks the floor delta, sets
+eps = delta/(2n) and builds and checks the bumps, for
+partition_of_unity on the Inside nodes and for generalized_division
+off the dividend's vanishing neighborhood, which RegionMask.near finds
+in node windows.  The bumps and their total are node vectors of the
+covered set, and each output is divided there and scattered to the
+grid once (cauchy.on_nodes), so no full-grid bump or product is
+built.  Both keep the residual identity exact up to rounding; the
+interesting measured quantity is how smooth the output is.
 """
 
 from __future__ import annotations
@@ -62,6 +67,10 @@ __all__ = [
 # sum|f_j| <= COLLAR_REL * max marks the collar around common zeros
 COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
+# width of the node blocks a fit is evaluated in beyond the subsample
+# table; a power of two, so every block starts on a BLAS gemm tile and
+# its values are bitwise those of one table over all the points
+NODE_BLOCK = 1 << 13
 # a subsample sup error above target_sup * SCREEN_SLACK fails the fit
 # degree without a full-node evaluation; the slack covers roundoff
 SCREEN_SLACK = 1 + 1e-9
@@ -252,10 +261,23 @@ class PolyZZbar:
         inner = coef @ zcp[:coef.shape[1]]
         return np.einsum("an,an->n", zp[:d + 1], inner)
 
+    def _on_points(self, z: np.ndarray, dbar: bool = False) -> np.ndarray:
+        # values (or dbar) at the flat points z, one _powers table of the
+        # fit's degree per block of NODE_BLOCK points, so no table spans
+        # every point.  The last block runs to the end: none is narrower
+        # than min(z.size, NODE_BLOCK), so none takes the narrow-matrix
+        # path of BLAS, whose rounding differs
+        n = z.size
+        out = np.empty(n, dtype=complex)
+        starts = range(0, max(n - NODE_BLOCK, 0) + 1, NODE_BLOCK)
+        for a, b in zip(starts, [*starts[1:], n]):
+            zp = _powers(z[a:b], self.degree)
+            out[a:b] = self._on_table(zp, zp.conj(), dbar)
+        return out
+
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        zp = _powers(z.ravel(), self.degree)
-        return self._on_table(zp, zp.conj()).reshape(z.shape)
+        return self._on_points(z.ravel()).reshape(z.shape)
 
     def as_expr(self) -> ComplexExpr:
         # graded order: z^a conj(z)^(s - a) for s = 0 .. degree
@@ -267,15 +289,18 @@ class PolyZZbar:
         return out
 
 
-def _fit_ladder(qs: list, degrees: range, target_sup: float):
+def _fit_ladder(qs: list, degrees: range, target_sup: float,
+                with_dbar: bool = True):
     # Least-squares fits of the fields qs, which share the support of
     # qs[0], at each degree of `degrees` in turn.  Returns three lists:
     # per field, its first fit with sup error within target_sup, or else
     # the last degree's FitToleranceError; that fit's values on the
-    # support nodes (mask.coords order), as measured for the sup; and
-    # its analytic dbar there, from the same power table; None where
-    # the fit failed.  A table's rows come from one recurrence, so they
-    # are bitwise those of a table of the fit's own degree.
+    # support nodes (mask.coords order), as measured for the sup; and,
+    # with_dbar, its analytic dbar there; None where the fit failed or
+    # no dbar was asked for.  A table's rows come from one recurrence
+    # per point, so the leading rows of the subsample's degree-`top`
+    # table, and a node block's table of the fit's own degree, hold
+    # bitwise the powers of one table over every node.
     #
     # The degree-d monomials z^a conj(z)^(d-a) are closed under
     # conjugation, so the real columns sqrt2 Re and sqrt2 Im of each
@@ -294,20 +319,28 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # a lower bound on the full one, so a degree that exceeds
     # target_sup on it (with SCREEN_SLACK for roundoff) is never
     # evaluated on every node.  A degree that passes the screen, and
-    # the last degree always, is measured on every support node.
+    # the last degree always, is measured on every support node, in
+    # node blocks (PolyZZbar._on_points); at stride 1 the subsample is
+    # every node and its one table serves the values and the dbar.
     if not degrees or degrees[0] < 0:
         raise ValueError(f"fit degrees {degrees} must be nonnegative")
     sel = qs[0].support
     m = int(sel.sum())
     first, top = degrees[0], degrees[-1]
-    zp = _powers(qs[0].mask.coords(sel), top)
-    zcp = zp.conj()
+    z = qs[0].mask.coords(sel)
     vals = [q.values[sel] for q in qs]
     stride = max(1, -(-m // MAX_FIT_NODES))
     if -(-m // stride) < _count(top):
         stride = 1
-    zf, zcf = (np.ascontiguousarray(t[:, ::stride]) for t in (zp, zcp))
+    zf = _powers(z[::stride], top)
+    zcf = zf.conj()
     vf = [v[::stride] for v in vals]
+
+    def on_support(poly, dbar=False):
+        if stride == 1:
+            return poly._on_table(zf, zcf, dbar)
+        return poly._on_points(z, dbar)
+
     n = len(qs)
     rhs = np.stack([v.real for v in vf] + [v.imag for v in vf], axis=1)
     rows, cols = rhs.shape[0], _count(top)
@@ -351,12 +384,13 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
                 screen = np.abs(poly._on_table(zf, zcf) - vf[j]).max()
                 if screen > SCREEN_SLACK * target_sup:
                     continue
-            pv = poly._on_table(zp, zcp)
+            pv = on_support(poly)
             sup = float(np.abs(pv - vals[j]).max())
             if sup <= target_sup:
                 poly.sup_error = sup
                 out[j], fit_values[j] = poly, pv
-                fit_dbars[j] = poly._on_table(zp, zcp, dbar=True)
+                if with_dbar:
+                    fit_dbars[j] = on_support(poly, dbar=True)
             elif last:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
@@ -377,32 +411,24 @@ def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
     unchanged.  The fit reports the condition number of its monomial
     matrix as cond.
     """
-    fit = _fit_ladder([q], range(d, d + 1), target_sup)[0][0]
+    fit = _fit_ladder([q], range(d, d + 1), target_sup, False)[0][0]
     if isinstance(fit, FitToleranceError):
         raise fit
     return fit
 
 
-def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
-    """The quotient route x_j = p_j / D, D = sum p_k f_k, on the nodes.
-
-    Fits every q_j at increasing degree, all degrees and all j on one
-    growing factorization, until the sup error is within
-    1/(2 sum_k ||f_k||_inf), which forces |D| >= 1/2 on the nodes, then
-    certifies that lower bound.  Returns (fits, x, dbar_x): the
-    PolyZZbar fits p_j and, on the Inside nodes in
-    mask.coords(mask.inside) order, x_j = p_j / D and, by the quotient
-    rule, dbar x_j = (dbar p_j D - p_j dbar D) / D^2 with
-    dbar D = sum (dbar p_k f_k + p_k dbar f_k).  p_j and dbar p_j are
-    the fit ladder's own evaluations; only the generators' dbar trees
-    are sampled.
-    """
+def _certified_fits(problem: BezoutProblem, max_degree: int,
+                    with_dbar: bool):
+    # the quotient route's fits p_j with sup error within
+    # 1/(2 sum_k ||f_k||_inf), their values (and, with_dbar, their
+    # analytic dbar) on the Inside nodes, the generators' values there
+    # and D = sum p_k f_k, once |D| >= 1/2 is certified on every node
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
             raise TypeError("the poly route needs expression generators")
     target = 1.0 / (2.0 * sum(g.max_abs() for g in problem.f_fields))
     fits, pv, dpv = _fit_ladder(q_fields(problem), range(max_degree + 1),
-                                target)
+                                target, with_dbar)
     for j, fit in enumerate(fits):
         if isinstance(fit, FitToleranceError):
             raise FitToleranceError(
@@ -419,6 +445,25 @@ def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
         raise ValueError(
             f"min |sum p_k f_k| = {dmin:.6f} < 1/2 although every fit met "
             f"its tolerance; the sampled sup norms are inconsistent")
+    return fits, pv, dpv, fv, D
+
+
+def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
+    """The quotient route x_j = p_j / D, D = sum p_k f_k, on the nodes.
+
+    Fits every q_j at increasing degree, all degrees and all j on one
+    growing factorization, until the sup error is within
+    1/(2 sum_k ||f_k||_inf), which forces |D| >= 1/2 on the nodes, then
+    certifies that lower bound.  Returns (fits, x, dbar_x): the
+    PolyZZbar fits p_j and, on the Inside nodes in
+    mask.coords(mask.inside) order, x_j = p_j / D and, by the quotient
+    rule, dbar x_j = (dbar p_j D - p_j dbar D) / D^2 with
+    dbar D = sum (dbar p_k f_k + p_k dbar f_k).  p_j and dbar p_j are
+    the fit ladder's own evaluations; only the generators' dbar trees
+    are sampled.
+    """
+    fits, pv, dpv, fv, D = _certified_fits(problem, max_degree, True)
+    mask = problem.mask
     dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
            for f in problem.f_list]
     dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
@@ -429,12 +474,12 @@ def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
 def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
     """Quotient-route solution as expressions x_j = p_j / sum p_k f_k.
 
-    The p_j are the certified fits of quotient_fits.  corona_solve
-    takes the same quotient and its dbar as quotient_fits evaluates
-    them on the nodes; these expressions are the symbolic test oracle
-    for that.
+    The p_j are the certified fits of quotient_fits, taken without its
+    x and dbar x.  corona_solve takes the same quotient and its dbar as
+    quotient_fits evaluates them on the nodes; these expressions are
+    the symbolic test oracle for that.
     """
-    fits = quotient_fits(problem, max_degree)[0]
+    fits = _certified_fits(problem, max_degree, False)[0]
     denom = Const(0.0)
     for p, f in zip(fits, problem.f_list):
         denom = add(denom, mul(p.as_expr(), f))

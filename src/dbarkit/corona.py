@@ -18,12 +18,14 @@ and hands x, dbar x and that record, collar included,
 to one correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
 On the poly route x_j = p_j / D and dbar x_j come on the Inside nodes
-from bezout.quotient_fits, which owns that quotient, and are only
-scattered to the grid here, so no fit is evaluated again and no
-symbolic tree is built or sampled beyond the generators' own dbar;
-koszul_F on the expressions of bezout.bezout_poly remains the symbolic
-test oracle.  corona_convergence runs corona_solve down the shared
-refinement ladder of the cauchy module.
+from bezout.quotient_fits, which owns that quotient and evaluates the
+fits in node blocks past its fit subsample, and are only scattered to
+the grid here, so no fit is evaluated again, no power table spans more
+nodes than the fit subsample, and no symbolic tree is built or sampled
+beyond the generators' own dbar; koszul_F on the expressions of
+bezout.bezout_poly remains the symbolic test oracle.
+corona_convergence runs corona_solve down the shared refinement ladder
+of the cauchy module.
 """
 
 from __future__ import annotations

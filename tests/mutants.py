@@ -74,6 +74,10 @@ MUTANTS = [
     Mutant("SCREEN_SLACK below 1", "dbarkit/bezout.py",
            "SCREEN_SLACK = 1 + 1e-9", "SCREEN_SLACK = 0.5",
            ("tests/test_bezout.py::test_screened_ladder_matches_full_node_ladder",)),
+    Mutant("node blocks drop the remainder past the last full block",
+           "dbarkit/bezout.py", "zip(starts, [*starts[1:], n])",
+           "zip(starts, [*starts[1:], starts[-1] + NODE_BLOCK])",
+           ("tests/test_bezout.py::test_poly_dbars_share_one_table_bitwise",)),
     Mutant("domination slack dropped", "dbarkit/division.py",
            "if (a > b + 1e-9 * max(slack_ref, 1.0)).any():",
            "if (a > b).any():",
@@ -184,7 +188,9 @@ MUTANTS = [
            "out[k:n - k] = run[:n - width + 1] & run[rest:]",
            "out[k:n - k] = run[:n - width + 1]",
            ("tests/test_domains.py::"
-            "test_eroded_matches_iterated_binary_erosion",)),
+            "test_eroded_matches_iterated_binary_erosion",
+            "tests/test_domains.py::"
+            "test_window_and_covers_every_hole_position")),
     Mutant("node ordinates repeated by column counts", "dbarkit/domains.py",
            "np.repeat(ys, np.count_nonzero(sel, axis=1))",
            "np.repeat(ys, np.count_nonzero(sel, axis=0))",

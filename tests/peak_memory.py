@@ -7,9 +7,10 @@ editable install, or PYTHONPATH=src):
 
 prints, for h = 1/N (default N = 256) on the unit disk, the tracemalloc
 peak of each stage in MB: the kernel spectrum's build (its cache
-cleared first), pompeiu on the sampled constant 1, and the pou-route
-corona_solve on (z^2, (1-z)^2), g_power_solve (g^5) and g12_solve
-(g^12) on (z^2, z^3) with g = z^2, with the benchmark's inputs.  Each
+cleared first), pompeiu on the sampled constant 1, the pou-route and
+poly-route corona_solve on (z^2, (1-z)^2), and g_power_solve (g^5) and
+g12_solve (g^12) on (z^2, z^3) with g = z^2, with the benchmark's
+inputs.  Each
 solve runs on a warm kernel cache, so its peak is the solve's own; a
 stage's inputs are made before its trace starts.  Margins follow the
 acceptance ladders: max(3, round(0.15 / h)) cells.  pytest does not
@@ -48,6 +49,7 @@ def stages(h: float) -> list:
     field = cauchy.sample_field(Const(1.0), mask)
     one = Const(1.0)
     denom = add(one, mul(Z, conj(Z)))
+    quartic = [intpow(Z, 2), intpow(sub(one, Z), 2)]
     g, fs = intpow(Z, 2), [intpow(Z, 2), intpow(Z, 3)]
     xs = [div(one, denom), div(conj(Z), denom)]
     hs = [conj(intpow(Z, 2)), conj(intpow(Z, 3))]
@@ -60,8 +62,9 @@ def stages(h: float) -> list:
         ("kernel build", build),
         ("pompeiu", lambda: cauchy.pompeiu(field)),
         ("pou corona_solve", lambda: corona.corona_solve(
-            [intpow(Z, 2), intpow(sub(one, Z), 2)], DISK, h=h, route="pou",
-            margin=margin, mask=mask)),
+            quartic, DISK, h=h, route="pou", margin=margin, mask=mask)),
+        ("poly corona_solve", lambda: corona.corona_solve(
+            quartic, DISK, h=h, route="poly", margin=margin, mask=mask)),
         ("g^5 g_power_solve", lambda: corona.g_power_solve(
             g, fs, xs, DISK, h=h, margin=margin, mask=mask)),
         ("g^12 g12_solve", lambda: corona.g12_solve(

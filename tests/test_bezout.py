@@ -291,49 +291,115 @@ def test_last_degree_error_reports_the_full_node_sup(quartic_pair_128):
                                        (1 / 256, {"linear": 2, "quartic": 2})])
 def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
     # at stride 1 every tried degree of every field is evaluated on all
-    # Inside nodes; beyond MAX_FIT_NODES only the chosen degree of each
-    # field is, the rest fail the subsample screen.  The dbar of each
-    # chosen fit is evaluated once, on all Inside nodes
+    # Inside nodes, on the ladder's one table; beyond MAX_FIT_NODES only
+    # the chosen degree of each field is, in node blocks, the rest fail
+    # the subsample screen.  The dbar of each chosen fit is evaluated
+    # once, on all Inside nodes
     pairs = {"linear": [Z, ONE_MINUS_Z], "quartic": QUARTIC}
+    on_table, on_points = PolyZZbar._on_table, PolyZZbar._on_points
     for name, fs in pairs.items():
         problem = BezoutProblem.build(Disk(0j, 1.0), fs, h=h)
         m = int(problem.mask.inside.sum())
-        full, dbars = [], []
-        on_table = PolyZZbar._on_table
+        evals = []  # [dbar, nodes covered] per evaluation
 
-        def counted(self, zp, zcp, dbar=False):
-            (dbars if dbar else full).append(zp.shape[1] == m)
+        def table(self, zp, zcp, dbar=False):
+            evals.append([dbar, zp.shape[1]])
             return on_table(self, zp, zcp, dbar)
 
-        monkeypatch.setattr(PolyZZbar, "_on_table", counted)
+        def points(self, z, dbar=False):
+            k = len(evals)
+            out = on_points(self, z, dbar)
+            # the blocks of one evaluation count as one, over their nodes
+            evals[k:] = [[dbar, sum(n for _, n in evals[k:])]]
+            return out
+
+        monkeypatch.setattr(PolyZZbar, "_on_table", table)
+        monkeypatch.setattr(PolyZZbar, "_on_points", points)
         fits = quotient_fits(problem)[0]
-        monkeypatch.setattr(PolyZZbar, "_on_table", on_table)
-        assert sum(full) == counts[name], name
-        assert dbars == [True] * len(fits), name
+        monkeypatch.undo()
+        full = [dbar for dbar, n in evals if n == m]
+        assert full.count(False) == counts[name], name
+        assert [n == m for dbar, n in evals if dbar] == [True] * len(fits)
 
 
-def test_poly_dbars_share_one_table_bitwise(quartic_pair):
-    # the fits read the leading rows of the ladder's degree-16 table;
-    # the recurrence makes them bitwise those of a table of each fit's
-    # own degree, so x and dbar x are the quotient rule over own-degree
+def test_strided_ladder_builds_no_table_past_subsample_or_block(
+        quartic_pair_128, monkeypatch):
+    # beyond MAX_FIT_NODES the one table of the top degree spans the
+    # stride subsample only; each full-node evaluation (two values, two
+    # dbars) builds its tables one node block at a time, the last block
+    # running to the end
+    widths = []
+    powers = bezout._powers
+    monkeypatch.setattr(bezout, "_powers",
+                        lambda z, d: widths.append(z.size) or powers(z, d))
+    monkeypatch.setattr(bezout, "NODE_BLOCK", 1024)
+    quotient_fits(quartic_pair_128)
+    m = int(quartic_pair_128.mask.inside.sum())
+    assert widths[0] == -(-m // 3) < m
+    blocks = widths[1:]
+    assert sum(blocks) == 4 * m
+    assert len(blocks) == 4 * (m // 1024)
+    assert max(blocks) < 2 * 1024 and min(blocks) == 1024
+
+
+def test_poly_dbars_share_one_table_bitwise(quartic_pair, quartic_pair_128,
+                                            monkeypatch):
+    # at stride 1 (h = 1/64) the fits read the leading rows of the
+    # ladder's degree-16 table; beyond MAX_FIT_NODES (h = 1/128) they are
+    # evaluated in node blocks, of NODE_BLOCK and then of 1024 nodes,
+    # which the node count is not a multiple of.  The recurrence makes
+    # either bitwise a table of each fit's own degree over every node,
+    # so the fits, x and dbar x do not depend on the block, and x and
+    # dbar x are the quotient rule over own-degree one-table
     # evaluations, bit for bit
-    fits, x, dbx = quotient_fits(quartic_pair)
-    assert [p.degree for p in fits] == [15, 14]
-    mask = quartic_pair.mask
-    z = mask.coords(mask.inside)
-    pv, dpv = [], []
-    for p in fits:
-        zp = bezout._powers(z, p.degree)
-        pv.append(p._on_table(zp, zp.conj()))
-        dpv.append(p._on_table(zp, zp.conj(), dbar=True))
-    fv = [g.values[mask.inside] for g in quartic_pair.f_fields]
-    dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
-           for f in QUARTIC]
-    D = sum(p * f for p, f in zip(pv, fv))
-    dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
-    for j, (p, dp) in enumerate(zip(pv, dpv)):
-        assert np.array_equal(x[j], p / D)
-        assert np.array_equal(dbx[j], (dp * D - p * dD) / D ** 2)
+    block = bezout.NODE_BLOCK
+    for problem in (quartic_pair, quartic_pair_128):
+        mask = problem.mask
+        m = int(mask.inside.sum())
+        monkeypatch.setattr(bezout, "NODE_BLOCK", block)
+        wide = quotient_fits(problem)
+        monkeypatch.setattr(bezout, "NODE_BLOCK", 1024)
+        assert m % 1024 and m // 1024 >= 12
+        fits, x, dbx = quotient_fits(problem)
+        assert [p.degree for p in fits] == [15, 14]
+        for p, q in zip(fits, wide[0]):
+            assert (p.coef.tobytes(), p.sup_error, p.cond) == (
+                q.coef.tobytes(), q.sup_error, q.cond)
+        for got, want in zip(x + dbx, wide[1] + wide[2]):
+            assert got.tobytes() == want.tobytes()
+        z = mask.coords(mask.inside)
+        pv, dpv = [], []
+        for p in fits:
+            zp = bezout._powers(z, p.degree)
+            pv.append(p._on_table(zp, zp.conj()))
+            dpv.append(p._on_table(zp, zp.conj(), dbar=True))
+        fv = [g.values[mask.inside] for g in problem.f_fields]
+        dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
+               for f in QUARTIC]
+        D = sum(p * f for p, f in zip(pv, fv))
+        dD = sum(dp * f + p * df for p, dp, f, df in zip(pv, dpv, fv, dfv))
+        for j, (p, dp) in enumerate(zip(pv, dpv)):
+            assert x[j].tobytes() == (p / D).tobytes()
+            assert dbx[j].tobytes() == ((dp * D - p * dD) / D ** 2).tobytes()
+
+
+def test_poly_call_is_one_table_bitwise(rng, monkeypatch):
+    # PolyZZbar.__call__ evaluates in node blocks, here of 64 points over
+    # a 37 x 29 array (1073 points, not a multiple of 64); values and
+    # dbar are bitwise those of one own-degree table over every point
+    monkeypatch.setattr(bezout, "NODE_BLOCK", 64)
+    z = rng.uniform(-1, 1, (37, 29)) + 1j * rng.uniform(-1, 1, (37, 29))
+    flat = z.ravel()
+    for degree in (0, 1, 7, 16):
+        coef = np.triu(rng.normal(size=(degree + 1, degree + 1))
+                       + 1j * rng.normal(size=(degree + 1, degree + 1)))
+        p = PolyZZbar(degree, coef[:, ::-1].copy())
+        zp = bezout._powers(flat, degree)
+        want = p._on_table(zp, zp.conj()).reshape(z.shape)
+        assert p(z).tobytes() == want.tobytes()
+        if degree:
+            want = p._on_table(zp, zp.conj(), dbar=True)
+            assert p._on_points(flat, dbar=True).tobytes() == want.tobytes()
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,

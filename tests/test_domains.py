@@ -18,7 +18,8 @@ from dbarkit.domains import (MAX_GRID_NODES, AnnulusSector, Comb, Disk,
                              DiskChain, GridSpec, HalfRingSpiral, InnerSpiral,
                              MaskResolutionError, Polygon, RegionMask, SectorChain, Union,
                              build_mask, connected_components, dump_mask,
-                             _eroded, interior_shrunk, load_mask)
+                             _eroded, _window_and, interior_shrunk,
+                             load_mask)
 from dbarkit.expr import Z, Const, conj
 
 
@@ -248,6 +249,20 @@ def test_eroded_matches_iterated_binary_erosion(data):
     want = ndimage.binary_erosion(inside, np.ones((3, 3), bool),
                                   iterations=k, border_value=0)
     np.testing.assert_array_equal(_eroded(inside, k), want)
+
+
+
+def test_window_and_covers_every_hole_position():
+    # deterministic companion of the hypothesis oracle above: a single
+    # hole at each position, for windows of width 3 .. 11, is seen by
+    # exactly the windows that hold it, the last `rest` nodes included
+    for k in range(1, 6):
+        n = 2 * k + 4
+        for hole in range(n):
+            a = np.ones(n, bool)
+            a[hole] = False
+            want = [k <= i < n - k and abs(hole - i) > k for i in range(n)]
+            assert _window_and(a, k).tolist() == want, (k, hole)
 
 
 def test_node_sets_use_no_binary_erosion(monkeypatch, tmp_path):
