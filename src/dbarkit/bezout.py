@@ -23,7 +23,8 @@ node.  The ladder builds one power table, over its subsample (every
 node at stride 1); past the subsample a fit's values and dbar on
 every node are evaluated in node blocks of NODE_BLOCK points, each
 with a table of the fit's own degree, so no table spans every node of
-a fine grid, and the values are bitwise those of one table.
+a fine grid; with OpenBLAS on one thread the values are bitwise those
+of one table.
 bezout_poly takes the certified fits alone, without x and dbar x, and
 returns the same quotient as expressions, which remain the symbolic
 test oracle.  The covering route builds a smoothstep partition of
@@ -68,8 +69,10 @@ __all__ = [
 COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
 # width of the node blocks a fit is evaluated in beyond the subsample
-# table; a power of two, so every block starts on a BLAS gemm tile and
-# its values are bitwise those of one table over all the points
+# table.  That the blocks' values are bitwise those of one table over
+# all the points is verified with OpenBLAS on one thread only (by
+# tests/test_bezout.py); another BLAS build or CPU kernel may round a
+# block differently, within rounding of the same values
 NODE_BLOCK = 1 << 13
 # a subsample sup error above target_sup * SCREEN_SLACK fails the fit
 # degree without a full-node evaluation; the slack covers roundoff
@@ -264,9 +267,9 @@ class PolyZZbar:
     def _on_points(self, z: np.ndarray, dbar: bool = False) -> np.ndarray:
         # values (or dbar) at the flat points z, one _powers table of the
         # fit's degree per block of NODE_BLOCK points, so no table spans
-        # every point.  The last block runs to the end: none is narrower
-        # than min(z.size, NODE_BLOCK), so none takes the narrow-matrix
-        # path of BLAS, whose rounding differs
+        # every point.  The last block runs to the end, so none is
+        # narrower than min(z.size, NODE_BLOCK): with OpenBLAS a narrow
+        # tail block (one column, say) rounds differently from one table
         n = z.size
         out = np.empty(n, dtype=complex)
         starts = range(0, max(n - NODE_BLOCK, 0) + 1, NODE_BLOCK)
@@ -289,18 +292,17 @@ class PolyZZbar:
         return out
 
 
-def _fit_ladder(qs: list, degrees: range, target_sup: float,
-                with_dbar: bool = True):
+def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
     # qs[0], at each degree of `degrees` in turn.  Returns three lists:
     # per field, its first fit with sup error within target_sup, or else
     # the last degree's FitToleranceError; that fit's values on the
-    # support nodes (mask.coords order), as measured for the sup; and,
-    # with_dbar, its analytic dbar there; None where the fit failed or
-    # no dbar was asked for.  A table's rows come from one recurrence
-    # per point, so the leading rows of the subsample's degree-`top`
-    # table, and a node block's table of the fit's own degree, hold
-    # bitwise the powers of one table over every node.
+    # support nodes (mask.coords order), as measured for the sup; and
+    # its analytic dbar there, None where the fit failed.  A table's
+    # rows come from one recurrence per point, so the leading rows of
+    # the subsample's degree-`top` table, and a node block's table of
+    # the fit's own degree, hold bitwise the powers of one table over
+    # every node.
     #
     # The degree-d monomials z^a conj(z)^(d-a) are closed under
     # conjugation, so the real columns sqrt2 Re and sqrt2 Im of each
@@ -389,8 +391,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float,
             if sup <= target_sup:
                 poly.sup_error = sup
                 out[j], fit_values[j] = poly, pv
-                if with_dbar:
-                    fit_dbars[j] = on_support(poly, dbar=True)
+                fit_dbars[j] = on_support(poly, dbar=True)
             elif last:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
@@ -411,24 +412,23 @@ def weierstrass_fit(q: SampledField, d: int, target_sup: float) -> PolyZZbar:
     unchanged.  The fit reports the condition number of its monomial
     matrix as cond.
     """
-    fit = _fit_ladder([q], range(d, d + 1), target_sup, False)[0][0]
+    fit = _fit_ladder([q], range(d, d + 1), target_sup)[0][0]
     if isinstance(fit, FitToleranceError):
         raise fit
     return fit
 
 
-def _certified_fits(problem: BezoutProblem, max_degree: int,
-                    with_dbar: bool):
+def _certified_fits(problem: BezoutProblem, max_degree: int):
     # the quotient route's fits p_j with sup error within
-    # 1/(2 sum_k ||f_k||_inf), their values (and, with_dbar, their
-    # analytic dbar) on the Inside nodes, the generators' values there
-    # and D = sum p_k f_k, once |D| >= 1/2 is certified on every node
+    # 1/(2 sum_k ||f_k||_inf), their values and analytic dbar on the
+    # Inside nodes, the generators' values there and D = sum p_k f_k,
+    # once |D| >= 1/2 is certified on every node
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
             raise TypeError("the poly route needs expression generators")
     target = 1.0 / (2.0 * sum(g.max_abs() for g in problem.f_fields))
     fits, pv, dpv = _fit_ladder(q_fields(problem), range(max_degree + 1),
-                                target, with_dbar)
+                                target)
     for j, fit in enumerate(fits):
         if isinstance(fit, FitToleranceError):
             raise FitToleranceError(
@@ -462,7 +462,7 @@ def quotient_fits(problem: BezoutProblem, max_degree: int = 16):
     the fit ladder's own evaluations; only the generators' dbar trees
     are sampled.
     """
-    fits, pv, dpv, fv, D = _certified_fits(problem, max_degree, True)
+    fits, pv, dpv, fv, D = _certified_fits(problem, max_degree)
     mask = problem.mask
     dfv = [sample_field(wirtinger_dbar(f), mask).values[mask.inside]
            for f in problem.f_list]
@@ -479,7 +479,7 @@ def bezout_poly(problem: BezoutProblem, max_degree: int = 16) -> list:
     quotient_fits evaluates them on the nodes; these expressions are
     the symbolic test oracle for that.
     """
-    fits = _certified_fits(problem, max_degree, False)[0]
+    fits = _certified_fits(problem, max_degree)[0]
     denom = Const(0.0)
     for p, f in zip(fits, problem.f_list):
         denom = add(denom, mul(p.as_expr(), f))

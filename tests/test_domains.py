@@ -251,7 +251,6 @@ def test_eroded_matches_iterated_binary_erosion(data):
     np.testing.assert_array_equal(_eroded(inside, k), want)
 
 
-
 def test_window_and_covers_every_hole_position():
     # deterministic companion of the hypothesis oracle above: a single
     # hole at each position, for windows of width 3 .. 11, is seen by
