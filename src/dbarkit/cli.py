@@ -605,7 +605,8 @@ def sharpness_battery(h_fine: float = 1 / 512,
     measurement of each run.  A correct implementation yields PASS at
     the power and FAIL below for all six items.  Both powers are
     certified from one DivisionProblem per item, so each item samples
-    its data and builds its probe geometry once.
+    its data and builds its probe geometry once; the record is released
+    before the next item builds its own.
     """
     out = []
     for (name, claimed, dom_label, dom, power, f, g, build, fams_at,
@@ -613,6 +614,7 @@ def sharpness_battery(h_fine: float = 1 / 512,
         problem = DivisionProblem.build(f, g, dom, **build)
         at = problem.certify(power, claimed, fams_at)
         below = problem.certify(power - 1, claimed, fams_below)
+        del problem
         out.append({"item": name, "claimed": claimed, "domain": dom_label,
                     "power": power,
                     "verdict_at_power": at.verdict,

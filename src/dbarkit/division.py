@@ -11,24 +11,31 @@ The classes are the table CLASSES: per class, the Wirtinger chains
 ("d", "dbar", applied left to right) whose layers are probed after the
 value f^N/g itself; the A-classes add the holomorphy probe.
 
-A DivisionProblem is the one record of a quotient problem on a grid: f
-and g are sampled once, the zero set Z(g) is found and |f| <= |g| is
-checked off it once, and f and g are kept only on the live nodes (Inside,
-off Z(g)).  divide and certify_class build one and use it once; a caller
-that needs several powers of one (f, g) builds it once and calls
-quotient(N) or certify(N, claimed) per power.  A certificate's probe
-geometry (zero-cluster centers, their rings, the away nodes the layer
-scales are taken on) is built on the first ring certificate and shared
-by every later one.
+A DivisionProblem is the one record of a quotient problem on a grid: g
+is sampled on the Inside nodes and f on the live nodes (Inside, off the
+zero set Z(g)), once each, straight into node vectors in row-major
+order; Z(g) is found and |f| <= |g| is checked on those vectors, and f
+and g are kept only on the live nodes.  divide and certify_class build
+one and use it once; a caller that needs several powers of one (f, g)
+builds it once and calls quotient(N) or certify(N, claimed) per power.
+A certificate's probe geometry (zero-cluster centers, their rings, the
+away nodes the layer scales are taken on, as flat node indices) is
+built on the first ring certificate and shared by every later one.
+Sampling and every scale run over node blocks of SCALE_BLOCK points
+(the last block runs to the end), each block's coordinates made by the
+RegionMask.coords rule, so no full-grid sample, modulus or coordinate
+array is made; only quotient(N) and the A-classes' holomorphy probe,
+which differences f^N/g on the grid, scatter the quotient to the grid.
 
 A probe or report whose node selection is empty reads NaN (sups go
 through cauchy.sup_abs), and a NaN measurement or scale grades
 INCONCLUSIVE: nothing measured is never a pass.  The zero floor
-ZERO_REL is applied in _zeros, the domination slack in
-check_domination.  The rings at PROBE_RADII_CELLS and the nodes near
-the centers (the away set, the holomorphy exclusion) come from the
-node-window rule of domains, RegionMask.around and RegionMask.near, so
-no full-grid coordinate or distance array is built.
+ZERO_REL is applied in _below_floor, on node vectors of moduli (_zeros
+for full-grid ones), the domination slack in _check_on_nodes (through
+check_domination for full-grid arrays).  The rings at PROBE_RADII_CELLS
+and the nodes near the centers (the away set, the holomorphy exclusion)
+come from the node-window rule of domains, RegionMask.around and
+RegionMask.near, so no full-grid coordinate or distance array is built.
 
 The multi-generator family opens through dominated: it samples the
 generators once, as a bezout.BezoutProblem, samples the datum once on
@@ -75,8 +82,11 @@ PROBE_RADII_CELLS = (8, 16, 32)
 FAMILY_TAIL = 3
 # multi_division_c1 rejects common-zero clusters larger than this
 CLUSTER_CELLS = 9
-# a derivative layer's scale is evaluated on this many away nodes at a
-# time, which bounds the layer's temporaries without changing its sup
+# f and g are sampled, and every certificate scale is evaluated, on this
+# many nodes at a time (the last block runs to the end), which bounds
+# the temporaries.  Each block then holds at least min(n, 16384) complex
+# points, numpy's 256 KiB size for reusing a temporary, so an expression
+# keeps the operand order (and the bits) of one evaluation on all n
 SCALE_BLOCK = 1 << 16
 # class -> Wirtinger chains on f^N/g, one derivative layer each; the
 # operators are named, not bound, so a layer calls whatever this module's
@@ -145,14 +155,21 @@ def check_domination(lhs: np.ndarray, rhs: np.ndarray, mask: RegionMask,
     """
     if sel is None:
         sel = mask.inside
-    if not sel.any():
+    _check_on_nodes(lhs[sel], rhs[sel], condition,
+                    lambda k: mask.coords(sel)[k], slack_ref)
+
+
+def _check_on_nodes(a: np.ndarray, b: np.ndarray, condition: str, node,
+                    slack_ref: Optional[float] = None) -> None:
+    # check_domination on node vectors a and b; node(k) is the
+    # coordinate of the k-th node, asked for only on a failure
+    if a.size == 0:
         raise DominationError(f"{condition}: no node to check it on")
     if slack_ref is None:
-        slack_ref = sup_abs(rhs, sel)
-    a, b = lhs[sel], rhs[sel]
+        slack_ref = sup_abs(b)
     if (a > b + 1e-9 * max(slack_ref, 1.0)).any():
         k = int(np.argmax(a - b))
-        worst = mask.coords(sel)[k]
+        worst = node(k)
         raise DominationError(
             f"{condition} fails: worst node {worst} has {a[k]:.6g} > "
             f"{b[k]:.6g}", worst=worst)
@@ -173,8 +190,12 @@ def dominated(datum, f_list, domain: Optional[CompactDomain], h: float,
 
 def _zeros(mask: RegionMask, magnitude: np.ndarray) -> np.ndarray:
     """Inside nodes where magnitude is at most ZERO_REL of its Inside max."""
-    floor = ZERO_REL * sup_abs(magnitude, mask.inside)
-    return mask.inside & (magnitude <= floor)
+    return on_nodes(_below_floor(magnitude[mask.inside]), mask.inside)
+
+
+def _below_floor(magnitude: np.ndarray) -> np.ndarray:
+    # the zero rule on a node vector of moduli
+    return magnitude <= ZERO_REL * sup_abs(magnitude)
 
 
 def _off_zeros(gens: BezoutProblem) -> tuple:
@@ -189,12 +210,16 @@ def _off_zeros(gens: BezoutProblem) -> tuple:
 class DivisionProblem:
     """The quotient problem f^N/g on one mask, sampled once for every N.
 
-    build samples g on the Inside nodes and f off the zero set Z(g) (f is
-    never evaluated on Z(g): data like inner functions may be singular
-    exactly there), and demands |f| <= |g| off Z(g).  Only the live nodes
-    (Inside, off Z(g)) keep their samples, as 1-D arrays in row-major
-    order.  g_locally_constant makes the certificates' symbolic layers
-    treat g as locally constant (see certify_class).
+    build samples g on the Inside nodes and f on the live nodes (Inside,
+    off the zero set Z(g)) straight into node vectors, in row-major
+    order and in node blocks (see SCALE_BLOCK); f is never evaluated on
+    Z(g), where data like inner functions may be singular.  Z(g) and
+    |f| <= |g| off it are found on those vectors, and only the live
+    nodes' samples are kept.  The value scale of a certificate is taken
+    on the live vectors too; quotient(N) and the A-classes' holomorphy
+    probe are the two paths that scatter f^N/g to the grid.
+    g_locally_constant makes the certificates' symbolic layers treat g
+    as locally constant (see certify_class).
     """
 
     f: object
@@ -211,14 +236,16 @@ class DivisionProblem:
               h: float = 1 / 128, mask: Optional[RegionMask] = None,
               g_locally_constant: bool = False) -> "DivisionProblem":
         mask = resolve_mask(domain, h, mask)
-        gv = sample_field(g, mask).values
-        zero = _zeros(mask, np.abs(gv))
+        gv = _node_samples(g, mask, np.flatnonzero(mask.inside))
+        at_zero = _below_floor(np.abs(gv))
+        zero = on_nodes(at_zero, mask.inside)
         live = mask.inside & ~zero
-        fv = sample_field(f, mask, zero_on=zero).values
-        check_domination(np.abs(fv), np.abs(gv), mask, "|f| <= |g| off Z(g)",
-                         sel=live)
-        return cls(f, g, mask, zero, live, fv[live], gv[live],
-                   g_locally_constant)
+        gv = gv[~at_zero]
+        fv = _node_samples(f, mask, np.flatnonzero(live))
+        _check_on_nodes(
+            np.abs(fv), np.abs(gv), "|f| <= |g| off Z(g)",
+            lambda k: _node_points(mask, np.flatnonzero(live)[k:k + 1])[0])
+        return cls(f, g, mask, zero, live, fv, gv, g_locally_constant)
 
     def quotient(self, N: int) -> SampledField:
         """f^N/g, set to 0 on Z(g) and off the Inside nodes."""
@@ -238,7 +265,7 @@ class DivisionProblem:
                 self.g_locally_constant or isinstance(g, ComplexExpr))):
             raise ValueError(f"{claimed} derivative-layer probes need "
                              "expression inputs")
-        hfield = self.quotient(N)
+        scale = self._value_scale(N)
         fcall, gcall = as_callable(f), as_callable(g)
 
         def symbolic_layer(chain):
@@ -262,19 +289,32 @@ class DivisionProblem:
 
         centers, radii, rings, away = self._probe_geometry
         probes = [_ring_probe(name, fn, rings, radii,
-                              hfield.max_abs() if name == "value"
-                              else _blocked_sup(fn, away))
+                              scale if name == "value"
+                              else _blocked_sup(fn, self.mask, away))
                   for name, fn in layers]
         if claimed.startswith("A"):
-            probes.append(_holomorphy_probe(hfield, centers))
+            probes.append(_holomorphy_probe(self.quotient(N), centers, scale))
         return DivisionCertificate(N, claimed, grid_h, probes)
+
+    def _value_scale(self, N: int) -> float:
+        # sup |f^N/g| over the live nodes, node block by node block: the
+        # Inside sup of quotient(N), which is 0 on Z(g).  A non-finite
+        # quotient raises from quotient(N), as that field would
+        if N < 1:
+            raise ValueError("power must be a positive integer")
+        fv, gv = self.f_live, self.g_live
+        scale = _sup_by_blocks(fv.size, lambda a, b: fv[a:b] ** N / gv[a:b])
+        if not math.isfinite(scale):
+            self.quotient(N)
+        return scale
 
     @cached_property
     def _probe_geometry(self) -> tuple:
         # the zero-cluster centers plus each tagged point not within 4
         # spacings of one, the probe radii, each center's ring node
-        # coordinates per radius (None for an empty ring), and the away
-        # nodes: 3 cells inside, more than 4 spacings from every center
+        # coordinates per radius (None for an empty ring), and the flat
+        # indices of the away nodes: 3 cells inside, more than 4
+        # spacings from every center
         mask = self.mask
         h = mask.grid.h
         centers = _centroids(mask, self.zero)
@@ -284,8 +324,8 @@ class DivisionProblem:
         radii = _probe_radii(mask)
         rings = [(c, [mask.grid.node(xx, yy) if yy.size else None
                       for yy, xx in _rings(mask, c, radii)]) for c in centers]
-        away = mask.coords(interior_shrunk(mask, 3)
-                           & ~mask.near(centers, 4 * h))
+        away = np.flatnonzero(interior_shrunk(mask, 3)
+                              & ~mask.near(centers, 4 * h))
         return centers, radii, rings, away
 
 
@@ -449,21 +489,68 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
             N, claimed, families)
 
 
-def _blocked_sup(fn, pts: np.ndarray) -> float:
-    """sup |fn| over pts, evaluated SCALE_BLOCK points at a time: the max
-    of the block sups is the one-shot sup, NaN on no point or on a NaN."""
-    sups = [sup_abs(fn(pts[k:k + SCALE_BLOCK]))
-            for k in range(0, pts.size, SCALE_BLOCK)]
-    return float(np.max(sups)) if sups else float("nan")
+def _node_blocks(n: int) -> list:
+    """(start, stop) of the node blocks over n nodes: SCALE_BLOCK nodes
+    each, the last running to the end (one block, maybe empty, when n
+    is at most SCALE_BLOCK)."""
+    starts = range(0, max(n - SCALE_BLOCK, 0) + 1, SCALE_BLOCK)
+    return list(zip(starts, [*starts[1:], n]))
 
 
-def _holomorphy_probe(hfield: SampledField, centers) -> ProbeResult:
+def _node_points(mask: RegionMask, nodes: np.ndarray) -> np.ndarray:
+    """Coordinates of the flat node indices, bitwise those of
+    RegionMask.coords: the axis abscissa, then the ordinate."""
+    xs, ys = mask.grid.axes()
+    iy, ix = np.divmod(nodes, mask.grid.nx)
+    z = xs[ix].astype(complex)
+    z.imag = ys[iy]
+    return z
+
+
+def _node_samples(f, mask: RegionMask, nodes: np.ndarray) -> np.ndarray:
+    """f at the flat node indices nodes (row-major), as sample_field
+    would give them: a SampledField read off its grid, an expression or
+    callable evaluated node block by node block, with sample_field's
+    errors (another grid; non-finite samples and their first nodes)."""
+    if isinstance(f, SampledField):
+        if f.mask.grid != mask.grid:
+            raise ValueError("field sampled on a different grid")
+        return f.values.reshape(-1)[nodes]
+    fn = as_callable(f)
+    out = np.empty(nodes.size, dtype=complex)
+    for a, b in _node_blocks(nodes.size):
+        out[a:b] = fn(_node_points(mask, nodes[a:b]))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        where = _node_points(mask, nodes[bad][:3])
+        raise PreconditionError(
+            f"{int(bad.sum())} non-finite samples on support, "
+            f"first at {where}", nodes=where)
+    return out
+
+
+def _sup_by_blocks(n: int, block_values) -> float:
+    """The max over the node blocks of n nodes of sup |block_values(a, b)|:
+    the one-shot sup, NaN on no node or on a NaN."""
+    return float(np.max([sup_abs(block_values(a, b))
+                         for a, b in _node_blocks(n)]))
+
+
+def _blocked_sup(fn, mask: RegionMask, nodes: np.ndarray) -> float:
+    """sup |fn| over the flat node indices nodes, evaluated node block by
+    node block."""
+    return _sup_by_blocks(
+        nodes.size, lambda a, b: fn(_node_points(mask, nodes[a:b])))
+
+
+def _holomorphy_probe(hfield: SampledField, centers,
+                      scale: float) -> ProbeResult:
     # discrete dbar away from the zero set and the outer boundary; the
-    # quotient of holomorphic data must not show a conjugate component
+    # quotient of holomorphic data must not show a conjugate component;
+    # scale is the quotient's Inside sup
     mask = hfield.mask
     dv = dbar_fd(hfield)
     sel = interior_shrunk(mask, 8) & ~mask.near(centers, 0.25)
-    scale = hfield.max_abs()
     measured = sup_abs(dv.values, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,
                        {"margin_cells": 8, "center_exclusion": 0.25})

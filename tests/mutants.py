@@ -191,6 +191,31 @@ MUTANTS = [
             "test_eroded_matches_iterated_binary_erosion",
             "tests/test_domains.py::"
             "test_window_and_covers_every_hole_position")),
+    Mutant("record's node blocks drop the last block", "dbarkit/division.py",
+           "zip(starts, [*starts[1:], n])", "zip(starts, starts[1:])",
+           ("tests/test_division.py::"
+            "test_node_vector_record_is_the_full_grid_rule_bitwise",
+            "tests/test_division.py::"
+            "test_blocked_scale_evaluates_each_away_node_once")),
+    Mutant("node-vector zero floor drops nodes at exactly the floor",
+           "dbarkit/division.py",
+           "return magnitude <= ZERO_REL * sup_abs(magnitude)",
+           "return magnitude < ZERO_REL * sup_abs(magnitude)",
+           ("tests/test_division.py::"
+            "test_record_zero_set_keeps_a_node_at_exactly_the_floor",)),
+    Mutant("value scale one power short", "dbarkit/division.py",
+           "lambda a, b: fv[a:b] ** N / gv[a:b]",
+           "lambda a, b: fv[a:b] ** (N - 1) / gv[a:b]",
+           ("tests/test_division.py::"
+            "test_node_vector_record_is_the_full_grid_rule_bitwise",)),
+    Mutant("flat node index read with rows and columns swapped",
+           "dbarkit/division.py",
+           "iy, ix = np.divmod(nodes, mask.grid.nx)",
+           "ix, iy = np.divmod(nodes, mask.grid.nx)",
+           ("tests/test_division.py::"
+            "test_blocked_scale_evaluates_each_away_node_once",
+            "tests/test_division.py::"
+            "test_node_vector_record_is_the_full_grid_rule_bitwise")),
     Mutant("node ordinates repeated by column counts", "dbarkit/domains.py",
            "np.repeat(ys, np.count_nonzero(sel, axis=1))",
            "np.repeat(ys, np.count_nonzero(sel, axis=0))",

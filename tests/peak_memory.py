@@ -1,4 +1,4 @@
-"""Traced memory peaks of the Pompeiu stages at one grid spacing.
+"""Traced memory peaks of the Pompeiu and division stages at one spacing.
 
 Run by hand from the repository root, with dbarkit importable (an
 editable install, or PYTHONPATH=src):
@@ -8,12 +8,14 @@ editable install, or PYTHONPATH=src):
 prints, for h = 1/N (default N = 256) on the unit disk, the tracemalloc
 peak of each stage in MB: the kernel spectrum's build (its cache
 cleared first), pompeiu on the sampled constant 1, the pou-route and
-poly-route corona_solve on (z^2, (1-z)^2), and g_power_solve (g^5) and
+poly-route corona_solve on (z^2, (1-z)^2), g_power_solve (g^5) and
 g12_solve (g^12) on (z^2, z^3) with g = z^2, with the benchmark's
-inputs.  Each
-solve runs on a warm kernel cache, so its peak is the solve's own; a
-stage's inputs are made before its trace starts.  Margins follow the
-acceptance ladders: max(3, round(0.15 / h)) cells.  pytest does not
+inputs, and one DivisionProblem of z^N/conj(z) with its C1
+certificates at N = 3 and 2, as the sharpness battery makes them.
+Each solve runs on a warm kernel cache, so its peak is the solve's
+own; a stage's inputs (the mask too) are made before its trace
+starts.  Margins follow the acceptance ladders: max(3, round(0.15 / h))
+cells.  pytest does not
 collect this file; tests/test_peak_memory.py runs it on a small grid
 and checks the bounds at h = 1/256.
 """
@@ -21,7 +23,7 @@ and checks the bounds at h = 1/256.
 import sys
 import tracemalloc
 
-from dbarkit import cauchy, corona
+from dbarkit import cauchy, corona, division
 from dbarkit.domains import Disk, build_mask
 from dbarkit.expr import Const, Z, add, conj, div, intpow, mul, sub
 
@@ -58,6 +60,11 @@ def stages(h: float) -> list:
         cauchy._kernel_spectrum.cache_clear()
         cauchy._kernel_spectrum(grid.ny, grid.nx, h)
 
+    def divide_c1():
+        record = division.DivisionProblem.build(Z, conj(Z), mask=mask)
+        record.certify(3, "C1")
+        record.certify(2, "C1")
+
     return [
         ("kernel build", build),
         ("pompeiu", lambda: cauchy.pompeiu(field)),
@@ -69,6 +76,7 @@ def stages(h: float) -> list:
             g, fs, xs, DISK, h=h, margin=margin, mask=mask)),
         ("g^12 g12_solve", lambda: corona.g12_solve(
             g, fs, hs, DISK, h=h, margin=margin, mask=mask)),
+        ("divide C1", divide_c1),
     ]
 
 

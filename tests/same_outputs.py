@@ -7,8 +7,9 @@ Run by hand from anywhere in the repository:
 REV is any local revision (a commit, branch or tag).  It is exported
 with `git archive` into a temporary directory; then, on that tree and
 on the working tree, with BLAS on one thread, each shipped config
-(configs/*.ini) runs through `python -m dbarkit.cli` with its own
-output directory, and tests/test_acceptance.py runs through pytest.
+(configs/*.ini) and the sharpness battery (`dbarkit sharpness`, which
+no config runs) run through `python -m dbarkit.cli` with their own
+output directories, and tests/test_acceptance.py runs through pytest.
 The two output trees are compared byte for byte: each CSV body below
 its generation-stamp line, each summary.txt, each exit status and the
 nine acceptance lines.  The script names every difference (a tree
@@ -38,16 +39,25 @@ def _env(tree: Path) -> dict:
     return env
 
 
-def run_outputs(tree: Path, out: Path) -> None:
-    """The shipped configs' outputs and the acceptance lines of the
-    source tree `tree`, written under `out`."""
+def cli_runs(tree: Path) -> list:
+    """(output directory name, dbarkit.cli arguments) of each run of the
+    source tree `tree`: its shipped configs, then the sharpness battery
+    with its default spacings."""
+    runs = []
     for ini in sorted((tree / "configs").glob("*.ini")):
         cp = configparser.ConfigParser()
         cp.read(ini)
-        dest = out / ini.stem
+        runs.append((ini.stem, [cp["run"]["command"], "--config", str(ini)]))
+    return runs + [("sharpness", ["sharpness"])]
+
+
+def run_outputs(tree: Path, out: Path) -> None:
+    """The outputs of cli_runs and the acceptance lines of the source
+    tree `tree`, written under `out`."""
+    for name, args in cli_runs(tree):
+        dest = out / name
         done = subprocess.run(
-            [sys.executable, "-m", "dbarkit.cli", cp["run"]["command"],
-             "--config", str(ini), "--out", str(dest)],
+            [sys.executable, "-m", "dbarkit.cli", *args, "--out", str(dest)],
             cwd=tree, env=_env(tree), stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         dest.mkdir(parents=True, exist_ok=True)

@@ -15,8 +15,10 @@ measurement.  The derivative-bound constants are checked against the
 hand maximum of |5 z^4| / |z| = 5|z|^3 on the shrunk disk.
 """
 
+import weakref
 from collections import Counter
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
                               quotient_extension_lemma, ring_selection,
                               spread, zero_centers)
 from dbarkit.domains import Disk, GridSpec, RegionMask, SectorChain, build_mask
-from dbarkit.expr import Z, S, Const, conj, intpow, mul, sub
+from dbarkit.expr import Z, S, Const, add, as_callable, conj, intpow, mul, sub
 
 DISK = Disk(0j, 1.0)
 
@@ -128,6 +130,128 @@ def test_divide_singular_numerator_skips_zero_set(disk_mask_64):
     iy, ix = disk_mask_64.grid.nearest_index(1.0 + 0j)
     assert fld.values[iy, ix] == 0
     assert np.isfinite(fld.values).all()
+
+
+# --- the node-vector record ---------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _record_mask(name, n):
+    # an off-center disk (74,116 Inside nodes at h = 1/128, so blocks of
+    # 20,000 make three, the last 34,116 wide) and the sector chain on
+    # its non-square grid
+    dom = SectorChain(8) if name == "chain" else Disk(0.1 + 0.05j, 1.2)
+    return build_mask(dom, h=1 / n)
+
+
+def _full_grid_record(f, g, mask):
+    """(zero, live, f_live, g_live) by the full-grid rule: f and g
+    sampled on the grid by sample_field, the zero floor and the
+    domination check on full-grid moduli."""
+    gv = sample_field(g, mask).values
+    ga = np.abs(gv)
+    zero = mask.inside & (ga <= division.ZERO_REL * ga[mask.inside].max())
+    live = mask.inside & ~zero
+    fv = sample_field(f, mask, zero_on=zero).values
+    division.check_domination(np.abs(fv), ga, mask, "|f| <= |g| off Z(g)",
+                              sel=live)
+    return zero, live, fv[live], gv[live]
+
+
+def _outcome(make):
+    # the arrays made, or the error raised with its text and nodes
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in make()]
+    except ValueError as err:
+        return (type(err), str(err),
+                np.asarray(getattr(err, "nodes", ())).tobytes(),
+                repr(getattr(err, "worst", None)))
+
+
+@pytest.mark.parametrize("trouble", [None, "nan f", "nan g", "undominated",
+                                     "other grid"])
+@settings(max_examples=30, deadline=None)
+@given(grid=st.sampled_from([("disk", 32), ("disk", 64), ("disk", 128),
+                             ("chain", 128), ("chain", 256), ("chain", 512)]),
+       kinds=st.lists(st.sampled_from(["expr", "callable", "field"]),
+                      min_size=2, max_size=2),
+       block=st.sampled_from([division.SCALE_BLOCK, 20000]),
+       data=st.data())
+def test_node_vector_record_is_the_full_grid_rule_bitwise(trouble, grid, kinds,
+                                                          block, data):
+    # f_live, g_live, zero and live are bitwise those of sampling f and g
+    # on the whole grid; the value scale is quotient(N)'s Inside sup; each
+    # node is evaluated once; and an error keeps its type, text and nodes:
+    # non-finite samples of a callable f or g, f past g on part of the
+    # grid, and a sampled f or g from another grid
+    mask = _record_mask(*grid)
+    h = mask.grid.h
+    inside = mask.coords(mask.inside)
+    a = inside[data.draw(st.integers(0, inside.size - 1))]
+    a += data.draw(st.sampled_from([0, 0.3 * h]))  # a zero on or off a node
+    b = complex(data.draw(st.floats(-2, 2)), data.draw(st.floats(-2, 2)))
+    t = data.draw(st.floats(0.05, 0.7))
+    w = data.draw(st.sampled_from([Z, conj(Z)]))
+    g = mul(sub(Z, Const(a)), add(Z, Const(b)))
+    # 1 + t w exceeds 1 in modulus wherever t w has a positive real part
+    f = mul(add(Const(1.0), mul(Const(t), w)) if trouble == "undominated"
+            else mul(Const(t), w), g)
+    spot = inside[data.draw(st.integers(0, inside.size - 1))]
+    if trouble in ("nan f", "nan g"):
+        kinds["fg".index(trouble[-1])] = "callable"
+    if trouble == "other grid":
+        kinds[data.draw(st.integers(0, 1))] = "other grid"
+    evaluated = Counter()
+
+    def given_as(kind, expr, name):
+        if kind == "expr":
+            return expr
+        if kind != "callable":
+            return sample_field(expr, mask if kind == "field" else
+                                _record_mask(grid[0], 2 * grid[1]))
+        fn = as_callable(expr)
+
+        def call(z):
+            evaluated[name] += z.size
+            v = fn(z)
+            if trouble == f"nan {name}":
+                v = np.where(np.abs(z - spot) < 5 * h, np.nan, v)
+            return v
+        return call
+
+    fin, gin = given_as(kinds[0], f, "f"), given_as(kinds[1], g, "g")
+    want = _outcome(lambda: _full_grid_record(fin, gin, mask))
+    assert isinstance(want, tuple) == (trouble is not None)
+    evaluated.clear()
+
+    def record_arrays():
+        r = DivisionProblem.build(fin, gin, mask=mask)
+        return r.zero, r.live, r.f_live, r.g_live
+
+    with mock.patch.object(division, "SCALE_BLOCK", block):
+        assert _outcome(record_arrays) == want
+        if trouble is not None:
+            return
+        record = DivisionProblem.build(fin, gin, mask=mask)
+        for n in (1, 2, 3):
+            assert record._value_scale(n) == record.quotient(n).max_abs()
+    if kinds[1] == "callable":
+        assert evaluated["g"] == 2 * mask.inside.sum()
+    if kinds[0] == "callable":
+        assert evaluated["f"] == 2 * record.live.sum()
+
+
+def test_record_zero_set_keeps_a_node_at_exactly_the_floor():
+    # max |g| = 1, so the floor is ZERO_REL exactly, and a node where
+    # |g| equals it is a zero of g
+    m = build_mask(DISK, h=1 / 32)
+    g = np.where(m.inside, 1.0 + 0j, 0)
+    iy, ix = m.grid.nearest_index(0.25 + 0.5j)
+    g[iy, ix] = division.ZERO_REL
+    record = DivisionProblem.build(SampledField(m, 0.5 * g),
+                                   SampledField(m, g), mask=m)
+    assert np.flatnonzero(record.zero).tolist() == [iy * m.grid.nx + ix]
+    assert np.array_equal(record.live, m.inside & ~record.zero)
 
 
 # --- probe helpers ------------------------------------------------------------
@@ -460,17 +584,21 @@ def test_certificate_builds_each_ring_once(ring_builds):
 
 
 def test_record_certifies_two_powers_on_one_sampling(ring_builds, monkeypatch):
-    # g and f are sampled once for both powers, and each center's rings
-    # are built once, on the first ring certificate
-    sampled = []
-    sample = division.sample_field
-    monkeypatch.setattr(division, "sample_field", lambda fn, *a, **kw: (
-        sampled.append(fn) or sample(fn, *a, **kw)))
+    # g and f are sampled once for both powers, straight into node
+    # vectors (never through the full-grid sample_field), and each
+    # center's rings are built once, on the first ring certificate
+    sampled, full_grid = [], []
+    sample = division._node_samples
+    monkeypatch.setattr(division, "_node_samples", lambda fn, *a: (
+        sampled.append(fn) or sample(fn, *a)))
+    monkeypatch.setattr(division, "sample_field",
+                        lambda fn, *a, **kw: full_grid.append(fn))
     g = mul(Z, sub(Z, Const(0.5)))
     f = mul(Z, g)
     problem = DivisionProblem.build(f, g, DISK, h=1 / 128)
     at, below = problem.certify(2, "Dbar1"), problem.certify(1, "Dbar1")
     assert [fn is g for fn in sampled] == [True, False] and sampled[1] is f
+    assert full_grid == []
     centers = list(at.probe("value").details["per_center"])
     assert len(centers) == 2
     assert list(below.probe("value").details["per_center"]) == centers
@@ -480,32 +608,53 @@ def test_record_certifies_two_powers_on_one_sampling(ring_builds, monkeypatch):
 
 def test_blocked_scale_evaluates_each_away_node_once(monkeypatch):
     # with blocks far smaller than the away set, every away node is
-    # evaluated exactly once per derivative layer, and the scales are
-    # the one-shot sups
+    # evaluated exactly once per derivative layer, at its RegionMask.coords
+    # coordinate, in blocks of 1000 nodes but the last (which runs to
+    # the end), and the scales are the one-shot sups
     one_shot = certify_class(Z, conj(Z), 3, DISK, "C1", h=1 / 128)
     blocks = []
     blocked = division._blocked_sup
 
-    def counted(fn, pts):
+    def counted(fn, mask, nodes):
         layer = []
-        blocks.append((pts.size, layer))
-        return blocked(lambda p: layer.append(p.size) or fn(p), pts)
+        blocks.append((nodes.size, layer))
+        return blocked(lambda p: layer.append(p) or fn(p), mask, nodes)
 
     monkeypatch.setattr(division, "SCALE_BLOCK", 1000)
     monkeypatch.setattr(division, "_blocked_sup", counted)
     cert = certify_class(Z, conj(Z), 3, DISK, "C1", h=1 / 128)
     mask = build_mask(DISK, h=1 / 128)
     z = mask.grid.zgrid()
-    away = int((domains.interior_shrunk(mask, 3)
-                & (np.abs(z) > 4 * mask.grid.h)).sum())
-    assert len(blocks) == 2 and away > 20 * 1000
+    away = domains.interior_shrunk(mask, 3) & (np.abs(z) > 4 * mask.grid.h)
+    assert len(blocks) == 2 and away.sum() > 20 * 1000
     for size, layer in blocks:
-        assert size == away == sum(layer) and max(layer) == 1000
+        sizes = [p.size for p in layer]
+        assert size == away.sum() == sum(sizes)
+        assert set(sizes[:-1]) == {1000} and 1000 <= sizes[-1] < 2000
+        assert np.concatenate(layer).tobytes() == mask.coords(away).tobytes()
     assert repr(cert) == repr(one_shot)
 
 
 def test_blocked_sup_reads_nan_on_no_point():
-    assert np.isnan(division._blocked_sup(np.abs, np.zeros(0, complex)))
+    mask = build_mask(DISK, h=1 / 16)
+    assert np.isnan(division._blocked_sup(np.abs, mask, np.zeros(0, int)))
+
+
+def test_battery_releases_each_record_before_the_next_build(monkeypatch):
+    # no earlier item's record (with its cached probe geometry) is alive
+    # while the next item samples its data
+    records, alive_at_build = [], []
+    build = DivisionProblem.build
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(sum(r() is not None for r in records))
+        record = build(*args, **kwargs)
+        records.append(weakref.ref(record))
+        return record
+
+    monkeypatch.setattr(DivisionProblem, "build", tracked)
+    cli.sharpness_battery(h_fine=1 / 64, h_chain=1 / 128)
+    assert alive_at_build == [0] * 6
 
 
 def test_battery_builds_one_mask_per_item(monkeypatch):

@@ -1,4 +1,5 @@
-"""Traced memory peaks of the Pompeiu stages (tests/peak_memory.py).
+"""Traced memory peaks of the Pompeiu and division stages
+(tests/peak_memory.py).
 
 At h = 1/256 the bounds hold with room: the kernel spectrum's build
 traces 12.1 MB, pompeiu 13.2 MB and the pou-route corona_solve 39.7 MB.
@@ -10,7 +11,11 @@ traced 61.9 and 77.7 MB while they held their set-up arrays (sum x_j
 f_j; the sampled h_j, sum h_j f_j and the division's k) through the
 correction.  The poly-route corona_solve on the quartic pair traces
 83.7 MB; it traced 237.9 MB while the fit ladder held one degree-16
-power table over every Inside node, and its conjugate.
+power table over every Inside node, and its conjugate.  The division
+record of z^N/conj(z) with its C1 certificates at N = 3 and 2 traces
+13.1 MB; it traced 19.6 MB while it sampled f and g as full-grid
+fields, scattered f^N/g to the grid for its sup and kept the away
+nodes' coordinates.
 """
 
 import importlib.util
@@ -31,7 +36,7 @@ def test_probe_prints_every_stage(capsys):
     assert rows[0] == "h = 1/16"
     assert [r[:20].strip() for r in rows[1:]] == [
         "kernel build", "pompeiu", "pou corona_solve", "poly corona_solve",
-        "g^5 g_power_solve", "g^12 g12_solve"]
+        "g^5 g_power_solve", "g^12 g12_solve", "divide C1"]
     assert all(float(r.split()[-2]) > 0 for r in rows[1:])
 
 
@@ -41,6 +46,6 @@ def test_pompeiu_stages_stay_under_their_bounds_at_h_1_256():
              for name, call in probe.stages(1 / 256)}
     bounds = {"kernel build": 25e6, "pompeiu": 15.5e6, "pou corona_solve": 47e6,
               "poly corona_solve": 110e6, "g^5 g_power_solve": 60e6,
-              "g^12 g12_solve": 65e6}
+              "g^12 g12_solve": 65e6, "divide C1": 16e6}
     assert {name: peak for name, peak in peaks.items()
             if peak >= bounds[name]} == {}

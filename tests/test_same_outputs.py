@@ -1,4 +1,5 @@
-"""The comparison of tests/same_outputs.py, on two small output trees."""
+"""The runs of tests/same_outputs.py, and its comparison on two small
+output trees."""
 
 import importlib.util
 from pathlib import Path
@@ -10,6 +11,18 @@ def _same_outputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_runs_are_the_shipped_configs_and_the_battery():
+    # the battery is the one output no shipped config makes
+    root = Path(__file__).resolve().parents[1]
+    runs = _same_outputs().cli_runs(root)
+    configs = sorted((root / "configs").glob("*.ini"))
+    assert [name for name, _ in runs] == [
+        *(p.stem for p in configs), "sharpness"]
+    assert runs[-1][1] == ["sharpness"]
+    assert all(args[1:] == ["--config", str(p)]
+               for (_, args), p in zip(runs, configs))
 
 
 def _tree(root: Path, stamp: str, body: str) -> Path:
