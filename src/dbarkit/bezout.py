@@ -21,7 +21,8 @@ MAX_FIT_NODES) each degree's sup error is screened on the subsample
 first; only a degree that passes, or the last, is measured on every
 node.  The ladder builds one power table, over its subsample (every
 node at stride 1); past the subsample a fit's values and dbar on
-every node are evaluated in node blocks of NODE_BLOCK points, each
+every node are evaluated in node blocks of NODE_BLOCK points, by the
+block rule of cauchy's Sampling paragraph (cauchy.node_blocks), each
 with a table of the fit's own degree, so no table spans every node of
 a fine grid; with OpenBLAS on one thread the values are bitwise those
 of one table.
@@ -50,8 +51,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .cauchy import (SampledField, on_nodes, sample_field, sup_abs,
-                     zero_extended)
+from .cauchy import (SampledField, node_blocks, on_nodes, sample_field,
+                     sup_abs, zero_extended)
 from .domains import PreconditionError, RegionMask, resolve_mask
 from .expr import (ComplexExpr, Const, Z, add, conj, div, intpow, mul,
                    wirtinger_dbar)
@@ -69,8 +70,10 @@ __all__ = [
 COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
 # width of the node blocks a fit is evaluated in beyond the subsample
-# table.  That the blocks' values are bitwise those of one table over
-# all the points is verified with OpenBLAS on one thread only (by
+# table (cauchy.node_blocks).  It is narrower than cauchy.SAMPLE_BLOCK
+# because each block holds a (d + 1)-row power table, not one row of
+# coordinates.  That the blocks' values are bitwise those of one table
+# over all the points is verified with OpenBLAS on one thread only (by
 # tests/test_bezout.py); another BLAS build or CPU kernel may round a
 # block differently, within rounding of the same values
 NODE_BLOCK = 1 << 13
@@ -270,10 +273,8 @@ class PolyZZbar:
         # every point.  The last block runs to the end, so none is
         # narrower than min(z.size, NODE_BLOCK): with OpenBLAS a narrow
         # tail block (one column, say) rounds differently from one table
-        n = z.size
-        out = np.empty(n, dtype=complex)
-        starts = range(0, max(n - NODE_BLOCK, 0) + 1, NODE_BLOCK)
-        for a, b in zip(starts, [*starts[1:], n]):
+        out = np.empty(z.size, dtype=complex)
+        for a, b in node_blocks(z.size, NODE_BLOCK):
             zp = _powers(z[a:b], self.degree)
             out[a:b] = self._on_table(zp, zp.conj(), dbar)
         return out

@@ -21,11 +21,12 @@ builds it once and calls quotient(N) or certify(N, claimed) per power.
 A certificate's probe geometry (zero-cluster centers, their rings, the
 away nodes the layer scales are taken on, as flat node indices) is
 built on the first ring certificate and shared by every later one.
-Sampling and every scale run over node blocks of SCALE_BLOCK points
-(the last block runs to the end), each block's coordinates made by the
-RegionMask.coords rule, so no full-grid sample, modulus or coordinate
-array is made; only quotient(N) and the A-classes' holomorphy probe,
-which differences f^N/g on the grid, scatter the quotient to the grid.
+f and g are sampled by cauchy.sample_nodes, and every scale runs over
+the same node blocks (cauchy.node_blocks, coordinates by
+RegionMask.points; see cauchy's Sampling paragraph), so no full-grid
+sample, modulus or coordinate array is made; only quotient(N) and the
+A-classes' holomorphy probe, which differences f^N/g on the grid,
+scatter the quotient to the grid.
 
 A probe or report whose node selection is empty reads NaN (sups go
 through cauchy.sup_abs), and a NaN measurement or scale grades
@@ -59,7 +60,8 @@ from scipy import ndimage
 
 from .bezout import BezoutProblem, q_fields
 from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, log_slope,
-                     on_nodes, sample_field, sup_abs, zero_extended)
+                     node_blocks, on_nodes, sample_field, sample_nodes,
+                     sup_abs, zero_extended)
 from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
                       interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -82,12 +84,6 @@ PROBE_RADII_CELLS = (8, 16, 32)
 FAMILY_TAIL = 3
 # multi_division_c1 rejects common-zero clusters larger than this
 CLUSTER_CELLS = 9
-# f and g are sampled, and every certificate scale is evaluated, on this
-# many nodes at a time (the last block runs to the end), which bounds
-# the temporaries.  Each block then holds at least min(n, 16384) complex
-# points, numpy's 256 KiB size for reusing a temporary, so an expression
-# keeps the operand order (and the bits) of one evaluation on all n
-SCALE_BLOCK = 1 << 16
 # class -> Wirtinger chains on f^N/g, one derivative layer each; the
 # operators are named, not bound, so a layer calls whatever this module's
 # wirtinger_d / wirtinger_dbar are when it is built (a wrapped one too)
@@ -211,8 +207,9 @@ class DivisionProblem:
     """The quotient problem f^N/g on one mask, sampled once for every N.
 
     build samples g on the Inside nodes and f on the live nodes (Inside,
-    off the zero set Z(g)) straight into node vectors, in row-major
-    order and in node blocks (see SCALE_BLOCK); f is never evaluated on
+    off the zero set Z(g)) straight into node vectors by
+    cauchy.sample_nodes (cauchy's Sampling paragraph: row-major order,
+    node blocks, one non-finite error); f is never evaluated on
     Z(g), where data like inner functions may be singular.  Z(g) and
     |f| <= |g| off it are found on those vectors, and only the live
     nodes' samples are kept.  The value scale of a certificate is taken
@@ -236,15 +233,15 @@ class DivisionProblem:
               h: float = 1 / 128, mask: Optional[RegionMask] = None,
               g_locally_constant: bool = False) -> "DivisionProblem":
         mask = resolve_mask(domain, h, mask)
-        gv = _node_samples(g, mask, np.flatnonzero(mask.inside))
+        gv = sample_nodes(g, mask, np.flatnonzero(mask.inside))
         at_zero = _below_floor(np.abs(gv))
         zero = on_nodes(at_zero, mask.inside)
         live = mask.inside & ~zero
         gv = gv[~at_zero]
-        fv = _node_samples(f, mask, np.flatnonzero(live))
+        fv = sample_nodes(f, mask, np.flatnonzero(live))
         _check_on_nodes(
             np.abs(fv), np.abs(gv), "|f| <= |g| off Z(g)",
-            lambda k: _node_points(mask, np.flatnonzero(live)[k:k + 1])[0])
+            lambda k: mask.points(np.flatnonzero(live)[k:k + 1])[0])
         return cls(f, g, mask, zero, live, fv, gv, g_locally_constant)
 
     def quotient(self, N: int) -> SampledField:
@@ -448,9 +445,12 @@ def _ring_probe(name, value_fn, rings, radii, scale):
 def _family_probe(name, value_fn, families):
     # family = sequence of points marching toward the limit; families
     # must agree in their tails for the limit to exist, and fewer than
-    # two families compare nothing (NaN)
+    # two families compare nothing (NaN).  An empty family has no tail,
+    # and its NaN would make the max over the gaps depend on the order
     tails, allvals = {}, []
     for fam_name, pts in families.items():
+        if len(pts) == 0:
+            raise ValueError(f"approach family {fam_name!r} has no point")
         v = value_fn(np.asarray(pts, dtype=complex))
         allvals.extend(v.tolist())
         tails[fam_name] = complex(np.mean(v[-FAMILY_TAIL:]))
@@ -489,58 +489,18 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
             N, claimed, families)
 
 
-def _node_blocks(n: int) -> list:
-    """(start, stop) of the node blocks over n nodes: SCALE_BLOCK nodes
-    each, the last running to the end (one block, maybe empty, when n
-    is at most SCALE_BLOCK)."""
-    starts = range(0, max(n - SCALE_BLOCK, 0) + 1, SCALE_BLOCK)
-    return list(zip(starts, [*starts[1:], n]))
-
-
-def _node_points(mask: RegionMask, nodes: np.ndarray) -> np.ndarray:
-    """Coordinates of the flat node indices, bitwise those of
-    RegionMask.coords: the axis abscissa, then the ordinate."""
-    xs, ys = mask.grid.axes()
-    iy, ix = np.divmod(nodes, mask.grid.nx)
-    z = xs[ix].astype(complex)
-    z.imag = ys[iy]
-    return z
-
-
-def _node_samples(f, mask: RegionMask, nodes: np.ndarray) -> np.ndarray:
-    """f at the flat node indices nodes (row-major), as sample_field
-    would give them: a SampledField read off its grid, an expression or
-    callable evaluated node block by node block, with sample_field's
-    errors (another grid; non-finite samples and their first nodes)."""
-    if isinstance(f, SampledField):
-        if f.mask.grid != mask.grid:
-            raise ValueError("field sampled on a different grid")
-        return f.values.reshape(-1)[nodes]
-    fn = as_callable(f)
-    out = np.empty(nodes.size, dtype=complex)
-    for a, b in _node_blocks(nodes.size):
-        out[a:b] = fn(_node_points(mask, nodes[a:b]))
-    bad = ~np.isfinite(out)
-    if bad.any():
-        where = _node_points(mask, nodes[bad][:3])
-        raise PreconditionError(
-            f"{int(bad.sum())} non-finite samples on support, "
-            f"first at {where}", nodes=where)
-    return out
-
-
 def _sup_by_blocks(n: int, block_values) -> float:
     """The max over the node blocks of n nodes of sup |block_values(a, b)|:
     the one-shot sup, NaN on no node or on a NaN."""
     return float(np.max([sup_abs(block_values(a, b))
-                         for a, b in _node_blocks(n)]))
+                         for a, b in node_blocks(n)]))
 
 
 def _blocked_sup(fn, mask: RegionMask, nodes: np.ndarray) -> float:
     """sup |fn| over the flat node indices nodes, evaluated node block by
     node block."""
     return _sup_by_blocks(
-        nodes.size, lambda a, b: fn(_node_points(mask, nodes[a:b])))
+        nodes.size, lambda a, b: fn(mask.points(nodes[a:b])))
 
 
 def _holomorphy_probe(hfield: SampledField, centers,
@@ -568,9 +528,12 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
     differs from the z-derivative by the unimodular factor i^j2, so the
     estimated constant is identical and only the order changes.
     Both f and g are rescaled by the measured sup of |g| first, which
-    keeps |f| <= |g| intact and normalizes |g| <= 1.  levels needs at
-    least two positive, pairwise distinct spacings (in any order), or
-    the stability ratio compares nothing.
+    keeps |f| <= |g| intact and normalizes |g| <= 1.  g and the
+    derivative are sampled by cauchy.sample_nodes on the nodes 3 cells
+    inside, the derivative only where |g| > ZERO_REL, so a non-finite
+    sample raises.  levels needs at least two positive, pairwise
+    distinct spacings (in any order), or the stability ratio compares
+    nothing.
     """
     hs = list(check_ladder(sorted(levels, reverse=True), 2))
     if mixed is not None:
@@ -592,16 +555,14 @@ def derivative_bound_scan(f: ComplexExpr, g: ComplexExpr, m: int, n: int,
     dq = div(intpow(fs, m + 2), gs)
     for _ in range(n):
         dq = wirtinger_d(dq)
-    dq_fn = as_callable(dq)
-    g_fn = as_callable(gs)
 
     consts = []
     for mask in masks:
-        sel = interior_shrunk(mask, 3)
-        z = mask.coords(sel)
-        gvals = np.abs(g_fn(z))
+        nodes = np.flatnonzero(interior_shrunk(mask, 3))
+        gvals = np.abs(sample_nodes(gs, mask, nodes))
         live = gvals > ZERO_REL
-        ratio = np.abs(dq_fn(z[live])) / gvals[live] ** (m + 1 - n)
+        ratio = (np.abs(sample_nodes(dq, mask, nodes[live]))
+                 / gvals[live] ** (m + 1 - n))
         consts.append(sup_abs(ratio))
     ratio = consts[-1] / consts[0] if consts[0] != 0 else float("inf")
     return {"m": m, "n": n, "mixed": mixed, "h": hs, "C": consts,

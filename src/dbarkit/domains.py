@@ -463,6 +463,16 @@ class RegionMask:
         z.imag = np.repeat(ys, np.count_nonzero(sel, axis=1))
         return z
 
+    def points(self, nodes: np.ndarray) -> np.ndarray:
+        """Complex coordinates of the flat node indices nodes (iy * nx +
+        ix), bitwise those coords gives the same nodes: the axis
+        abscissa, then the ordinate."""
+        xs, ys = self.grid.axes()
+        iy, ix = np.divmod(nodes, self.grid.nx)
+        z = xs[ix].astype(complex)
+        z.imag = ys[iy]
+        return z
+
     def window(self, sel: np.ndarray, iy: int, ix: int, n: int) -> tuple:
         """(yy, xx) of the selected nodes within Chebyshev distance n of
         node (iy, ix), clipped to the grid, in row-major order."""

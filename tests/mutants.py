@@ -75,9 +75,23 @@ MUTANTS = [
            "SCREEN_SLACK = 1 + 1e-9", "SCREEN_SLACK = 0.5",
            ("tests/test_bezout.py::test_screened_ladder_matches_full_node_ladder",)),
     Mutant("node blocks drop the remainder past the last full block",
-           "dbarkit/bezout.py", "zip(starts, [*starts[1:], n])",
-           "zip(starts, [*starts[1:], starts[-1] + NODE_BLOCK])",
-           ("tests/test_bezout.py::test_poly_dbars_share_one_table_bitwise",)),
+           "dbarkit/cauchy.py", "zip(starts, [*starts[1:], n])",
+           "zip(starts, [*starts[1:], starts[-1] + size])",
+           ("tests/test_bezout.py::test_poly_dbars_share_one_table_bitwise",
+            "tests/test_cauchy.py::"
+            "test_node_sampler_is_the_one_shot_rule_bitwise",
+            "tests/test_division.py::"
+            "test_node_vector_record_is_the_full_grid_rule_bitwise",
+            "tests/test_division.py::"
+            "test_blocked_scale_evaluates_each_away_node_once")),
+    Mutant("non-finite error only when every sample is non-finite",
+           "dbarkit/cauchy.py", "if bad.any():", "if bad.all():",
+           ("tests/test_cauchy.py::"
+            "test_sampled_field_checks_finiteness_on_the_support_only",
+            "tests/test_cauchy.py::"
+            "test_node_sampler_is_the_one_shot_rule_bitwise",
+            "tests/test_division.py::"
+            "test_node_vector_record_is_the_full_grid_rule_bitwise")),
     Mutant("domination slack dropped", "dbarkit/division.py",
            "if (a > b + 1e-9 * max(slack_ref, 1.0)).any():",
            "if (a > b).any():",
@@ -191,12 +205,6 @@ MUTANTS = [
             "test_eroded_matches_iterated_binary_erosion",
             "tests/test_domains.py::"
             "test_window_and_covers_every_hole_position")),
-    Mutant("record's node blocks drop the last block", "dbarkit/division.py",
-           "zip(starts, [*starts[1:], n])", "zip(starts, starts[1:])",
-           ("tests/test_division.py::"
-            "test_node_vector_record_is_the_full_grid_rule_bitwise",
-            "tests/test_division.py::"
-            "test_blocked_scale_evaluates_each_away_node_once")),
     Mutant("node-vector zero floor drops nodes at exactly the floor",
            "dbarkit/division.py",
            "return magnitude <= ZERO_REL * sup_abs(magnitude)",
@@ -209,10 +217,12 @@ MUTANTS = [
            ("tests/test_division.py::"
             "test_node_vector_record_is_the_full_grid_rule_bitwise",)),
     Mutant("flat node index read with rows and columns swapped",
-           "dbarkit/division.py",
-           "iy, ix = np.divmod(nodes, mask.grid.nx)",
-           "ix, iy = np.divmod(nodes, mask.grid.nx)",
-           ("tests/test_division.py::"
+           "dbarkit/domains.py",
+           "iy, ix = np.divmod(nodes, self.grid.nx)",
+           "ix, iy = np.divmod(nodes, self.grid.nx)",
+           ("tests/test_domains.py::"
+            "test_points_of_flat_indices_are_coords_bitwise",
+            "tests/test_division.py::"
             "test_blocked_scale_evaluates_each_away_node_once",
             "tests/test_division.py::"
             "test_node_vector_record_is_the_full_grid_rule_bitwise")),

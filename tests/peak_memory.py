@@ -10,8 +10,9 @@ peak of each stage in MB: the kernel spectrum's build (its cache
 cleared first), pompeiu on the sampled constant 1, the pou-route and
 poly-route corona_solve on (z^2, (1-z)^2), g_power_solve (g^5) and
 g12_solve (g^12) on (z^2, z^3) with g = z^2, with the benchmark's
-inputs, and one DivisionProblem of z^N/conj(z) with its C1
-certificates at N = 3 and 2, as the sharpness battery makes them.
+inputs, one DivisionProblem of z^N/conj(z) with its C1
+certificates at N = 3 and 2, as the sharpness battery makes them, and
+sample_field of (1 - z)^4.
 Each solve runs on a warm kernel cache, so its peak is the solve's
 own; a stage's inputs (the mask too) are made before its trace
 starts.  Margins follow the acceptance ladders: max(3, round(0.15 / h))
@@ -54,6 +55,7 @@ def stages(h: float) -> list:
     quartic = [intpow(Z, 2), intpow(sub(one, Z), 2)]
     g, fs = intpow(Z, 2), [intpow(Z, 2), intpow(Z, 3)]
     xs = [div(one, denom), div(conj(Z), denom)]
+    quartic_power = intpow(sub(one, Z), 4)
     hs = [conj(intpow(Z, 2)), conj(intpow(Z, 3))]
 
     def build():
@@ -77,6 +79,7 @@ def stages(h: float) -> list:
         ("g^12 g12_solve", lambda: corona.g12_solve(
             g, fs, hs, DISK, h=h, margin=margin, mask=mask)),
         ("divide C1", divide_c1),
+        ("sample_field", lambda: cauchy.sample_field(quartic_power, mask)),
     ]
 
 

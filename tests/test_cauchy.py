@@ -9,13 +9,16 @@ chord length) for cells whose closure contains it.
 """
 
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy import fft
 
+from dbarkit import cauchy
 from dbarkit.cauchy import (
     ROW_STRIP,
     SampledField,
@@ -29,18 +32,20 @@ from dbarkit.cauchy import (
     dbar_fd_onesided,
     exact_cell_integral,
     log_slope,
+    node_blocks,
     on_nodes,
     pompeiu,
     refinement_ladder,
     sample_field,
+    sample_nodes,
     verify_dbar_solution,
     zero_extended,
 )
 from dbarkit.cli import load_config
 from dbarkit.division import derivative_bound_scan
 from dbarkit.domains import (Disk, GridSpec, PreconditionError, RegionMask,
-                             build_mask, interior_shrunk)
-from dbarkit.expr import Z, exp, intpow
+                             SectorChain, build_mask, interior_shrunk)
+from dbarkit.expr import Const, Z, add, as_callable, conj, div, exp, intpow, mul
 from dbarkit.geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
 CELL_H = 0.02
@@ -500,6 +505,100 @@ def test_sample_field_passes_a_sampled_field_through(disk_mask_64):
     assert not cut.values[hole].any()
     assert np.array_equal(cut.values[~hole], f.values[~hole])
     assert f.values[hole & m.inside].any()
+
+
+# product, power and quotient trees in z and conj(z); every denominator
+# is 3 + |t|^2, so only an overflow makes a sample non-finite
+_SAMPLED_TREES = st.recursive(
+    st.one_of(st.just(Z), st.just(conj(Z)),
+              st.complex_numbers(max_magnitude=2, allow_nan=False,
+                                 allow_infinity=False).map(Const)),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: mul(*ts)),
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: add(*ts)),
+        st.tuples(kids, st.integers(0, 4)).map(lambda t: intpow(*t)),
+        st.tuples(kids, kids).map(
+            lambda t: div(t[0], add(3, mul(t[1], conj(t[1])))))),
+    max_leaves=6)
+
+
+@lru_cache(maxsize=None)
+def _sampling_mask(name, n):
+    # an off-center disk (18,521, 74,116 and 296,475 Inside nodes at
+    # h = 1/64, 1/128 and 1/256) and the sector chain's non-square grid
+    dom = SectorChain(8) if name == "chain" else Disk(0.1 + 0.05j, 1.2)
+    return build_mask(dom, h=1 / n)
+
+
+def _sampled(make):
+    # the array made, or the error raised with its text and nodes
+    try:
+        return make().tobytes()
+    except PreconditionError as err:
+        return type(err), str(err), np.asarray(err.nodes).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=st.sampled_from([("disk", 64), ("disk", 128), ("disk", 256),
+                             ("chain", 512)]),
+       kind=st.sampled_from(["tree", "callable", "field"]),
+       tree=_SAMPLED_TREES, cut=st.booleans(), nan_spots=st.integers(0, 3),
+       block=st.sampled_from([cauchy.SAMPLE_BLOCK, 20000]), data=st.data())
+def test_node_sampler_is_the_one_shot_rule_bitwise(grid, kind, tree, cut,
+                                                   nan_spots, block, data):
+    # sample_field is vals[sel] = fn(mask.coords(sel)) bitwise, and
+    # sample_nodes is that array read at sel's nodes, in default blocks
+    # and in forced ones of 20,000 nodes; a non-finite sample keeps its
+    # error text and first nodes on both paths; a callable is called
+    # once per block; a SampledField passes through
+    mask = _sampling_mask(*grid)
+    h = mask.grid.h
+    inside = mask.coords(mask.inside)
+    zero_on = None
+    if cut:
+        c = inside[data.draw(st.integers(0, inside.size - 1))]
+        zero_on = np.abs(mask.grid.zgrid() - c) < data.draw(st.floats(0, 0.6))
+    sel = mask.inside if zero_on is None else mask.inside & ~zero_on
+    nodes = np.flatnonzero(sel)
+    spots = [inside[data.draw(st.integers(0, inside.size - 1))]
+             for _ in range(nan_spots if kind == "callable" else 0)]
+    tree_fn, calls = as_callable(tree), []
+
+    def call(z):
+        calls.append(z.size)
+        v = tree_fn(z)
+        for p in spots:
+            v = np.where(np.abs(z - p) < 0.5 * h, np.nan, v)
+        return v
+
+    with np.errstate(all="ignore"):
+        if kind == "field":
+            vals = np.zeros(mask.inside.shape, dtype=complex)
+            vals[mask.inside] = tree_fn(inside)
+            assume(np.isfinite(vals).all())
+            f = SampledField(mask, vals)
+            want = vals if zero_on is None else np.where(zero_on, 0.0, vals)
+        else:
+            f = tree if kind == "tree" else call
+            want = np.zeros(mask.inside.shape, dtype=complex)
+            want[sel] = as_callable(f)(mask.coords(sel))
+        want_field = _sampled(lambda: SampledField(mask, want).values)
+        want_nodes = _sampled(lambda: SampledField(mask, want).values
+                              .reshape(-1)[nodes])
+        with mock.patch.object(cauchy, "SAMPLE_BLOCK", block):
+            sizes = [b - a for a, b in node_blocks(nodes.size)]
+            calls.clear()
+            assert _sampled(lambda: sample_field(
+                f, mask, zero_on=zero_on).values) == want_field
+            field_calls = list(calls)
+            calls.clear()
+            assert _sampled(lambda: sample_nodes(f, mask, nodes)) == want_nodes
+    if kind == "callable":
+        assert field_calls == calls == sizes
+    if kind == "field" and zero_on is None:
+        assert sample_field(f, mask) is f
+    event(f"{kind}, {len(sizes)} blocks, "
+          f"{'error' if isinstance(want_field, tuple) else 'samples'}")
 
 
 _NUM = st.complex_numbers(max_magnitude=1e3, allow_nan=False,

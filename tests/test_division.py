@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from dbarkit import bezout, cli, corona, division, domains
+from dbarkit import bezout, cauchy, cli, corona, division, domains
 from dbarkit.cauchy import SampledField, sample_field, zero_extended
 from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
                               PROBE_RADII_CELLS, DivisionProblem,
@@ -175,7 +175,7 @@ def _outcome(make):
                              ("chain", 128), ("chain", 256), ("chain", 512)]),
        kinds=st.lists(st.sampled_from(["expr", "callable", "field"]),
                       min_size=2, max_size=2),
-       block=st.sampled_from([division.SCALE_BLOCK, 20000]),
+       block=st.sampled_from([cauchy.SAMPLE_BLOCK, 20000]),
        data=st.data())
 def test_node_vector_record_is_the_full_grid_rule_bitwise(trouble, grid, kinds,
                                                           block, data):
@@ -228,7 +228,7 @@ def test_node_vector_record_is_the_full_grid_rule_bitwise(trouble, grid, kinds,
         r = DivisionProblem.build(fin, gin, mask=mask)
         return r.zero, r.live, r.f_live, r.g_live
 
-    with mock.patch.object(division, "SCALE_BLOCK", block):
+    with mock.patch.object(cauchy, "SAMPLE_BLOCK", block):
         assert _outcome(record_arrays) == want
         if trouble is not None:
             return
@@ -490,6 +490,18 @@ def test_single_family_is_inconclusive():
     assert cert.verdict == FAIL
 
 
+@pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])
+def test_empty_family_is_refused(order):
+    # an empty family's tail mean is NaN, and a max over NaN gaps
+    # depends on the order: listed after a real family, it made the
+    # discontinuous z/conj(z) read PASS at 0.0.  Families are caller
+    # input, so it raises
+    points = {"b": [0.5, 0.25, 0.125], "a": []}
+    families = {name: points[name] for name in order}
+    with pytest.raises(ValueError, match="approach family 'a' has no point"):
+        certify_class(Z, conj(Z), 1, DISK, "C0", h=1 / 32, families=families)
+
+
 class TestSectorChain:
     chain = SectorChain(8)
 
@@ -588,8 +600,8 @@ def test_record_certifies_two_powers_on_one_sampling(ring_builds, monkeypatch):
     # vectors (never through the full-grid sample_field), and each
     # center's rings are built once, on the first ring certificate
     sampled, full_grid = [], []
-    sample = division._node_samples
-    monkeypatch.setattr(division, "_node_samples", lambda fn, *a: (
+    sample = division.sample_nodes
+    monkeypatch.setattr(division, "sample_nodes", lambda fn, *a: (
         sampled.append(fn) or sample(fn, *a)))
     monkeypatch.setattr(division, "sample_field",
                         lambda fn, *a, **kw: full_grid.append(fn))
@@ -620,7 +632,7 @@ def test_blocked_scale_evaluates_each_away_node_once(monkeypatch):
         blocks.append((nodes.size, layer))
         return blocked(lambda p: layer.append(p) or fn(p), mask, nodes)
 
-    monkeypatch.setattr(division, "SCALE_BLOCK", 1000)
+    monkeypatch.setattr(cauchy, "SAMPLE_BLOCK", 1000)
     monkeypatch.setattr(division, "_blocked_sup", counted)
     cert = certify_class(Z, conj(Z), 3, DISK, "C1", h=1 / 128)
     mask = build_mask(DISK, h=1 / 128)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -296,6 +296,25 @@ def test_coords_and_zgrid_are_the_complex_rule_bitwise(data):
     assert RegionMask(g, sel, sel).coords(sel).tobytes() == want.tobytes()
     jx, jy = np.meshgrid(np.arange(nx), np.arange(ny))
     assert g.zgrid().tobytes() == (g.origin + g.h * (jx + 1j * jy)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_points_of_flat_indices_are_coords_bitwise(data):
+    # on random selections that reach every edge of a grid whose rows
+    # and columns differ in number, flat indices give coords' bits
+    origin = complex(data.draw(SIGNED_PART), data.draw(SIGNED_PART))
+    h = data.draw(st.floats(1e-4, 2.0))
+    ny, nx = data.draw(st.integers(2, 40)), data.draw(st.integers(2, 40))
+    assume(nx != ny)
+    g = GridSpec(origin, h, nx, ny)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sel = rng.random((ny, nx)) < data.draw(st.sampled_from([0.1, 0.5, 1.0]))
+    for edge in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1]):
+        sel[edge][rng.integers(sel[edge].size)] = True
+    mask = RegionMask(g, sel, sel)
+    got = mask.points(np.flatnonzero(sel))
+    assert got.tobytes() == mask.coords(sel).tobytes()
 
 
 def test_coords_are_row_major(disk_mask_64):
