@@ -30,7 +30,16 @@ each block holds at least min(n, 16384) complex points, numpy's
 (and the bits) of one evaluation on all n.  A SampledField passes
 through when it lies on the mask's grid.  Non-finite samples raise one
 PreconditionError, naming the count and the first three nodes, from a
-SampledField and from sample_nodes alike.
+SampledField and from sample_nodes alike.  Full-grid arrays that are
+only reduced to a sup or combined elementwise are formed in row strips
+by the same rule: row_strips gives the node_blocks over the rows, each
+strip at least SAMPLE_BLOCK nodes and the last running to the end, so
+numpy reuses a temporary in a strip exactly when it would on the whole
+grid, and each complex product keeps its operand order and its bits.
+strip_sup reads the sup of such an array over a selection strip by
+strip (sup_abs reads selections through it, with no copy of
+values[sel]); a NaN on a selected node reads NaN in any strip, and an
+empty selection NaN.
 
 Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
@@ -46,10 +55,13 @@ are left 0, which makes Kc odd and mirrors it to its conjugate across
 the x-axis; its spectrum then obeys S(kx, -ky) = -conj S(kx, ky), so
 only rows 0..py//2 are built (the y-transform on strips of columns)
 and cached, per grid shape and spacing (ny, nx, h), for the 4 most
-recently used grids.  No py x px array is ever formed: the data's
-y-transform runs on its nx columns, strips of ROW_STRIP rows go
-through the x-transform, the product and the inverse x-transform,
-keeping nx columns, and one inverse y-transform keeps ny rows.  Both
+recently used grids.  No py x px array is ever formed, and one
+(py, nx) work array holds every stage: the data on their source nodes
+are copied into it (no masked copy of the field) and y-transformed in
+place, strips of ROW_STRIP rows go through the x-transform, the
+product and the inverse x-transform, keeping nx columns, the inverse
+y-transform runs in place, and the array is cut to its ny rows in
+place to become the result.  Both
 engines take their weights from one near/far rule, so this is a
 reorganization of the same discrete quadrature (the direct loop is
 the reference it is tested against, to roundoff), not a different
@@ -58,11 +70,17 @@ hours at h = 1/256.
 
 Difference stencils.  dbar_fd and d_fd take the Wirtinger derivatives
 0.5 * (f_x +- i f_y) by central differences on the Interior nodes and
-report 0 elsewhere; both differences are written into one output
-array.  dbar_fd_onesided also covers the Boundary ring: per axis it
-takes the central difference when both neighbors are Inside, the
-one-sided difference toward the neighbor when only one is, and 0 when
-neither is (a 1-node sliver, flagged nowhere).
+report 0 elsewhere.  One private kernel computes a band of rows of
+that field, with each node's operations in the order of one pass over
+the whole grid, so a band is bitwise the field's rows; the stencils
+write their output from it row strip by row strip, and dbar_fd_sup
+reads max |dbar_fd(f) - minus| over a selection from it without
+forming the field (verify_dbar_solution's max_dev, corona's dbar sups,
+division's holomorphy probe).  dbar_fd_onesided also covers the
+Boundary ring: per axis it takes the central difference when both
+neighbors are Inside, the one-sided difference toward the neighbor
+when only one is, and 0 when neither is (a 1-node sliver, flagged
+nowhere).
 """
 
 from __future__ import annotations
@@ -79,11 +97,12 @@ from .domains import PreconditionError, RegionMask, build_mask, interior_shrunk
 from .expr import as_callable
 
 __all__ = [
-    "NEAR_RADIUS_CELLS", "SAMPLE_BLOCK", "sup_abs", "SampledField",
-    "node_blocks", "sample_field", "sample_nodes", "on_nodes",
-    "zero_extended", "exact_cell_integral", "pompeiu", "dbar_fd", "d_fd",
-    "dbar_fd_onesided", "verify_dbar_solution", "EXACT_FLOOR",
-    "check_ladder", "log_slope", "refinement_ladder", "dbar_convergence",
+    "NEAR_RADIUS_CELLS", "SAMPLE_BLOCK", "sup_abs", "row_strips",
+    "strip_sup", "SampledField", "node_blocks", "sample_field",
+    "sample_nodes", "on_nodes", "zero_extended", "exact_cell_integral",
+    "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "dbar_fd_sup",
+    "verify_dbar_solution", "EXACT_FLOOR", "check_ladder", "log_slope",
+    "refinement_ladder", "dbar_convergence",
 ]
 
 # metrics at or below this sup are floating-point roundoff of an identity
@@ -109,10 +128,34 @@ def sup_abs(values: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
     """max |values| over the selected entries (all of them when sel is None).
 
     NaN on an empty selection: a check must not pass on nothing
-    measured, and NaN fails every tolerance comparison.
+    measured, and NaN fails every tolerance comparison.  A selection
+    is read strip by strip (strip_sup), with no copy of values[sel].
     """
-    v = np.asarray(values) if sel is None else values[sel]
+    if sel is not None:
+        return strip_sup(lambda rows: values[rows], sel)
+    v = np.asarray(values)
     return float(np.abs(v).max()) if v.size else float("nan")
+
+
+def row_strips(shape) -> list:
+    """(start, stop) of the row strips of an array of this shape: the
+    node_blocks over its rows, each strip at least SAMPLE_BLOCK nodes
+    (module docstring, Sampling), the last running to the end."""
+    per_row = max(math.prod(shape[1:]), 1)
+    return node_blocks(shape[0], -(-SAMPLE_BLOCK // per_row))
+
+
+def strip_sup(rows_of, sel: np.ndarray) -> float:
+    """max |a| over sel, where rows_of(rows) gives the rows of a full-grid
+    array a for a slice of rows; a is formed one row strip at a time.
+    NaN on an empty selection and on a NaN at any selected node."""
+    sups = []
+    for a, b in row_strips(sel.shape):
+        v = np.abs(rows_of(slice(a, b))[sel[a:b]])
+        if v.size:
+            sups.append(v.max())
+    # np.max, unlike Python's max, keeps a NaN wherever it stands
+    return float(np.max(sups)) if sups else float("nan")
 
 
 @dataclass
@@ -281,10 +324,9 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
     src_mask = f.mask.inside & f.support
     if targets is None:
         spectrum = _kernel_spectrum(*src_mask.shape, f.mask.grid.h)
-        # the masked copy goes to fftconvolve alone, which drops it
-        # after its first transform
-        u = (-1.0 / math.pi) * fftconvolve(
-            np.where(src_mask, f.values, 0.0), spectrum)
+        u = fftconvolve(f.values, src_mask, spectrum)
+        # in place, the scalar first: each product's operand order
+        np.multiply(-1.0 / math.pi, u, out=u)
         return SampledField(f.mask, u, support=np.ones_like(src_mask))
     zt = np.asarray(targets, dtype=complex)
     return _pompeiu_direct(f.values[src_mask], f.mask.coords(src_mask),
@@ -297,20 +339,25 @@ def _period(n: int) -> int:
     return fft.next_fast_len(2 * n - 1)
 
 
-def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """Circular convolution of fv, zero-padded to the (py, px) period,
-    with the kernel whose half spectrum is given (rows 0..py//2; row
-    py - k is -conj of row k); returns the leading fv.shape block.
+def fftconvolve(values: np.ndarray, sel: np.ndarray,
+                spectrum: np.ndarray) -> np.ndarray:
+    """Circular convolution of values on sel (0 on every other node),
+    zero-padded to the (py, px) period, with the kernel whose half
+    spectrum is given (rows 0..py//2; row py - k is -conj of row k);
+    returns the leading values.shape block.
 
-    The y-transform runs on the nx data columns only; strips of
+    One complex (py, nx) work array holds every stage: the values on
+    sel are copied into it and y-transformed in place; strips of
     ROW_STRIP rows then go through the x-transform, the product and
-    the inverse x-transform, and keep their first nx columns; one
-    inverse y-transform keeps the first ny rows."""
-    ny, nx = fv.shape
+    the inverse x-transform, and keep their first nx columns; the
+    inverse y-transform runs in place, and the work array is cut to
+    its first ny rows, so it is the result."""
+    ny, nx = values.shape
     nh, px = spectrum.shape
     py = _period(ny)
-    a = fft.fft(fv, n=py, axis=0)
-    del fv
+    a = np.zeros((py, nx), dtype=complex)
+    np.copyto(a[:ny], values, where=sel)
+    _fft_in_place(a, fft.fft)
     for r0 in range(0, py, ROW_STRIP):
         r1 = min(r0 + ROW_STRIP, py)
         top = min(max(r0, nh), r1)
@@ -318,7 +365,20 @@ def fftconvolve(fv: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
         b[:top - r0] *= spectrum[r0:top]
         b[top - r0:] *= -np.conj(spectrum[py - r1 + 1:py - top + 1][::-1])
         a[r0:r1] = fft.ifft(b, axis=1, overwrite_x=True)[:, :nx]
-    return fft.ifft(a, axis=0, overwrite_x=True)[:ny]
+    _fft_in_place(a, fft.ifft)
+    # a owns its memory and no view of it is left, so the cut keeps the
+    # leading rows where they are and frees the rest
+    a.resize((ny, nx), refcheck=False)
+    return a
+
+
+def _fft_in_place(x: np.ndarray, transform) -> None:
+    # the transform along axis 0 written over the complex array x:
+    # scipy's pocketfft writes it there when it may overwrite its input,
+    # and a backend that returns new memory is copied back
+    out = transform(x, axis=0, overwrite_x=True)
+    if not np.may_share_memory(out, x):
+        x[...] = out
 
 
 @lru_cache(maxsize=4)
@@ -356,24 +416,39 @@ def _pompeiu_direct(fs: np.ndarray, w: np.ndarray, h: float,
     return (-1.0 / math.pi) * out
 
 
+def _central(v: np.ndarray, h: float, bar: bool, keep: np.ndarray,
+             r0: int, r1: int, out: np.ndarray) -> np.ndarray:
+    # rows r0..r1 of the central-difference field of v into out:
+    # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d, 0 off
+    # keep.  Each node takes the operations of one pass over the whole
+    # grid, in their order, so any band of rows is bitwise the field's
+    out[:, [0, -1]] = 0.0
+    out[:, 1:-1] = (v[r0:r1, 2:] - v[r0:r1, :-2]) / (2 * h)
+    a, b = max(r0, 1), min(r1, v.shape[0] - 1)
+    if a < b:
+        ify = (v[a + 1:b + 1] - v[a - 1:b - 1]) / (2 * h)
+        ify *= 1j
+        if bar:
+            out[a - r0:b - r0] += ify
+        else:
+            out[a - r0:b - r0] -= ify
+    out *= 0.5
+    out[~keep[r0:r1]] = 0.0
+    return out
+
+
 def _wirtinger_fd(f: SampledField, bar: bool,
                   one_sided: bool) -> SampledField:
-    # 0.5 * (f_x + i f_y) for dbar, 0.5 * (f_x - i f_y) for d: central
-    # differences on the Interior nodes, and with one_sided also on the
-    # Boundary ring (see the module docstring), written into one array
+    # central differences on the Interior nodes, and with one_sided also
+    # on the Boundary ring (see the module docstring), written into one
+    # array strip by strip
     m = f.mask
     h = m.grid.h
     v = f.values
     keep = m.inside if one_sided else m.interior
-    out = np.zeros_like(v)
-    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-    ify = (v[2:, :] - v[:-2, :]) / (2 * h)
-    ify *= 1j
-    if bar:
-        out[1:-1, :] += ify
-    else:
-        out[1:-1, :] -= ify
-    del ify
+    out = np.empty_like(v)
+    for r0, r1 in row_strips(v.shape):
+        _central(v, h, bar, keep, r0, r1, out[r0:r1])
     if one_sided:
         # past the grid's edge counts as not Inside; every Inside node
         # on the grid's edge is a Boundary node, so it is rewritten here.
@@ -397,9 +472,7 @@ def _wirtinger_fd(f: SampledField, bar: bool,
                     hp, (vp - c) / h,
                     np.where(hm, (c - vm) / h, 0.0))))
         fx, fy = d
-        out[iy, ix] = fx + 1j * fy if bar else fx - 1j * fy
-    out *= 0.5
-    out[~keep] = 0.0
+        out[iy, ix] = (fx + 1j * fy if bar else fx - 1j * fy) * 0.5
     return SampledField(m, out, support=keep.copy())
 
 
@@ -423,6 +496,24 @@ def dbar_fd_onesided(f: SampledField) -> SampledField:
     return _wirtinger_fd(f, bar=True, one_sided=True)
 
 
+def dbar_fd_sup(f: SampledField, sel: np.ndarray,
+                minus: Optional[np.ndarray] = None) -> float:
+    """max |dbar_fd(f) - minus| over sel (minus: 0 when None), bitwise
+    the sup_abs of that full-grid difference, read one row strip at a
+    time: the field itself is never formed."""
+    m = f.mask
+    v = f.values
+
+    def rows_of(rows):
+        d = _central(v, m.grid.h, True, m.interior, rows.start, rows.stop,
+                     np.empty_like(v[rows]))
+        if minus is not None:
+            d -= minus[rows]
+        return d
+
+    return strip_sup(rows_of, sel)
+
+
 def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
     """Solve dbar u = f by the transform, differentiate back, report.
 
@@ -432,8 +523,8 @@ def verify_dbar_solution(f: SampledField, margin: int = 3) -> dict:
     node.
     """
     u = pompeiu(f)
-    dev = dbar_fd(u).values - f.values
-    return {"u": u, "max_dev": sup_abs(dev, interior_shrunk(f.mask, margin)),
+    return {"u": u, "max_dev": dbar_fd_sup(u, interior_shrunk(f.mask, margin),
+                                           minus=f.values),
             "h": f.mask.grid.h, "margin": margin}
 
 

@@ -17,6 +17,12 @@ division.dominated, which adds g and the domination |g| <= sum|f_j|),
 and hands x, dbar x and that record, collar included,
 to one correction core, which builds F, solves for H, assembles u and
 measures the residual, dbar u, dbar x and the contraction f H f^t.
+The core forms F, u = x - f H, the contraction and the residual one
+row strip at a time (cauchy.row_strips) from the stored upper triangle
+of H, so no full-grid product, zero diagonal or negated entry is
+made, and it reads the dbar sups with cauchy.dbar_fd_sup, which forms
+no dbar field; the strips keep each product's operand order, so the
+outputs are bitwise those of the full-grid expressions.
 On the poly route x_j = p_j / D and dbar x_j come on the Inside nodes
 from bezout.quotient_fits, which owns that quotient and evaluates the
 fits in node blocks past its fit subsample, and are only scattered to
@@ -37,9 +43,9 @@ import numpy as np
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
                      quotient_fits, require_no_common_zero)
-from .cauchy import (SampledField, dbar_fd, dbar_fd_onesided, on_nodes,
-                     refinement_ladder, sample_field, sup_abs,
-                     verify_dbar_solution, zero_extended)
+from .cauchy import (SampledField, dbar_fd_onesided, dbar_fd_sup, on_nodes,
+                     refinement_ladder, row_strips, sample_field, strip_sup,
+                     sup_abs, verify_dbar_solution)
 from .division import check_domination, divide, dominated
 from .domains import CompactDomain, RegionMask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
@@ -64,7 +70,8 @@ class AntisymMatrixField:
     """Upper triangle of an antisymmetric matrix of fields.
 
     Only entries (j, k) with j < k are stored; entry() materializes the
-    sign-flipped lower triangle and the zero diagonal on demand.
+    sign-flipped lower triangle and the zero diagonal on demand, and
+    entry_rows() a band of rows of an off-diagonal entry.
     """
 
     n: int
@@ -76,9 +83,14 @@ class AntisymMatrixField:
             raise IndexError((j, k))
         if j == k:
             return np.zeros(self.mask.inside.shape, dtype=complex)
+        return self.entry_rows(j, k, slice(None))
+
+    def entry_rows(self, j: int, k: int, rows: slice) -> np.ndarray:
+        """The rows of entry (j, k), j != k: a view of the stored (j, k),
+        or the negated copy of those rows of (k, j)."""
         if j < k:
-            return self.upper[(j, k)].values
-        return -self.upper[(k, j)].values
+            return self.upper[(j, k)].values[rows]
+        return -self.upper[(k, j)].values[rows]
 
 
 @dataclass
@@ -134,10 +146,17 @@ def _obstruction(dbx, gens: BezoutProblem, wv=None,
     upper = {}
     for j in range(gens.n):
         for k in range(j + 1, gens.n):
-            num = dbx[k] * np.conj(fv[j]) - dbx[j] * np.conj(fv[k])
-            vals = zero_extended(num, s2, live)
-            if wv is not None:
-                vals[live] *= wv[live]
+            # zero_extended(num, s2, live), times wv, one row strip at
+            # a time (cauchy.row_strips keeps each product's bits)
+            vals = np.zeros(inside.shape, dtype=complex)
+            for a, b in row_strips(inside.shape):
+                r, on = slice(a, b), live[a:b]
+                num = (dbx[k][r] * np.conj(fv[j][r])
+                       - dbx[j][r] * np.conj(fv[k][r]))
+                q = num[on] / s2[r][on]
+                if wv is not None:
+                    q *= wv[r][on]
+                vals[r][on] = q
             upper[(j, k)] = SampledField(mask, vals)
     return AntisymMatrixField(gens.n, mask, upper)
 
@@ -159,33 +178,35 @@ def solve_dbar_matrix(F: AntisymMatrixField, margin: int = 3):
 
 
 def _assemble(x_vals, f_vals, H: AntisymMatrixField, own: bool = False):
-    # u_j = x_j - sum_{k != j} f_k H_kj, written over x_j when the
-    # caller owns the arrays x_vals
+    # u_j = x_j - sum_{k != j} f_k H_kj, one row strip at a time from
+    # the stored upper triangle, written over x_j when the caller owns
+    # the arrays x_vals
     n = len(x_vals)
-    out = []
-    for j in range(n):
-        corr = 0.0
-        for k in range(n):
-            if k != j:
-                corr = corr + f_vals[k] * H.entry(k, j)
-        out.append(np.subtract(x_vals[j], corr,
-                               out=x_vals[j] if own else None))
+    out = [x if own else np.empty(x.shape, dtype=complex) for x in x_vals]
+    for a, b in row_strips(x_vals[0].shape):
+        r = slice(a, b)
+        for j in range(n):
+            corr = 0.0
+            for k in range(n):
+                if k != j:
+                    corr = corr + f_vals[k][r] * H.entry_rows(k, j, r)
+            np.subtract(x_vals[j][r], corr, out=out[j][r])
     return out
 
 
 def _skew_residual(f_vals, H: AntisymMatrixField, inside) -> float:
     # the contraction sum_j f_j sum_{k != j} H_jk f_k over the full
-    # matrix (the diagonal is 0); antisymmetry of H makes it vanish up
-    # to roundoff
+    # matrix (the diagonal is 0), one row strip at a time; antisymmetry
+    # of H makes it vanish up to roundoff
     n = len(f_vals)
-    acc = sum(f_vals[j] * sum(H.entry(j, k) * f_vals[k]
-                              for k in range(n) if k != j)
-              for j in range(n))
-    return sup_abs(acc, inside)
+    return strip_sup(lambda r: sum(
+        f_vals[j][r] * sum(H.entry_rows(j, k, r) * f_vals[k][r]
+                           for k in range(n) if k != j)
+        for j in range(n)), inside)
 
 
 def _dbar_sup(value_arrays, mask, sel) -> float:
-    return max((sup_abs(dbar_fd(SampledField(mask, v)).values, sel)
+    return max((dbar_fd_sup(SampledField(mask, v), sel)
                 for v in value_arrays), default=float("nan"))
 
 
@@ -225,9 +246,9 @@ def _correct(x_fields, dbx, gens: BezoutProblem, target, desc: str,
         for v in uv:
             np.multiply(lift, v, out=v)
             v[gens.collar] = 0.0
-    total = sum(u * f for u, f in zip(uv, f_vals))
-    residual_sup = sup_abs(total - target, mask.inside)
-    del total
+    residual_sup = strip_sup(lambda r: sum(
+        u[r] * f[r] for u, f in zip(uv, f_vals)) - (
+            target[r] if np.ndim(target) else target), mask.inside)
     return CoronaSolution(
         u=[SampledField(mask, v) for v in uv],
         residual_sup=residual_sup,

@@ -59,9 +59,9 @@ import numpy as np
 from scipy import ndimage
 
 from .bezout import BezoutProblem, q_fields
-from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, log_slope,
-                     node_blocks, on_nodes, sample_field, sample_nodes,
-                     sup_abs, zero_extended)
+from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, dbar_fd_sup,
+                     log_slope, node_blocks, on_nodes, sample_field,
+                     sample_nodes, sup_abs, zero_extended)
 from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
                       interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -151,19 +151,24 @@ def check_domination(lhs: np.ndarray, rhs: np.ndarray, mask: RegionMask,
     """
     if sel is None:
         sel = mask.inside
-    _check_on_nodes(lhs[sel], rhs[sel], condition,
-                    lambda k: mask.coords(sel)[k], slack_ref)
+    a, b = lhs[sel], rhs[sel]
+    _check_on_nodes(a.size, lambda i, j: a[i:j], lambda i, j: b[i:j],
+                    condition, lambda k: mask.coords(sel)[k], slack_ref)
 
 
-def _check_on_nodes(a: np.ndarray, b: np.ndarray, condition: str, node,
+def _check_on_nodes(n: int, lhs, rhs, condition: str, node,
                     slack_ref: Optional[float] = None) -> None:
-    # check_domination on node vectors a and b; node(k) is the
-    # coordinate of the k-th node, asked for only on a failure
-    if a.size == 0:
+    # check_domination on n nodes, node block by node block: lhs(i, j)
+    # and rhs(i, j) are the two sides on nodes i..j, and node(k) is the
+    # coordinate of the k-th node.  Only a failure forms the whole
+    # sides, for the global worst node
+    if n == 0:
         raise DominationError(f"{condition}: no node to check it on")
     if slack_ref is None:
-        slack_ref = sup_abs(b)
-    if (a > b + 1e-9 * max(slack_ref, 1.0)).any():
+        slack_ref = _sup_by_blocks(n, rhs)
+    if any((lhs(i, j) > rhs(i, j) + 1e-9 * max(slack_ref, 1.0)).any()
+           for i, j in node_blocks(n)):
+        a, b = lhs(0, n), rhs(0, n)
         k = int(np.argmax(a - b))
         worst = node(k)
         raise DominationError(
@@ -240,7 +245,8 @@ class DivisionProblem:
         gv = gv[~at_zero]
         fv = sample_nodes(f, mask, np.flatnonzero(live))
         _check_on_nodes(
-            np.abs(fv), np.abs(gv), "|f| <= |g| off Z(g)",
+            fv.size, lambda i, j: np.abs(fv[i:j]),
+            lambda i, j: np.abs(gv[i:j]), "|f| <= |g| off Z(g)",
             lambda k: mask.points(np.flatnonzero(live)[k:k + 1])[0])
         return cls(f, g, mask, zero, live, fv, gv, g_locally_constant)
 
@@ -455,7 +461,8 @@ def _family_probe(name, value_fn, families):
         allvals.extend(v.tolist())
         tails[fam_name] = complex(np.mean(v[-FAMILY_TAIL:]))
     vals = list(tails.values())
-    measured = (max(abs(a - b) for a in vals for b in vals)
+    # np.max keeps a NaN tail's gap wherever its family stands
+    measured = (float(np.max([abs(a - b) for a in vals for b in vals]))
                 if len(vals) >= 2 else float("nan"))
     scale = sup_abs(np.asarray(allvals))
     return ProbeResult(name, _grade(measured, scale), measured, scale,
@@ -509,9 +516,8 @@ def _holomorphy_probe(hfield: SampledField, centers,
     # quotient of holomorphic data must not show a conjugate component;
     # scale is the quotient's Inside sup
     mask = hfield.mask
-    dv = dbar_fd(hfield)
     sel = interior_shrunk(mask, 8) & ~mask.near(centers, 0.25)
-    measured = sup_abs(dv.values, sel)
+    measured = dbar_fd_sup(hfield, sel)
     return ProbeResult("holomorphy", _grade(measured, scale), measured, scale,
                        {"margin_cells": 8, "center_exclusion": 0.25})
 

@@ -9,18 +9,23 @@ with `git archive` into a temporary directory; then, on that tree and
 on the working tree, with BLAS on one thread, each shipped config
 (configs/*.ini) and the sharpness battery (`dbarkit sharpness`, which
 no config runs) run through `python -m dbarkit.cli` with their own
-output directories, and tests/test_acceptance.py runs through pytest.
+output directories, tests/test_acceptance.py runs through pytest, and
+`python tests/same_outputs.py --hashes` prints the route_hashes of the
+tree's dbarkit (the correction routes and the stencils at h = 1/64 to
+1/256, as hashes of their arrays and the reprs of their sups).
 The two output trees are compared byte for byte: each CSV body below
-its generation-stamp line, each summary.txt, each exit status and the
-nine acceptance lines.  The script names every difference (a tree
-that prints no acceptance line counts as one) and exits 1 on any, 0
-when there is none and 2 when REV cannot be exported.
+its generation-stamp line, each summary.txt, each exit status, the
+nine acceptance lines and the route hashes.  The script names every
+difference (a tree that prints no acceptance line or no hash counts
+as one) and exits 1 on any, 0 when there is none and 2 when REV
+cannot be exported.
 
 pytest does not collect this file; tests/test_same_outputs.py checks
 compare_trees on two small output trees.
 """
 
 import configparser
+import hashlib
 import io
 import os
 import subprocess
@@ -69,6 +74,64 @@ def run_outputs(tree: Path, out: Path) -> None:
     lines = [ln for ln in done.stdout.splitlines()
              if ln.startswith("criterion ")]
     (out / "acceptance.txt").write_text("".join(ln + "\n" for ln in lines))
+    done = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--hashes"],
+        cwd=tree, env=_env(tree), capture_output=True, text=True)
+    (out / "routes.txt").write_text(done.stdout)
+
+
+def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
+    """One line per output of the correction routes and the stencils
+    of the dbarkit that is imported, at each spacing of hs on the unit
+    disk: the sha256 of u's bytes and the repr of the four sups, skew
+    and entry_reports of the pou and poly corona_solve on (z^2,
+    (1-z)^2), g_power_solve (g^5) and g12_solve (g^12) on (z^2, z^3)
+    with g = z^2 (the benchmark's inputs, margins max(3, round(0.15 /
+    h))), and the sha256 of dbar_fd, d_fd and dbar_fd_onesided of a
+    sampled non-polynomial field.  No shipped config runs these routes
+    at these spacings, and the CSVs' rounding would hide a moved bit."""
+    # imported here: the comparison runs each tree's dbarkit in a
+    # subprocess and needs none on its own path
+    from dbarkit import cauchy, corona
+    from dbarkit.domains import Disk, build_mask
+    from dbarkit.expr import Const, Z, add, conj, div, exp, intpow, mul, sub
+
+    disk, one = Disk(0j, 1.0), Const(1.0)
+    denom = add(one, mul(Z, conj(Z)))
+    quartic = [intpow(Z, 2), intpow(sub(one, Z), 2)]
+    g, fs = intpow(Z, 2), [intpow(Z, 2), intpow(Z, 3)]
+    xs = [div(one, denom), div(conj(Z), denom)]
+    h_list = [conj(intpow(Z, 2)), conj(intpow(Z, 3))]
+    routes = {
+        "pou": lambda h, m: corona.corona_solve(
+            quartic, disk, h=h, route="pou", margin=m),
+        "poly": lambda h, m: corona.corona_solve(
+            quartic, disk, h=h, route="poly", margin=m),
+        "g^5": lambda h, m: corona.g_power_solve(g, fs, xs, disk, h=h,
+                                                 margin=m),
+        "g^12": lambda h, m: corona.g12_solve(g, fs, h_list, disk, h=h,
+                                              margin=m),
+    }
+
+    def sha(a) -> str:
+        return hashlib.sha256(a.tobytes()).hexdigest()
+
+    lines = []
+    for h in hs:
+        m = max(3, int(round(0.15 / h)))
+        for name, solve in routes.items():
+            sol = solve(h, m)
+            lines.append(f"{name} h={h:g} u " + " ".join(
+                sha(u.values) for u in sol.u))
+            lines.append(f"{name} h={h:g} sups {sol.residual_sup!r} "
+                         f"{sol.dbar_sup!r} {sol.dbar_sup_x!r} "
+                         f"{sol.skew_residual!r} {sol.entry_reports!r}")
+        field = cauchy.sample_field(
+            exp(mul(conj(Z), add(Z, one))), build_mask(disk, h=h))
+        for stencil in (cauchy.dbar_fd, cauchy.d_fd, cauchy.dbar_fd_onesided):
+            lines.append(f"{stencil.__name__} h={h:g} "
+                         f"{sha(stencil(field).values)}")
+    return lines
 
 
 def _body(path: Path) -> list:
@@ -113,8 +176,11 @@ def export(rev: str, dest: Path) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--hashes"]:
+        print("\n".join(route_hashes()))
+        return 0
     if len(argv) != 1:
-        print("usage: python tests/same_outputs.py REV")
+        print("usage: python tests/same_outputs.py REV | --hashes")
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -126,9 +192,11 @@ def main(argv=None) -> int:
         run_outputs(tmp / "tree", tmp / "old")
         run_outputs(ROOT, tmp / "new")
         messages = compare_trees(tmp / "old", tmp / "new")
-        messages += [f"the {side} tree printed no acceptance line"
+        messages += [f"the {side} tree printed no {what}"
                      for side in ("old", "new")
-                     if not (tmp / side / "acceptance.txt").read_text()]
+                     for what, name in (("acceptance line", "acceptance.txt"),
+                                        ("route hash", "routes.txt"))
+                     if not (tmp / side / name).read_text()]
         print((tmp / "new" / "acceptance.txt").read_text(), end="")
     for m in messages:
         print(m)

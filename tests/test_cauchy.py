@@ -370,6 +370,113 @@ def test_dbar_fd_onesided_exact_on_linear_fields(nx, ny, h, corner, coeffs,
     assert (got[~inside] == 0).all()
 
 
+def _one_shot_fd(f, bar, one_sided):
+    # the oracle of the strip kernel: the stencil as one pass over the
+    # whole grid, every difference formed on all rows at once
+    m, h, v = f.mask, f.mask.grid.h, f.values
+    keep = m.inside if one_sided else m.interior
+    out = np.zeros_like(v)
+    out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
+    ify = (v[2:, :] - v[:-2, :]) / (2 * h)
+    ify *= 1j
+    if bar:
+        out[1:-1, :] += ify
+    else:
+        out[1:-1, :] -= ify
+    if one_sided:
+        iy, ix = np.nonzero(m.boundary)
+        c = v[iy, ix]
+        ny, nx = v.shape
+
+        def neighbor(dy, dx):
+            jy, jx = iy + dy, ix + dx
+            on = (jy >= 0) & (jy < ny) & (jx >= 0) & (jx < nx)
+            at = (np.clip(jy, 0, ny - 1), np.clip(jx, 0, nx - 1))
+            return on & keep[at], v[at]
+
+        d = []
+        for sy, sx in ((0, 1), (1, 0)):
+            (hp, vp), (hm, vm) = neighbor(sy, sx), neighbor(-sy, -sx)
+            d.append(np.where(hp & hm, (vp - vm) / (2 * h), np.where(
+                hp, (vp - c) / h, np.where(hm, (c - vm) / h, 0.0))))
+        fx, fy = d
+        out[iy, ix] = fx + 1j * fy if bar else fx - 1j * fy
+    out *= 0.5
+    out[~keep] = 0.0
+    return out, keep
+
+
+def _one_shot_sup(values, sel):
+    # the oracle of the strip sups: one copy of the selected values
+    v = values[sel]
+    return float(np.abs(v).max()) if v.size else float("nan")
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(2, 40), st.integers(2, 40)),
+                       st.tuples(st.integers(300, 340), st.integers(230, 260))),
+       block=st.one_of(st.just(cauchy.SAMPLE_BLOCK), st.integers(1, 3000)),
+       inside_share=st.sampled_from([0.0, 0.9, 1.0]),
+       sel_share=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+       nan_spot=st.booleans(), margin=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_strip_kernels_are_the_one_shot_rule_bitwise(
+        shape, block, inside_share, sel_share, nan_spot, margin, seed):
+    # every stencil field, the dbar sup (with and without a field to
+    # subtract), max_dev and sup_abs are bitwise their one-shot
+    # full-grid forms above: in one strip when the grid has fewer than
+    # SAMPLE_BLOCK nodes, in strips of at least SAMPLE_BLOCK nodes
+    # (whose row count need not divide the grid's) past it, and in the
+    # many small strips of a patched SAMPLE_BLOCK.  A NaN on one
+    # selected node reads NaN in whatever strip it falls, and an empty
+    # selection reads NaN
+    rng = np.random.default_rng(seed)
+    ny, nx = shape
+    grid = GridSpec(-1 - 1j, 1 / 16, nx, ny)
+    inside = rng.random(shape) < inside_share
+    m = RegionMask(grid, inside, np.zeros_like(inside))
+    m.interior = interior_shrunk(m, 1)
+    v = rng.standard_normal(shape + (2,)) @ [1, 1j]
+    v[rng.random(shape) < 0.1] = complex(-0.0, 0.0)
+    f = SampledField(m, v)
+    sel = rng.random(shape) < sel_share
+    minus = rng.standard_normal(shape + (2,)) @ [1, 1j]
+    values = v.copy()
+    if nan_spot and sel.any():
+        at = np.flatnonzero(sel)[rng.integers(sel.sum())]
+        minus.reshape(-1)[at] = values.reshape(-1)[at] = np.nan
+    with mock.patch.object(cauchy, "SAMPLE_BLOCK", block):
+        strips = cauchy.row_strips(shape)
+        sizes = [(b - a) * nx for a, b in strips]
+        assert [a for a, _ in strips] == [0] + [b for _, b in strips[:-1]]
+        assert strips[-1][1] == ny
+        assert min(sizes) >= min(ny * nx, block)
+        assert all(size < block + nx for size in sizes[:-1])
+        for stencil, bar, one_sided in ((dbar_fd, True, False),
+                                        (d_fd, False, False),
+                                        (dbar_fd_onesided, True, True)):
+            got = stencil(f)
+            want, keep = _one_shot_fd(f, bar, one_sided)
+            assert got.values.tobytes() == want.tobytes()
+            assert np.array_equal(got.support, keep)
+        central = _one_shot_fd(f, True, False)[0]
+        assert _bits(cauchy.dbar_fd_sup(f, sel)) == _bits(
+            _one_shot_sup(central, sel))
+        got = cauchy.dbar_fd_sup(f, sel, minus=minus)
+        assert _bits(got) == _bits(_one_shot_sup(central - minus, sel))
+        got = cauchy.sup_abs(values, sel)
+        assert _bits(got) == _bits(_one_shot_sup(values, sel))
+        assert np.isnan(got) == (nan_spot or not sel.any())
+        u = pompeiu(f)
+        want = _one_shot_sup(_one_shot_fd(u, True, False)[0] - v,
+                             interior_shrunk(m, margin))
+        assert _bits(verify_dbar_solution(f, margin)["max_dev"]) == _bits(want)
+
+
 def test_verify_dbar_solution_report(disk_mask_64):
     m = disk_mask_64
     f = sample_field(lambda z: np.ones_like(z), m)

@@ -9,15 +9,16 @@ powers of z, so residuals are compared against exact node values.
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dbarkit import bezout, corona
+from dbarkit import bezout, cauchy, corona
 from dbarkit.bezout import BezoutProblem, CommonZeroError, bezout_poly
-from dbarkit.cauchy import SampledField, sample_field
+from dbarkit.cauchy import SampledField, sample_field, zero_extended
 from dbarkit.corona import (AntisymMatrixField, _assemble, _dbar_sup,
                             _skew_residual, corona_convergence, corona_solve,
                             g12_solve, g_power_solve, koszul_F,
@@ -148,8 +149,8 @@ def test_corona_linear_pair():
 
 class _NoSignFlip(AntisymMatrixField):
     # reads the lower triangle without its sign flip: H is symmetric
-    def entry(self, j, k):
-        return super().entry(min(j, k), max(j, k))
+    def entry_rows(self, j, k, rows):
+        return super().entry_rows(min(j, k), max(j, k), rows)
 
 
 def _symbolic_oracle(f_list, m, margin=3):
@@ -183,6 +184,74 @@ def test_poly_route_matches_symbolic_oracle(f_list, disk_mask_64):
     for key, rep in reports.items():
         got = sol.entry_reports[key]["max_dev"]
         assert abs(got - rep["max_dev"]) <= 1e-10 * rep["max_dev"]
+
+
+def _one_shot_entry(H, j, k):
+    # an off-diagonal entry as the one-shot oracle reads it: the stored
+    # array, or its negated full-grid copy
+    return H.upper[(j, k)].values if j < k else -H.upper[(k, j)].values
+
+
+def _one_shot_sup(values, sel):
+    v = values[sel]
+    return float(np.abs(v).max()) if v.size else float("nan")
+
+
+@pytest.mark.parametrize("f_list, weighted", [
+    (LINEAR, False), (LINEAR + [intpow(Z, 2)], False), (CUBIC_PAIR, True)],
+    ids=["pair", "triple", "weighted"])
+@pytest.mark.parametrize("block", [cauchy.SAMPLE_BLOCK, 20000])
+def test_correction_strips_are_the_one_shot_rule_bitwise(f_list, weighted,
+                                                         block):
+    # F, u = x - f H, the skew contraction and the residual are formed
+    # row strip by row strip; each is bitwise its one-shot full-grid
+    # expression below.  A strip of at least min(n, SAMPLE_BLOCK) nodes
+    # keeps numpy's temporary elision, and so each complex product's
+    # operand order, as on the whole grid (42,025 nodes at h = 1/100,
+    # in strips of 98 and 107 rows when 20,000 is forced); strips of
+    # 8,200 nodes, under elision's 16,384, move bits
+    mask = build_mask(DISK, h=1 / 100)
+    rng = np.random.default_rng(len(f_list) + weighted)
+    shape = mask.inside.shape
+
+    def noise():
+        return rng.standard_normal(shape + (2,)) @ [1, 1j]
+
+    gens = BezoutProblem.build(DISK, f_list, mask=mask)
+    fv = [g.values for g in gens.f_fields]
+    n, s2 = gens.n, gens.s2
+    dbx, xv = [noise() for _ in fv], [noise() for _ in fv]
+    wv = noise() if weighted else None
+    live = mask.inside & ~gens.collar if weighted else mask.inside
+    with mock.patch.object(cauchy, "SAMPLE_BLOCK", block):
+        F = corona._obstruction(iter(dbx), gens, wv)
+        for j, k in F.upper:
+            num = dbx[k] * np.conj(fv[j]) - dbx[j] * np.conj(fv[k])
+            want = zero_extended(num, s2, live)
+            if weighted:
+                want[live] *= wv[live]
+            assert F.upper[(j, k)].values.tobytes() == want.tobytes()
+        H = AntisymMatrixField(n, mask, {key: SampledField(mask, noise())
+                                         for key in F.upper})
+        for j, got in enumerate(_assemble(xv, fv, H)):
+            corr = 0.0
+            for k in range(n):
+                if k != j:
+                    corr = corr + fv[k] * _one_shot_entry(H, k, j)
+            assert got.tobytes() == np.subtract(xv[j], corr).tobytes()
+        acc = sum(fv[j] * sum(_one_shot_entry(H, j, k) * fv[k]
+                              for k in range(n) if k != j) for j in range(n))
+        assert _skew_residual(fv, H, mask.inside) == _one_shot_sup(
+            acc, mask.inside)
+        if weighted:
+            g = intpow(Z, 2)
+            sol = g_power_solve(g, f_list, rational_x(), mask=mask)
+            target = sample_field(g, mask).values ** 5
+        else:
+            sol = corona_solve(f_list, DISK, route="pou", mask=mask)
+            target = 1.0
+    total = sum(u.values * f for u, f in zip(sol.u, fv))
+    assert sol.residual_sup == _one_shot_sup(total - target, mask.inside)
 
 
 def test_skew_check_catches_symmetric_matrix(disk_mask_64):

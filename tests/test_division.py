@@ -502,6 +502,20 @@ def test_empty_family_is_refused(order):
         certify_class(Z, conj(Z), 1, DISK, "C0", h=1 / 32, families=families)
 
 
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_nan_tail_reads_nan_in_either_family_order(order):
+    # family a ends on Z(g), where z/conj(z) is 0/0, so its tail is
+    # NaN; its gap to b must read NaN whichever family comes first (a
+    # Python max over the gaps read nan one way round and 0.0 the other)
+    points = {"a": [0.5, 0.25, 0.0], "b": [0.5j, 0.25j, 0.125j]}
+    families = {name: points[name] for name in order}
+    with np.errstate(invalid="ignore"):
+        cert = certify_class(Z, conj(Z), 1, DISK, "C0", h=1 / 32,
+                             families=families)
+    assert np.isnan(cert.probe("value").measured)
+    assert cert.verdict == INCONCLUSIVE
+
+
 class TestSectorChain:
     chain = SectorChain(8)
 

@@ -1,5 +1,5 @@
-"""The runs of tests/same_outputs.py, and its comparison on two small
-output trees."""
+"""The runs of tests/same_outputs.py, its route hashes on a coarse
+grid, and its comparison on two small output trees."""
 
 import importlib.util
 from pathlib import Path
@@ -23,6 +23,18 @@ def test_runs_are_the_shipped_configs_and_the_battery():
     assert runs[-1][1] == ["sharpness"]
     assert all(args[1:] == ["--config", str(p)]
                for (_, args), p in zip(runs, configs))
+
+
+def test_route_hashes_name_every_route_and_stencil_once_per_spacing():
+    # four routes (u, then the sups) and three stencils per spacing,
+    # the same lines on a second run
+    hashes = _same_outputs().route_hashes
+    lines = hashes((1 / 16, 1 / 32))
+    assert [ln.split(" h=")[0] for ln in lines] == 2 * [
+        "pou", "pou", "poly", "poly", "g^5", "g^5", "g^12", "g^12",
+        "dbar_fd", "d_fd", "dbar_fd_onesided"]
+    assert [ln.split()[2] for ln in lines[:8]] == 4 * ["u", "sups"]
+    assert hashes((1 / 32,)) == lines[11:]
 
 
 def _tree(root: Path, stamp: str, body: str) -> Path:
