@@ -16,16 +16,18 @@ coef[a, b] of z^a conj(z)^b.  The factorization is real: each
 degree's monomials are closed under conjugation, so sqrt2 Re and
 sqrt2 Im of z^a conj(z)^b (a > b), plus |z|^d on the diagonal, span
 them by a unitary change of basis, and Re and Im of a field are two
-real right-hand sides.  On a stride subsample (grids beyond
-MAX_FIT_NODES) each degree's sup error is screened on the subsample
-first; only a degree that passes, or the last, is measured on every
-node.  The ladder builds one power table, over its subsample (every
-node at stride 1); past the subsample a fit's values and dbar on
-every node are evaluated in node blocks of NODE_BLOCK points, by the
-block rule of cauchy's Sampling paragraph (cauchy.node_blocks), each
-with a table of the fit's own degree, so no table spans every node of
-a fine grid; with OpenBLAS on one thread the values are bitwise those
-of one table.
+real right-hand sides.  The fit runs on its rows, every node or, on
+grids beyond MAX_FIT_NODES, a stride subsample.  One rule screens
+each degree: the least-squares projection of the rows' values, which
+the growing factorization holds, is the fit's values there up to a
+roundoff band computed from eps, the degree's condition number and
+the values' 2-norm, so a degree whose projected sup error exceeds the
+target by more than the band is never evaluated.  Any other degree,
+and the last, is measured on every node, its values and dbar from one
+table of its own degree per node block of NODE_BLOCK points, by the
+block rule of cauchy's Sampling paragraph (cauchy.node_blocks), so no
+table spans every node of a fine grid; with OpenBLAS on one thread
+the values are bitwise those of one table.
 bezout_poly takes the certified fits alone, without x and dbar x, and
 returns the same quotient as expressions, which remain the symbolic
 test oracle.  The covering route builds a smoothstep partition of
@@ -69,17 +71,14 @@ __all__ = [
 # sum|f_j| <= COLLAR_REL * max marks the collar around common zeros
 COLLAR_REL = 1e-8
 MAX_FIT_NODES = 20000
-# width of the node blocks a fit is evaluated in beyond the subsample
-# table (cauchy.node_blocks).  It is narrower than cauchy.SAMPLE_BLOCK
-# because each block holds a (d + 1)-row power table, not one row of
+# width of the node blocks a fit is evaluated in (cauchy.node_blocks).
+# It is narrower than cauchy.SAMPLE_BLOCK because each block holds a
+# (d + 1)-row power table and its conjugate, not one row of
 # coordinates.  That the blocks' values are bitwise those of one table
 # over all the points is verified with OpenBLAS on one thread only (by
 # tests/test_bezout.py); another BLAS build or CPU kernel may round a
 # block differently, within rounding of the same values
 NODE_BLOCK = 1 << 13
-# a subsample sup error above target_sup * SCREEN_SLACK fails the fit
-# degree without a full-node evaluation; the slack covers roundoff
-SCREEN_SLACK = 1 + 1e-9
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -211,14 +210,19 @@ def _pairs(s: int) -> np.ndarray:
     return np.arange(s, s // 2, -1)
 
 
-def _real_block(zp: np.ndarray, zcp: np.ndarray, s: int) -> np.ndarray:
-    # real columns spanning the degree-s monomials: sqrt2 Re and sqrt2 Im
-    # of z^a conj(z)^b for each a > b, then |z|^s for even s
-    hi = _pairs(s)
-    mono = zp[hi] * zcp[s - hi]
+def _real_block(zp: np.ndarray, s: int) -> np.ndarray:
+    # real columns spanning the degree-s monomials, from the rows of a
+    # _powers table zp and their conjugates: sqrt2 Re and sqrt2 Im of
+    # z^a conj(z)^b for each a > b, then |z|^s for even s.  The
+    # conjugates are bound to a name: numpy would compute z^a times a
+    # temporary conj(z)^b in place in the temporary, as conj(z)^b z^a,
+    # and its complex product is not bitwise commutative
+    k = _pairs(s).size
+    zc = zp[:k + 1].conj()
+    mono = zp[s:s // 2:-1] * zc[:k]
     cols = [_SQRT2 * mono.real, _SQRT2 * mono.imag]
     if s % 2 == 0:
-        cols.append((zp[s // 2] * zcp[s // 2]).real[None])
+        cols.append((zp[s // 2] * zc[s // 2]).real[None])
     return np.concatenate(cols).T
 
 
@@ -267,21 +271,24 @@ class PolyZZbar:
         inner = coef @ zcp[:coef.shape[1]]
         return np.einsum("an,an->n", zp[:d + 1], inner)
 
-    def _on_points(self, z: np.ndarray, dbar: bool = False) -> np.ndarray:
-        # values (or dbar) at the flat points z, one _powers table of the
+    def _on_points(self, z: np.ndarray, dbars=(False,)) -> np.ndarray:
+        # one row per flag of dbars, the values (False) or the dbar
+        # (True) at the flat points z, all from one _powers table of the
         # fit's degree per block of NODE_BLOCK points, so no table spans
         # every point.  The last block runs to the end, so none is
         # narrower than min(z.size, NODE_BLOCK): with OpenBLAS a narrow
         # tail block (one column, say) rounds differently from one table
-        out = np.empty(z.size, dtype=complex)
+        out = np.empty((len(dbars), z.size), dtype=complex)
         for a, b in node_blocks(z.size, NODE_BLOCK):
             zp = _powers(z[a:b], self.degree)
-            out[a:b] = self._on_table(zp, zp.conj(), dbar)
+            zcp = zp.conj()
+            for row, dbar in zip(out, dbars):
+                row[a:b] = self._on_table(zp, zcp, dbar)
         return out
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        return self._on_points(z.ravel()).reshape(z.shape)
+        return self._on_points(z.ravel())[0].reshape(z.shape)
 
     def as_expr(self) -> ComplexExpr:
         # graded order: z^a conj(z)^(s - a) for s = 0 .. degree
@@ -293,6 +300,19 @@ class PolyZZbar:
         return out
 
 
+def _band(d: int, cond: float, scale: np.ndarray) -> np.ndarray:
+    # the projection screen's roundoff band.  On the fit rows the
+    # ladder's projection Q_p Q_p^T b and a degree-d fit's evaluated
+    # values V_p c differ by the roundoff of the factorization, the
+    # triangular solve and the evaluation, each rounding at most
+    # eps cond(R_p) ||b||_2 (Bjorck, Numerical Methods for Least
+    # Squares Problems, SIAM 1996, ch. 2); 4 (d + 1) counts the
+    # roundings of the evaluation's power table, its two (d + 1)-term
+    # contractions and the compared residuals.  scale holds ||b||_2 of
+    # each field over the fit rows
+    return 4 * (d + 1) * np.finfo(float).eps * cond * scale
+
+
 def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
     # qs[0], at each degree of `degrees` in turn.  Returns three lists:
@@ -301,8 +321,8 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # support nodes (mask.coords order), as measured for the sup; and
     # its analytic dbar there, None where the fit failed.  A table's
     # rows come from one recurrence per point, so the leading rows of
-    # the subsample's degree-`top` table, and a node block's table of
-    # the fit's own degree, hold bitwise the powers of one table over
+    # the fit rows' degree-`top` table, and a node block's table of the
+    # fit's own degree, hold bitwise the powers of one table over
     # every node.
     #
     # The degree-d monomials z^a conj(z)^(d-a) are closed under
@@ -317,14 +337,15 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # serves every degree and every field: a degree-d solution is a
     # triangular solve on the leading p x p block of R.
     #
-    # Beyond MAX_FIT_NODES the fit runs on a stride subsample, and each
-    # degree's sup error is screened there first: the subsample sup is
-    # a lower bound on the full one, so a degree that exceeds
-    # target_sup on it (with SCREEN_SLACK for roundoff) is never
-    # evaluated on every node.  A degree that passes the screen, and
-    # the last degree always, is measured on every support node, in
-    # node blocks (PolyZZbar._on_points); at stride 1 the subsample is
-    # every node and its one table serves the values and the dbar.
+    # Beyond MAX_FIT_NODES the fit runs on a stride subsample (at
+    # stride 1 on every node).  One rule screens each degree: the
+    # projection Q_p Q_p^T b of the fit rows' values, accumulated
+    # block by block, is the fit's values there up to _band, and the
+    # fit rows are support nodes, so a degree whose projected sup
+    # error exceeds target_sup by more than the band must fail on
+    # every node and is never evaluated.  Any other degree, and the
+    # last always, is measured on every support node, its values and
+    # dbar from one table per node block (PolyZZbar._on_points).
     if not degrees or degrees[0] < 0:
         raise ValueError(f"fit degrees {degrees} must be nonnegative")
     sel = qs[0].support
@@ -336,23 +357,16 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     if -(-m // stride) < _count(top):
         stride = 1
     zf = _powers(z[::stride], top)
-    zcf = zf.conj()
-    vf = [v[::stride] for v in vals]
-
-    def on_support(poly, dbar=False):
-        if stride == 1:
-            return poly._on_table(zf, zcf, dbar)
-        return poly._on_points(z, dbar)
-
     n = len(qs)
+    vf = [v[::stride] for v in vals]
     rhs = np.stack([v.real for v in vf] + [v.imag for v in vf], axis=1)
+    scale = np.array([np.linalg.norm(v) for v in vf])
     rows, cols = rhs.shape[0], _count(top)
     Q = np.empty((rows, cols), order="F")
     R = np.zeros((cols, cols))
     qv = np.empty((cols, 2 * n))  # Q^T rhs
-    out = [None] * n
-    fit_values = [None] * n
-    fit_dbars = [None] * n
+    resid = rhs.T.copy()  # (rhs - Q Q^T rhs)^T, the projection's residual
+    out, fit_values, fit_dbars = [None] * n, [None] * n, [None] * n
     for d in range(top + 1):
         pending = [j for j, fit in enumerate(out) if fit is None]
         if not pending:
@@ -361,7 +375,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
         if m < p:
             raise FitRankError(
                 f"{m} sample node(s) cannot determine {p} coefficients")
-        W = _real_block(zf, zcf, d)
+        W = _real_block(zf, d)
         Qp = Q[:, :p0]
         for _ in range(2):
             proj = Qp.T @ W
@@ -369,6 +383,7 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             R[:p0, p0:p] += proj
         Q[:, p0:p], R[p0:p, p0:p] = np.linalg.qr(W)
         qv[p0:p] = Q[:, p0:p].T @ rhs
+        resid -= qv[p0:p].T @ Q[:, p0:p].T
         if d < first:
             continue
         sing = np.linalg.svd(R[:p, :p], compute_uv=False)
@@ -378,22 +393,22 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
             raise FitRankError(
                 f"monomial matrix rank {rank} < {p} unknowns; "
                 f"lower the degree or supply more nodes")
+        cond = float(sing[0] / sing[-1])
         c = solve_triangular(R[:p, :p], qv[:p])
         coefs = _monomial_coefs(c[:, :n] + 1j * c[:, n:], d)
-        last = d == top
+        # a lower bound on each field's sup error on the fit rows
+        lower = np.sqrt(np.max(np.square(resid[:n]) + np.square(resid[n:]),
+                               axis=1)) - _band(d, cond, scale)
         for j in pending:
-            poly = PolyZZbar(d, coefs[j], cond=float(sing[0] / sing[-1]))
-            if stride > 1 and not last:
-                screen = np.abs(poly._on_table(zf, zcf) - vf[j]).max()
-                if screen > SCREEN_SLACK * target_sup:
-                    continue
-            pv = on_support(poly)
+            if lower[j] > target_sup and d < top:
+                continue
+            poly = PolyZZbar(d, coefs[j], cond=cond)
+            pv, dpv = poly._on_points(z, (False, True))
             sup = float(np.abs(pv - vals[j]).max())
             if sup <= target_sup:
                 poly.sup_error = sup
-                out[j], fit_values[j] = poly, pv
-                fit_dbars[j] = on_support(poly, dbar=True)
-            elif last:
+                out[j], fit_values[j], fit_dbars[j] = poly, pv, dpv
+            elif d == top:
                 out[j] = FitToleranceError(
                     f"degree-{d} fit sup error {sup:.3e} exceeds "
                     f"{target_sup:.3e}; increase degree", sup_error=sup)

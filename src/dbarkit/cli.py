@@ -22,7 +22,8 @@ expressions (reported with character positions); 2 a violated
 hypothesis, raised as a domains.PreconditionError (CommonZeroError,
 FitRankError, FitToleranceError, CoveringError, VanishingError,
 DominationError, DisconnectedError, MaskResolutionError or the base)
-or an expr.PoleError; 3 declared acceptance checks failed.  Any other
+or an expr.PoleError, and a cauchy or corona level whose margin leaves
+no node to measure; 3 declared acceptance checks failed.  Any other
 exception is a bug and propagates with its traceback.
 
 Configs are INI files.  ``[run]`` holds command, out, levels (grid
@@ -77,7 +78,8 @@ from .corona import corona_convergence
 from .division import CLASSES, FAIL, PASS, DivisionProblem, certify_class
 from .domains import (AnnulusSector, Comb, CompactDomain, Disk, DiskChain,
                       HalfRingSpiral, InnerSpiral, Polygon, PreconditionError,
-                      SectorChain, build_mask, connected_components, dump_mask)
+                      SectorChain, build_mask, connected_components, dump_mask,
+                      interior_shrunk)
 from .expr import (Const, ExprParseError, PoleError, S, Z, add, conj, intpow,
                    mul, parse_expr, sub)
 from .faa import (MAX_ORDER, CoefficientTable, compose_derivative,
@@ -413,6 +415,18 @@ def load_config(command: str, config_path=None, overrides=None,
 # -------------------------------------------------------------- metrics
 
 
+def _require_measured(cfg, ladder, metric):
+    # a level whose metric reads NaN because its margin leaves no node
+    # made no check at all: a violated precondition, not a failed one.
+    # The mask is built only for a NaN level
+    for h, margin, value in zip(ladder["h"], ladder["margins"], ladder[metric]):
+        if math.isnan(value) and not interior_shrunk(
+                build_mask(cfg.domain, h=h), margin).any():
+            raise PreconditionError(
+                f"at h = {h:g} a margin of {margin} cells leaves 0 nodes "
+                f"to measure {metric} on; lower physical_margin")
+
+
 def _slope_check(checks, slopes, name, minimum):
     info = slopes[name]
     if info["exact"]:
@@ -457,6 +471,7 @@ def _run_cauchy(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     ladder = dbar_convergence(p["f"], cfg.domain, hs=cfg.h_list,
                               physical_margin=p["physical_margin"])
+    _require_measured(cfg, ladder, "max_dev")
     rows = [(i, h, m, d) for i, (h, m, d) in
             enumerate(zip(ladder["h"], ladder["margins"], ladder["max_dev"]))]
     slopes = ladder["slopes"]
@@ -497,6 +512,7 @@ def _run_corona(cfg: ExperimentConfig) -> RunReport:
     ladder = corona_convergence(p["f"], cfg.domain, hs=cfg.h_list,
                                 physical_margin=p["physical_margin"],
                                 route=p["route"], max_degree=p["max_degree"])
+    _require_measured(cfg, ladder, "dbar_sup")
     rows = [(i, h, r, d, m) for i, (h, r, d, m) in
             enumerate(zip(ladder["h"], ladder["residual_sup"],
                           ladder["dbar_sup"], ladder["margins"]))]

@@ -71,8 +71,14 @@ MUTANTS = [
            "2.1 * mask.grid.h", "1.1 * mask.grid.h",
            ("tests/test_corona.py::"
             "test_weighted_dbar_sups_skip_the_two_step_diamond",)),
-    Mutant("SCREEN_SLACK below 1", "dbarkit/bezout.py",
-           "SCREEN_SLACK = 1 + 1e-9", "SCREEN_SLACK = 0.5",
+    Mutant("projection screen without its roundoff band", "dbarkit/bezout.py",
+           "return 4 * (d + 1) * np.finfo(float).eps * cond * scale",
+           "return 0 * scale",
+           ("tests/test_bezout.py::"
+            "test_screen_band_admits_a_degree_at_its_exact_sup",)),
+    Mutant("projection screen from the last block only", "dbarkit/bezout.py",
+           "resid -= qv[p0:p].T @ Q[:, p0:p].T",
+           "resid = rhs.T - qv[p0:p].T @ Q[:, p0:p].T",
            ("tests/test_bezout.py::test_screened_ladder_matches_full_node_ladder",)),
     Mutant("node blocks drop the remainder past the last full block",
            "dbarkit/cauchy.py", "zip(starts, [*starts[1:], n])",

@@ -12,13 +12,15 @@ no config runs) run through `python -m dbarkit.cli` with their own
 output directories, tests/test_acceptance.py runs through pytest, and
 `python tests/same_outputs.py --hashes` prints the route_hashes of the
 tree's dbarkit (the correction routes and the stencils at h = 1/64 to
-1/256, as hashes of their arrays and the reprs of their sups).
+1/256, as hashes of their arrays and the reprs of their sups) and its
+fit_hashes (quotient_fits on ill-conditioned compacta and on the unit
+disk at every fit stride the ladders reach).
 The two output trees are compared byte for byte: each CSV body below
 its generation-stamp line, each summary.txt, each exit status, the
-nine acceptance lines and the route hashes.  The script names every
-difference (a tree that prints no acceptance line or no hash counts
-as one) and exits 1 on any, 0 when there is none and 2 when REV
-cannot be exported.
+nine acceptance lines and the route and fit hashes.  The script names
+every difference (a tree that prints no acceptance line or no hash
+counts as one) and exits 1 on any, 0 when there is none and 2 when
+REV cannot be exported.
 
 pytest does not collect this file; tests/test_same_outputs.py checks
 compare_trees on two small output trees.
@@ -80,6 +82,10 @@ def run_outputs(tree: Path, out: Path) -> None:
     (out / "routes.txt").write_text(done.stdout)
 
 
+def _sha(a) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
 def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
     """One line per output of the correction routes and the stencils
     of the dbarkit that is imported, at each spacing of hs on the unit
@@ -113,16 +119,13 @@ def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
                                               margin=m),
     }
 
-    def sha(a) -> str:
-        return hashlib.sha256(a.tobytes()).hexdigest()
-
     lines = []
     for h in hs:
         m = max(3, int(round(0.15 / h)))
         for name, solve in routes.items():
             sol = solve(h, m)
             lines.append(f"{name} h={h:g} u " + " ".join(
-                sha(u.values) for u in sol.u))
+                _sha(u.values) for u in sol.u))
             lines.append(f"{name} h={h:g} sups {sol.residual_sup!r} "
                          f"{sol.dbar_sup!r} {sol.dbar_sup_x!r} "
                          f"{sol.skew_residual!r} {sol.entry_reports!r}")
@@ -130,7 +133,48 @@ def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
             exp(mul(conj(Z), add(Z, one))), build_mask(disk, h=h))
         for stencil in (cauchy.dbar_fd, cauchy.d_fd, cauchy.dbar_fd_onesided):
             lines.append(f"{stencil.__name__} h={h:g} "
-                         f"{sha(stencil(field).values)}")
+                         f"{_sha(stencil(field).values)}")
+    return lines
+
+
+def fit_hashes(hs_compacta=(1 / 64, 1 / 128),
+               hs_disk=(1 / 32, 1 / 64, 1 / 128, 1 / 256)) -> list:
+    """Two lines per quotient_fits run of the dbarkit that is imported:
+    each fit's degree, the repr of its sup_error and cond and the
+    sha256 of its coef bytes, then the sha256 of x and dbar x (or the
+    repr of the error the run raised).  The runs are the quartic pair
+    (z^2, (1-z)^2) with max_degree=30 on Disk(0, 1.2) and on
+    AnnulusSector(0.5, 1.5, 2.5), where cond reaches 1e9, at each
+    spacing of hs_compacta, and the pairs (1-z, z) and (z^2, (1-z)^2)
+    on the unit disk at each spacing of hs_disk; by default those reach
+    the fit strides 1, 3 and 11 (bezout.MAX_FIT_NODES)."""
+    from dbarkit.bezout import BezoutProblem, quotient_fits
+    from dbarkit.domains import AnnulusSector, Disk
+    from dbarkit.expr import Const, Z, intpow, sub
+
+    one = Const(1.0)
+    linear, quartic = [sub(one, Z), Z], [intpow(Z, 2), intpow(sub(one, Z), 2)]
+    runs = [(name, domain, quartic, 30, h) for h in hs_compacta
+            for name, domain in (("quartic disk1.2", Disk(0j, 1.2)),
+                                 ("quartic sector",
+                                  AnnulusSector(0.5, 1.5, 2.5)))]
+    runs += [(name, Disk(0j, 1.0), fs, 16, h) for h in hs_disk
+             for name, fs in (("linear disk", linear),
+                              ("quartic disk", quartic))]
+
+    lines = []
+    for name, domain, fs, max_degree, h in runs:
+        head = f"fits {name} h={h:g}"
+        try:
+            fits, x, dbx = quotient_fits(
+                BezoutProblem.build(domain, fs, h=h), max_degree)
+        except ValueError as err:  # a refused fit is an output too
+            lines += [f"{head} {err!r}"] * 2
+            continue
+        lines.append(f"{head} fits " + " ".join(
+            f"{p.degree} {p.sup_error!r} {p.cond!r} {_sha(p.coef)}"
+            for p in fits))
+        lines.append(f"{head} x " + " ".join(_sha(a) for a in x + dbx))
     return lines
 
 
@@ -177,7 +221,7 @@ def export(rev: str, dest: Path) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv == ["--hashes"]:
-        print("\n".join(route_hashes()))
+        print("\n".join(route_hashes() + fit_hashes()))
         return 0
     if len(argv) != 1:
         print("usage: python tests/same_outputs.py REV | --hashes")

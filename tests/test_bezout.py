@@ -258,18 +258,43 @@ def test_real_basis_fit_matches_complex_lstsq(degree, extra, seed):
 
 def test_screened_ladder_matches_full_node_ladder(quartic_pair_128,
                                                   monkeypatch):
-    # at stride > 1 each degree is screened on the subsample first; with
-    # the screen switched off every degree is measured on every node,
-    # and the chosen degrees, sup errors, values and dbar must be the same
+    # each degree is screened by its projected sup error first; with an
+    # infinite band the screen is off and every degree is measured on
+    # every node, and the chosen degrees, sup errors, values and dbar
+    # must be the same
     qs = q_fields(quartic_pair_128)
     target = 1.0 / (2.0 * sum(g.max_abs() for g in quartic_pair_128.f_fields))
     screened = bezout._fit_ladder(qs, range(17), target)
-    monkeypatch.setattr(bezout, "SCREEN_SLACK", np.inf)
+    monkeypatch.setattr(bezout, "_band", lambda d, cond, scale: scale + np.inf)
     full = bezout._fit_ladder(qs, range(17), target)
     for (a, va, da), (b, vb, db) in zip(zip(*screened), zip(*full)):
         assert (a.degree, a.sup_error) == (b.degree, b.sup_error)
         assert np.array_equal(va, vb) and np.array_equal(da, db)
     assert [p.degree for p in screened[0]] == [15, 14]
+
+
+def test_screen_band_admits_a_degree_at_its_exact_sup(quartic_pair,
+                                                     monkeypatch):
+    # q_1's degree-13 fit at stride 1: its projected sup error exceeds
+    # its exact one on every node by roundoff.  With the target set to
+    # that exact sup the degree meets it, and only the band keeps the
+    # projection screen from skipping it
+    q = q_fields(quartic_pair)[0]
+    exact = weierstrass_fit(q, 13, np.inf).sup_error
+    bands, band = [], bezout._band
+    monkeypatch.setattr(bezout, "_band", lambda d, cond, scale:
+                        bands.append(band(d, cond, scale)) or bands[-1])
+    fit = bezout._fit_ladder([q], range(13, 15), exact)[0][0]
+    assert (fit.degree, fit.sup_error) == (13, exact)
+    assert 0 < bands[0][0] < 1e-6 * exact
+    # without the band the projected sup fails the target, and with a
+    # band of 1e-12 of it passes: it exceeds the exact sup by roundoff
+    monkeypatch.setattr(bezout, "_band", lambda d, cond, scale: 0 * scale)
+    skipped = bezout._fit_ladder([q], range(13, 15), exact)[0][0]
+    assert getattr(skipped, "degree", None) != 13
+    monkeypatch.setattr(bezout, "_band",
+                        lambda d, cond, scale: 0 * scale + 1e-12 * exact)
+    assert bezout._fit_ladder([q], range(13, 15), exact)[0][0].degree == 13
 
 
 def test_last_degree_error_reports_the_full_node_sup(quartic_pair_128):
@@ -286,15 +311,15 @@ def test_last_degree_error_reports_the_full_node_sup(quartic_pair_128):
     assert resid.max() > resid[::3].max()
 
 
-@pytest.mark.parametrize("h, counts", [(1 / 64, {"linear": 12, "quartic": 31}),
+@pytest.mark.parametrize("h, counts", [(1 / 64, {"linear": 2, "quartic": 2}),
                                        (1 / 128, {"linear": 2, "quartic": 2}),
                                        (1 / 256, {"linear": 2, "quartic": 2})])
 def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
-    # at stride 1 every tried degree of every field is evaluated on all
-    # Inside nodes, on the ladder's one table; beyond MAX_FIT_NODES only
-    # the chosen degree of each field is, in node blocks, the rest fail
-    # the subsample screen.  The dbar of each chosen fit is evaluated
-    # once, on all Inside nodes
+    # at stride 1 and beyond MAX_FIT_NODES alike, only the chosen degree
+    # of each field is evaluated on all Inside nodes, in node blocks;
+    # every lower degree fails the projection screen.  The dbar of each
+    # chosen fit is evaluated once, on all Inside nodes, from the
+    # tables of its values
     pairs = {"linear": [Z, ONE_MINUS_Z], "quartic": QUARTIC}
     on_table, on_points = PolyZZbar._on_table, PolyZZbar._on_points
     for name, fs in pairs.items():
@@ -306,11 +331,13 @@ def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
             evals.append([dbar, zp.shape[1]])
             return on_table(self, zp, zcp, dbar)
 
-        def points(self, z, dbar=False):
+        def points(self, z, dbars=(False,)):
             k = len(evals)
-            out = on_points(self, z, dbar)
-            # the blocks of one evaluation count as one, over their nodes
-            evals[k:] = [[dbar, sum(n for _, n in evals[k:])]]
+            out = on_points(self, z, dbars)
+            # the blocks of one evaluation count as one per flag, over
+            # their nodes
+            evals[k:] = [[dbar, sum(n for f, n in evals[k:] if f == dbar)]
+                         for dbar in dbars]
             return out
 
         monkeypatch.setattr(PolyZZbar, "_on_table", table)
@@ -325,9 +352,9 @@ def test_fit_ladder_full_node_evaluations(h, counts, monkeypatch):
 def test_strided_ladder_builds_no_table_past_subsample_or_block(
         quartic_pair_128, monkeypatch):
     # beyond MAX_FIT_NODES the one table of the top degree spans the
-    # stride subsample only; each full-node evaluation (two values, two
-    # dbars) builds its tables one node block at a time, the last block
-    # running to the end
+    # stride subsample only; each full-node evaluation (one per field,
+    # its values and dbar from one table) builds its tables one node
+    # block at a time, the last block running to the end
     widths = []
     powers = bezout._powers
     monkeypatch.setattr(bezout, "_powers",
@@ -337,8 +364,8 @@ def test_strided_ladder_builds_no_table_past_subsample_or_block(
     m = int(quartic_pair_128.mask.inside.sum())
     assert widths[0] == -(-m // 3) < m
     blocks = widths[1:]
-    assert sum(blocks) == 4 * m
-    assert len(blocks) == 4 * (m // 1024)
+    assert sum(blocks) == 2 * m
+    assert len(blocks) == 2 * (m // 1024)
     assert max(blocks) < 2 * 1024 and min(blocks) == 1024
 
 
@@ -399,7 +426,7 @@ def test_poly_call_is_one_table_bitwise(rng, monkeypatch):
         assert p(z).tobytes() == want.tobytes()
         if degree:
             want = p._on_table(zp, zp.conj(), dbar=True)
-            assert p._on_points(flat, dbar=True).tobytes() == want.tobytes()
+            assert p._on_points(flat, (True,))[0].tobytes() == want.tobytes()
 
 
 _COEF = st.complex_numbers(max_magnitude=2, allow_nan=False,

@@ -177,15 +177,38 @@ def test_failed_acceptance_exits_3(tmp_path, capsys):
         == EXIT_ACCEPTANCE
 
 
-def test_corona_empty_margin_exits_3(tmp_path, capsys):
+def test_corona_empty_margin_exits_2(tmp_path, capsys):
     # radius 0.1 leaves no node 0.15 in from the boundary: nothing is
-    # measured, so the dbar checks must fail rather than pass on 0
+    # measured, so no dbar check can pass on 0 or fail on NaN; the
+    # run stops as a violated precondition naming the level
     cfg = write(tmp_path, "[run]\nlevels = 1/64 1/128\n\n"
                           "[domain]\nkind = disk\nradius = 0.1\n\n"
                           "[corona]\nf = sub(1, z), z\n")
-    assert main(["corona", "--config", cfg]) == EXIT_ACCEPTANCE
-    assert "[FAIL] dbar_sup <= 0.001: finest deviation = nan" \
-        in capsys.readouterr().out
+    assert main(["corona", "--config", cfg]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("precondition failed: at h = 0.015625 a margin of 10 "
+                   "cells leaves 0 nodes to measure dbar_sup on; lower "
+                   "physical_margin\n")
+
+
+@pytest.mark.parametrize("command, metric", [("corona", "dbar_sup"),
+                                             ("cauchy", "max_dev")])
+def test_comb_margin_leaves_no_node_exits_2(tmp_path, capsys, command,
+                                            metric):
+    # the comb's base strip is 0.25 tall and its teeth are thinner
+    # still: a 0.15 margin (5 cells at 1/32, 10 at 1/64) leaves no node
+    # on either level, so no check was made and none may fail
+    cfg = write(tmp_path, "[run]\nlevels = 1/32 1/64\n\n"
+                          "[domain]\nkind = comb\n\n"
+                          "[corona]\nf = sub(1, z), z\n\n[cauchy]\nf = 1\n")
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out_dir)]) \
+        == EXIT_PRECONDITION
+    assert capsys.readouterr().err == (
+        f"precondition failed: at h = 0.03125 a margin of 5 cells leaves 0 "
+        f"nodes to measure {metric} on; lower physical_margin\n")
+    assert not out_dir.exists()
 
 
 def test_programming_errors_surface(monkeypatch):

@@ -319,15 +319,21 @@ def test_poly_route_evaluates_no_fit_again(poly_calls):
     assert poly_calls == []
 
 
-def test_poly_route_builds_one_power_table(monkeypatch):
-    # the fit ladder's table serves the values and the dbar of every fit
+def test_poly_route_builds_one_power_table_per_fit(monkeypatch):
+    # the fit ladder's one table, of the top degree 16, feeds the
+    # factorization; each chosen fit's values and dbar share one table
+    # of its own degree (a single node block at h = 1/32), and no degree
+    # the projection screen rejects builds one
     calls = []
     powers = bezout._powers
     monkeypatch.setattr(bezout, "_powers",
-                        lambda *args: calls.append(1) or powers(*args))
+                        lambda z, d: calls.append(d) or powers(z, d))
     sol = corona_solve(QUARTIC, DISK, h=1 / 32)
     assert sol.residual_sup < 1e-12
-    assert len(calls) == 1
+    assert calls[0] == 16
+    assert sorted(calls[1:]) == sorted(fit["degree"]
+                                       for fit in sol.extras["fits"])
+    assert sorted(calls) == [14, 15, 16]
 
 
 def test_corona_covering_route():

@@ -1,5 +1,5 @@
-"""The runs of tests/same_outputs.py, its route hashes on a coarse
-grid, and its comparison on two small output trees."""
+"""The runs of tests/same_outputs.py, its route and fit hashes on
+coarse grids, and its comparison on two small output trees."""
 
 import importlib.util
 from pathlib import Path
@@ -35,6 +35,21 @@ def test_route_hashes_name_every_route_and_stencil_once_per_spacing():
         "dbar_fd", "d_fd", "dbar_fd_onesided"]
     assert [ln.split()[2] for ln in lines[:8]] == 4 * ["u", "sups"]
     assert hashes((1 / 32,)) == lines[11:]
+
+
+def test_fit_hashes_name_every_run_twice_per_spacing():
+    # two compacta per spacing of the first list, two unit-disk pairs
+    # per spacing of the second, each a fits line and an x line (or the
+    # error twice), the same lines on a second run
+    hashes = _same_outputs().fit_hashes
+    lines = hashes((1 / 16,), (1 / 16, 1 / 32))
+    heads = [ln.split(" h=")[0] for ln in lines]
+    assert heads == 2 * ["fits quartic disk1.2"] + 2 * ["fits quartic sector"] \
+        + 2 * (2 * ["fits linear disk"] + 2 * ["fits quartic disk"])
+    assert [ln.split()[4] for ln in lines[4:]] == 4 * ["fits", "x"]
+    # a fits line holds degree, sup_error, cond and coef hash per field
+    assert len(lines[4].split()) == 5 + 2 * 4
+    assert hashes((), (1 / 32,)) == lines[8:]
 
 
 def _tree(root: Path, stamp: str, body: str) -> Path:
