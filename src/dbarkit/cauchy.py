@@ -38,8 +38,10 @@ numpy reuses a temporary in a strip exactly when it would on the whole
 grid, and each complex product keeps its operand order and its bits.
 strip_sup reads the sup of such an array over a selection strip by
 strip (sup_abs reads selections through it, with no copy of
-values[sel]); a NaN on a selected node reads NaN in any strip, and an
-empty selection NaN.
+values[sel]).  Every sup is the one sup over a sequence of arrays,
+sup_over, which sup_abs, strip_sup and division's node-block scales
+read: NaN when no entry is measured, and a NaN entry reads NaN in
+any part, wherever it stands.
 
 Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
@@ -97,7 +99,7 @@ from .domains import PreconditionError, RegionMask, build_mask, interior_shrunk
 from .expr import as_callable
 
 __all__ = [
-    "NEAR_RADIUS_CELLS", "SAMPLE_BLOCK", "sup_abs", "row_strips",
+    "NEAR_RADIUS_CELLS", "SAMPLE_BLOCK", "sup_over", "sup_abs", "row_strips",
     "strip_sup", "SampledField", "node_blocks", "sample_field",
     "sample_nodes", "on_nodes", "zero_extended", "exact_cell_integral",
     "pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided", "dbar_fd_sup",
@@ -124,17 +126,27 @@ ROW_STRIP = 64
 SAMPLE_BLOCK = 1 << 16
 
 
-def sup_abs(values: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
-    """max |values| over the selected entries (all of them when sel is None).
+def sup_over(parts) -> float:
+    """max |a| over every entry of a sequence of arrays: the one sup.
 
-    NaN on an empty selection: a check must not pass on nothing
-    measured, and NaN fails every tolerance comparison.  A selection
-    is read strip by strip (strip_sup), with no copy of values[sel].
+    NaN when no entry is measured (no part, or only empty ones): a check
+    must not pass on nothing measured, and NaN fails every tolerance
+    comparison.  A NaN entry reads NaN wherever its part stands.
     """
+    # map frees each part once its modulus is taken, before the next
+    # part is formed; np.max, unlike Python's max, keeps a NaN wherever
+    # it stands
+    sups = [v.max() for v in map(np.abs, parts) if v.size]
+    return float(np.max(sups)) if sups else float("nan")
+
+
+def sup_abs(values: np.ndarray, sel: Optional[np.ndarray] = None) -> float:
+    """max |values| over the selected entries (all of them when sel is
+    None), by sup_over: NaN on an empty selection.  A selection is read
+    strip by strip (strip_sup), with no copy of values[sel]."""
     if sel is not None:
         return strip_sup(lambda rows: values[rows], sel)
-    v = np.asarray(values)
-    return float(np.abs(v).max()) if v.size else float("nan")
+    return sup_over([np.asarray(values)])
 
 
 def row_strips(shape) -> list:
@@ -148,14 +160,10 @@ def row_strips(shape) -> list:
 def strip_sup(rows_of, sel: np.ndarray) -> float:
     """max |a| over sel, where rows_of(rows) gives the rows of a full-grid
     array a for a slice of rows; a is formed one row strip at a time.
-    NaN on an empty selection and on a NaN at any selected node."""
-    sups = []
-    for a, b in row_strips(sel.shape):
-        v = np.abs(rows_of(slice(a, b))[sel[a:b]])
-        if v.size:
-            sups.append(v.max())
-    # np.max, unlike Python's max, keeps a NaN wherever it stands
-    return float(np.max(sups)) if sups else float("nan")
+    NaN on an empty selection and on a NaN at any selected node
+    (sup_over)."""
+    return sup_over(rows_of(slice(a, b))[sel[a:b]]
+                    for a, b in row_strips(sel.shape))
 
 
 @dataclass

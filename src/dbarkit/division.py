@@ -21,6 +21,11 @@ builds it once and calls quotient(N) or certify(N, claimed) per power.
 A certificate's probe geometry (zero-cluster centers, their rings, the
 away nodes the layer scales are taken on, as flat node indices) is
 built on the first ring certificate and shared by every later one.
+One helper, _live_rings, builds every probe ring, the certificates'
+and the C1 evidence's of the multi-generator family alike: the nodes
+of a given live set within one spacing of each circle.  A
+certificate's rings and its away set are cut to the record's live
+nodes, so no probe evaluates f^N/g on Z(g).
 f and g are sampled by cauchy.sample_nodes, and every scale runs over
 the same node blocks (cauchy.node_blocks, coordinates by
 RegionMask.points; see cauchy's Sampling paragraph), so no full-grid
@@ -28,15 +33,16 @@ sample, modulus or coordinate array is made; only quotient(N) and the
 A-classes' holomorphy probe, which differences f^N/g on the grid,
 scatter the quotient to the grid.
 
-A probe or report whose node selection is empty reads NaN (sups go
-through cauchy.sup_abs), and a NaN measurement or scale grades
-INCONCLUSIVE: nothing measured is never a pass.  The zero floor
-ZERO_REL is applied in _below_floor, on node vectors of moduli (_zeros
-for full-grid ones), the domination slack in _check_on_nodes (through
-check_domination for full-grid arrays).  The rings at PROBE_RADII_CELLS
-and the nodes near the centers (the away set, the holomorphy exclusion)
-come from the node-window rule of domains, RegionMask.around and
-RegionMask.near, so no full-grid coordinate or distance array is built.
+A probe or report whose node selection is empty reads NaN (sups over
+node sets go through cauchy.sup_over, the one sup), and a NaN
+measurement or scale grades INCONCLUSIVE: nothing measured is never a
+pass.  The zero floor ZERO_REL is applied in _below_floor, on node
+vectors of moduli (_zeros for full-grid ones), the domination slack in
+_check_on_nodes (through check_domination for full-grid arrays).  The
+rings at PROBE_RADII_CELLS and the nodes near the centers (the away
+set, the holomorphy exclusion) come from the node-window rule of
+domains, RegionMask.around and RegionMask.near, so no full-grid
+coordinate or distance array is built.
 
 The multi-generator family opens through dominated: it samples the
 generators once, as a bezout.BezoutProblem, samples the datum once on
@@ -61,7 +67,7 @@ from scipy import ndimage
 from .bezout import BezoutProblem, q_fields
 from .cauchy import (SampledField, check_ladder, d_fd, dbar_fd, dbar_fd_sup,
                      log_slope, node_blocks, on_nodes, sample_field,
-                     sample_nodes, sup_abs, zero_extended)
+                     sample_nodes, sup_abs, sup_over, zero_extended)
 from .domains import (CompactDomain, PreconditionError, RegionMask, build_mask,
                       interior_shrunk, resolve_mask)
 from .expr import (ComplexExpr, Const, as_callable, div, intpow,
@@ -70,10 +76,9 @@ from .expr import (ComplexExpr, Const, as_callable, div, intpow,
 __all__ = [
     "ZERO_REL", "PROBE_RADII_CELLS", "CLASSES", "PASS", "FAIL", "INCONCLUSIVE",
     "DominationError", "ProbeResult", "DivisionCertificate",
-    "DivisionProblem", "check_domination", "dominated", "divide",
-    "ring_selection", "zero_centers", "spread", "certify_class",
-    "derivative_bound_scan", "multi_division_continuous", "multi_division_c1",
-    "quotient_extension_lemma",
+    "DivisionProblem", "check_domination", "dominated", "divide", "spread",
+    "certify_class", "derivative_bound_scan", "multi_division_continuous",
+    "multi_division_c1", "quotient_extension_lemma",
 ]
 
 # nodes where |g| falls below this relative floor count as zeros of g
@@ -165,7 +170,7 @@ def _check_on_nodes(n: int, lhs, rhs, condition: str, node,
     if n == 0:
         raise DominationError(f"{condition}: no node to check it on")
     if slack_ref is None:
-        slack_ref = _sup_by_blocks(n, rhs)
+        slack_ref = sup_over(rhs(i, j) for i, j in node_blocks(n))
     if any((lhs(i, j) > rhs(i, j) + 1e-9 * max(slack_ref, 1.0)).any()
            for i, j in node_blocks(n)):
         a, b = lhs(0, n), rhs(0, n)
@@ -306,7 +311,8 @@ class DivisionProblem:
         if N < 1:
             raise ValueError("power must be a positive integer")
         fv, gv = self.f_live, self.g_live
-        scale = _sup_by_blocks(fv.size, lambda a, b: fv[a:b] ** N / gv[a:b])
+        scale = sup_over(fv[a:b] ** N / gv[a:b]
+                         for a, b in node_blocks(fv.size))
         if not math.isfinite(scale):
             self.quotient(N)
         return scale
@@ -317,17 +323,19 @@ class DivisionProblem:
         # spacings of one, the probe radii, each center's ring node
         # coordinates per radius (None for an empty ring), and the flat
         # indices of the away nodes: 3 cells inside, more than 4
-        # spacings from every center
+        # spacings from every center.  The rings (_live_rings) and the
+        # away set are cut to the live nodes, so no probe evaluates
+        # f^N/g on Z(g)
         mask = self.mask
         h = mask.grid.h
         centers = _centroids(mask, self.zero)
         for p in mask.tagged_points:
             if all(abs(p - c) > 4 * h for c in centers):
                 centers.append(p)
-        radii = _probe_radii(mask)
+        radii, rings = _live_rings(mask, centers, self.live)
         rings = [(c, [mask.grid.node(xx, yy) if yy.size else None
-                      for yy, xx in _rings(mask, c, radii)]) for c in centers]
-        away = np.flatnonzero(interior_shrunk(mask, 3)
+                      for yy, xx in ring]) for c, ring in zip(centers, rings)]
+        away = np.flatnonzero(interior_shrunk(mask, 3) & self.live
                               & ~mask.near(centers, 4 * h))
         return centers, radii, rings, away
 
@@ -353,14 +361,6 @@ def spread(values: np.ndarray) -> float:
     return float(np.abs(v[:, None] - v[None, :]).max())
 
 
-def ring_selection(mask: RegionMask, center: complex,
-                   radius: float) -> np.ndarray:
-    """Inside nodes within one spacing of the circle |z - center| = radius."""
-    sel = np.zeros(mask.inside.shape, bool)
-    sel[_rings(mask, center, (radius,))[0]] = True
-    return sel
-
-
 def _rings(mask: RegionMask, center: complex, radii) -> list:
     """Per radius, (yy, xx) of the Inside nodes within one spacing of the
     circle |z - center| = radius, in row-major order, found in the node
@@ -368,12 +368,6 @@ def _rings(mask: RegionMask, center: complex, radii) -> list:
     h = mask.grid.h
     yy, xx, dist = mask.around(center, max(radii))
     return [(yy[on], xx[on]) for on in (np.abs(dist - r) <= h for r in radii)]
-
-
-def zero_centers(mask: RegionMask, magnitude: np.ndarray,
-                 threshold: float) -> list:
-    """Centroids of the connected small-magnitude node clusters."""
-    return _centroids(mask, mask.inside & (magnitude <= threshold))
 
 
 def _centroids(mask: RegionMask, sel: np.ndarray) -> list:
@@ -392,25 +386,31 @@ def _probe_radii(mask: RegionMask) -> list:
     return [k * mask.grid.h for k in PROBE_RADII_CELLS]
 
 
+def _live_rings(mask: RegionMask, centers, live: np.ndarray) -> tuple:
+    """The one probe-ring rule: the probe radii and, per center and
+    radius, (yy, xx) of the nodes of live (a set of Inside nodes) within
+    one spacing of the circle |z - center| = radius, in row-major order
+    (_rings, cut to live)."""
+    radii = _probe_radii(mask)
+    return radii, [[(yy[on], xx[on]) for yy, xx in _rings(mask, c, radii)
+                    for on in (live[yy, xx],)] for c in centers]
+
+
 def _ring_gradients(mask: RegionMask, zero: np.ndarray, fields,
                     weight=1.0) -> tuple:
     """Centroids of the zero clusters and, per field and probe radius,
-    the max of max(|d_fd|, |dbar_fd|) / weight on the rings around them
-    cut to the Interior off the zero set (None for an empty ring)."""
+    the max of max(|d_fd|, |dbar_fd|) / weight over every center's ring
+    nodes on the Interior off the zero set (None for an empty ring)."""
     centers = _centroids(mask, zero)
-    radii = _probe_radii(mask)
-    rings = [np.zeros(mask.inside.shape, bool) for _ in radii]
-    for c in centers:
-        for sel, nodes in zip(rings, _rings(mask, c, radii)):
-            sel[nodes] = True
-    within = mask.inside & ~zero & mask.interior
-    rings = [sel & within for sel in rings]
+    radii, rings = _live_rings(mask, centers, mask.interior & ~zero)
     out = []
     for fld in fields:
         grad = np.maximum(np.abs(d_fd(fld).values), np.abs(dbar_fd(fld).values))
         grad /= weight
-        out.append([float(grad[sel].max()) if sel.any() else None
-                    for sel in rings])
+        per_radius = [[grad[ring[k]] for ring in rings]
+                      for k in range(len(radii))]
+        out.append([sup_over(v) if any(a.size for a in v) else None
+                    for v in per_radius])
     return centers, out
 
 
@@ -481,10 +481,12 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
     zeros of g and any tagged boundary points, where the A-classes add
     the holomorphy probe; or on caller-supplied approach families (dict
     name -> point sequence), which take precedence and probe the layers
-    only, without the holomorphy probe.  A value layer's scale is the
-    quotient's Inside sup, a derivative layer's the sup of the layer on
-    the away nodes (3 cells inside, more than 4 spacings from every
-    center).
+    only, without the holomorphy probe.  One helper builds every probe
+    ring; the rings hold only live nodes (Inside, off Z(g)).  A value
+    layer's scale is the quotient's Inside sup, a derivative layer's
+    the sup of the layer on the away nodes (live nodes 3 cells inside,
+    more than 4 spacings from every center), so no layer is evaluated
+    on Z(g).
 
     g_locally_constant switches the symbolic derivative layers to treat
     g as locally constant (step functions on disjoint pieces), in which
@@ -496,18 +498,11 @@ def certify_class(f, g, N: int, domain: CompactDomain, claimed: str,
             N, claimed, families)
 
 
-def _sup_by_blocks(n: int, block_values) -> float:
-    """The max over the node blocks of n nodes of sup |block_values(a, b)|:
-    the one-shot sup, NaN on no node or on a NaN."""
-    return float(np.max([sup_abs(block_values(a, b))
-                         for a, b in node_blocks(n)]))
-
-
 def _blocked_sup(fn, mask: RegionMask, nodes: np.ndarray) -> float:
     """sup |fn| over the flat node indices nodes, evaluated node block by
-    node block."""
-    return _sup_by_blocks(
-        nodes.size, lambda a, b: fn(mask.points(nodes[a:b])))
+    node block (cauchy.sup_over: NaN on no node or on a NaN)."""
+    return sup_over(fn(mask.points(nodes[a:b]))
+                    for a, b in node_blocks(nodes.size))
 
 
 def _holomorphy_probe(hfield: SampledField, centers,

@@ -226,10 +226,23 @@ MUTANTS = [
            ("tests/test_division.py::"
             "test_record_zero_set_keeps_a_node_at_exactly_the_floor",)),
     Mutant("value scale one power short", "dbarkit/division.py",
-           "lambda a, b: fv[a:b] ** N / gv[a:b]",
-           "lambda a, b: fv[a:b] ** (N - 1) / gv[a:b]",
+           "scale = sup_over(fv[a:b] ** N / gv[a:b]",
+           "scale = sup_over(fv[a:b] ** (N - 1) / gv[a:b]",
            ("tests/test_division.py::"
             "test_node_vector_record_is_the_full_grid_rule_bitwise",)),
+    Mutant("probe rings without their live cut", "dbarkit/division.py",
+           "[[(yy[on], xx[on]) for yy, xx in _rings(mask, c, radii)",
+           "[[(yy, xx) for yy, xx in _rings(mask, c, radii)",
+           ("tests/test_division.py::"
+            "test_certificate_verdict_does_not_depend_on_which_way_up_"
+            "the_data_lies",
+            "tests/test_division.py::"
+            "test_live_rings_are_the_full_grid_rule_on_the_live_nodes")),
+    Mutant("away set without its live cut", "dbarkit/division.py",
+           "interior_shrunk(mask, 3) & self.live",
+           "interior_shrunk(mask, 3)",
+           ("tests/test_division.py::"
+            "test_derivative_scales_skip_a_zero_line_of_the_divisor",)),
     Mutant("flat node index read with rows and columns swapped",
            "dbarkit/domains.py",
            "iy, ix = np.divmod(nodes, self.grid.nx)",

@@ -12,12 +12,14 @@ no config runs) run through `python -m dbarkit.cli` with their own
 output directories, tests/test_acceptance.py runs through pytest, and
 `python tests/same_outputs.py --hashes` prints the route_hashes of the
 tree's dbarkit (the correction routes and the stencils at h = 1/64 to
-1/256, as hashes of their arrays and the reprs of their sups) and its
+1/256, as hashes of their arrays and the reprs of their sups), its
 fit_hashes (quotient_fits on ill-conditioned compacta and on the unit
-disk at every fit stride the ladders reach).
+disk at every fit stride the ladders reach) and its division_hashes
+(the multi-generator divisions, the extension lemma and the sharpness
+battery's certificates, as hashes of their fields and reports).
 The two output trees are compared byte for byte: each CSV body below
 its generation-stamp line, each summary.txt, each exit status, the
-nine acceptance lines and the route and fit hashes.  The script names
+nine acceptance lines and the route, fit and division hashes.  The script names
 every difference (a tree that prints no acceptance line or no hash
 counts as one) and exits 1 on any, 0 when there is none and 2 when
 REV cannot be exported.
@@ -34,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,7 +86,9 @@ def run_outputs(tree: Path, out: Path) -> None:
 
 
 def _sha(a) -> str:
-    return hashlib.sha256(a.tobytes()).hexdigest()
+    # an array's bytes, or bytes as they are
+    return hashlib.sha256(a if isinstance(a, bytes) else a.tobytes()
+                          ).hexdigest()
 
 
 def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
@@ -178,6 +183,57 @@ def fit_hashes(hs_compacta=(1 / 64, 1 / 128),
     return lines
 
 
+def division_hashes(h=1 / 128, h_fine=1 / 512, h_chain=1 / 256) -> list:
+    """One line per division run of the dbarkit that is imported, on
+    the unit disk at spacing h: the sha256 of each field's values and of
+    the report's repr for criterion 7's multi_division_continuous (h^2
+    over (z, 1 - z)) and multi_division_c1 (z over conj z at powers 2
+    and 3), for multi_division_c1 on two generators with two common
+    zeros (p and conj p, p = (z - 1/2)(z + 1/2)), and for
+    quotient_extension_lemma at powers 2, 4 and 7; then one line per
+    item of the sharpness battery at h_fine and h_chain: the sha256 of
+    the repr of the probes (verdicts, measurements, scales and details:
+    per-center ring spreads and radii, or family tails) at the power and
+    one below.  Criterion 7's acceptance line prints two decimals, and
+    the battery's CSV only the worst measurement."""
+    from dbarkit import cli, division
+    from dbarkit.domains import Disk
+    from dbarkit.expr import Const, Z, add, conj, intpow, mul, sub
+
+    disk, one, half = Disk(0j, 1.0), Const(1.0), Const(0.5)
+    p = mul(sub(Z, half), add(Z, half))
+    runs = {
+        "continuous": lambda: division.multi_division_continuous(
+            Z, [Z, sub(one, Z)], disk, grid_h=h),
+        "c1 power=2": lambda: division.multi_division_c1(
+            Z, [conj(Z)], disk, power=2, grid_h=h),
+        "c1 power=3": lambda: division.multi_division_c1(
+            Z, [conj(Z)], disk, power=3, grid_h=h),
+        "c1 two zeros": lambda: division.multi_division_c1(
+            p, [p, conj(p)], disk, power=3, grid_h=h),
+        **{f"lemma power={k}": partial(division.quotient_extension_lemma,
+                                       Z, fs, k, disk, grid_h=h)
+           for k, fs in ((2, [Z]), (4, [Z]), (7, [intpow(Z, 2)]))},
+    }
+
+    lines = []
+    for name, run in runs.items():
+        fields, report = run()
+        # the lemma returns one field, the divisions a list
+        fields = fields if isinstance(fields, list) else [fields]
+        lines.append(f"division {name} h={h:g} " + " ".join(
+            _sha(f.values) for f in fields)
+            + f" report {_sha(repr(report).encode())}")
+    for (name, claimed, _, dom, power, f, g, build, fams_at,
+         fams_below) in cli._sharpness_items(h_fine, h_chain):
+        problem = division.DivisionProblem.build(f, g, dom, **build)
+        certs = (problem.certify(power, claimed, fams_at),
+                 problem.certify(power - 1, claimed, fams_below))
+        lines.append(f"battery {name.replace(' ', '_')} "
+                     + " ".join(_sha(repr(c.probes).encode()) for c in certs))
+    return lines
+
+
 def _body(path: Path) -> list:
     lines = path.read_bytes().split(b"\n")
     # a CSV's first line is its generation stamp
@@ -221,7 +277,7 @@ def export(rev: str, dest: Path) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv == ["--hashes"]:
-        print("\n".join(route_hashes() + fit_hashes()))
+        print("\n".join(route_hashes() + fit_hashes() + division_hashes()))
         return 0
     if len(argv) != 1:
         print("usage: python tests/same_outputs.py REV | --hashes")

@@ -33,8 +33,7 @@ from dbarkit.division import (CLASSES, FAIL, INCONCLUSIVE, PASS,
                               DominationError, certify_class,
                               derivative_bound_scan, divide, dominated,
                               multi_division_c1, multi_division_continuous,
-                              quotient_extension_lemma, ring_selection,
-                              spread, zero_centers)
+                              quotient_extension_lemma, spread)
 from dbarkit.domains import Disk, GridSpec, RegionMask, SectorChain, build_mask
 from dbarkit.expr import Z, S, Const, add, as_callable, conj, intpow, mul, sub
 
@@ -273,17 +272,18 @@ def test_spread_is_exact_past_512_values():
 
 def test_ring_selection_radius(disk_mask_64):
     m = disk_mask_64
-    sel = ring_selection(m, 0j, 0.25)
+    (yy, xx), = division._rings(m, 0j, (0.25,))
     z = m.grid.zgrid()
-    assert sel.any()
-    r = np.abs(z[sel])
+    assert yy.size
+    r = np.abs(z[yy, xx])
     assert (np.abs(r - 0.25) <= m.grid.h).all()
 
 
 def test_zero_centers_locates_roots(disk_mask_64):
     z = disk_mask_64.grid.zgrid()
     mag = np.abs(z - 0.5) * np.abs(z + 0.5)
-    centers = zero_centers(disk_mask_64, mag, 1e-12)
+    centers = division._centroids(disk_mask_64,
+                                  disk_mask_64.inside & (mag <= 1e-12))
     assert sorted(np.round(c.real, 6) for c in centers) == [-0.5, 0.5]
 
 
@@ -297,7 +297,7 @@ def test_zero_centers_match_the_full_grid_rule(disk_mask_64):
     labels, count = ndimage.label(sel)
     want = [complex(z[labels == lab].mean()) for lab in range(1, count + 1)]
     assert count == 3 and min(np.bincount(labels.ravel())[1:]) > 1
-    assert zero_centers(m, mag, 0.02) == want
+    assert division._centroids(m, sel) == want
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +337,6 @@ def test_windowed_rings_match_the_full_grid_rule(name, data):
         iy, ix = np.nonzero(full)
         assert np.array_equal(yy, iy) and np.array_equal(xx, ix)
         assert grid.node(xx, yy).tobytes() == mask.coords(full).tobytes()
-        assert np.array_equal(ring_selection(mask, center, r), full)
 
     reach = data.draw(st.one_of(st.sampled_from((4 * h, 0.25)),
                                 st.integers(0, 12).map(lambda k: k * h),
@@ -375,6 +374,71 @@ def test_near_keeps_nodes_at_exactly_the_distance():
         assert np.array_equal(near, mask.inside & (np.abs(zg) <= reach))
         assert near[np.abs(zg) == reach].all()
         assert (np.abs(zg) == reach).sum() >= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["disk", "chain"]), data=st.data())
+def test_live_rings_are_the_full_grid_rule_on_the_live_nodes(name, data):
+    # for random live sets (Inside nodes kept at a drawn rate), each
+    # center's ring nodes at each probe radius are exactly the live
+    # nodes within one spacing of the circle, in row-major order
+    mask = _ring_mask(name)
+    grid = mask.grid
+    h = grid.h
+    lo = grid.origin
+    hi = grid.node(grid.nx - 1, grid.ny - 1)
+    rate = data.draw(st.floats(0, 1))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    live = mask.inside & (
+        np.random.default_rng(seed).random(mask.inside.shape) < rate)
+    centers = data.draw(st.lists(st.one_of(
+        st.builds(grid.node, st.integers(0, grid.nx - 1),
+                  st.integers(0, grid.ny - 1)),
+        st.builds(complex, st.floats(lo.real, hi.real),
+                  st.floats(lo.imag, hi.imag))), max_size=3))
+    radii, rings = division._live_rings(mask, centers, live)
+    assert radii == [k * h for k in PROBE_RADII_CELLS]
+    assert len(rings) == len(centers)
+    zg = grid.zgrid()
+    for c, ring in zip(centers, rings):
+        dist = np.abs(zg - c)
+        assert len(ring) == len(radii)
+        for r, (yy, xx) in zip(radii, ring):
+            full = live & (np.abs(dist - r) <= h)
+            iy, ix = np.nonzero(full)
+            assert np.array_equal(yy, iy) and np.array_equal(xx, ix)
+
+
+def test_certificate_verdict_does_not_depend_on_which_way_up_the_data_lies():
+    # the two close zeros lie 8 cells apart, so each innermost ring runs
+    # through the other zero; the rings hold only live nodes, so no ring
+    # evaluates f^N/g as 0/0 there (a RuntimeWarning fails the suite),
+    # and the mirror images read the same PASS
+    measured = []
+    for c in (-0.5 + 0.5j, -0.5 - 0.5j):
+        g = mul(mul(sub(Z, Const(0.09375)), add(Z, Const(0.03125))),
+                sub(Z, Const(c)))
+        cert = certify_class(mul(Const(0.5), g), g, 3, DISK, "C0", h=1 / 64)
+        value = cert.probe("value")
+        assert value.verdict == PASS
+        measured.append(value.measured)
+    assert measured[0] == pytest.approx(0.0025427, abs=1e-7)
+    assert measured[1] == pytest.approx(measured[0], rel=1e-12)
+
+
+def test_derivative_scales_skip_a_zero_line_of_the_divisor():
+    # g = 2 Re z vanishes on the imaginary axis, far from the zero
+    # cluster's centroid; the away set holds only live nodes, so no
+    # derivative layer's scale is evaluated on Z(g), where its symbolic
+    # quotient has a pole
+    g = add(Z, conj(Z))
+    cert = certify_class(mul(Const(0.5), g), g, 3, DISK, "C1", h=1 / 64)
+    assert [(p.name, p.verdict) for p in cert.probes] == [
+        ("value", PASS), ("d", INCONCLUSIVE), ("dbar", INCONCLUSIVE)]
+    assert cert.probe("value").measured == pytest.approx(0.009765625)
+    for name in ("d", "dbar"):
+        assert cert.probe(name).measured == pytest.approx(0.140625)
+        assert cert.probe(name).scale == pytest.approx(0.46875)
 
 
 # --- the optimal-power battery ------------------------------------------------

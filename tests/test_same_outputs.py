@@ -1,5 +1,5 @@
-"""The runs of tests/same_outputs.py, its route and fit hashes on
-coarse grids, and its comparison on two small output trees."""
+"""The runs of tests/same_outputs.py, its route, fit and division
+hashes on coarse grids, and its comparison on two small output trees."""
 
 import importlib.util
 from pathlib import Path
@@ -50,6 +50,29 @@ def test_fit_hashes_name_every_run_twice_per_spacing():
     # a fits line holds degree, sup_error, cond and coef hash per field
     assert len(lines[4].split()) == 5 + 2 * 4
     assert hashes((), (1 / 32,)) == lines[8:]
+
+
+def test_division_hashes_name_every_run_and_battery_item_once():
+    # seven division runs (a hash per field, then the report's) and the
+    # battery's six items (the certificate at the power, then one
+    # below), the same lines on a second run
+    hashes = _same_outputs().division_hashes
+    lines = hashes(1 / 32, 1 / 32, 1 / 32)
+    runs = [ln.split(" h=") for ln in lines[:7]]
+    assert [head for head, _ in runs] == [
+        "division continuous", "division c1 power=2", "division c1 power=3",
+        "division c1 two zeros", "division lemma power=2",
+        "division lemma power=4", "division lemma power=7"]
+    fields = [tail.split()[1:-2] for _, tail in runs]
+    assert [len(f) for f in fields] == [2, 1, 1, 2, 1, 1, 1]
+    assert all(tail.split()[-2] == "report" for _, tail in runs)
+    assert [ln.split()[:2] for ln in lines[7:]] == [
+        ["battery", name] for name in (
+            "boundary_values", "first_derivatives", "holomorphic_values",
+            "holomorphic_derivatives,_chain", "holomorphic_derivatives",
+            "dbar_derivatives")]
+    assert all(len(ln.split()) == 4 for ln in lines[7:])
+    assert hashes(1 / 32, 1 / 32, 1 / 32) == lines
 
 
 def _tree(root: Path, stamp: str, body: str) -> Path:
