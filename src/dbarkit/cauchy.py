@@ -38,10 +38,16 @@ numpy reuses a temporary in a strip exactly when it would on the whole
 grid, and each complex product keeps its operand order and its bits.
 strip_sup reads the sup of such an array over a selection strip by
 strip (sup_abs reads selections through it, with no copy of
-values[sel]).  Every sup is the one sup over a sequence of arrays,
-sup_over, which sup_abs, strip_sup and division's node-block scales
-read: NaN when no entry is measured, and a NaN entry reads NaN in
-any part, wherever it stands.
+values[sel]).  The strips of one array are independent work, so they
+run concurrently (_over_strips): the calling thread and a pool as
+large as the process's CPU affinity, less one, take them in turn;
+each strip is reduced or written into rows the caller owns, and the
+results come back in strip order.  No option sets the pool's size,
+and a strip does the same operations on whichever thread runs it, so
+the output is bitwise that of one thread.  Every sup is the one sup
+over a sequence of arrays, sup_over, which sup_abs, strip_sup and
+division's node-block scales read: NaN when no entry is measured, and
+a NaN entry reads NaN in any part, wherever it stands.
 
 Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
@@ -55,15 +61,19 @@ reflection Kc[m] = K[-m].  The indices between those offsets (the
 band |m_y| >= ny or |m_x| >= nx) feed only outputs past the grid and
 are left 0, which makes Kc odd and mirrors it to its conjugate across
 the x-axis; its spectrum then obeys S(kx, -ky) = -conj S(kx, ky), so
-only rows 0..py//2 are built (the y-transform on strips of columns)
-and cached, per grid shape and spacing (ny, nx, h), for the 4 most
-recently used grids.  No py x px array is ever formed, and one
-(py, nx) work array holds every stage: the data on their source nodes
-are copied into it (no masked copy of the field) and y-transformed in
-place, strips of ROW_STRIP rows go through the x-transform, the
-product and the inverse x-transform, keeping nx columns, the inverse
-y-transform runs in place, and the array is cut to its ny rows in
-place to become the result.  Both
+only rows 0..py//2 are built (the y-transform on the row_strips of
+the transposed shape, in the calling thread) and cached, per grid
+shape and spacing (ny, nx, h), for the 4 most recently used grids.
+No py x px array is ever formed, and one (py, nx) work array holds
+every stage: the data on their source nodes are copied into it (no
+masked copy of the field) and y-transformed in place, its columns
+split among one scipy.fft worker per CPU, each column transformed as
+on one worker; the row_strips of the (py, px) period go through the
+x-transform, the product and the inverse x-transform concurrently,
+each padded in a scratch array of the caller's, keeping nx columns;
+the inverse y-transform runs in place, and the array is cut to its ny
+rows in place to become the result.  Strip heights from 8 to 128 rows
+give the same bits (unit disk, h = 1/256 and 1/512).  Both
 engines take their weights from one near/far rule, so this is a
 reorganization of the same discrete quadrature (the direct loop is
 the reference it is tested against, to roundoff), not a different
@@ -75,7 +85,8 @@ Difference stencils.  dbar_fd and d_fd take the Wirtinger derivatives
 report 0 elsewhere.  One private kernel computes a band of rows of
 that field, with each node's operations in the order of one pass over
 the whole grid, so a band is bitwise the field's rows; the stencils
-write their output from it row strip by row strip, and dbar_fd_sup
+write their output from it row strip by row strip, the strips
+running concurrently, and dbar_fd_sup
 reads max |dbar_fd(f) - minus| over a selection from it without
 forming the field (verify_dbar_solution's max_dev, corona's dbar sups,
 division's holomorphy probe).  dbar_fd_onesided also covers the
@@ -87,7 +98,10 @@ nowhere).
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -115,9 +129,6 @@ EXACT_FLOOR = 1e-13
 # cell integral; the rest use the midpoint value
 NEAR_RADIUS_CELLS = 3
 
-# rows per strip of the lattice convolution (and columns per strip of
-# the kernel spectrum's build)
-ROW_STRIP = 64
 # nodes per sampling block, which bounds the temporaries; the division
 # record's scales are taken in the same blocks.  Each block then holds
 # at least min(n, 16384) complex points, numpy's 256 KiB size for
@@ -159,11 +170,65 @@ def row_strips(shape) -> list:
 
 def strip_sup(rows_of, sel: np.ndarray) -> float:
     """max |a| over sel, where rows_of(rows) gives the rows of a full-grid
-    array a for a slice of rows; a is formed one row strip at a time.
-    NaN on an empty selection and on a NaN at any selected node
-    (sup_over)."""
-    return sup_over(rows_of(slice(a, b))[sel[a:b]]
-                    for a, b in row_strips(sel.shape))
+    array a for a slice of rows; a is formed one row strip at a time,
+    and each strip is reduced to its sup where it was formed
+    (_over_strips).  NaN on an empty selection and on a NaN at any
+    selected node (sup_over)."""
+    def strip(rows):
+        v = np.abs(rows_of(slice(*rows))[sel[slice(*rows)]])
+        return v.max(keepdims=True) if v.size else v
+
+    return sup_over(_over_strips(strip, row_strips(sel.shape)))
+
+
+def _cpus() -> int:
+    # the CPUs this process may run on (its affinity where the system
+    # reports one): no option sets it, and `taskset -c 0` makes it 1
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+@lru_cache(maxsize=1)
+def _pool() -> ThreadPoolExecutor:
+    # started on the first map with a task to hand out
+    return ThreadPoolExecutor(max(_cpus() - 1, 1), "dbarkit-strip")
+
+
+if hasattr(os, "register_at_fork"):  # a parent's threads stay behind a fork
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _over_strips(fn, strips) -> list:
+    """[fn(s) for s in strips] (a list), in order.  With two or more
+    strips and more than one CPU, the calling thread and up to
+    _cpus() - 1 threads of a lazily started pool take the strips in
+    turn, each task in a copy of the caller's context (numpy's errstate
+    rides in it).  Once the strips are all taken, a task that has not
+    started is cancelled, not waited for.  A failed strip ends its own
+    thread's turns, and one in the calling thread ends every thread's;
+    the first exception is raised once no task runs.  No task may call
+    a function that a tracer wraps, and each writes its output into
+    rows the caller owns, so its own temporaries stay one strip in
+    size."""
+    out = [None] * len(strips)
+    todo = iter(range(len(strips)))  # the GIL hands each index out once
+
+    def run():
+        for i in todo:
+            out[i] = fn(strips[i])
+
+    tasks = [_pool().submit(contextvars.copy_context().run, run)
+             for _ in range(min(_cpus(), len(strips)) - 1)]
+    try:
+        run()
+    finally:
+        list(todo)  # what the calling thread left, no task takes
+        # a task still queued has nothing left to do
+        started = [task for task in tasks if not task.cancel()]
+        wait(started)
+    for task in started:
+        task.result()
+    return out
 
 
 @dataclass
@@ -355,24 +420,40 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
     returns the leading values.shape block.
 
     One complex (py, nx) work array holds every stage: the values on
-    sel are copied into it and y-transformed in place; strips of
-    ROW_STRIP rows then go through the x-transform, the product and
-    the inverse x-transform, and keep their first nx columns; the
-    inverse y-transform runs in place, and the work array is cut to
-    its first ny rows, so it is the result."""
+    sel are copied into it and y-transformed in place; the row_strips
+    of the period then go through the x-transform, the product and
+    the inverse x-transform concurrently (_over_strips), each padded
+    to px columns in one of the caller's scratch arrays, and keep
+    their first nx columns; the inverse y-transform runs in place, and
+    the work array is cut to its first ny rows, so it is the result."""
     ny, nx = values.shape
     nh, px = spectrum.shape
     py = _period(ny)
     a = np.zeros((py, nx), dtype=complex)
     np.copyto(a[:ny], values, where=sel)
     _fft_in_place(a, fft.fft)
-    for r0 in range(0, py, ROW_STRIP):
-        r1 = min(r0 + ROW_STRIP, py)
+    strips = row_strips((py, px))
+    tall = max(r1 - r0 for r0, r1 in strips)
+    spare = [np.empty((tall, px), dtype=complex)
+             for _ in range(min(_cpus(), len(strips)))]
+
+    def x_strip(rows):
+        r0, r1 = rows
         top = min(max(r0, nh), r1)
-        b = fft.fft(a[r0:r1], n=px, axis=1)
+        # the padded strip in a scratch array of the caller's, and the
+        # mirrored rows' factors 8 rows at a time: a pool thread's malloc
+        # arena keeps what it frees, so its temporaries stay small
+        b = (spare.pop() if spare else np.empty((tall, px), complex))[:r1 - r0]
+        b[:, :nx], b[:, nx:] = a[r0:r1], 0.0
+        fft.fft(b, axis=1, overwrite_x=True)
         b[:top - r0] *= spectrum[r0:top]
-        b[top - r0:] *= -np.conj(spectrum[py - r1 + 1:py - top + 1][::-1])
+        mirror = spectrum[py - r1 + 1:py - top + 1][::-1]
+        for k in range(0, r1 - top, 8):
+            b[top - r0 + k:][:8] *= -np.conj(mirror[k:k + 8])
         a[r0:r1] = fft.ifft(b, axis=1, overwrite_x=True)[:, :nx]
+        spare.append(b.base)
+
+    _over_strips(x_strip, strips)
     _fft_in_place(a, fft.ifft)
     # a owns its memory and no view of it is left, so the cut keeps the
     # leading rows where they are and frees the rest
@@ -383,8 +464,9 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
 def _fft_in_place(x: np.ndarray, transform) -> None:
     # the transform along axis 0 written over the complex array x:
     # scipy's pocketfft writes it there when it may overwrite its input,
-    # and a backend that returns new memory is copied back
-    out = transform(x, axis=0, overwrite_x=True)
+    # and a backend that returns new memory is copied back.  Its workers
+    # split the columns, each transformed as on one worker
+    out = transform(x, axis=0, overwrite_x=True, workers=_cpus())
     if not np.may_share_memory(out, x):
         x[...] = out
 
@@ -398,14 +480,16 @@ def _kernel_spectrum(ny: int, nx: int, h: float) -> np.ndarray:
     # fftconvolve crops, and is left 0.  Kc is then odd and mirrors
     # to its conjugate across the x-axis, so its spectrum S obeys
     # S(kx, -ky) = -conj S(kx, ky) and rows 0..py//2 are stored.  The
-    # y-transform runs on strips of columns, keeping those rows.
+    # y-transform runs on strips of columns (row_strips of the
+    # transposed shape), keeping those rows, in the calling thread: the
+    # weights come from exact_cell_integral.
     py, px = _period(ny), _period(nx)
     nh = py // 2 + 1
     my = np.r_[0:ny, 1 - ny:0]
     mx = np.r_[0:nx, 1 - nx:0]
     spectrum = np.zeros((nh, px), dtype=complex)
-    for c0 in range(0, mx.size, ROW_STRIP):
-        cols = mx[c0:c0 + ROW_STRIP]
+    for c0, c1 in row_strips((mx.size, py)):
+        cols = mx[c0:c1]
         block = np.zeros((py, cols.size), dtype=complex)
         block[my] = _offset_weights(-h * (cols + 1j * my[:, None]), h)
         spectrum[:, cols] = fft.fft(block, axis=0, overwrite_x=True)[:nh]
@@ -455,8 +539,8 @@ def _wirtinger_fd(f: SampledField, bar: bool,
     v = f.values
     keep = m.inside if one_sided else m.interior
     out = np.empty_like(v)
-    for r0, r1 in row_strips(v.shape):
-        _central(v, h, bar, keep, r0, r1, out[r0:r1])
+    _over_strips(lambda rows: _central(v, h, bar, keep, *rows,
+                                       out[slice(*rows)]), row_strips(v.shape))
     if one_sided:
         # past the grid's edge counts as not Inside; every Inside node
         # on the grid's edge is a Boundary node, so it is rewritten here.

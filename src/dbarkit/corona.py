@@ -43,9 +43,9 @@ import numpy as np
 
 from .bezout import (BezoutProblem, CommonZeroError, bezout_pou,
                      quotient_fits, require_no_common_zero)
-from .cauchy import (SampledField, dbar_fd_onesided, dbar_fd_sup, on_nodes,
-                     refinement_ladder, row_strips, sample_field, strip_sup,
-                     sup_abs, verify_dbar_solution)
+from .cauchy import (SampledField, _over_strips, dbar_fd_onesided,
+                     dbar_fd_sup, on_nodes, refinement_ladder, row_strips,
+                     sample_field, strip_sup, sup_abs, verify_dbar_solution)
 from .division import check_domination, divide, dominated
 from .domains import CompactDomain, RegionMask, interior_shrunk
 from .expr import ComplexExpr, as_callable, wirtinger_dbar
@@ -147,16 +147,20 @@ def _obstruction(dbx, gens: BezoutProblem, wv=None,
     for j in range(gens.n):
         for k in range(j + 1, gens.n):
             # zero_extended(num, s2, live), times wv, one row strip at
-            # a time (cauchy.row_strips keeps each product's bits)
+            # a time (cauchy.row_strips keeps each product's bits); the
+            # strips have run when _over_strips returns
             vals = np.zeros(inside.shape, dtype=complex)
-            for a, b in row_strips(inside.shape):
-                r, on = slice(a, b), live[a:b]
+
+            def strip(rows):
+                r, on = slice(*rows), live[slice(*rows)]
                 num = (dbx[k][r] * np.conj(fv[j][r])
                        - dbx[j][r] * np.conj(fv[k][r]))
                 q = num[on] / s2[r][on]
                 if wv is not None:
                     q *= wv[r][on]
                 vals[r][on] = q
+
+            _over_strips(strip, row_strips(inside.shape))
             upper[(j, k)] = SampledField(mask, vals)
     return AntisymMatrixField(gens.n, mask, upper)
 
@@ -183,14 +187,16 @@ def _assemble(x_vals, f_vals, H: AntisymMatrixField, own: bool = False):
     # the arrays x_vals
     n = len(x_vals)
     out = [x if own else np.empty(x.shape, dtype=complex) for x in x_vals]
-    for a, b in row_strips(x_vals[0].shape):
-        r = slice(a, b)
+
+    def strip(r):
         for j in range(n):
             corr = 0.0
             for k in range(n):
                 if k != j:
                     corr = corr + f_vals[k][r] * H.entry_rows(k, j, r)
             np.subtract(x_vals[j][r], corr, out=out[j][r])
+
+    _over_strips(strip, [slice(*s) for s in row_strips(x_vals[0].shape)])
     return out
 
 

@@ -434,7 +434,8 @@ def _ring_probe(name, value_fn, rings, radii, scale):
     # spread of the probed quantity on rings closing in on each center;
     # continuity shows up as the smallest ring's spread collapsing.  The
     # measurement is the worst innermost spread, NaN when no center has
-    # a ring node
+    # a ring node; np.max, unlike Python's max, keeps a NaN spread
+    # wherever its center stands
     per_center, innermost = {}, []
     for c, ring_pts in rings:
         spreads = [None if pts is None else spread(value_fn(pts))
@@ -443,7 +444,7 @@ def _ring_probe(name, value_fn, rings, radii, scale):
         seen = [s for s in spreads if s is not None]
         if seen:
             innermost.append(seen[0])
-    worst = max(innermost, default=float("nan"))
+    worst = float(np.max(innermost)) if innermost else float("nan")
     return ProbeResult(name, _grade(worst, scale), worst, scale,
                        {"radii": radii, "per_center": per_center})
 

@@ -90,10 +90,10 @@ MUTANTS = [
             "test_node_vector_record_is_the_full_grid_rule_bitwise",
             "tests/test_division.py::"
             "test_blocked_scale_evaluates_each_away_node_once")),
-    Mutant("row strips of ROW_STRIP rows, not of SAMPLE_BLOCK nodes",
+    Mutant("row strips of 64 rows, not of SAMPLE_BLOCK nodes",
            "dbarkit/cauchy.py",
            "return node_blocks(shape[0], -(-SAMPLE_BLOCK // per_row))",
-           "return node_blocks(shape[0], ROW_STRIP)",
+           "return node_blocks(shape[0], 64)",
            ("tests/test_cauchy.py::"
             "test_strip_kernels_are_the_one_shot_rule_bitwise",
             "tests/test_corona.py::"
@@ -181,7 +181,7 @@ MUTANTS = [
            "uncovered = total == 0", "uncovered = total < 0",
            ("tests/test_bezout.py::test_partition_epsilon_too_large",)),
     Mutant("half spectrum mirrored without its sign", "dbarkit/cauchy.py",
-           "b[top - r0:] *= -np.conj(", "b[top - r0:] *= np.conj(",
+           "*= -np.conj(mirror[k:k + 8])", "*= np.conj(mirror[k:k + 8])",
            ("tests/test_cauchy.py::test_lattice_matches_the_full_period_rule",)),
     Mutant("kernel band filled, so the kernel is not odd",
            "dbarkit/cauchy.py",
@@ -190,8 +190,38 @@ MUTANTS = [
             "tests/test_cauchy.py::"
             "test_lattice_matches_the_full_period_rule")),
     Mutant("last strip runs past the period", "dbarkit/cauchy.py",
-           "r1 = min(r0 + ROW_STRIP, py)", "r1 = r0 + ROW_STRIP",
+           "strips = row_strips((py, px))",
+           "strips = [(a, b + 8 * (b == py)) for a, b in row_strips((py, px))]",
            ("tests/test_cauchy.py::test_lattice_matches_the_full_period_rule",)),
+    Mutant("the strip map drops its last strip", "dbarkit/cauchy.py",
+           "todo = iter(range(len(strips)))",
+           "todo = iter(range(len(strips) - 1))",
+           ("tests/test_cauchy.py::"
+            "test_strip_map_returns_each_result_once_in_strip_order",
+            "tests/test_cauchy.py::"
+            "test_strip_kernels_are_the_one_shot_rule_bitwise")),
+    Mutant("the strip map returns its results out of order",
+           "dbarkit/cauchy.py", "out[i] = fn(strips[i])",
+           "out[-1 - i] = fn(strips[i])",
+           ("tests/test_cauchy.py::"
+            "test_strip_map_returns_each_result_once_in_strip_order",)),
+    Mutant("pool tasks run outside the caller's context", "dbarkit/cauchy.py",
+           "_pool().submit(contextvars.copy_context().run, run)",
+           "_pool().submit(run)",
+           ("tests/test_cauchy.py::"
+            "test_pool_threads_divide_under_the_callers_errstate",)),
+    Mutant("a forked child keeps its parent's pool", "dbarkit/cauchy.py",
+           "os.register_at_fork(after_in_child=_pool.cache_clear)",
+           "os.register_at_fork(after_in_child=lambda: None)",
+           ("tests/test_cauchy.py::"
+            "test_a_forked_child_maps_strips_on_a_pool_of_its_own",)),
+    Mutant("ring probe takes Python's max over the centers",
+           "dbarkit/division.py",
+           'worst = float(np.max(innermost)) if innermost else float("nan")',
+           'worst = max(innermost, default=float("nan"))',
+           ("tests/test_division.py::"
+            "test_ring_probe_keeps_a_non_finite_spread_whatever_the_center_"
+            "order",)),
     Mutant("dbar x measured after u is written over it", "dbarkit/corona.py",
            "    dbar_sup_x = _dbar_sup(xv, mask, sel)\n"
            "    uv = _assemble(xv, f_vals, H, own=weight is not None)\n",

@@ -11,8 +11,9 @@ on the working tree, with BLAS on one thread, each shipped config
 no config runs) run through `python -m dbarkit.cli` with their own
 output directories, tests/test_acceptance.py runs through pytest, and
 `python tests/same_outputs.py --hashes` prints the route_hashes of the
-tree's dbarkit (the correction routes and the stencils at h = 1/64 to
-1/256, as hashes of their arrays and the reprs of their sups), its
+tree's dbarkit (the correction routes at h = 1/64 to 1/256, the
+lattice transform and the stencils at h = 1/64 to 1/512, as hashes of
+their arrays and the reprs of their sups), its
 fit_hashes (quotient_fits on ill-conditioned compacta and on the unit
 disk at every fit stride the ladders reach) and its division_hashes
 (the multi-generator divisions, the extension lemma and the sharpness
@@ -91,16 +92,19 @@ def _sha(a) -> str:
                           ).hexdigest()
 
 
-def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
-    """One line per output of the correction routes and the stencils
-    of the dbarkit that is imported, at each spacing of hs on the unit
-    disk: the sha256 of u's bytes and the repr of the four sups, skew
-    and entry_reports of the pou and poly corona_solve on (z^2,
-    (1-z)^2), g_power_solve (g^5) and g12_solve (g^12) on (z^2, z^3)
-    with g = z^2 (the benchmark's inputs, margins max(3, round(0.15 /
-    h))), and the sha256 of dbar_fd, d_fd and dbar_fd_onesided of a
-    sampled non-polynomial field.  No shipped config runs these routes
-    at these spacings, and the CSVs' rounding would hide a moved bit."""
+def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256), fine=(1 / 512,)) -> list:
+    """One line per output of the correction routes, the lattice and
+    the stencils of the dbarkit that is imported, on the unit disk: at
+    each spacing of hs the sha256 of u's bytes and the repr of the four
+    sups, skew and entry_reports of the pou and poly corona_solve on
+    (z^2, (1-z)^2), g_power_solve (g^5) and g12_solve (g^12) on (z^2,
+    z^3) with g = z^2 (the benchmark's inputs, margins max(3,
+    round(0.15 / h))); then, at each spacing of hs and of fine, the
+    sha256 of pompeiu, dbar_fd, d_fd and dbar_fd_onesided of a sampled
+    non-polynomial field (at h = 1/512, 64 lattice strips and 16
+    stencil strips, which run on every CPU).  No shipped config runs
+    these routes at these spacings, and the CSVs' rounding would hide a
+    moved bit."""
     # imported here: the comparison runs each tree's dbarkit in a
     # subprocess and needs none on its own path
     from dbarkit import cauchy, corona
@@ -125,9 +129,9 @@ def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
     }
 
     lines = []
-    for h in hs:
+    for h in (*hs, *fine):
         m = max(3, int(round(0.15 / h)))
-        for name, solve in routes.items():
+        for name, solve in (routes.items() if h in hs else ()):
             sol = solve(h, m)
             lines.append(f"{name} h={h:g} u " + " ".join(
                 _sha(u.values) for u in sol.u))
@@ -136,9 +140,9 @@ def route_hashes(hs=(1 / 64, 1 / 128, 1 / 256)) -> list:
                          f"{sol.skew_residual!r} {sol.entry_reports!r}")
         field = cauchy.sample_field(
             exp(mul(conj(Z), add(Z, one))), build_mask(disk, h=h))
-        for stencil in (cauchy.dbar_fd, cauchy.d_fd, cauchy.dbar_fd_onesided):
-            lines.append(f"{stencil.__name__} h={h:g} "
-                         f"{_sha(stencil(field).values)}")
+        for fn in (cauchy.pompeiu, cauchy.dbar_fd, cauchy.d_fd,
+                   cauchy.dbar_fd_onesided):
+            lines.append(f"{fn.__name__} h={h:g} {_sha(fn(field).values)}")
     return lines
 
 

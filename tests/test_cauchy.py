@@ -9,6 +9,13 @@ chord length) for cells whose closure contains it.
 """
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+from collections import Counter
 from functools import lru_cache
 from unittest import mock
 
@@ -20,7 +27,6 @@ from scipy import fft
 
 from dbarkit import cauchy
 from dbarkit.cauchy import (
-    ROW_STRIP,
     SampledField,
     _kernel_spectrum,
     _offset_weights,
@@ -255,15 +261,19 @@ def _full_period_pompeiu(fv, h):
                                     (85, 37), (78, 19), (33, 70)])
 def test_lattice_matches_the_full_period_rule(ny, nx):
     # odd (27, 105, 175) and even (14, 120, 160, 66) periods, all but
-    # 27 with a band, on non-square grids; 105, 120, 175 and 160 rows
-    # take two or three strips of ROW_STRIP, the last one partial, and
-    # one strip straddles py // 2
-    assert _period(ny) % ROW_STRIP
+    # 27 with a band, on non-square grids; with row strips of 16 rows of
+    # the period, every period past 27 rows takes several strips, the
+    # last one longer, and one strip straddles row py // 2 + 1, where
+    # the stored half spectrum gives way to its mirror
+    py, px = _period(ny), _period(nx)
     grid = GridSpec(-1 - 1j, 1 / 16, nx, ny)
     inside = np.ones((ny, nx), dtype=bool)
     m = RegionMask(grid, inside, np.zeros_like(inside))
     fv = np.random.default_rng(ny * nx).standard_normal((ny, nx, 2)) @ [1, 1j]
-    got = pompeiu(SampledField(m, fv)).values
+    with mock.patch.object(cauchy, "SAMPLE_BLOCK", 16 * px):
+        strips = cauchy.row_strips((py, px))
+        assert py <= 27 or any(a < py // 2 + 1 < b for a, b in strips)
+        got = pompeiu(SampledField(m, fv)).values
     want = _full_period_pompeiu(fv, grid.h)
     assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
@@ -475,6 +485,190 @@ def test_strip_kernels_are_the_one_shot_rule_bitwise(
         want = _one_shot_sup(_one_shot_fd(u, True, False)[0] - v,
                              interior_shrunk(m, margin))
         assert _bits(verify_dbar_solution(f, margin)["max_dev"]) == _bits(want)
+
+
+def _cpus(n):
+    # the strip map as it runs on n CPUs: with 1, every strip and every
+    # scipy.fft worker stays on the calling thread
+    return mock.patch.object(cauchy, "_cpus", lambda: n)
+
+
+@lru_cache(maxsize=None)
+def _disk_field(n):
+    # a non-polynomial field on the unit disk at h = 1/n
+    return sample_field(exp(mul(conj(Z), add(Z, Const(1.0)))),
+                        build_mask(Disk(0j, 1.0), h=1 / n))
+
+
+def _strip_outputs(f, sel):
+    # the transform, the three stencils and the dbar sups over sel
+    # (with and without a field to subtract), as bytes
+    u = pompeiu(f).values
+    return ([u.tobytes()]
+            + [s(f).values.tobytes() for s in (dbar_fd, d_fd,
+                                               dbar_fd_onesided)]
+            + [_bits(cauchy.dbar_fd_sup(f, sel)),
+               _bits(cauchy.dbar_fd_sup(f, sel, minus=u))])
+
+
+@settings(max_examples=25, deadline=None)
+@given(disk=st.none(),
+       shape=st.tuples(st.integers(40, 90), st.integers(30, 90)),
+       rows=st.integers(1, 12),
+       inside_share=st.sampled_from([0.5, 0.9, 1.0]),
+       cpus=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(disk=256, shape=None, rows=None, inside_share=None, cpus=2, seed=0)
+@example(disk=512, shape=None, rows=None, inside_share=None, cpus=2, seed=0)
+def test_pooled_strips_are_the_calling_thread_strips_bitwise(
+        disk, shape, rows, inside_share, cpus, seed):
+    # the strips of the lattice, the stencils and the dbar sups run on
+    # the pool (cpus > 1, one scipy.fft worker per CPU) and on the
+    # calling thread alone, with at least 3 strips each: the unit disk
+    # at h = 1/256 and 1/512 with SAMPLE_BLOCK strips, and random masks
+    # in strips of a few rows
+    if disk:
+        f = _disk_field(disk)
+        block, sel = cauchy.SAMPLE_BLOCK, interior_shrunk(f.mask, 3)
+    else:
+        rng = np.random.default_rng(seed)
+        ny, nx = shape
+        inside = rng.random(shape) < inside_share
+        m = RegionMask(GridSpec(-1 - 1j, 1 / 16, nx, ny), inside,
+                       np.zeros_like(inside))
+        m.interior = interior_shrunk(m, 1)
+        f = SampledField(m, rng.standard_normal(shape + (2,)) @ [1, 1j])
+        block, sel = rows * nx, rng.random(shape) < 0.5
+    grid = f.values.shape
+    with mock.patch.object(cauchy, "SAMPLE_BLOCK", block):
+        period = tuple(_period(n) for n in grid)
+        assert min(len(cauchy.row_strips(grid)),
+                   len(cauchy.row_strips(period))) >= 3
+        with _cpus(1):
+            want = _strip_outputs(f, sel)
+        with _cpus(cpus):
+            assert _strip_outputs(f, sel) == want
+
+
+@pytest.fixture
+def fresh_pool():
+    # the test's pool is sized by its patched _cpus: the pool in use is
+    # shut down before the test, and the test's own after it
+    def renew():
+        cauchy._pool().shutdown()
+        cauchy._pool.cache_clear()
+
+    renew()
+    yield
+    renew()
+
+
+@pytest.mark.parametrize("n, cpus", [(0, 3), (1, 3), (2, 3), (3, 3),
+                                     (7, 3), (20, 3), (2000, 8)])
+def test_strip_map_returns_each_result_once_in_strip_order(n, cpus,
+                                                           fresh_pool):
+    # strips of uneven length finish out of order; with more threads
+    # than CPUs and a short switch interval, no strip runs twice and
+    # none is lost
+    calls = Counter()
+
+    def fn(s):
+        calls[s] += 1
+        time.sleep(0.001 * (s * 7 % 5) if n < 100 else 0)
+        return s * s
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(cpus):
+            assert cauchy._over_strips(fn, list(range(n))) == [
+                s * s for s in range(n)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == Counter(range(n))
+
+
+@pytest.mark.parametrize("bad", [0, 1, 9])
+def test_a_strip_error_reaches_the_caller_once_no_strip_runs(bad):
+    # strips 0 and 1 meet at a barrier, so the calling thread runs one
+    # and a pool thread the other; the error of either, or of a later
+    # strip, is raised only once every strip that started has returned
+    meet = threading.Barrier(2, timeout=30)
+    running = set()
+
+    def fn(s):
+        running.add(s)
+        try:
+            if s < 2:
+                meet.wait()
+            time.sleep(0.002)
+            if s == bad:
+                raise ValueError(f"strip {s}")
+            return s
+        finally:
+            running.discard(s)
+
+    with _cpus(2), pytest.raises(ValueError, match=f"^strip {bad}$"):
+        cauchy._over_strips(fn, list(range(10)))
+    assert not running
+
+
+@pytest.mark.parametrize("divide", ["ignore", "raise"])
+def test_pool_threads_divide_under_the_callers_errstate(divide):
+    # numpy's error state rides into the pool thread with the caller's
+    # context: under "ignore" its 1/0 warns of nothing (warnings are
+    # errors here), under "raise" it raises FloatingPointError
+    meet = threading.Barrier(2, timeout=30)
+    caller = threading.get_ident()
+
+    def fn(s):
+        meet.wait()  # one strip on each thread
+        if threading.get_ident() != caller:
+            return np.ones(2) / np.zeros(2)
+
+    with _cpus(2), warnings.catch_warnings(), np.errstate(divide=divide):
+        warnings.simplefilter("error")
+        if divide == "raise":
+            with pytest.raises(FloatingPointError):
+                cauchy._over_strips(fn, [0, 1])
+        else:
+            out = cauchy._over_strips(fn, [0, 1])
+            pooled = [v for v in out if v is not None]
+            assert len(pooled) == 1 and np.isinf(pooled[0]).all()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_maps_strips_on_a_pool_of_its_own():
+    # two strips that meet at a barrier need a live pool thread: the
+    # parent's pool runs one before the fork, and the child, where the
+    # parent's threads are gone, starts its own for its strips and for a
+    # multi-strip pompeiu, bitwise the parent's, within the timeout
+    f = _disk_field(128)
+
+    def meet_on_two_threads():
+        meet = threading.Barrier(2, timeout=10)
+        cauchy._over_strips(lambda s: meet.wait(), [0, 1])
+
+    with _cpus(2):
+        meet_on_two_threads()
+        want = pompeiu(f).values.tobytes()
+        period = tuple(_period(n) for n in f.values.shape)
+        assert len(cauchy.row_strips(period)) > 1
+        pid = os.fork()
+        if pid == 0:  # the child never returns to pytest
+            code = 2
+            try:
+                meet_on_two_threads()
+                code = int(pompeiu(f).values.tobytes() != want)
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on its strips")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_verify_dbar_solution_report(disk_mask_64):

@@ -254,6 +254,25 @@ def test_correction_strips_are_the_one_shot_rule_bitwise(f_list, weighted,
     assert sol.residual_sup == _one_shot_sup(total - target, mask.inside)
 
 
+def test_pooled_correction_is_the_calling_thread_correction_bitwise():
+    # the pou route on the quartic pair at h = 1/256, its strips (of the
+    # lattice, the stencils, the dbar sups, F, the assembly, the skew
+    # contraction and the residual) on the pool and on the calling
+    # thread alone: u, the sups and the entry reports agree bitwise
+    h = 1 / 256
+    mask = build_mask(DISK, h=h)
+    assert len(cauchy.row_strips(mask.inside.shape)) >= 3
+    outputs = []
+    for cpus in (1, 2):
+        with mock.patch.object(cauchy, "_cpus", lambda: cpus):
+            sol = corona_solve(QUARTIC, DISK, h=h, route="pou",
+                               margin=max(3, round(0.15 / h)), mask=mask)
+        outputs.append(([u.values.tobytes() for u in sol.u],
+                        repr((sol.residual_sup, sol.dbar_sup, sol.dbar_sup_x,
+                              sol.skew_residual, sol.entry_reports))))
+    assert outputs[0] == outputs[1]
+
+
 def test_skew_check_catches_symmetric_matrix(disk_mask_64):
     m = disk_mask_64
     H, fv = _symbolic_oracle(LINEAR, m)[:2]

@@ -15,6 +15,7 @@ measurement.  The derivative-bound constants are checked against the
 hand maximum of |5 z^4| / |z| = 5|z|^3 on the shrunk disk.
 """
 
+import math
 import weakref
 from collections import Counter
 from functools import lru_cache
@@ -424,6 +425,29 @@ def test_certificate_verdict_does_not_depend_on_which_way_up_the_data_lies():
         measured.append(value.measured)
     assert measured[0] == pytest.approx(0.0025427, abs=1e-7)
     assert measured[1] == pytest.approx(measured[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_ring_probe_keeps_a_non_finite_spread_whatever_the_center_order(
+        bad_first):
+    # two centers' rings of hand-made points; the quantity is NaN on the
+    # left center's innermost ring, so the worst innermost spread is
+    # NaN, and nothing measured is INCONCLUSIVE, in either order
+    radii = [0.1, 0.2]
+    rings = [(c, [c + r * np.exp(2j * np.pi * np.arange(6) / 6)
+                  for r in radii]) for c in (-0.5 + 0j, 0.5 + 0j)]
+    if not bad_first:
+        rings.reverse()
+
+    def value(pts):
+        return np.where(pts.real < 0, complex("nan"), pts)
+
+    probe = division._ring_probe("value", value, rings, radii, 1.0)
+    assert math.isnan(probe.measured)
+    assert probe.verdict == INCONCLUSIVE
+    spreads = probe.details["per_center"]
+    assert math.isnan(spreads[-0.5 + 0j][0])
+    assert spreads[0.5 + 0j][0] == pytest.approx(0.2)
 
 
 def test_derivative_scales_skip_a_zero_line_of_the_divisor():

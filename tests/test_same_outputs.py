@@ -26,15 +26,21 @@ def test_runs_are_the_shipped_configs_and_the_battery():
 
 
 def test_route_hashes_name_every_route_and_stencil_once_per_spacing():
-    # four routes (u, then the sups) and three stencils per spacing,
-    # the same lines on a second run
+    # four routes (u, then the sups), the lattice and three stencils per
+    # spacing of the first list, the lattice and the stencils alone per
+    # spacing of the second (by default h = 1/512), the same lines on a
+    # second run
     hashes = _same_outputs().route_hashes
-    lines = hashes((1 / 16, 1 / 32))
+    assert hashes.__defaults__[1] == (1 / 512,)
+    lines = hashes((1 / 16, 1 / 32), (1 / 64,))
+    fields = ["pompeiu", "dbar_fd", "d_fd", "dbar_fd_onesided"]
     assert [ln.split(" h=")[0] for ln in lines] == 2 * [
         "pou", "pou", "poly", "poly", "g^5", "g^5", "g^12", "g^12",
-        "dbar_fd", "d_fd", "dbar_fd_onesided"]
+        *fields] + fields
+    assert [ln.split(" h=")[1].split()[0] for ln in lines[24:]] == 4 * [
+        "0.015625"]
     assert [ln.split()[2] for ln in lines[:8]] == 4 * ["u", "sups"]
-    assert hashes((1 / 32,)) == lines[11:]
+    assert hashes((1 / 32,), (1 / 64,)) == lines[12:]
 
 
 def test_fit_hashes_name_every_run_twice_per_spacing():
