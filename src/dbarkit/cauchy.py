@@ -39,12 +39,13 @@ grid, and each complex product keeps its operand order and its bits.
 strip_sup reads the sup of such an array over a selection strip by
 strip (sup_abs reads selections through it, with no copy of
 values[sel]).  The strips of one array are independent work, so they
-run concurrently (_over_strips): the calling thread and a pool as
-large as the process's CPU affinity, less one, take them in turn;
-each strip is reduced or written into rows the caller owns, and the
-results come back in strip order.  No option sets the pool's size,
-and a strip does the same operations on whichever thread runs it, so
-the output is bitwise that of one thread.  Every sup is the one sup
+run concurrently (_over_strips): one thread per CPU of the
+process's affinity, at most _STRIP_THREADS (2, the count the memory
+bounds were measured at), the calling thread among them, take them
+in turn; each strip is reduced or written into rows the caller owns,
+and the results come back in strip order.  No option sets the
+number of threads, and a strip does the same operations on whichever
+thread runs it, so the output is bitwise that of one thread.  Every sup is the one sup
 over a sequence of arrays, sup_over, which sup_abs, strip_sup and
 division's node-block scales read: NaN when no entry is measured, and
 a NaN entry reads NaN in any part, wherever it stands.
@@ -67,12 +68,13 @@ shape and spacing (ny, nx, h), for the 4 most recently used grids.
 No py x px array is ever formed, and one (py, nx) work array holds
 every stage: the data on their source nodes are copied into it (no
 masked copy of the field) and y-transformed in place, its columns
-split among one scipy.fft worker per CPU, each column transformed as
-on one worker; the row_strips of the (py, px) period go through the
-x-transform, the product and the inverse x-transform concurrently,
-each padded in a scratch array of the caller's, keeping nx columns;
-the inverse y-transform runs in place, and the array is cut to its ny
-rows in place to become the result.  Strip heights from 8 to 128 rows
+split among as many scipy.fft workers as a map has threads, each
+column transformed as on one worker; the row_strips of the (py, px)
+period go through the x-transform, the product and the inverse
+x-transform concurrently, each padded in one of the caller's scratch
+arrays (one per thread), keeping nx columns; the inverse y-transform
+runs in place, and the array is cut to its ny rows in place to
+become the result.  Strip heights from 8 to 128 rows
 give the same bits (unit disk, h = 1/256 and 1/512).  Both
 engines take their weights from one near/far rule, so this is a
 reorganization of the same discrete quadrature (the direct loop is
@@ -136,6 +138,13 @@ NEAR_RADIUS_CELLS = 3
 # the bits) of one evaluation on all n (module docstring, Sampling)
 SAMPLE_BLOCK = 1 << 16
 
+# the most threads that take one map's strips, the calling thread
+# included: the CPU count at which the memory bounds were measured
+# (tests/test_peak_memory.py).  Each thread adds its strip's scratch
+# and a malloc arena of its own, so a host with more CPUs runs no more
+# threads until it has been measured
+_STRIP_THREADS = 2
+
 
 def sup_over(parts) -> float:
     """max |a| over every entry of a sequence of arrays: the one sup.
@@ -181,17 +190,24 @@ def strip_sup(rows_of, sel: np.ndarray) -> float:
     return sup_over(_over_strips(strip, row_strips(sel.shape)))
 
 
-def _cpus() -> int:
-    # the CPUs this process may run on (its affinity where the system
-    # reports one): no option sets it, and `taskset -c 0` makes it 1
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+# the CPUs this process may run on (its affinity where the system
+# reports one), read once at import, so every count taken from it
+# agrees: no option sets it, and `taskset -c 0` makes it 1
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _threads(n: int) -> int:
+    # the threads that take n independent pieces of work (the strips of
+    # a map, the columns of a y-transform): one per CPU, at most
+    # _STRIP_THREADS, at most n, at least the calling thread
+    return max(min(_CPUS, _STRIP_THREADS, n), 1)
 
 
 @lru_cache(maxsize=1)
 def _pool() -> ThreadPoolExecutor:
     # started on the first map with a task to hand out
-    return ThreadPoolExecutor(max(_cpus() - 1, 1), "dbarkit-strip")
+    return ThreadPoolExecutor(max(_STRIP_THREADS - 1, 1), "dbarkit-strip")
 
 
 if hasattr(os, "register_at_fork"):  # a parent's threads stay behind a fork
@@ -200,15 +216,15 @@ if hasattr(os, "register_at_fork"):  # a parent's threads stay behind a fork
 
 def _over_strips(fn, strips) -> list:
     """[fn(s) for s in strips] (a list), in order.  With two or more
-    strips and more than one CPU, the calling thread and up to
-    _cpus() - 1 threads of a lazily started pool take the strips in
-    turn, each task in a copy of the caller's context (numpy's errstate
-    rides in it).  Once the strips are all taken, a task that has not
-    started is cancelled, not waited for.  A failed strip ends its own
-    thread's turns, and one in the calling thread ends every thread's;
-    the first exception is raised once no task runs.  No task may call
-    a function that a tracer wraps, and each writes its output into
-    rows the caller owns, so its own temporaries stay one strip in
+    strips and more than one CPU, _threads(len(strips)) threads take
+    the strips in turn: the calling thread and threads of a lazily
+    started pool, each task in a copy of the caller's context (numpy's
+    errstate rides in it).  Once the strips are all taken, a task that
+    has not started is cancelled, not waited for.  A failed strip ends
+    its own thread's turns, and one in the calling thread ends every
+    thread's; the first exception is raised once no task runs.  No task
+    may call a function that a tracer wraps, and each writes its output
+    into rows the caller owns, so its own temporaries stay one strip in
     size."""
     out = [None] * len(strips)
     todo = iter(range(len(strips)))  # the GIL hands each index out once
@@ -218,7 +234,7 @@ def _over_strips(fn, strips) -> list:
             out[i] = fn(strips[i])
 
     tasks = [_pool().submit(contextvars.copy_context().run, run)
-             for _ in range(min(_cpus(), len(strips)) - 1)]
+             for _ in range(_threads(len(strips)) - 1)]
     try:
         run()
     finally:
@@ -431,21 +447,21 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
     py = _period(ny)
     a = np.zeros((py, nx), dtype=complex)
     np.copyto(a[:ny], values, where=sel)
-    _fft_in_place(a, fft.fft)
+    _fft_in_place(a, fft.fft, workers=_threads(nx))
     strips = row_strips((py, px))
-    tall = max(r1 - r0 for r0, r1 in strips)
-    spare = [np.empty((tall, px), dtype=complex)
-             for _ in range(min(_cpus(), len(strips)))]
+    # one scratch array, of the tallest strip, for each thread that
+    # takes strips
+    spare = [np.empty((max(r1 - r0 for r0, r1 in strips), px), dtype=complex)
+             for _ in range(_threads(len(strips)))]
 
-    def x_strip(rows):
-        r0, r1 = rows
+    def x_strip(r0, r1):
         top = min(max(r0, nh), r1)
         # the padded strip in a scratch array of the caller's, and the
         # mirrored rows' factors 8 rows at a time: a pool thread's malloc
         # arena keeps what it frees, so its temporaries stay small
-        b = (spare.pop() if spare else np.empty((tall, px), complex))[:r1 - r0]
+        b = spare.pop()[:r1 - r0]
         b[:, :nx], b[:, nx:] = a[r0:r1], 0.0
-        fft.fft(b, axis=1, overwrite_x=True)
+        _fft_in_place(b, fft.fft, axis=1)
         b[:top - r0] *= spectrum[r0:top]
         mirror = spectrum[py - r1 + 1:py - top + 1][::-1]
         for k in range(0, r1 - top, 8):
@@ -453,20 +469,20 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
         a[r0:r1] = fft.ifft(b, axis=1, overwrite_x=True)[:, :nx]
         spare.append(b.base)
 
-    _over_strips(x_strip, strips)
-    _fft_in_place(a, fft.ifft)
+    _over_strips(lambda rows: x_strip(*rows), strips)
+    _fft_in_place(a, fft.ifft, workers=_threads(nx))
     # a owns its memory and no view of it is left, so the cut keeps the
     # leading rows where they are and frees the rest
     a.resize((ny, nx), refcheck=False)
     return a
 
 
-def _fft_in_place(x: np.ndarray, transform) -> None:
-    # the transform along axis 0 written over the complex array x:
-    # scipy's pocketfft writes it there when it may overwrite its input,
-    # and a backend that returns new memory is copied back.  Its workers
-    # split the columns, each transformed as on one worker
-    out = transform(x, axis=0, overwrite_x=True, workers=_cpus())
+def _fft_in_place(x: np.ndarray, transform, axis=0, workers=1) -> None:
+    # the transform along axis written over the complex array x: scipy's
+    # pocketfft writes it there when it may overwrite its input, and a
+    # backend that returns new memory is copied back.  Its workers split
+    # the other axis, each line transformed as on one worker
+    out = transform(x, axis=axis, overwrite_x=True, workers=workers)
     if not np.may_share_memory(out, x):
         x[...] = out
 

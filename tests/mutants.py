@@ -205,6 +205,16 @@ MUTANTS = [
            "out[-1 - i] = fn(strips[i])",
            ("tests/test_cauchy.py::"
             "test_strip_map_returns_each_result_once_in_strip_order",)),
+    Mutant("a host with more CPUs runs more threads", "dbarkit/cauchy.py",
+           "return max(min(_CPUS, _STRIP_THREADS, n), 1)",
+           "return max(min(_CPUS, n), 1)",
+           ("tests/test_cauchy.py::"
+            "test_a_host_with_more_cpus_runs_no_more_threads",)),
+    Mutant("a transform into new memory is not copied back",
+           "dbarkit/cauchy.py", "if not np.may_share_memory(out, x):",
+           "if False:",
+           ("tests/test_cauchy.py::"
+            "test_a_transform_into_new_memory_is_copied_back",)),
     Mutant("pool tasks run outside the caller's context", "dbarkit/cauchy.py",
            "_pool().submit(contextvars.copy_context().run, run)",
            "_pool().submit(run)",

@@ -489,8 +489,9 @@ def test_strip_kernels_are_the_one_shot_rule_bitwise(
 
 def _cpus(n):
     # the strip map as it runs on n CPUs: with 1, every strip and every
-    # scipy.fft worker stays on the calling thread
-    return mock.patch.object(cauchy, "_cpus", lambda: n)
+    # scipy.fft worker stays on the calling thread, and with more it
+    # runs at most _STRIP_THREADS threads
+    return mock.patch.object(cauchy, "_CPUS", n)
 
 
 @lru_cache(maxsize=None)
@@ -522,8 +523,8 @@ def _strip_outputs(f, sel):
 def test_pooled_strips_are_the_calling_thread_strips_bitwise(
         disk, shape, rows, inside_share, cpus, seed):
     # the strips of the lattice, the stencils and the dbar sups run on
-    # the pool (cpus > 1, one scipy.fft worker per CPU) and on the
-    # calling thread alone, with at least 3 strips each: the unit disk
+    # the pool (cpus > 1, as many scipy.fft workers as threads) and on
+    # the calling thread alone, with at least 3 strips each: the unit disk
     # at h = 1/256 and 1/512 with SAMPLE_BLOCK strips, and random masks
     # in strips of a few rows
     if disk:
@@ -551,8 +552,8 @@ def test_pooled_strips_are_the_calling_thread_strips_bitwise(
 
 @pytest.fixture
 def fresh_pool():
-    # the test's pool is sized by its patched _cpus: the pool in use is
-    # shut down before the test, and the test's own after it
+    # the test's pool is sized by its patched _STRIP_THREADS: the pool
+    # in use is shut down before the test, and the test's own after it
     def renew():
         cauchy._pool().shutdown()
         cauchy._pool.cache_clear()
@@ -566,9 +567,9 @@ def fresh_pool():
                                      (7, 3), (20, 3), (2000, 8)])
 def test_strip_map_returns_each_result_once_in_strip_order(n, cpus,
                                                            fresh_pool):
-    # strips of uneven length finish out of order; with more threads
-    # than CPUs and a short switch interval, no strip runs twice and
-    # none is lost
+    # strips of uneven length finish out of order; with the map's rule
+    # run on up to 8 threads (past _STRIP_THREADS, on fewer CPUs) and a
+    # short switch interval, no strip runs twice and none is lost
     calls = Counter()
 
     def fn(s):
@@ -579,12 +580,48 @@ def test_strip_map_returns_each_result_once_in_strip_order(n, cpus,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _cpus(cpus):
+        with _cpus(cpus), mock.patch.object(cauchy, "_STRIP_THREADS", cpus):
             assert cauchy._over_strips(fn, list(range(n))) == [
                 s * s for s in range(n)]
     finally:
         sys.setswitchinterval(interval)
     assert calls == Counter(range(n))
+
+
+def test_a_host_with_more_cpus_runs_no_more_threads(fresh_pool):
+    # on 64 CPUs a map runs on _STRIP_THREADS threads, the count the
+    # memory bounds were measured at, and the lattice's y-transforms take
+    # as many scipy.fft workers (the x-strips one each); the transform is
+    # the 1-CPU one bitwise
+    f = _disk_field(256)
+    with _cpus(1):
+        want = pompeiu(f).values.tobytes()
+    seen, transforms = set(), Counter()
+    in_place = cauchy._fft_in_place
+
+    def spy(x, transform, axis=0, workers=1):
+        transforms[axis, workers] += 1
+        in_place(x, transform, axis, workers)
+
+    def fn(s):
+        seen.add(threading.get_ident())
+        time.sleep(0.001)
+
+    with _cpus(64), mock.patch.object(cauchy, "_fft_in_place", spy):
+        cauchy._over_strips(fn, list(range(200)))
+        assert pompeiu(f).values.tobytes() == want
+    assert len(seen) == cauchy._STRIP_THREADS == 2
+    assert set(transforms) == {(0, 2), (1, 1)} and transforms[0, 2] == 2
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_transform_into_new_memory_is_copied_back(axis):
+    # a backend that leaves its input as it was and returns the
+    # transform in new memory: the transform still lands in x
+    x = np.random.default_rng(3).standard_normal((6, 10)) + 0j
+    want = fft.fft(x, axis=axis)
+    cauchy._fft_in_place(x, lambda v, **kw: fft.fft(v.copy(), **kw), axis)
+    assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bad", [0, 1, 9])

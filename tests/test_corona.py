@@ -264,7 +264,7 @@ def test_pooled_correction_is_the_calling_thread_correction_bitwise():
     assert len(cauchy.row_strips(mask.inside.shape)) >= 3
     outputs = []
     for cpus in (1, 2):
-        with mock.patch.object(cauchy, "_cpus", lambda: cpus):
+        with mock.patch.object(cauchy, "_CPUS", cpus):
             sol = corona_solve(QUARTIC, DISK, h=h, route="pou",
                                margin=max(3, round(0.15 / h)), mask=mask)
         outputs.append(([u.values.tobytes() for u in sol.u],
