@@ -17,7 +17,13 @@ degree's monomials are closed under conjugation, so sqrt2 Re and
 sqrt2 Im of z^a conj(z)^b (a > b), plus |z|^d on the diagonal, span
 them by a unitary change of basis, and Re and Im of a field are two
 real right-hand sides.  The fit runs on its rows, every node or, on
-grids beyond MAX_FIT_NODES, a stride subsample.  One rule screens
+grids beyond MAX_FIT_NODES, a stride subsample.  The factorization
+depends on those rows alone, never on the fields: it is cached per
+grid, stride, top degree and support, for the 4 most recently used,
+as cauchy caches the kernel spectrum per grid, and a later fit on the
+same rows grows it past the degree it was built to by the same
+operations, so a fit on a cached factorization is bitwise one on a
+fresh one; each fit projects its own fields on it.  One rule screens
 each degree: the least-squares projection of the rows' values, which
 the growing factorization holds, is the fit's values there up to a
 roundoff band computed from eps, the degree's condition number and
@@ -46,8 +52,9 @@ interesting measured quantity is how smooth the output is.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -313,6 +320,61 @@ def _band(d: int, cond: float, scale: np.ndarray) -> np.ndarray:
     return 4 * (d + 1) * np.finfo(float).eps * cond * scale
 
 
+class _FitBasis:
+    # The grid-only half of the fit ladder: for the fit rows of one
+    # support, stride and top degree, the real QR factorization Q R of
+    # their monomial blocks through degree `built`, and sing[d], the
+    # singular values of R's leading block of each built degree d.  Q
+    # and R have room for every block through the top degree, and only
+    # built columns are ever written.  All are read-only outside grow,
+    # which extends them under the lock by the ladder's own operations,
+    # so a basis grown over several calls holds the bits of one grown
+    # in one.  No power table is kept: a call that grows the basis
+    # passes its own
+    def __init__(self, rows: int, top: int):
+        cols = _count(top)
+        self.Q = np.empty((rows, cols), order="F")
+        self.R = np.zeros((cols, cols))
+        self.Q.flags.writeable = self.R.flags.writeable = False
+        self.sing = []
+        self.built = -1
+        self._lock = threading.Lock()
+
+    def grow(self, zf: np.ndarray, d: int) -> None:
+        # blocks built + 1 .. d from the fit rows' _powers table zf, each
+        # by block Gram-Schmidt against the built columns, projected
+        # twice, and Householder QR within the block; no later block
+        # changes R[:p, :p]
+        with self._lock:
+            Q, R = self.Q, self.R
+            Q.flags.writeable = R.flags.writeable = True
+            try:
+                for s in range(self.built + 1, d + 1):
+                    p0, p = _count(s - 1), _count(s)
+                    W = _real_block(zf, s)
+                    Qp = Q[:, :p0]
+                    for _ in range(2):
+                        proj = Qp.T @ W
+                        W = W - Qp @ proj
+                        R[:p0, p0:p] += proj
+                    Q[:, p0:p], R[p0:p, p0:p] = np.linalg.qr(W)
+                    sing = np.linalg.svd(R[:p, :p], compute_uv=False)
+                    sing.flags.writeable = False
+                    self.sing.append(sing)
+                    self.built = s
+            finally:
+                Q.flags.writeable = R.flags.writeable = False
+
+
+@lru_cache(maxsize=4)
+def _fit_basis(grid, stride: int, top: int, bits: bytes,
+               rows: int) -> _FitBasis:
+    # one basis per fit rows: the `rows` nodes at stride over the
+    # support whose np.packbits are bits, on grid; kept for the 4 most
+    # recently used keys
+    return _FitBasis(rows, top)
+
+
 def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # Least-squares fits of the fields qs, which share the support of
     # qs[0], at each degree of `degrees` in turn.  Returns three lists:
@@ -332,10 +394,15 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     # least-squares fit are those of the complex monomial matrix V,
     # and a complex field enters as two real right-hand sides, Re and
     # Im.  Graded order nests, so one real QR factorization of that
-    # matrix, grown by one block of d + 1 columns per degree (block
-    # Gram-Schmidt, projected twice, Householder within the block),
-    # serves every degree and every field: a degree-d solution is a
-    # triangular solve on the leading p x p block of R.
+    # matrix, grown by one block of d + 1 columns per degree, serves
+    # every degree and every field: a degree-d solution is a
+    # triangular solve on the leading p x p block of R.  The
+    # factorization depends on the fit rows alone, not on the fields,
+    # so it is a _FitBasis cached per grid, stride, top degree and
+    # support (_fit_basis) and grown only past the degree an earlier
+    # call built, from a power table of this call's; the fields enter
+    # through Q^T rhs, the projection residual, the screen and the
+    # triangular solve, which every call computes afresh.
     #
     # Beyond MAX_FIT_NODES the fit runs on a stride subsample (at
     # stride 1 on every node).  One rule screens each degree: the
@@ -356,15 +423,16 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
     stride = max(1, -(-m // MAX_FIT_NODES))
     if -(-m // stride) < _count(top):
         stride = 1
-    zf = _powers(z[::stride], top)
     n = len(qs)
     vf = [v[::stride] for v in vals]
     rhs = np.stack([v.real for v in vf] + [v.imag for v in vf], axis=1)
     scale = np.array([np.linalg.norm(v) for v in vf])
-    rows, cols = rhs.shape[0], _count(top)
-    Q = np.empty((rows, cols), order="F")
-    R = np.zeros((cols, cols))
-    qv = np.empty((cols, 2 * n))  # Q^T rhs
+    rows = rhs.shape[0]
+    basis = _fit_basis(qs[0].mask.grid, stride, top,
+                       np.packbits(sel).tobytes(), rows)
+    Q, R = basis.Q, basis.R
+    zf = None  # the fit rows' power table, made only to grow the basis
+    qv = np.empty((_count(top), 2 * n))  # Q^T rhs
     resid = rhs.T.copy()  # (rhs - Q Q^T rhs)^T, the projection's residual
     out, fit_values, fit_dbars = [None] * n, [None] * n, [None] * n
     for d in range(top + 1):
@@ -375,18 +443,15 @@ def _fit_ladder(qs: list, degrees: range, target_sup: float):
         if m < p:
             raise FitRankError(
                 f"{m} sample node(s) cannot determine {p} coefficients")
-        W = _real_block(zf, d)
-        Qp = Q[:, :p0]
-        for _ in range(2):
-            proj = Qp.T @ W
-            W = W - Qp @ proj
-            R[:p0, p0:p] += proj
-        Q[:, p0:p], R[p0:p, p0:p] = np.linalg.qr(W)
+        if d > basis.built:
+            if zf is None:
+                zf = _powers(z[::stride], top)
+            basis.grow(zf, d)
         qv[p0:p] = Q[:, p0:p].T @ rhs
         resid -= qv[p0:p].T @ Q[:, p0:p].T
         if d < first:
             continue
-        sing = np.linalg.svd(R[:p, :p], compute_uv=False)
+        sing = basis.sing[d]
         # numpy lstsq's rank rule, applied to the singular values of V
         rank = int((sing > np.finfo(float).eps * max(rows, p) * sing[0]).sum())
         if rank < p:

@@ -80,6 +80,22 @@ MUTANTS = [
            "resid -= qv[p0:p].T @ Q[:, p0:p].T",
            "resid = rhs.T - qv[p0:p].T @ Q[:, p0:p].T",
            ("tests/test_bezout.py::test_screened_ladder_matches_full_node_ladder",)),
+    Mutant("fit basis keyed without the support's bits",
+           "dbarkit/bezout.py", "np.packbits(sel).tobytes(), rows)",
+           "b'', rows)",
+           ("tests/test_bezout.py::"
+            "test_each_support_on_a_grid_gets_its_own_basis",)),
+    Mutant("a cached basis is not grown past the degree it was built to",
+           "dbarkit/bezout.py", "if d > basis.built:",
+           "if d > basis.built and (d == 0 or zf is not None):",
+           ("tests/test_bezout.py::"
+            "test_warm_fits_are_cold_fits_bitwise[0.015625]",
+            "tests/test_bezout.py::"
+            "test_warm_fits_are_cold_fits_bitwise[0.0078125]")),
+    Mutant("fit basis grown without its lock", "dbarkit/bezout.py",
+           "with self._lock:", "if True:",
+           ("tests/test_bezout.py::"
+            "test_threads_grow_one_basis_as_one_thread_does",)),
     Mutant("node blocks drop the remainder past the last full block",
            "dbarkit/cauchy.py", "zip(starts, [*starts[1:], n])",
            "zip(starts, [*starts[1:], starts[-1] + size])",

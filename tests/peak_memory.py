@@ -14,17 +14,18 @@ inputs, one DivisionProblem of z^N/conj(z) with its C1
 certificates at N = 3 and 2, as the sharpness battery makes them, and
 sample_field of (1 - z)^4.
 Each solve runs on a warm kernel cache, so its peak is the solve's
-own; a stage's inputs (the mask too) are made before its trace
-starts.  Margins follow the acceptance ladders: max(3, round(0.15 / h))
-cells.  pytest does not
-collect this file; tests/test_peak_memory.py runs it on a small grid
-and checks the bounds at h = 1/256.
+own; the poly-route solve clears the fit basis cache first
+(bezout._fit_basis), so its peak holds the factorization's build.  A
+stage's inputs (the mask too) are made before its trace starts.
+Margins follow the acceptance ladders: max(3, round(0.15 / h))
+cells.  pytest does not collect this file; tests/test_peak_memory.py
+runs it on a small grid and checks the bounds at h = 1/256.
 """
 
 import sys
 import tracemalloc
 
-from dbarkit import cauchy, corona, division
+from dbarkit import bezout, cauchy, corona, division
 from dbarkit.domains import Disk, build_mask
 from dbarkit.expr import Const, Z, add, conj, div, intpow, mul, sub
 
@@ -62,6 +63,11 @@ def stages(h: float) -> list:
         cauchy._kernel_spectrum.cache_clear()
         cauchy._kernel_spectrum(grid.ny, grid.nx, h)
 
+    def poly():
+        bezout._fit_basis.cache_clear()
+        corona.corona_solve(quartic, DISK, h=h, route="poly", margin=margin,
+                            mask=mask)
+
     def divide_c1():
         record = division.DivisionProblem.build(Z, conj(Z), mask=mask)
         record.certify(3, "C1")
@@ -72,8 +78,7 @@ def stages(h: float) -> list:
         ("pompeiu", lambda: cauchy.pompeiu(field)),
         ("pou corona_solve", lambda: corona.corona_solve(
             quartic, DISK, h=h, route="pou", margin=margin, mask=mask)),
-        ("poly corona_solve", lambda: corona.corona_solve(
-            quartic, DISK, h=h, route="poly", margin=margin, mask=mask)),
+        ("poly corona_solve", poly),
         ("g^5 g_power_solve", lambda: corona.g_power_solve(
             g, fs, xs, DISK, h=h, margin=margin, mask=mask)),
         ("g^12 g12_solve", lambda: corona.g12_solve(

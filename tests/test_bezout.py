@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from dbarkit.bezout import (
     weierstrass_fit,
 )
 from dbarkit.cauchy import SampledField, dbar_fd, sample_field, zero_extended
-from dbarkit.domains import Disk, PreconditionError, build_mask
+from dbarkit.domains import Disk, GridSpec, PreconditionError, build_mask
 from dbarkit.expr import (Const, Quotient, Z, as_callable, intpow, sub,
                           wirtinger_dbar)
 from strategies import POLY_TREES
@@ -354,7 +356,10 @@ def test_strided_ladder_builds_no_table_past_subsample_or_block(
     # beyond MAX_FIT_NODES the one table of the top degree spans the
     # stride subsample only; each full-node evaluation (one per field,
     # its values and dbar from one table) builds its tables one node
-    # block at a time, the last block running to the end
+    # block at a time, the last block running to the end.  The basis
+    # cache is cleared first, so the first call grows the basis from
+    # that table; a second, warm call builds the node-block tables only
+    bezout._fit_basis.cache_clear()
     widths = []
     powers = bezout._powers
     monkeypatch.setattr(bezout, "_powers",
@@ -367,6 +372,153 @@ def test_strided_ladder_builds_no_table_past_subsample_or_block(
     assert sum(blocks) == 2 * m
     assert len(blocks) == 2 * (m // 1024)
     assert max(blocks) < 2 * 1024 and min(blocks) == 1024
+    widths.clear()
+    quotient_fits(quartic_pair_128)
+    assert widths == blocks
+
+
+def _fit_bits(problem, max_degree=16):
+    # the bits of quotient_fits: each fit's coef bytes, sup error and
+    # cond, then x and dbar x
+    fits, x, dbx = quotient_fits(problem, max_degree)
+    return ([(p.coef.tobytes(), p.sup_error, p.cond) for p in fits],
+            [a.tobytes() for a in x + dbx])
+
+
+@pytest.mark.parametrize("h", [1 / 64, 1 / 128])
+def test_warm_fits_are_cold_fits_bitwise(h):
+    # the fit basis depends on the fit rows alone (every Inside node at
+    # h = 1/64, a stride-3 subsample at 1/128).  Each pair, in both
+    # orders, is fitted on a cleared cache, then all of them again in
+    # turn on the one basis the first grew: the linear pairs stop at
+    # degree 5 and the quartic ones grow it past that to 15.  Every
+    # warm fit must be its cold fit, bit for bit
+    pairs = [[ONE_MINUS_Z, Z], [Z, ONE_MINUS_Z], QUARTIC, QUARTIC[::-1]]
+    problems = [BezoutProblem.build(Disk(0j, 1.0), fs, h=h) for fs in pairs]
+    cold = []
+    for problem in problems:
+        bezout._fit_basis.cache_clear()
+        cold.append(_fit_bits(problem))
+    assert [len(fits) for fits, _ in cold] == [2] * 4
+    bezout._fit_basis.cache_clear()
+    for problem, want in zip(problems * 2, cold * 2):
+        assert _fit_bits(problem) == want
+    info = bezout._fit_basis.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_warm_fit_errors_are_cold_fit_errors(quartic_pair_128, disk_mask_64):
+    # the last degree's FitToleranceError (q_1 needs degree 15), the
+    # rank rule's FitRankError on a tiny grid (49 Inside nodes at
+    # h = 1/4) and the too-few-nodes FitRankError read the same on a
+    # basis an earlier call built as on a fresh one
+    few = np.zeros(disk_mask_64.inside.shape, bool)
+    iy, ix = np.nonzero(disk_mask_64.interior)
+    few[iy[:5], ix[:5]] = True
+    q = SampledField(disk_mask_64, np.where(few, 1.0 + 0j, 0), support=few)
+    tiny = BezoutProblem.build(Disk(0j, 1.0), QUARTIC, h=1 / 4)
+    calls = {
+        "increase max_degree": lambda: quotient_fits(quartic_pair_128, 13),
+        "rank 43 < 45": lambda: quotient_fits(tiny),
+        "5 sample node": lambda: weierstrass_fit(q, 2, 1.0),
+    }
+    for message, call in calls.items():
+        bezout._fit_basis.cache_clear()
+        raised = []
+        for _ in ("cold", "warm"):
+            with pytest.raises(PreconditionError, match=message) as err:
+                call()
+            raised.append((type(err.value), str(err.value),
+                           getattr(err.value, "sup_error", None)))
+        assert raised[0] == raised[1]
+        assert bezout._fit_basis.cache_info().hits == 1
+
+
+def _spied_bases(monkeypatch) -> list:
+    # the basis each fit ladder call takes from the cache, in call order
+    bases, fit_basis = [], bezout._fit_basis
+    monkeypatch.setattr(bezout, "_fit_basis", lambda *key:
+                        bases.append(fit_basis(*key)) or bases[-1])
+    return bases
+
+
+def test_each_support_on_a_grid_gets_its_own_basis(monkeypatch):
+    # three supports on one explicit grid: the unit disk, the disk of
+    # radius 0.9 and the unit disk moved one node along x, which has
+    # the unit disk's node count.  The key holds the support's bits, so
+    # each gets its own basis, reused by its second fit, and every fit
+    # is its cold fit
+    h = 1 / 64
+    g = GridSpec.cover((-1.0, 1.0 + h, -1.0, 1.0), h)
+    masks = [build_mask(Disk(c, r), grid=g)
+             for c, r in ((0j, 1.0), (0j, 0.9), (h + 0j, 1.0))]
+    counts = [int(m.inside.sum()) for m in masks]
+    assert counts[0] == counts[2] > counts[1]
+    problems = [BezoutProblem.build(None, QUARTIC, mask=m) for m in masks]
+    cold = []
+    for problem in problems:
+        bezout._fit_basis.cache_clear()
+        cold.append(_fit_bits(problem))
+    bezout._fit_basis.cache_clear()
+    bases = _spied_bases(monkeypatch)
+    for problem, want in zip(problems * 2, cold * 2):
+        assert _fit_bits(problem) == want
+    assert bases[3:] == bases[:3]
+    assert len({id(b) for b in bases}) == 3
+
+
+def test_threads_grow_one_basis_as_one_thread_does(monkeypatch):
+    # four threads, more than the cores of a small host, fit the quartic
+    # pair at once on the basis the linear pair built to degree 5, with
+    # the interpreter switching threads every microsecond.  Under the
+    # lock each degree is grown once, so every thread's fit is the cold
+    # fit bit for bit and the one basis ends at degree 15
+    linear, quartic = (BezoutProblem.build(Disk(0j, 1.0), fs, h=1 / 32)
+                       for fs in ([ONE_MINUS_Z, Z], QUARTIC))
+    bezout._fit_basis.cache_clear()
+    want = _fit_bits(quartic)
+    bezout._fit_basis.cache_clear()
+    bases = _spied_bases(monkeypatch)
+    _fit_bits(linear)
+    assert bases[0].built == 5
+    got = [None] * 4
+
+    def fit(i):
+        got[i] = _fit_bits(quartic)
+
+    threads = [threading.Thread(target=fit, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 4
+    assert len({id(b) for b in bases}) == 1 and bases[0].built == 15
+
+
+def test_fit_basis_cache_holds_four_read_only_bases(disk_mask_64,
+                                                    monkeypatch):
+    # six top degrees make six keys; the cache keeps the 4 most
+    # recently used bases, as the kernel spectrum's does, and none of
+    # a basis's arrays can be written
+    cache = bezout._fit_basis
+    cache.cache_clear()
+    bases = _spied_bases(monkeypatch)
+    q = sample_field(lambda z: 1 / (2 - z), disk_mask_64)
+    for d in range(6):
+        weierstrass_fit(q, d, np.inf)
+    info = cache.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (4, 4, 6)
+    basis = bases[-1]
+    assert basis.built == 5
+    for array in (basis.Q, basis.R, basis.sing[5]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 def test_poly_dbars_share_one_table_bitwise(quartic_pair, quartic_pair_128,

@@ -342,7 +342,10 @@ def test_poly_route_builds_one_power_table_per_fit(monkeypatch):
     # the fit ladder's one table, of the top degree 16, feeds the
     # factorization; each chosen fit's values and dbar share one table
     # of its own degree (a single node block at h = 1/32), and no degree
-    # the projection screen rejects builds one
+    # the projection screen rejects builds one.  The basis cache is
+    # cleared first, so the factorization is built here; a second solve
+    # on the grid reuses it and builds the fits' own tables only
+    bezout._fit_basis.cache_clear()
     calls = []
     powers = bezout._powers
     monkeypatch.setattr(bezout, "_powers",
@@ -353,6 +356,10 @@ def test_poly_route_builds_one_power_table_per_fit(monkeypatch):
     assert sorted(calls[1:]) == sorted(fit["degree"]
                                        for fit in sol.extras["fits"])
     assert sorted(calls) == [14, 15, 16]
+    cold = calls[1:]
+    calls.clear()
+    corona_solve(QUARTIC, DISK, h=1 / 32)
+    assert calls == cold
 
 
 def test_corona_covering_route():

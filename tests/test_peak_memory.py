@@ -14,7 +14,9 @@ grid.  g_power_solve (g^5) and g12_solve (g^12) trace 49.7 MB; they
 traced 56.3 MB before those strips, and 61.9 and 77.7 MB while they
 held their set-up arrays (sum x_j f_j; the sampled h_j, sum h_j f_j
 and the division's k) through the correction.  The poly-route corona_solve on the quartic pair traces
-83.7 MB; it traced 237.9 MB while the fit ladder held one degree-16
+81.1 MB with its fit basis built afresh and kept (79.3 MB while the
+basis was freed after the fit); it traced 237.9 MB while the fit
+ladder held one degree-16
 power table over every Inside node, and its conjugate.  The division
 record of z^N/conj(z) with its C1 certificates at N = 3 and 2 traces
 13.1 MB; it traced 19.6 MB while it sampled f and g as full-grid

@@ -45,17 +45,21 @@ def test_route_hashes_name_every_route_and_stencil_once_per_spacing():
 
 def test_fit_hashes_name_every_run_twice_per_spacing():
     # two compacta per spacing of the first list, two unit-disk pairs
-    # per spacing of the second, each a fits line and an x line (or the
-    # error twice), the same lines on a second run
+    # per spacing of the second and then those pairs again, warm, each
+    # a fits line and an x line (or the error twice); the warm lines
+    # are the first ones, and a second run prints the same lines
     hashes = _same_outputs().fit_hashes
     lines = hashes((1 / 16,), (1 / 16, 1 / 32))
     heads = [ln.split(" h=")[0] for ln in lines]
+    disk = 2 * (2 * ["fits linear disk"] + 2 * ["fits quartic disk"])
     assert heads == 2 * ["fits quartic disk1.2"] + 2 * ["fits quartic sector"] \
-        + 2 * (2 * ["fits linear disk"] + 2 * ["fits quartic disk"])
-    assert [ln.split()[4] for ln in lines[4:]] == 4 * ["fits", "x"]
+        + disk + [head.replace("fits", "fits warm") for head in disk]
+    assert [ln.split()[4] for ln in lines[4:12]] == 4 * ["fits", "x"]
+    assert [ln.replace("fits warm", "fits", 1) for ln in lines[12:]] \
+        == lines[4:12]
     # a fits line holds degree, sup_error, cond and coef hash per field
     assert len(lines[4].split()) == 5 + 2 * 4
-    assert hashes((), (1 / 32,)) == lines[8:]
+    assert hashes((), (1 / 32,)) == lines[8:12] + lines[16:]
 
 
 def test_division_hashes_name_every_run_and_battery_item_once():
