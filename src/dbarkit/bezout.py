@@ -507,9 +507,11 @@ def _certified_fits(problem: BezoutProblem, max_degree: int):
     for f in problem.f_list:
         if not isinstance(f, ComplexExpr):
             raise TypeError("the poly route needs expression generators")
+    # q_fields first: generators with a common zero raise there, before
+    # their sup norms are divided by
+    q = q_fields(problem)
     target = 1.0 / (2.0 * sum(g.max_abs() for g in problem.f_fields))
-    fits, pv, dpv = _fit_ladder(q_fields(problem), range(max_degree + 1),
-                                target)
+    fits, pv, dpv = _fit_ladder(q, range(max_degree + 1), target)
     for j, fit in enumerate(fits):
         if isinstance(fit, FitToleranceError):
             raise FitToleranceError(

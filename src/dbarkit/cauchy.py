@@ -54,8 +54,9 @@ Evaluation engines.  The engine follows the targets argument of
 pompeiu.  An array of target points runs a plain O(targets * cells)
 loop.  targets=None evaluates at every grid node; there the weights
 depend only on the source-target offset, and the identical sum is a
-circular FFT convolution over a period of py x px nodes, with
-next_fast_len(2n - 1) per axis.  A period of at least 2n - 1 holds
+circular FFT convolution (numpy.fft) over a period of py x px nodes,
+per axis the least 11-smooth length at least 2n - 1, scipy's
+next_fast_len for complex data.  A period of at least 2n - 1 holds
 every offset in -(n - 1)..(n - 1) once, so no source-target pair
 wraps onto another.  The kernel enters as the spectrum of its
 reflection Kc[m] = K[-m].  The indices between those offsets (the
@@ -67,15 +68,17 @@ the transposed shape, in the calling thread) and cached, per grid
 shape and spacing (ny, nx, h), for the 4 most recently used grids.
 No py x px array is ever formed, and one (py, nx) work array holds
 every stage: the data on their source nodes are copied into it (no
-masked copy of the field) and y-transformed in place, its columns
-split among as many scipy.fft workers as a map has threads, each
-column transformed as on one worker; the row_strips of the (py, px)
-period go through the x-transform, the product and the inverse
-x-transform concurrently, each padded in one of the caller's scratch
-arrays (one per thread), keeping nx columns; the inverse y-transform
-runs in place, and the array is cut to its ny rows in place to
-become the result.  Strip heights from 8 to 128 rows
-give the same bits (unit disk, h = 1/256 and 1/512).  Both
+masked copy of the field) and y-transformed in place, in column
+strips (row_strips of the transposed shape) on the strip map, each
+column transformed alone, so the strips give the bits of one
+whole-array transform; the row_strips of the (py, px) period go
+through the x-transform, the product and the inverse x-transform
+concurrently, each padded in one of the caller's scratch arrays (one
+per thread), keeping nx columns; the inverse y-transform runs in
+place in column strips, and the array is cut to its ny rows in place
+to become the result.  Strip heights from 8 to 128 rows give the
+same bits (unit disk, h = 1/256 and 1/512).  So every thread of the
+lattice is one of the strip map's.  Both
 engines take their weights from one near/far rule, so this is a
 reorganization of the same discrete quadrature (the direct loop is
 the reference it is tested against, to roundoff), not a different
@@ -109,7 +112,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import fft
 
 from .domains import PreconditionError, RegionMask, build_mask, interior_shrunk
 from .expr import as_callable
@@ -199,8 +201,9 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 def _threads(n: int) -> int:
     # the threads that take n independent pieces of work (the strips of
-    # a map, the columns of a y-transform): one per CPU, at most
-    # _STRIP_THREADS, at most n, at least the calling thread
+    # a map, row or column strips alike): one per CPU, at most
+    # _STRIP_THREADS, at most n, at least the calling thread.  Every
+    # thread the lattice runs is one of these
     return max(min(_CPUS, _STRIP_THREADS, n), 1)
 
 
@@ -422,10 +425,18 @@ def pompeiu(f: SampledField, targets: Optional[np.ndarray] = None):
                            f.mask.grid.h, zt.ravel()).reshape(zt.shape)
 
 
+# every 11-smooth integer below 2**64 divides it, and no other integer
+_SMOOTH = 2**64 * 3**41 * 5**28 * 7**23 * 11**19
+
+
 def _period(n: int) -> int:
-    # the lattice period along an axis of n nodes: at least 2n - 1, so
-    # the offsets -(n - 1)..(n - 1) sit on distinct indices
-    return fft.next_fast_len(2 * n - 1)
+    # the lattice period along an axis of n nodes: the least 11-smooth
+    # length at least 2n - 1 (scipy's next_fast_len for complex data),
+    # so the offsets -(n - 1)..(n - 1) sit on distinct indices
+    p = 2 * n - 1
+    while _SMOOTH % p:
+        p += 1
+    return p
 
 
 def fftconvolve(values: np.ndarray, sel: np.ndarray,
@@ -436,18 +447,19 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
     returns the leading values.shape block.
 
     One complex (py, nx) work array holds every stage: the values on
-    sel are copied into it and y-transformed in place; the row_strips
-    of the period then go through the x-transform, the product and
-    the inverse x-transform concurrently (_over_strips), each padded
-    to px columns in one of the caller's scratch arrays, and keep
-    their first nx columns; the inverse y-transform runs in place, and
-    the work array is cut to its first ny rows, so it is the result."""
+    sel are copied into it and y-transformed in place in column strips
+    (_y_transform); the row_strips of the period then go through the
+    x-transform, the product and the inverse x-transform concurrently
+    (_over_strips), each padded to px columns in one of the caller's
+    scratch arrays, and keep their first nx columns; the inverse
+    y-transform runs in place in column strips, and the work array is
+    cut to its first ny rows, so it is the result."""
     ny, nx = values.shape
     nh, px = spectrum.shape
     py = _period(ny)
     a = np.zeros((py, nx), dtype=complex)
     np.copyto(a[:ny], values, where=sel)
-    _fft_in_place(a, fft.fft, workers=_threads(nx))
+    _y_transform(a, np.fft.fft)
     strips = row_strips((py, px))
     # one scratch array, of the tallest strip, for each thread that
     # takes strips
@@ -461,30 +473,30 @@ def fftconvolve(values: np.ndarray, sel: np.ndarray,
         # arena keeps what it frees, so its temporaries stay small
         b = spare.pop()[:r1 - r0]
         b[:, :nx], b[:, nx:] = a[r0:r1], 0.0
-        _fft_in_place(b, fft.fft, axis=1)
+        np.fft.fft(b, axis=1, out=b)
         b[:top - r0] *= spectrum[r0:top]
         mirror = spectrum[py - r1 + 1:py - top + 1][::-1]
         for k in range(0, r1 - top, 8):
             b[top - r0 + k:][:8] *= -np.conj(mirror[k:k + 8])
-        a[r0:r1] = fft.ifft(b, axis=1, overwrite_x=True)[:, :nx]
+        a[r0:r1] = np.fft.ifft(b, axis=1, out=b)[:, :nx]
         spare.append(b.base)
 
     _over_strips(lambda rows: x_strip(*rows), strips)
-    _fft_in_place(a, fft.ifft, workers=_threads(nx))
+    _y_transform(a, np.fft.ifft)
     # a owns its memory and no view of it is left, so the cut keeps the
     # leading rows where they are and frees the rest
     a.resize((ny, nx), refcheck=False)
     return a
 
 
-def _fft_in_place(x: np.ndarray, transform, axis=0, workers=1) -> None:
-    # the transform along axis written over the complex array x: scipy's
-    # pocketfft writes it there when it may overwrite its input, and a
-    # backend that returns new memory is copied back.  Its workers split
-    # the other axis, each line transformed as on one worker
-    out = transform(x, axis=axis, overwrite_x=True, workers=workers)
-    if not np.may_share_memory(out, x):
-        x[...] = out
+def _y_transform(a: np.ndarray, transform) -> None:
+    # the transform along axis 0 written over a, its column strips
+    # (row_strips of the transposed shape) on the strip map; each
+    # column is transformed alone, so any strips give the same bits
+    def columns(c):
+        transform(a[:, slice(*c)], axis=0, out=a[:, slice(*c)])
+
+    _over_strips(columns, row_strips(a.T.shape))
 
 
 @lru_cache(maxsize=4)
@@ -508,8 +520,8 @@ def _kernel_spectrum(ny: int, nx: int, h: float) -> np.ndarray:
         cols = mx[c0:c1]
         block = np.zeros((py, cols.size), dtype=complex)
         block[my] = _offset_weights(-h * (cols + 1j * my[:, None]), h)
-        spectrum[:, cols] = fft.fft(block, axis=0, overwrite_x=True)[:nh]
-    spectrum = fft.fft(spectrum, axis=1, overwrite_x=True)
+        spectrum[:, cols] = np.fft.fft(block, axis=0, out=block)[:nh]
+    np.fft.fft(spectrum, axis=1, out=spectrum)
     # one array serves every solve on this grid
     spectrum.flags.writeable = False
     return spectrum

@@ -226,11 +226,19 @@ MUTANTS = [
            "return max(min(_CPUS, n), 1)",
            ("tests/test_cauchy.py::"
             "test_a_host_with_more_cpus_runs_no_more_threads",)),
-    Mutant("a transform into new memory is not copied back",
-           "dbarkit/cauchy.py", "if not np.may_share_memory(out, x):",
-           "if False:",
+    Mutant("the y-transform drops its last column strip",
+           "dbarkit/cauchy.py",
+           "_over_strips(columns, row_strips(a.T.shape))",
+           "_over_strips(columns, row_strips(a.T.shape)[:-1])",
            ("tests/test_cauchy.py::"
-            "test_a_transform_into_new_memory_is_copied_back",)),
+            "test_a_host_with_more_cpus_runs_no_more_threads",
+            "tests/test_cauchy.py::test_lattice_matches_the_full_period_rule")),
+    Mutant("period rule of real data: 5-smooth, not 11-smooth",
+           "dbarkit/cauchy.py",
+           "_SMOOTH = 2**64 * 3**41 * 5**28 * 7**23 * 11**19",
+           "_SMOOTH = 2**64 * 3**41 * 5**28",
+           ("tests/test_cauchy.py::"
+            "test_period_is_scipys_fast_length_for_complex_data",)),
     Mutant("pool tasks run outside the caller's context", "dbarkit/cauchy.py",
            "_pool().submit(contextvars.copy_context().run, run)",
            "_pool().submit(run)",

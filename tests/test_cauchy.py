@@ -11,12 +11,14 @@ chord length) for cells whose closure contains it.
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -54,6 +56,7 @@ from dbarkit.domains import (Disk, GridSpec, PreconditionError, RegionMask,
 from dbarkit.expr import Const, Z, add, as_callable, conj, div, exp, intpow, mul
 from dbarkit.geometry import l_probe, spiral_growth_probe, taylor_remainder_fit
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 CELL_H = 0.02
 
 # (cell center relative to target, oracle value of int_cell dA/w)
@@ -235,6 +238,13 @@ def test_lattice_period_without_slack_does_not_wrap():
     assert _kernel_spectrum(14, 13, grid.h).shape == (27 // 2 + 1, 25)
     lattice, direct = _engines(grid)
     assert np.abs(lattice - direct).max() < 1e-12
+
+
+def test_period_is_scipys_fast_length_for_complex_data():
+    # the least 11-smooth length at least 2n - 1, as scipy.fft gives it
+    ns = range(1, 200_001)
+    assert [_period(n) for n in ns] == [fft.next_fast_len(2 * n - 1)
+                                        for n in ns]
 
 
 def _full_period_kernel(ny, nx, h):
@@ -488,9 +498,9 @@ def test_strip_kernels_are_the_one_shot_rule_bitwise(
 
 
 def _cpus(n):
-    # the strip map as it runs on n CPUs: with 1, every strip and every
-    # scipy.fft worker stays on the calling thread, and with more it
-    # runs at most _STRIP_THREADS threads
+    # the strip map as it runs on n CPUs: with 1, every strip (the
+    # y-transforms' column strips among them) stays on the calling
+    # thread, and with more it runs at most _STRIP_THREADS threads
     return mock.patch.object(cauchy, "_CPUS", n)
 
 
@@ -522,11 +532,11 @@ def _strip_outputs(f, sel):
 @example(disk=512, shape=None, rows=None, inside_share=None, cpus=2, seed=0)
 def test_pooled_strips_are_the_calling_thread_strips_bitwise(
         disk, shape, rows, inside_share, cpus, seed):
-    # the strips of the lattice, the stencils and the dbar sups run on
-    # the pool (cpus > 1, as many scipy.fft workers as threads) and on
-    # the calling thread alone, with at least 3 strips each: the unit disk
-    # at h = 1/256 and 1/512 with SAMPLE_BLOCK strips, and random masks
-    # in strips of a few rows
+    # the strips of the lattice (its y-transforms' column strips and its
+    # x-strips), the stencils and the dbar sups run on the pool
+    # (cpus > 1) and on the calling thread alone, with at least 3 strips
+    # each: the unit disk at h = 1/256 and 1/512 with SAMPLE_BLOCK
+    # strips, and random masks in strips of a few rows
     if disk:
         f = _disk_field(disk)
         block, sel = cauchy.SAMPLE_BLOCK, interior_shrunk(f.mask, 3)
@@ -590,38 +600,47 @@ def test_strip_map_returns_each_result_once_in_strip_order(n, cpus,
 
 def test_a_host_with_more_cpus_runs_no_more_threads(fresh_pool):
     # on 64 CPUs a map runs on _STRIP_THREADS threads, the count the
-    # memory bounds were measured at, and the lattice's y-transforms take
-    # as many scipy.fft workers (the x-strips one each); the transform is
-    # the 1-CPU one bitwise
+    # memory bounds were measured at: the calling thread and at most
+    # _STRIP_THREADS - 1 pool tasks.  So do the lattice's two
+    # y-transforms, whose column strips tile the grid's columns once,
+    # in order; the transform is the 1-CPU one bitwise
     f = _disk_field(256)
     with _cpus(1):
         want = pompeiu(f).values.tobytes()
-    seen, transforms = set(), Counter()
-    in_place = cauchy._fft_in_place
+    pool = cauchy._pool()
+    over_strips = cauchy._over_strips
+    seen, maps = set(), []
 
-    def spy(x, transform, axis=0, workers=1):
-        transforms[axis, workers] += 1
-        in_place(x, transform, axis, workers)
+    def spy(fn, strips):
+        ran, tasks = [], pool.submit.call_count
+
+        def traced(s):
+            ran.append((s, threading.get_ident()))
+            return fn(s)
+
+        out = over_strips(traced, strips)
+        maps.append((fn.__name__, strips, ran, pool.submit.call_count - tasks))
+        return out
 
     def fn(s):
         seen.add(threading.get_ident())
         time.sleep(0.001)
 
-    with _cpus(64), mock.patch.object(cauchy, "_fft_in_place", spy):
+    with _cpus(64), mock.patch.object(pool, "submit", wraps=pool.submit):
         cauchy._over_strips(fn, list(range(200)))
-        assert pompeiu(f).values.tobytes() == want
+        with mock.patch.object(cauchy, "_over_strips", spy):
+            assert pompeiu(f).values.tobytes() == want
     assert len(seen) == cauchy._STRIP_THREADS == 2
-    assert set(transforms) == {(0, 2), (1, 1)} and transforms[0, 2] == 2
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_a_transform_into_new_memory_is_copied_back(axis):
-    # a backend that leaves its input as it was and returns the
-    # transform in new memory: the transform still lands in x
-    x = np.random.default_rng(3).standard_normal((6, 10)) + 0j
-    want = fft.fft(x, axis=axis)
-    cauchy._fft_in_place(x, lambda v, **kw: fft.fft(v.copy(), **kw), axis)
-    assert x.tobytes() == want.tobytes()
+    assert all(tasks < cauchy._STRIP_THREADS for *_, tasks in maps)
+    columns = [(strips, ran) for name, strips, ran, _ in maps
+               if name == "columns"]
+    assert len(columns) == 2
+    for strips, ran in columns:
+        assert len(strips) > cauchy._STRIP_THREADS
+        assert [a for a, _ in strips] == [0] + [b for _, b in strips[:-1]]
+        assert strips[-1][1] == f.values.shape[1]
+        assert sorted(s for s, _ in ran) == strips
+        assert len({thread for _, thread in ran}) <= cauchy._STRIP_THREADS
 
 
 @pytest.mark.parametrize("bad", [0, 1, 9])
@@ -706,6 +725,29 @@ def test_a_forked_child_maps_strips_on_a_pool_of_its_own():
             pytest.fail("the forked child hung on its strips")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task")
+def test_a_whole_grid_transform_runs_only_the_strip_pools_threads():
+    # in a fresh process with BLAS on one thread, a pompeiu at h = 1/512
+    # leaves the main thread and the strip pool's: the y-transforms'
+    # column strips run on the strip map, and no FFT library starts
+    # threads of its own.  So the process holds the threads of one map
+    # of many strips: 2 on two or more CPUs, 1 on one
+    code = ("import os; from dbarkit import cauchy; "
+            "from dbarkit.domains import Disk, build_mask; "
+            "m = build_mask(Disk(0j, 1.0), h=1 / 512); "
+            "u = cauchy.pompeiu(cauchy.sample_field(lambda z: z, m)); "
+            "print(len(os.listdir('/proc/self/task')), "
+            "cauchy._threads(1 << 30))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1"))
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == out[1]
 
 
 def test_verify_dbar_solution_report(disk_mask_64):

@@ -155,6 +155,15 @@ def test_plain_preconditions_exit_2(tmp_path, capsys, command, text, line):
     assert capsys.readouterr().err == f"precondition failed: {line}\n"
 
 
+@pytest.mark.parametrize("command", ["corona", "bezout"])
+def test_generators_that_vanish_everywhere_exit_2(tmp_path, capsys, command):
+    cfg = write(tmp_path, f"[run]\nlevels = 1/32\n\n[{command}]\nf = 0, 0\n")
+    assert main([command, "--config", cfg]) == EXIT_PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("precondition failed: common zero at 3209 node(s)")
+
+
 def test_main_takes_exit_2_from_the_error_class():
     # exactly two handlers, and no list of precondition classes to keep
     # in step with the modules that raise them

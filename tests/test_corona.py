@@ -377,6 +377,14 @@ def test_corona_rejects_interior_zero():
             corona_solve([Z], DISK, h=1 / 64, route=route)
 
 
+def test_corona_rejects_generators_that_vanish_everywhere():
+    # every node is a common zero: both routes name it before dividing
+    # by the generators' sup norms
+    for route in ("poly", "pou"):
+        with pytest.raises(CommonZeroError):
+            corona_solve([Const(0), Const(0)], DISK, h=1 / 32, route=route)
+
+
 def test_corona_rejects_unknown_route():
     with pytest.raises(ValueError, match="route"):
         corona_solve(LINEAR, DISK, route="magic")

@@ -1,8 +1,8 @@
-"""Importing the package stays cheap: the FFT comes from scipy.fft, and
-scipy.signal, whose import alone cost about as much as all the rest of
-the package's, is never loaded; nor are mpmath and sympy, which only
-the tests use as oracles.  Nor does an import start a thread: the
-strip pool starts on the first map with strips to share."""
+"""Importing the package stays cheap: the FFT comes from numpy.fft, so
+scipy.fft is never loaded, nor is scipy.signal, whose import alone cost
+about as much as all the rest of the package's; nor are mpmath and
+sympy, which only the tests use as oracles.  Nor does an import start
+a thread: the strip pool starts on the first map with strips to share."""
 
 import os
 import subprocess
@@ -28,6 +28,10 @@ def _loaded_after_import(modules) -> str:
 
 def test_import_does_not_load_scipy_signal():
     assert _loaded_after_import(["scipy.signal"]) == "[]"
+
+
+def test_import_does_not_load_scipy_fft():
+    assert _loaded_after_import(["scipy.fft"]) == "[]"
 
 
 def test_import_does_not_load_the_test_oracles():
